@@ -8,55 +8,43 @@
 //
 // # On-disk layout
 //
-// A catalog directory holds one live log plus the compaction temp file:
+// A catalog directory holds one live log, its lock, and (transiently) the
+// compaction temp file:
 //
 //	dir/
-//	  catalog.log       append-only CRC-32C records, single writer (flock)
+//	  catalog.log       append-only framelog records, single writer
+//	  catalog.lock      the writer's flock, stable across rewrites
 //	  catalog.log.tmp   compaction scratch, published via rename
 //
-// Each record is
-//
-//	magic   uint32  catMagic ("SCAT")
-//	kind    uint8   catKindEntry
-//	length  uint32  payload byte count
-//	crc     uint32  CRC-32C (Castagnoli) over the payload
-//	payload [length]byte  JSON (Entry)
-//
-// in big-endian — the same record discipline as the job journal and the
-// plan store's segments. A torn tail (crash mid-append) fails the length
-// or CRC check and freezes the scan at the last valid record; Open then
-// compacts the surviving records (last entry per fingerprint wins) into a
-// fresh log via write-temp-then-rename. Payloads are kept framed in memory
-// and re-verified against their CRC on every Lookup, like plan records —
-// a flipped bit yields a miss (recomputation), never a wrong reuse.
+// Records are framelog frames (see internal/framelog for the record
+// discipline, recovery and locking) with magic "SCAT", no key, the single
+// kind catKindEntry, and a JSON Entry as payload. Open compacts the
+// surviving records (last entry per fingerprint wins) into a fresh log.
+// Payloads are kept in memory with their CRC and re-verified against it on
+// every Lookup, like plan records — a flipped bit yields a miss
+// (recomputation), never a wrong reuse.
 package catalog
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"github.com/stubby-mr/stubby/internal/framelog"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/trans"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
 
 const (
-	catMagic      = 0x53434154 // "SCAT"
-	catKindEntry  = 1
-	catHeaderSize = 4 + 1 + 4 + 4
-	catMaxRecord  = 1 << 30 // sanity bound; entries are a few hundred bytes
+	catKindEntry = 1
 
 	catFile = "catalog.log"
 )
 
-var catCRCTable = crc32.MakeTable(crc32.Castagnoli)
+var catFormat = framelog.Format{Magic: 0x53434154, Kinds: catKindEntry}
 
 // Entry is the JSON payload of one catalog record: one materialized result
 // keyed by its producing sub-plan's fingerprint.
@@ -138,16 +126,15 @@ type framed struct {
 }
 
 // Store is a durable reuse catalog. All methods are safe for concurrent
-// use. A Store holds an exclusive flock on its directory for its lifetime;
-// a second live opener fails rather than interleaving appends.
+// use. A Store holds catalog.lock for its lifetime; a second live opener
+// fails rather than interleaving appends.
 type Store struct {
 	dir      string
 	ttl      time.Duration
 	locCheck func(dataset string) bool
 
 	mu      sync.Mutex
-	f       *os.File
-	lock    *os.File // dir/catalog.lock, stable inode (never renamed over)
+	log     *framelog.Log
 	entries map[string]framed
 
 	expired      int
@@ -190,51 +177,38 @@ func WithLocationCheck(check func(dataset string) bool) Option {
 // survivors — minus entries evicted by WithTTL / WithLocationCheck — are
 // compacted (last entry per fingerprint wins) into a fresh log.
 func Open(dir string, opts ...Option) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	log, err := framelog.Open(dir, catFile, catFormat)
+	if err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
-	path := filepath.Join(dir, catFile)
-	s := &Store{dir: dir, entries: make(map[string]framed)}
+	s := &Store{dir: dir, log: log, entries: make(map[string]framed)}
 	for _, o := range opts {
 		o(s)
 	}
-
-	lock, err := os.OpenFile(filepath.Join(dir, "catalog.lock"), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
+	fail := func(err error) (*Store, error) {
+		log.Close()
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
-	if !tryCatFlock(lock) {
-		lock.Close()
-		return nil, fmt.Errorf("catalog: %s is held by a live writer", dir)
-	}
-	s.lock = lock
-	fail := func(err error) (*Store, error) {
-		funlockCat(lock)
-		lock.Close()
-		return nil, err
-	}
-
-	payloads, torn, err := scanCatalog(path)
-	if err != nil {
-		return fail(err)
-	}
-	s.tornBytes = torn
 
 	// Replay, last entry per fingerprint winning, preserving first-seen
 	// order for the compacted rewrite (deterministic file contents).
 	var order []string
-	for _, p := range payloads {
-		fp, ok := payloadFingerprint(p)
+	s.tornBytes, err = log.Scan(func(fr framelog.Frame) bool {
+		fp, ok := payloadFingerprint(fr.Payload)
 		if !ok {
 			s.compacted++
-			continue
+			return true
 		}
 		if _, seen := s.entries[fp]; !seen {
 			order = append(order, fp)
 		} else {
 			s.compacted++
 		}
-		s.entries[fp] = framed{payload: p, crc: crc32.Checksum(p, catCRCTable)}
+		s.entries[fp] = framed{payload: fr.Payload, crc: framelog.Checksum(fr.Payload)}
+		return true
+	})
+	if err != nil {
+		return fail(err)
 	}
 
 	// Eviction pass: TTL and dataset-existence checks run against the
@@ -263,32 +237,15 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		order = kept
 	}
 
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("catalog: compact: %w", err))
-	}
+	var frames []byte
 	for _, fp := range order {
-		if _, err := tf.Write(frameCatRecord(s.entries[fp].payload)); err != nil {
-			tf.Close()
-			return fail(fmt.Errorf("catalog: compact: %w", err))
+		if frames, err = catFormat.AppendFrame(frames, catKindEntry, nil, s.entries[fp].payload); err != nil {
+			return fail(err)
 		}
 	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fail(fmt.Errorf("catalog: compact: %w", err))
+	if err := log.Rewrite(frames); err != nil {
+		return fail(fmt.Errorf("compact: %w", err))
 	}
-	if err := tf.Close(); err != nil {
-		return fail(fmt.Errorf("catalog: compact: %w", err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(fmt.Errorf("catalog: compact: %w", err))
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("catalog: %w", err))
-	}
-	s.f = f
 	return s, nil
 }
 
@@ -301,49 +258,6 @@ func payloadFingerprint(p []byte) (string, bool) {
 		return "", false
 	}
 	return e.Fingerprint, true
-}
-
-// scanCatalog reads every valid record payload from path, stopping at the
-// first torn or corrupt one. A missing file is an empty catalog.
-func scanCatalog(path string) ([][]byte, int64, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("catalog: %w", err)
-	}
-	var out [][]byte
-	off := int64(0)
-	size := int64(len(data))
-	for off+catHeaderSize <= size {
-		hdr := data[off:]
-		if binary.BigEndian.Uint32(hdr) != catMagic || hdr[4] != catKindEntry {
-			break
-		}
-		n := int64(binary.BigEndian.Uint32(hdr[5:]))
-		if n > catMaxRecord || off+catHeaderSize+n > size {
-			break
-		}
-		payload := data[off+catHeaderSize : off+catHeaderSize+n]
-		if crc32.Checksum(payload, catCRCTable) != binary.BigEndian.Uint32(hdr[9:]) {
-			break
-		}
-		out = append(out, append([]byte(nil), payload...))
-		off += catHeaderSize + n
-	}
-	return out, size - off, nil
-}
-
-// frameCatRecord frames one payload: header, CRC, bytes.
-func frameCatRecord(payload []byte) []byte {
-	buf := make([]byte, catHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(buf[0:], catMagic)
-	buf[4] = catKindEntry
-	binary.BigEndian.PutUint32(buf[5:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[9:], crc32.Checksum(payload, catCRCTable))
-	copy(buf[catHeaderSize:], payload)
-	return buf
 }
 
 // Put publishes one entry, durably (appended and fsynced before returning).
@@ -363,15 +277,12 @@ func (s *Store) Put(e Entry) error {
 	if err != nil {
 		return fmt.Errorf("catalog: encode: %w", err)
 	}
-	if len(payload) > catMaxRecord {
-		return fmt.Errorf("catalog: entry of %d bytes exceeds limit", len(payload))
+	frame, err := catFormat.AppendFrame(nil, catKindEntry, nil, payload)
+	if err != nil {
+		return fmt.Errorf("catalog: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		s.errs++
-		return errors.New("catalog: closed")
-	}
 	if prev, ok := s.entries[e.Fingerprint]; ok {
 		if string(prev.payload) == string(payload) {
 			return nil
@@ -388,17 +299,12 @@ func (s *Store) Put(e Entry) error {
 			}
 		}
 	}
-	buf := frameCatRecord(payload)
-	if _, err := s.f.Write(buf); err != nil {
+	if err := s.log.Append(frame); err != nil {
 		s.errs++
 		return fmt.Errorf("catalog: append: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
-		s.errs++
-		return fmt.Errorf("catalog: sync: %w", err)
-	}
-	s.bytesWritten += uint64(len(buf))
-	s.entries[e.Fingerprint] = framed{payload: payload, crc: crc32.Checksum(payload, catCRCTable)}
+	s.bytesWritten += uint64(len(frame))
+	s.entries[e.Fingerprint] = framed{payload: payload, crc: framelog.Checksum(payload)}
 	s.puts++
 	return nil
 }
@@ -415,7 +321,7 @@ func (s *Store) Lookup(fp wf.Fingerprint) (trans.StoredResult, bool) {
 		s.misses++
 		return trans.StoredResult{}, false
 	}
-	if crc32.Checksum(fr.payload, catCRCTable) != fr.crc {
+	if framelog.Checksum(fr.payload) != fr.crc {
 		s.errs++
 		s.misses++
 		return trans.StoredResult{}, false
@@ -453,7 +359,7 @@ func (s *Store) Entry(fp wf.Fingerprint) (Entry, bool) {
 	s.mu.Lock()
 	fr, ok := s.entries[fp.String()]
 	s.mu.Unlock()
-	if !ok || crc32.Checksum(fr.payload, catCRCTable) != fr.crc {
+	if !ok || framelog.Checksum(fr.payload) != fr.crc {
 		return Entry{}, false
 	}
 	var e Entry
@@ -496,15 +402,5 @@ func (s *Store) Stats() Stats {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	if s.lock != nil {
-		funlockCat(s.lock)
-		s.lock.Close()
-		s.lock = nil
-	}
-	return err
+	return s.log.Close()
 }

@@ -321,7 +321,11 @@ func TestTTLEvictsAtReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frameCatRecord(payload)); err != nil {
+	frame, err := catFormat.AppendFrame(nil, catKindEntry, nil, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -22,6 +22,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"github.com/stubby-mr/stubby/internal/framelog"
 )
 
 // claimPollInterval is how often a waiting replica re-probes the store and
@@ -38,7 +40,7 @@ func (c *claim) release() {
 	// lock this inode, and anyone who raced the removal fails the inode
 	// identity check below and retries against the new path.
 	_ = os.Remove(c.f.Name())
-	funlock(c.f)
+	framelog.Unlock(c.f)
 	_ = c.f.Close()
 }
 
@@ -55,14 +57,14 @@ func (s *Store) tryClaim(addr Address) (*claim, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if !tryFlock(f) {
+	if !framelog.LockOwn(f) {
 		f.Close()
 		return nil, false
 	}
 	fi, ferr := f.Stat()
 	di, derr := os.Stat(path)
 	if ferr != nil || derr != nil || !os.SameFile(fi, di) {
-		funlock(f)
+		framelog.Unlock(f)
 		f.Close()
 		return nil, false
 	}

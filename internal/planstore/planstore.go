@@ -12,7 +12,7 @@
 // A store directory holds append-only segment files plus a snapshot index:
 //
 //	dir/
-//	  segments/seg-000001.log   one per writer lifetime, CRC-checked records
+//	  segments/seg-000001.log   one per writer lifetime, framelog records
 //	  index.json                atomic-rename snapshot of address → location
 //
 // Each writer appends to its own segment, created with O_EXCL and held
@@ -25,15 +25,17 @@
 //
 // # Durability and crash safety
 //
-// A record is published by a single buffered write followed (by default) by
-// fdatasync, and the index snapshot is published with the classic
+// Records are framed, appended, scanned and locked by internal/framelog,
+// whose package comment states the discipline once: a record is one write
+// plus one fsync, and a failed append is truncated away (or, when even that
+// fails, the store rotates to a fresh segment) so it never hides later
+// ones. The index snapshot is published with the classic
 // write-temp-then-rename dance. Reopening a directory is crash-safe: a
 // valid index accelerates the load, a missing or corrupt one degrades to a
-// full segment scan, and torn record tails — a crash mid-append — are
-// detected by length/magic/CRC checks. Tails of segments whose writer is
-// provably gone (their flock is free) are physically truncated to the last
-// valid record; a live writer's tail is left alone and simply ignored until
-// the record completes.
+// full segment scan. Tails of segments whose writer is provably gone (their
+// flock is free) are physically truncated to the last valid record; a live
+// writer's short tail is left alone and simply ignored until the record
+// completes, and a provably corrupt region freezes its segment.
 package planstore
 
 import (
@@ -51,6 +53,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/stubby-mr/stubby/internal/framelog"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
 
@@ -81,7 +84,7 @@ func (k Key) Address() Address {
 	h.Write([]byte(k.Planner))
 	var sum [16]byte
 	h.Sum(sum[:0])
-	return Address{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:])}
+	return addressOf(sum[:])
 }
 
 // Address is the 128-bit on-disk key of a record.
@@ -173,14 +176,6 @@ func WithMemoryEntries(n int) Option {
 	}
 }
 
-// WithSync controls whether every appended record is fdatasync'd before
-// Put returns (default true). Disabling trades crash durability of the
-// most recent publishes for latency; the format stays crash-safe either
-// way (a torn tail is detected and dropped on reopen).
-func WithSync(sync bool) Option {
-	return func(s *Store) { s.sync = sync }
-}
-
 // indexPublishEvery is how many Puts elapse between index snapshots. The
 // index is purely an accelerator — reopen falls back to a segment scan —
 // so publishing lazily costs nothing but reopen time.
@@ -194,7 +189,6 @@ type Store struct {
 	dir    string
 	segDir string
 	memCap int
-	sync   bool
 
 	mu               sync.Mutex
 	index            map[Address]recLoc        // disk records (this store has seen)
@@ -224,7 +218,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		dir:     dir,
 		segDir:  filepath.Join(dir, "segments"),
 		memCap:  256,
-		sync:    true,
 		index:   make(map[Address]recLoc),
 		mem:     make(map[Address]*list.Element),
 		lru:     list.New(),
@@ -334,8 +327,8 @@ func (s *Store) cacheLocked(addr Address, doc []byte) {
 	}
 }
 
-// Put publishes doc under key: append to the owned segment (fdatasync'd
-// unless WithSync(false)), index it, cache it, and occasionally snapshot
+// Put publishes doc under key: append to the owned segment (one write,
+// one fsync), index it, cache it, and occasionally snapshot
 // the index. Publishing the same address twice is harmless — the store is
 // content-addressed, so duplicates carry identical bytes and the
 // last-indexed location wins.
@@ -350,13 +343,19 @@ func (s *Store) putLocked(addr Address, doc []byte) error {
 	if s.closed {
 		return errors.New("planstore: store is closed")
 	}
-	off, err := s.seg.append(addr, doc, s.sync)
+	if s.seg.Broken() {
+		if err := s.rotateSegmentLocked(); err != nil {
+			s.errCount.Add(1)
+			return err
+		}
+	}
+	off, err := s.seg.append(addr, doc)
 	if err != nil {
 		s.errCount.Add(1)
 		return fmt.Errorf("planstore: append: %w", err)
 	}
 	s.index[addr] = recLoc{seg: s.seg.name, off: off, n: len(doc)}
-	s.marks[s.seg.name] = s.seg.off
+	s.marks[s.seg.name] = s.seg.Size()
 	s.cacheLocked(addr, doc)
 	s.puts.Add(1)
 	s.bytesWritten.Add(uint64(len(doc)))
@@ -364,6 +363,22 @@ func (s *Store) putLocked(addr Address, doc []byte) error {
 	if s.putsSincePublish >= indexPublishEvery {
 		s.publishIndexLocked()
 	}
+	return nil
+}
+
+// rotateSegmentLocked replaces an owned segment whose failed append left
+// bytes that could not be truncated away: no scan reads past them, so
+// later records must land in a fresh file to stay recoverable. The old
+// segment is frozen at its last good record. Callers hold s.mu.
+func (s *Store) rotateSegmentLocked() error {
+	seg, err := openSegmentWriter(s.segDir)
+	if err != nil {
+		return err
+	}
+	s.frozen[s.seg.name] = true
+	_ = s.seg.close(s.segDir)
+	s.seg = seg
+	s.marks[seg.name] = 0
 	return nil
 }
 
@@ -496,7 +511,7 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.publishIndexLocked()
-	return s.seg.close()
+	return s.seg.close(s.segDir)
 }
 
 // --- index snapshot ----------------------------------------------------------
@@ -615,19 +630,20 @@ func (s *Store) recoverSegmentsLocked() {
 		if err != nil {
 			continue
 		}
-		if !tryFlock(f) {
+		if !framelog.WriterGone(f) {
 			f.Close() // live writer; leave the tail alone
 			continue
 		}
-		if valid, corrupt, _, err := scanRecords(path, 0); err == nil {
-			if corrupt {
+		if fi, err := f.Stat(); err == nil {
+			valid, verdict := recFormat.Scan(f, 0, fi.Size(), nil)
+			if verdict == framelog.Corrupt {
 				s.errCount.Add(1)
 			}
-			if fi, err := f.Stat(); err == nil && valid < fi.Size() {
+			if valid < fi.Size() {
 				_ = f.Truncate(valid)
 			}
 		}
-		funlock(f)
+		framelog.Unlock(f)
 		f.Close()
 	}
 }
@@ -673,16 +689,18 @@ func (s *Store) refreshLocked() error {
 			}
 			continue
 		}
-		newMark, corrupt, recs, err := scanRecords(path, mark)
+		f, err := os.Open(path)
 		if err != nil {
 			s.errCount.Add(1)
 			continue
 		}
-		for _, r := range recs {
-			s.index[r.addr] = recLoc{seg: name, off: r.off, n: r.n}
-		}
+		newMark, verdict := recFormat.Scan(f, mark, fi.Size(), func(fr framelog.Frame) bool {
+			s.index[addressOf(fr.Key)] = recLoc{seg: name, off: fr.Off, n: len(fr.Payload)}
+			return true
+		})
+		f.Close()
 		s.marks[name] = newMark
-		if corrupt {
+		if verdict == framelog.Corrupt {
 			s.frozen[name] = true
 			s.errCount.Add(1)
 		}

@@ -138,7 +138,7 @@ func TestRecoveryCorruptMiddleRecord(t *testing.T) {
 	var offs []int64
 	for i := 0; i < n; i++ {
 		s.mu.Lock()
-		off := s.seg.off
+		off := s.seg.Size()
 		s.mu.Unlock()
 		offs = append(offs, off)
 		if err := s.Put(testKey(i), testDoc(i)); err != nil {
@@ -156,6 +156,7 @@ func TestRecoveryCorruptMiddleRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt record 3's payload (header stays valid, CRC won't).
+	const recHeaderSize = 4 + 1 + 16 + 4 + 4
 	data[offs[3]+recHeaderSize+2] ^= 0xff
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -4,46 +4,35 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/stubby-mr/stubby/internal/framelog"
 )
 
-// Segment files hold a flat sequence of records:
-//
-//	magic   uint32  recMagic
-//	kind    uint8   recKindPlan
-//	addrHi  uint64  ┐ 128-bit content address
-//	addrLo  uint64  ┘
-//	length  uint32  payload byte count
-//	crc     uint32  CRC-32C (Castagnoli) over the payload
-//	payload [length]byte
-//
-// All integers are big-endian. A record is valid when the magic matches,
-// the full payload is present, and the CRC verifies; anything else at the
-// tail is either an in-progress append (live writer) or a torn write
-// (crash), and scanning stops at the last valid record either way.
+// Segment files hold a flat sequence of framelog frames (see that package
+// for the record discipline) with magic "SPLN", the single kind
+// recKindPlan, and the record's 128-bit content address as the 16-byte
+// key; the payload is the stored document.
+var recFormat = framelog.Format{Magic: 0x53504c4e, Kinds: recKindPlan, KeyLen: 16}
 
 const (
-	recMagic        = 0x53504c4e // "SPLN"
-	recKindPlan     = 1
-	recHeaderSize   = 4 + 1 + 8 + 8 + 4 + 4
-	maxRecordLength = 1 << 30 // sanity bound; plans are a few KB
+	recKindPlan = 1
 
 	segPrefix = "seg-"
 	segSuffix = ".log"
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+func addressOf(key []byte) Address {
+	return Address{binary.BigEndian.Uint64(key), binary.BigEndian.Uint64(key[8:])}
+}
 
 // segmentWriter owns one append-only segment file, holding its exclusive
 // flock for the writer's lifetime so other processes can tell a live
 // writer from a dead one.
 type segmentWriter struct {
 	name string
-	f    *os.File
-	off  int64
+	*framelog.Writer
 }
 
 // openSegmentWriter claims a fresh segment file with O_EXCL, retrying past
@@ -51,151 +40,59 @@ type segmentWriter struct {
 func openSegmentWriter(segDir string) (*segmentWriter, error) {
 	for n := 1; n < 1_000_000; n++ {
 		name := fmt.Sprintf("%s%06d%s", segPrefix, n, segSuffix)
-		f, err := os.OpenFile(filepath.Join(segDir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if errors.Is(err, os.ErrExist) {
+		w, err := framelog.Create(filepath.Join(segDir, name))
+		if errors.Is(err, os.ErrExist) || errors.Is(err, framelog.ErrLocked) {
+			// A dead writer's O_EXCL file persists, but its lock does not,
+			// so ErrLocked means a live writer somehow shares the name
+			// (clock-free counter reuse). Skip it like a taken name.
 			continue
 		}
 		if err != nil {
 			return nil, fmt.Errorf("planstore: create segment: %w", err)
 		}
-		if !tryFlock(f) {
-			// A dead writer's O_EXCL file persists, but its lock does not,
-			// so a lock failure here means a live writer somehow shares the
-			// name (clock-free counter reuse). Skip it.
-			f.Close()
-			continue
-		}
-		return &segmentWriter{name: name, f: f}, nil
+		return &segmentWriter{name: name, Writer: w}, nil
 	}
 	return nil, errors.New("planstore: segment namespace exhausted")
 }
 
 // append writes one record and returns the record's starting offset.
-func (w *segmentWriter) append(addr Address, payload []byte, sync bool) (int64, error) {
-	if len(payload) > maxRecordLength {
-		return 0, fmt.Errorf("planstore: record of %d bytes exceeds limit", len(payload))
-	}
-	buf := make([]byte, recHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(buf[0:], recMagic)
-	buf[4] = recKindPlan
-	binary.BigEndian.PutUint64(buf[5:], addr[0])
-	binary.BigEndian.PutUint64(buf[13:], addr[1])
-	binary.BigEndian.PutUint32(buf[21:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[25:], crc32.Checksum(payload, crcTable))
-	copy(buf[recHeaderSize:], payload)
-	off := w.off
-	if _, err := w.f.Write(buf); err != nil {
-		// The tail is now indeterminate; reopen-time recovery (or a reader
-		// hitting the bad CRC) handles it. Keep off honest for retries.
-		if pos, serr := w.f.Seek(0, io.SeekCurrent); serr == nil {
-			w.off = pos
-		}
+func (w *segmentWriter) append(addr Address, payload []byte) (int64, error) {
+	var key [16]byte
+	binary.BigEndian.PutUint64(key[:], addr[0])
+	binary.BigEndian.PutUint64(key[8:], addr[1])
+	frame, err := recFormat.AppendFrame(nil, recKindPlan, key[:], payload)
+	if err != nil {
 		return 0, err
 	}
-	w.off += int64(len(buf))
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return 0, err
-		}
-	}
-	return off, nil
+	return w.Append(frame)
 }
 
 // close releases the flock and removes the segment entirely when it never
 // received a record (so idle replicas don't litter the directory).
-func (w *segmentWriter) close() error {
-	empty := w.off == 0
-	funlock(w.f)
-	err := w.f.Close()
+func (w *segmentWriter) close(segDir string) error {
+	empty := w.Size() == 0
+	err := w.Close()
 	if empty {
-		_ = os.Remove(filepath.Join(filepath.Dir(w.f.Name()), w.name))
+		_ = os.Remove(filepath.Join(segDir, w.name))
 	}
 	return err
-}
-
-// scannedRec is one valid record found by scanRecords.
-type scannedRec struct {
-	addr Address
-	off  int64
-	n    int
-}
-
-// scanRecords reads records from off to the end of the segment. It returns
-// the offset just past the last valid record, whether provable corruption
-// (bad magic, oversize length, or CRC failure on a complete record) was
-// found, and the records themselves. A clean-but-short tail is not
-// corruption — it is a live writer mid-append — so corrupt stays false and
-// the returned offset lets a later scan resume where this one stopped.
-func scanRecords(path string, off int64) (int64, bool, []scannedRec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return off, false, nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return off, false, nil, err
-	}
-	size := fi.Size()
-	var recs []scannedRec
-	var hdr [recHeaderSize]byte
-	for off+recHeaderSize <= size {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return off, false, recs, nil
-		}
-		if binary.BigEndian.Uint32(hdr[0:]) != recMagic || hdr[4] != recKindPlan {
-			return off, true, recs, nil
-		}
-		n := binary.BigEndian.Uint32(hdr[21:])
-		if n > maxRecordLength {
-			return off, true, recs, nil
-		}
-		if off+recHeaderSize+int64(n) > size {
-			return off, false, recs, nil // incomplete tail; not corruption
-		}
-		payload := make([]byte, n)
-		if _, err := f.ReadAt(payload, off+recHeaderSize); err != nil {
-			return off, false, recs, nil
-		}
-		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[25:]) {
-			return off, true, recs, nil
-		}
-		addr := Address{binary.BigEndian.Uint64(hdr[5:]), binary.BigEndian.Uint64(hdr[13:])}
-		recs = append(recs, scannedRec{addr: addr, off: off, n: int(n)})
-		off += recHeaderSize + int64(n)
-	}
-	return off, false, recs, nil
 }
 
 // readRecordPayload re-reads and re-verifies one record's payload. The
 // address and CRC are both checked, so a stale index entry (or disk rot)
 // reads as absence, never as a wrong document.
 func readRecordPayload(path string, off int64, n int, want Address) ([]byte, error) {
-	if n < 0 || n > maxRecordLength || off < 0 {
-		return nil, errors.New("planstore: bad record location")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	buf := make([]byte, recHeaderSize+n)
-	if _, err := f.ReadAt(buf, off); err != nil {
+	fr, err := recFormat.ReadFrame(f, off, n)
+	if err != nil {
 		return nil, err
 	}
-	if binary.BigEndian.Uint32(buf[0:]) != recMagic || buf[4] != recKindPlan {
-		return nil, errors.New("planstore: bad record header")
-	}
-	addr := Address{binary.BigEndian.Uint64(buf[5:]), binary.BigEndian.Uint64(buf[13:])}
-	if addr != want {
+	if addressOf(fr.Key) != want {
 		return nil, errors.New("planstore: record address mismatch")
 	}
-	if binary.BigEndian.Uint32(buf[21:]) != uint32(n) {
-		return nil, errors.New("planstore: record length mismatch")
-	}
-	payload := buf[recHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(buf[25:]) {
-		return nil, errors.New("planstore: record checksum mismatch")
-	}
-	return payload, nil
+	return fr.Payload, nil
 }

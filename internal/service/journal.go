@@ -10,47 +10,36 @@ package service
 //
 // # On-disk layout
 //
-// A journal directory holds one live log plus the compaction temp file:
+// A journal directory holds one live log, its lock, and (transiently) the
+// compaction temp file:
 //
 //	dir/
-//	  journal.log       append-only CRC-32C records, single writer (flock)
+//	  journal.log       append-only framelog records, single writer
+//	  journal.lock      the writer's flock, stable across rewrites
 //	  journal.log.tmp   compaction scratch, published via rename
 //
-// Each record is
-//
-//	magic   uint32  jrnMagic ("SJNL")
-//	kind    uint8   jrnKindSubmit | jrnKindState
-//	length  uint32  payload byte count
-//	crc     uint32  CRC-32C (Castagnoli) over the payload
-//	payload [length]byte  JSON (JournalRecord)
-//
-// in big-endian — the same record discipline as the plan store's
-// segments. A torn tail (crash mid-append) fails the length or CRC check
-// and freezes the scan at the last valid record; Open then compacts the
-// surviving records into a fresh log via write-temp-then-rename, which
-// both truncates the damage physically and drops records of jobs that
-// already finished, so the journal stays proportional to the in-flight
-// set rather than to history.
+// Records are framelog frames (see internal/framelog for the record
+// discipline, recovery and locking) with magic "SJNL", no key, kinds
+// jrnKindSubmit and jrnKindState, and a JSON JournalRecord as payload. A
+// record that frames correctly but does not decode to a JournalRecord with
+// an ID is treated as corruption too. Open compacts the surviving records
+// into a fresh log, which both truncates any damage physically and drops
+// records of jobs that already finished, so the journal stays proportional
+// to the in-flight set rather than to history.
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/stubby-mr/stubby/internal/framelog"
 )
 
 const (
-	jrnMagic      = 0x534a4e4c // "SJNL"
 	jrnKindSubmit = 1
 	jrnKindState  = 2
-	jrnHeaderSize = 4 + 1 + 4 + 4
-	jrnMaxRecord  = 1 << 30 // sanity bound; request docs are a few KB
 
 	jrnFile = "journal.log"
 
@@ -63,7 +52,7 @@ const (
 	defaultCompactBytes = 8 << 20
 )
 
-var jrnCRCTable = crc32.MakeTable(crc32.Castagnoli)
+var jrnFormat = framelog.Format{Magic: 0x534a4e4c, Kinds: jrnKindState}
 
 // JournalRecord is the JSON payload of one journal record. Submit records
 // carry the request document and, when the submitter propagated one, the
@@ -101,8 +90,8 @@ type JournalStats struct {
 	Transitions uint64
 	// Recovered is how many incomplete jobs the reopening scan yielded.
 	Recovered int
-	// Compacted is how many stale records (of already-terminal jobs) the
-	// reopening compaction dropped.
+	// Compacted is how many stale records (of already-terminal jobs)
+	// compaction has dropped: the reopening one plus every live one since.
 	Compacted int
 	// Compactions counts live (threshold-triggered) compactions performed
 	// since Open; the reopening compaction is not included.
@@ -112,8 +101,10 @@ type JournalStats struct {
 	TornBytes int64
 	// BytesWritten counts record bytes appended (headers included).
 	BytesWritten uint64
-	// Errors counts append/sync failures; the service keeps running when
-	// it rises, with correspondingly weaker crash-recovery guarantees.
+	// Errors counts failed appends and compactions; the service keeps
+	// running when it rises. A failed append is not journaled (framelog
+	// truncates it away), so that one submission or transition is not
+	// recoverable — but every later append that succeeds is.
 	Errors uint64
 }
 
@@ -121,21 +112,18 @@ type JournalStats struct {
 // for concurrent use; Append* calls from concurrent submissions serialize
 // on an internal mutex, preserving a total record order.
 type Journal struct {
-	dir  string
-	sync bool
+	dir string
 
-	mu   sync.Mutex
-	f    *os.File
-	lock *os.File // dir/journal.lock, held (flock) for the journal's lifetime
+	mu  sync.Mutex
+	log *framelog.Log
 
 	// Live-compaction state, all guarded by mu: the in-flight jobs' submit
 	// records (what a compaction must preserve), how much droppable history
 	// has accumulated, and the thresholds that trigger a rewrite.
 	live          map[string]*liveJob
 	nextOrder     int
-	recordsInLog  int   // records in the log file (live + droppable)
-	logBytes      int64 // current log file size
-	terminalSince int   // terminal transitions since the last compaction
+	recordsInLog  int // records in the log file (live + droppable)
+	terminalSince int // terminal transitions since the last compaction
 	compactEvery  int
 	compactBytes  int64
 
@@ -159,220 +147,57 @@ type liveJob struct {
 // OpenJournal opens (creating if needed) the journal rooted at dir,
 // recovers its record of in-flight jobs, and compacts the log. The
 // returned incomplete jobs are in original submission order. The journal
-// takes an exclusive flock on the log for its lifetime; a second live
-// opener fails rather than interleaving appends.
+// holds journal.lock for its lifetime; a second live opener fails rather
+// than interleaving appends.
 func OpenJournal(dir string) (*Journal, []IncompleteJob, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	log, err := framelog.Open(dir, jrnFile, jrnFormat)
+	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	path := filepath.Join(dir, jrnFile)
-	j := &Journal{dir: dir, sync: true,
+	j := &Journal{dir: dir, log: log,
 		live:         make(map[string]*liveJob),
 		compactEvery: defaultCompactEvery,
 		compactBytes: defaultCompactBytes,
 	}
-
-	// The lock lives in a dedicated file (never renamed-over by
-	// compaction, so its inode — and the flock on it — is stable): one live
-	// writer per directory, enforced before recovery mutates anything.
-	lock, err := os.OpenFile(filepath.Join(dir, "journal.lock"), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
+	fail := func(err error) (*Journal, []IncompleteJob, error) {
+		log.Close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	if !tryJrnFlock(lock) {
-		lock.Close()
-		return nil, nil, fmt.Errorf("journal: %s is held by a live writer", dir)
-	}
-	j.lock = lock
-
-	fail := func(err error) (*Journal, []IncompleteJob, error) {
-		funlockJrn(lock)
-		lock.Close()
-		return nil, nil, err
-	}
-
-	recs, torn, err := scanJournal(path)
+	j.tornBytes, err = log.Scan(func(fr framelog.Frame) bool {
+		var rec JournalRecord
+		if json.Unmarshal(fr.Payload, &rec) != nil || rec.ID == "" {
+			return false
+		}
+		j.replayLocked(&rec)
+		return true
+	})
 	if err != nil {
 		return fail(err)
 	}
-	j.tornBytes = torn
-
-	// Replay the records into per-job state, preserving submission order.
-	type jobRec struct {
-		doc      json.RawMessage
-		deadline int64
-		terminal bool
-		order    int
+	// Rewriting just the incomplete jobs' submit records is also what
+	// physically truncates a torn tail.
+	scanned := j.recordsInLog
+	incomplete, err := j.rewriteLocked()
+	if err != nil {
+		return fail(fmt.Errorf("compact: %w", err))
 	}
-	jobs := make(map[string]*jobRec)
-	var order []string
-	for _, r := range recs {
-		switch {
-		case len(r.Doc) > 0:
-			if _, ok := jobs[r.ID]; !ok {
-				jobs[r.ID] = &jobRec{doc: r.Doc, deadline: r.DeadlineUnixMS, order: len(order)}
-				order = append(order, r.ID)
-			}
-		case r.State != "":
-			if jr, ok := jobs[r.ID]; ok {
-				if st, perr := ParseState(r.State); perr == nil && st.Terminal() {
-					jr.terminal = true
-				}
-			}
-		}
-	}
-	var incomplete []IncompleteJob
-	for _, id := range order {
-		jr := jobs[id]
-		if jr.terminal {
-			continue
-		}
-		incomplete = append(incomplete, IncompleteJob{ID: id, Doc: jr.doc, DeadlineUnixMS: jr.deadline})
-	}
-	sort.SliceStable(incomplete, func(a, b int) bool {
-		return jobs[incomplete[a].ID].order < jobs[incomplete[b].ID].order
-	})
 	j.recovered = len(incomplete)
-	j.compacted = len(recs) - len(incomplete)
-
-	// Compact: rewrite only the incomplete jobs' submit records into a
-	// fresh log and publish it with the classic temp+rename dance. This is
-	// also what physically truncates a torn tail.
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("journal: compact: %w", err))
-	}
-	for _, in := range incomplete {
-		rec := JournalRecord{ID: in.ID, Doc: in.Doc, DeadlineUnixMS: in.DeadlineUnixMS}
-		buf, err := encodeJournalRecord(jrnKindSubmit, &rec)
-		if err != nil {
-			tf.Close()
-			return fail(err)
-		}
-		if _, err := tf.Write(buf); err != nil {
-			tf.Close()
-			return fail(fmt.Errorf("journal: compact: %w", err))
-		}
-		j.logBytes += int64(len(buf))
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fail(fmt.Errorf("journal: compact: %w", err))
-	}
-	if err := tf.Close(); err != nil {
-		return fail(fmt.Errorf("journal: compact: %w", err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(fmt.Errorf("journal: compact: %w", err))
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("journal: %w", err))
-	}
-	j.f = f
-	for _, in := range incomplete {
-		j.live[in.ID] = &liveJob{doc: in.Doc, deadline: in.DeadlineUnixMS, order: j.nextOrder}
-		j.nextOrder++
-	}
-	j.recordsInLog = len(incomplete)
+	j.compacted = scanned - len(incomplete)
 	return j, incomplete, nil
 }
 
-// scanJournal reads every valid record from path, stopping at the first
-// torn or corrupt one, and reports how many trailing bytes it discarded.
-// A missing file is an empty journal.
-func scanJournal(path string) ([]JournalRecord, int64, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	var recs []JournalRecord
-	off := int64(0)
-	size := int64(len(data))
-	for off+jrnHeaderSize <= size {
-		hdr := data[off:]
-		if binary.BigEndian.Uint32(hdr) != jrnMagic {
-			break
-		}
-		kind := hdr[4]
-		if kind != jrnKindSubmit && kind != jrnKindState {
-			break
-		}
-		n := int64(binary.BigEndian.Uint32(hdr[5:]))
-		if n > jrnMaxRecord || off+jrnHeaderSize+n > size {
-			break
-		}
-		payload := data[off+jrnHeaderSize : off+jrnHeaderSize+n]
-		if crc32.Checksum(payload, jrnCRCTable) != binary.BigEndian.Uint32(hdr[9:]) {
-			break
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.ID == "" {
-			break
-		}
-		recs = append(recs, rec)
-		off += jrnHeaderSize + n
-	}
-	return recs, size - off, nil
-}
-
-// encodeJournalRecord frames one record: header, CRC, JSON payload.
-func encodeJournalRecord(kind byte, rec *JournalRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode: %w", err)
-	}
-	if len(payload) > jrnMaxRecord {
-		return nil, fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
-	}
-	buf := make([]byte, jrnHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(buf[0:], jrnMagic)
-	buf[4] = kind
-	binary.BigEndian.PutUint32(buf[5:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[9:], crc32.Checksum(payload, jrnCRCTable))
-	copy(buf[jrnHeaderSize:], payload)
-	return buf, nil
-}
-
-// append writes one framed record and (by default) fdatasyncs it, so an
-// acknowledged submission survives an immediate SIGKILL.
-func (j *Journal) append(kind byte, rec *JournalRecord) error {
-	buf, err := encodeJournalRecord(kind, rec)
-	if err != nil {
-		j.errs.Add(1)
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		j.errs.Add(1)
-		return errors.New("journal: closed")
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		j.errs.Add(1)
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	j.bytesWritten.Add(uint64(len(buf)))
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			j.errs.Add(1)
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-	}
+// replayLocked folds one record, scanned at open or just appended, into
+// the live set: a submit record adds its job unless already known, a
+// terminal state record retires it. Callers hold j.mu.
+func (j *Journal) replayLocked(rec *JournalRecord) {
 	j.recordsInLog++
-	j.logBytes += int64(len(buf))
-	switch kind {
-	case jrnKindSubmit:
+	switch {
+	case len(rec.Doc) > 0:
 		if _, ok := j.live[rec.ID]; !ok {
 			j.live[rec.ID] = &liveJob{doc: rec.Doc, deadline: rec.DeadlineUnixMS, order: j.nextOrder}
 			j.nextOrder++
 		}
-	case jrnKindState:
+	case rec.State != "":
 		if st, perr := ParseState(rec.State); perr == nil && st.Terminal() {
 			if _, ok := j.live[rec.ID]; ok {
 				delete(j.live, rec.ID)
@@ -380,6 +205,59 @@ func (j *Journal) append(kind byte, rec *JournalRecord) error {
 			}
 		}
 	}
+}
+
+// rewriteLocked rewrites the log to just the live jobs' submit records, in
+// submission order, and returns them. A crash or failure at any point
+// leaves either the old or the new log whole (framelog.Log.Rewrite).
+// Callers hold j.mu.
+func (j *Journal) rewriteLocked() ([]IncompleteJob, error) {
+	var jobs []IncompleteJob
+	for id, lj := range j.live {
+		jobs = append(jobs, IncompleteJob{ID: id, Doc: lj.doc, DeadlineUnixMS: lj.deadline})
+	}
+	sort.Slice(jobs, func(a, b int) bool { return j.live[jobs[a].ID].order < j.live[jobs[b].ID].order })
+	var frames []byte
+	for _, job := range jobs {
+		var err error
+		frames, err = appendRecord(frames, jrnKindSubmit, &JournalRecord{ID: job.ID, Doc: job.Doc, DeadlineUnixMS: job.DeadlineUnixMS})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := j.log.Rewrite(frames); err != nil {
+		return nil, err
+	}
+	j.recordsInLog = len(jobs)
+	j.terminalSince = 0
+	return jobs, nil
+}
+
+// appendRecord frames one record onto dst.
+func appendRecord(dst []byte, kind byte, rec *JournalRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return dst, err
+	}
+	return jrnFormat.AppendFrame(dst, kind, nil, payload)
+}
+
+// append frames one record and makes it durable before returning, so an
+// acknowledged submission survives an immediate SIGKILL.
+func (j *Journal) append(kind byte, rec *JournalRecord) error {
+	frame, err := appendRecord(nil, kind, rec)
+	if err != nil {
+		j.errs.Add(1)
+		return fmt.Errorf("journal: encode: %w", err)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.log.Append(frame); err != nil {
+		j.errs.Add(1)
+		return fmt.Errorf("journal: append: %w", err)
+	}
+	j.bytesWritten.Add(uint64(len(frame)))
+	j.replayLocked(rec)
 	if j.shouldCompactLocked() {
 		j.compactLocked()
 	}
@@ -395,77 +273,22 @@ func (j *Journal) shouldCompactLocked() bool {
 		return false
 	}
 	return j.terminalSince >= j.compactEvery ||
-		(j.compactBytes > 0 && j.logBytes >= j.compactBytes)
+		(j.compactBytes > 0 && j.log.Size() >= j.compactBytes)
 }
 
-// compactLocked rewrites the log to just the live jobs' submit records, in
-// submission order, with the same write-temp-sync-rename dance the
-// reopening compaction uses — a crash at any point leaves either the old
-// or the new log fully intact. The journal.lock file is untouched (its
-// inode, and the flock on it, must stay stable across rewrites). Failures
-// count as Errors and leave the current log appendable; a failure after
-// rename reopens on the fresh log or, if even that fails, closes the
-// journal (appends then error rather than landing on a stale inode).
+// compactLocked is the live (threshold-triggered) compaction. A failure
+// counts as an Error and leaves the current log appendable — unless the
+// rewrite got as far as renaming and then could not reopen, which closes
+// the journal (appends then error rather than landing on a stale inode).
 // Callers hold j.mu.
 func (j *Journal) compactLocked() {
-	ids := make([]string, 0, len(j.live))
-	for id := range j.live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return j.live[ids[a]].order < j.live[ids[b]].order })
-	path := filepath.Join(j.dir, jrnFile)
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	before := j.recordsInLog
+	jobs, err := j.rewriteLocked()
 	if err != nil {
 		j.errs.Add(1)
 		return
 	}
-	abort := func() {
-		tf.Close()
-		os.Remove(tmp)
-		j.errs.Add(1)
-	}
-	var size int64
-	for _, id := range ids {
-		lj := j.live[id]
-		rec := JournalRecord{ID: id, Doc: lj.doc, DeadlineUnixMS: lj.deadline}
-		buf, err := encodeJournalRecord(jrnKindSubmit, &rec)
-		if err != nil {
-			abort()
-			return
-		}
-		if _, err := tf.Write(buf); err != nil {
-			abort()
-			return
-		}
-		size += int64(len(buf))
-	}
-	if err := tf.Sync(); err != nil {
-		abort()
-		return
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		j.errs.Add(1)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		j.errs.Add(1)
-		return
-	}
-	j.f.Close()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.errs.Add(1)
-		j.f = nil
-		return
-	}
-	j.f = f
-	j.compacted += j.recordsInLog - len(ids)
-	j.recordsInLog = len(ids)
-	j.logBytes = size
-	j.terminalSince = 0
+	j.compacted += before - len(jobs)
 	j.compactions.Add(1)
 }
 
@@ -523,28 +346,10 @@ func (j *Journal) Stats() JournalStats {
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// SetSync toggles per-append fdatasync (on by default). Benchmarks may
-// turn it off; crash recovery then depends on the OS having flushed.
-func (j *Journal) SetSync(sync bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.sync = sync
-}
-
 // Close releases the log and its lock. Appends after Close fail and count
 // as Errors.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	if j.lock != nil {
-		funlockJrn(j.lock)
-		j.lock.Close()
-		j.lock = nil
-	}
-	return err
+	return j.log.Close()
 }

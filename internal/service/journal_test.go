@@ -204,6 +204,7 @@ func TestJournalBadMagicFreezesTail(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	// Append garbage that starts with a valid-looking length but bad magic,
 	// then a full valid-framed record with a wrong CRC.
+	const jrnHeaderSize = 4 + 1 + 4 + 4
 	garbage := make([]byte, jrnHeaderSize+4)
 	binary.BigEndian.PutUint32(garbage, 0xdeadbeef)
 	data = append(data, garbage...)
@@ -229,7 +230,6 @@ func TestJournalDoubleOpenFails(t *testing.T) {
 func TestJournalConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openTestJournal(t, dir)
-	j.SetSync(false)
 	var wg sync.WaitGroup
 	const writers = 8
 	for w := 0; w < writers; w++ {
