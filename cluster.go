@@ -160,14 +160,5 @@ func (s *Session) dispatchOptimize(ctx context.Context, req OptimizeRequest, nam
 		return nil, stubbyerr.WithKind(stubbyerr.KindInternal, "dispatch", req.Workflow.Name,
 			errors.New("undecodable worker result: "+err.Error()))
 	}
-	return &Result{
-		Plan:           wres.Plan,
-		EstimatedCost:  wres.EstimatedCost,
-		Duration:       time.Duration(wres.DurationMS * float64(time.Millisecond)),
-		WhatIfCalls:    wres.WhatIfCalls,
-		WhatIfComputed: wres.WhatIfComputed,
-		FlowCards:      wres.FlowCards,
-		Robustness:     robustnessFromDoc(wres.Robustness),
-		ReusedSubplans: wres.ReusedSubplans,
-	}, nil
+	return resultFromDoc(wres), nil
 }

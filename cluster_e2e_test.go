@@ -13,6 +13,7 @@ package stubby_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os/exec"
@@ -419,6 +420,58 @@ func TestClusterLeaseExpiryRedispatch(t *testing.T) {
 	})
 	if n := storeB.Stats().Computes + storeR.Stats().Computes; n != 1 {
 		t.Fatalf("total computes after journal replay = %d, want 1 (idempotent recovery)", n)
+	}
+}
+
+// TestClusterCancelPropagates is the cancel drill: a client cancels its
+// job on the coordinator while a worker is optimizing it, and the
+// worker's own copy of the job reaches canceled too — the coordinator
+// forwards the cancel instead of abandoning a computation nobody will
+// read — with no re-dispatch of the canceled job.
+func TestClusterCancelPropagates(t *testing.T) {
+	wl := tinyWorkload(t, "IR")
+	dir := t.TempDir()
+	hs, client, coordSess := startCoordinator(t, wl)
+	registerPassthrough(t, coordSess) // submission validation resolves "blocking" here too
+	w1 := startWorker(t, wl, dir, hs.URL)
+	w2 := startWorker(t, wl, dir, hs.URL)
+	started1, release1 := registerBlocking(t, w1.sess)
+	defer close(release1)
+	started2, release2 := registerBlocking(t, w2.sess)
+	defer close(release2)
+	waitLive(t, client, 2)
+
+	ctx := context.Background()
+	job, err := client.Submit(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow, Planner: "blocking"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worker *workerNode
+	select {
+	case <-started1:
+		worker = w1
+	case <-started2:
+		worker = w2
+	case <-time.After(5 * time.Second):
+		t.Fatal("no worker started the dispatched job")
+	}
+	if _, err := job.Cancel(ctx); err != nil {
+		t.Fatalf("cancel on the coordinator: %v", err)
+	}
+	if _, err := job.Wait(ctx); !errors.Is(err, stubby.ErrKindCanceled) {
+		t.Fatalf("coordinator job ended with %v, want canceled", err)
+	}
+	// The worker's copy is its first job.
+	direct, err := stubby.NewClient(worker.hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForCluster(t, "the worker's copy to reach canceled", func() bool {
+		st, err := direct.Job("job-1").Status(ctx)
+		return err == nil && st.State() == stubby.StateCanceled
+	})
+	if st := clusterStats(t, client); st.Dispatches != 1 || st.Redispatches != 0 || st.LiveWorkers != 2 {
+		t.Fatalf("cluster after cancel = %+v, want one dispatch, no re-dispatch, both workers live", st)
 	}
 }
 

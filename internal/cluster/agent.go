@@ -1,15 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"github.com/stubby-mr/stubby/internal/jobclient"
 	"github.com/stubby-mr/stubby/internal/planio"
 )
 
@@ -23,9 +20,8 @@ const registerRetryInterval = 200 * time.Millisecond
 // recognizing it (coordinator restart, missed heartbeats, a transient
 // partition that got the worker marked dead).
 type Agent struct {
-	join      string
+	coord     *jobclient.Transport // no retry policy: register and beat pace their own retries
 	advertise string
-	hc        *http.Client
 	stats     func() (claimHits, computes uint64)
 
 	mu  sync.Mutex
@@ -35,15 +31,6 @@ type Agent struct {
 
 // AgentOption configures an Agent.
 type AgentOption func(*Agent)
-
-// WithAgentHTTPClient sets the HTTP client used for control traffic.
-func WithAgentHTTPClient(hc *http.Client) AgentOption {
-	return func(a *Agent) {
-		if hc != nil {
-			a.hc = hc
-		}
-	}
-}
 
 // WithAgentStats supplies the store counters each heartbeat reports: the
 // worker's cumulative cross-replica single-flight hits and computes. The
@@ -55,7 +42,7 @@ func WithAgentStats(fn func() (claimHits, computes uint64)) AgentOption {
 // NewAgent builds an agent that joins the coordinator at join (base URL)
 // and advertises the worker's own serving base URL.
 func NewAgent(join, advertise string, opts ...AgentOption) *Agent {
-	a := &Agent{join: join, advertise: advertise, hc: &http.Client{}}
+	a := &Agent{coord: jobclient.New(join), advertise: advertise}
 	for _, o := range opts {
 		o(a)
 	}
@@ -99,7 +86,7 @@ func (a *Agent) register(ctx context.Context) error {
 			return err
 		}
 		var resp planio.RegisterResponse
-		if err := a.post(ctx, "/v1/cluster/register", body, &resp); err == nil && resp.ID != "" {
+		if err := a.coord.JSON(ctx, "register", http.MethodPost, "/v1/cluster/register", body, &resp); err == nil && resp.ID != "" {
 			a.mu.Lock()
 			a.id = resp.ID
 			a.ttl = time.Duration(resp.TTLMS) * time.Millisecond
@@ -143,32 +130,11 @@ func (a *Agent) beat(ctx context.Context) error {
 			return err
 		}
 		var resp planio.HeartbeatResponse
-		if err := a.post(ctx, "/v1/cluster/heartbeat", body, &resp); err != nil {
+		if err := a.coord.JSON(ctx, "heartbeat", http.MethodPost, "/v1/cluster/heartbeat", body, &resp); err != nil {
 			continue // transient; the lease survives a missed beat
 		}
 		if !resp.OK {
 			return nil // unknown to the coordinator: re-register
 		}
 	}
-}
-
-func (a *Agent) post(ctx context.Context, path string, body []byte, into any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.join+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s: HTTP %d", path, resp.StatusCode)
-	}
-	return json.Unmarshal(data, into)
 }

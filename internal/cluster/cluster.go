@@ -5,31 +5,33 @@
 //
 // The control plane is deliberately thin. Workers register with a base URL
 // and renew a lease by heartbeating; the data plane is the existing job
-// wire — the coordinator submits to a worker's /v1/jobs, polls its status,
-// and fetches the result document verbatim. Failure handling composes with
+// wire — the coordinator is an ordinary job-API client of its workers
+// (internal/jobclient, the transport stubby.Client uses): it submits to a
+// worker's /v1/jobs, follows its event stream to the terminal state, and
+// fetches the result document verbatim. Failure handling composes with
 // the layers below rather than duplicating them: a worker whose lease
-// expires mid-job gets its jobs re-dispatched to a live worker, and
-// because every worker shares the plan store (and may journal its queue),
-// a re-dispatched or crash-recovered job converges to the byte-identical
-// plan through the store's content addressing and cross-replica
-// single-flight.
+// expires mid-job, or that no longer knows the job it was handed, gets its
+// jobs re-dispatched to a live worker, and because every worker shares the
+// plan store (and may journal its queue), a re-dispatched or
+// crash-recovered job converges to the byte-identical plan through the
+// store's content addressing and cross-replica single-flight. A caller
+// that gives up has its cancel forwarded to the worker.
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
+	"github.com/stubby-mr/stubby/internal/jobclient"
 	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/stubbyerr"
 )
 
 // ErrNoWorkers reports a dispatch attempted with no live workers. The
@@ -40,36 +42,31 @@ var ErrNoWorkers = errors.New("cluster: no live workers")
 const (
 	// DefaultLeaseTTL is how long a silent worker keeps its lease.
 	DefaultLeaseTTL = 3 * time.Second
-	// defaultPollInterval paces the coordinator's status polls against a
-	// worker executing one of its jobs.
-	defaultPollInterval = 20 * time.Millisecond
 	// maxDispatchAttempts bounds re-dispatch: a job that fails
 	// transiently on this many distinct attempts stops bouncing.
 	maxDispatchAttempts = 8
+	// cancelGrace bounds the best-effort cancel sent to a worker after the
+	// dispatching caller gave up.
+	cancelGrace = time.Second
 )
 
-// transientError marks a dispatch failure worth retrying on another
-// worker: connection failures, worker overload or drain, lease expiry.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-func transient(format string, args ...any) error {
-	return &transientError{fmt.Errorf(format, args...)}
-}
-
-func isTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-// worker is one registered replica.
+// worker is one registration of a replica. Re-registering replaces it, so
+// a dispatch that outlives its worker's lease keeps talking about the
+// registration it was handed, never a revived one.
 type worker struct {
-	id       string
-	url      string
+	id  string
+	url string
+	t   *jobclient.Transport
+
+	// lease ends when the registration does: expiry, markDead, or a
+	// re-registration under the same ID. Every dispatch in flight on the
+	// worker waits under it.
+	lease  context.Context
+	end    context.CancelFunc
+	expiry *time.Timer
+
 	lastBeat time.Time
-	dead     bool // marked unreachable; revives by re-registering
+	dead     bool // lease lapsed or marked unreachable; revives by re-registering
 	leases   int  // in-flight dispatches held by this worker
 
 	// Last heartbeat-reported store counters, summed into Stats so the
@@ -82,8 +79,6 @@ type worker struct {
 // Coordinator owns cluster membership and job dispatch.
 type Coordinator struct {
 	leaseTTL time.Duration
-	poll     time.Duration
-	hc       *http.Client
 
 	mu      sync.Mutex
 	workers map[string]*worker
@@ -107,32 +102,9 @@ func WithLeaseTTL(d time.Duration) Option {
 	}
 }
 
-// WithHTTPClient sets the HTTP client used for dispatch.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Coordinator) {
-		if hc != nil {
-			c.hc = hc
-		}
-	}
-}
-
-// WithPollInterval sets the status-poll pacing for in-flight dispatches.
-func WithPollInterval(d time.Duration) Option {
-	return func(c *Coordinator) {
-		if d > 0 {
-			c.poll = d
-		}
-	}
-}
-
 // New builds a Coordinator with no workers.
 func New(opts ...Option) *Coordinator {
-	c := &Coordinator{
-		leaseTTL: DefaultLeaseTTL,
-		poll:     defaultPollInterval,
-		hc:       &http.Client{},
-		workers:  make(map[string]*worker),
-	}
+	c := &Coordinator{leaseTTL: DefaultLeaseTTL, workers: make(map[string]*worker)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -148,22 +120,25 @@ func (c *Coordinator) LeaseTTL() time.Duration { return c.leaseTTL }
 func (c *Coordinator) Register(wurl, id string) (string, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w, ok := c.workers[id]; id != "" && ok {
-		w.url = wurl
-		w.lastBeat = time.Now()
-		w.dead = false
-		return w.id, c.leaseTTL
+	w := &worker{id: id, url: wurl, t: jobclient.New(wurl), lastBeat: time.Now()}
+	if old, ok := c.workers[id]; id != "" && ok {
+		c.retireLocked(old)
+		w.claimHits, w.computes = old.claimHits, old.computes
+	} else {
+		c.nextID++
+		w.id = fmt.Sprintf("w-%d", c.nextID)
 	}
-	c.nextID++
-	w := &worker{id: fmt.Sprintf("w-%d", c.nextID), url: wurl, lastBeat: time.Now()}
+	w.lease, w.end = context.WithCancel(context.Background())
+	w.expiry = time.AfterFunc(c.leaseTTL, func() { c.expire(w) })
 	c.workers[w.id] = w
 	return w.id, c.leaseTTL
 }
 
 // Heartbeat renews a worker's lease and records its reported store
 // counters. It reports false — re-register — for workers the coordinator
-// does not know or has marked dead, so a worker that was presumed lost
-// re-admits itself cleanly instead of heartbeating into the void.
+// does not know, has marked dead, or whose lease lapsed, so a worker that
+// was presumed lost re-admits itself cleanly instead of heartbeating into
+// the void.
 func (c *Coordinator) Heartbeat(id string, claimHits, computes uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -172,31 +147,36 @@ func (c *Coordinator) Heartbeat(id string, claimHits, computes uint64) bool {
 		return false
 	}
 	w.lastBeat = time.Now()
+	w.expiry.Reset(c.leaseTTL)
 	w.claimHits = claimHits
 	w.computes = computes
 	return true
 }
 
-// liveLocked reports whether w holds a valid lease. Callers hold c.mu.
-func (c *Coordinator) liveLocked(w *worker, now time.Time) bool {
-	return !w.dead && now.Sub(w.lastBeat) <= c.leaseTTL
-}
-
-// alive reports whether the worker named id currently holds a lease.
-func (c *Coordinator) alive(id string) bool {
+// expire is the lease timer firing: a worker silent for the whole TTL is
+// retired, which cuts every dispatch waiting on it. A heartbeat that won
+// the race for the lock has already re-armed the timer.
+func (c *Coordinator) expire(w *worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w, ok := c.workers[id]
-	return ok && c.liveLocked(w, time.Now())
+	if time.Since(w.lastBeat) >= c.leaseTTL {
+		c.retireLocked(w)
+	}
+}
+
+// retireLocked ends a registration: no new dispatches, in-flight waits
+// cut. Callers hold c.mu.
+func (c *Coordinator) retireLocked(w *worker) {
+	w.dead = true
+	w.expiry.Stop()
+	w.end()
 }
 
 // markDead drops a worker from dispatch until it re-registers.
-func (c *Coordinator) markDead(id string) {
+func (c *Coordinator) markDead(w *worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w, ok := c.workers[id]; ok {
-		w.dead = true
-	}
+	c.retireLocked(w)
 }
 
 // pick returns the live worker with the fewest in-flight dispatches (ties
@@ -204,10 +184,9 @@ func (c *Coordinator) markDead(id string) {
 func (c *Coordinator) pick() *worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
 	var best *worker
 	for _, w := range c.workers {
-		if !c.liveLocked(w, now) {
+		if w.dead {
 			continue
 		}
 		if best == nil || w.leases < best.leases || (w.leases == best.leases && w.id < best.id) {
@@ -220,25 +199,22 @@ func (c *Coordinator) pick() *worker {
 	return best
 }
 
-func (c *Coordinator) dropLease(id string) {
+func (c *Coordinator) dropLease(w *worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w, ok := c.workers[id]; ok && w.leases > 0 {
-		w.leases--
-	}
+	w.leases--
 }
 
 // Workers snapshots the membership for /v1/cluster/workers.
 func (c *Coordinator) Workers() []planio.WorkerDoc {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
 	docs := make([]planio.WorkerDoc, 0, len(c.workers))
 	for _, w := range c.workers {
 		docs = append(docs, planio.WorkerDoc{
 			ID:         w.id,
 			URL:        w.url,
-			Live:       c.liveLocked(w, now),
+			Live:       !w.dead,
 			Leases:     w.leases,
 			LastBeatMS: w.lastBeat.UnixMilli(),
 		})
@@ -253,7 +229,6 @@ func (c *Coordinator) Workers() []planio.WorkerDoc {
 func (c *Coordinator) Stats() planio.ClusterStatsDoc {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
 	doc := planio.ClusterStatsDoc{
 		Workers:      len(c.workers),
 		Dispatches:   c.dispatches,
@@ -261,7 +236,7 @@ func (c *Coordinator) Stats() planio.ClusterStatsDoc {
 		Failovers:    c.failovers,
 	}
 	for _, w := range c.workers {
-		if c.liveLocked(w, now) {
+		if !w.dead {
 			doc.LiveWorkers++
 			doc.Leases += w.leases
 		}
@@ -274,11 +249,13 @@ func (c *Coordinator) Stats() planio.ClusterStatsDoc {
 // Dispatch runs one encoded optimize request (a planio request document)
 // on the cluster and returns the worker's encoded result document.
 // Transient failures — an unreachable worker, a drained or overloaded one,
-// a lease expiring mid-job — mark the worker dead and re-dispatch to
-// another, up to maxDispatchAttempts. Permanent failures (an invalid
-// request, the optimization itself failing) return immediately: they would
-// fail identically anywhere. With no live workers it returns ErrNoWorkers,
-// the caller's cue to fail over to local optimization.
+// a lease expiring mid-job, a worker that lost the job — mark the worker
+// dead and re-dispatch to another, up to maxDispatchAttempts. Permanent
+// failures (an invalid request, the optimization itself failing) return
+// immediately: they would fail identically anywhere. With no live workers
+// it returns ErrNoWorkers, the caller's cue to fail over to local
+// optimization. When ctx ends with the job in flight, the worker's copy is
+// canceled and ctx's error returned.
 func (c *Coordinator) Dispatch(ctx context.Context, body []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxDispatchAttempts; attempt++ {
@@ -302,147 +279,76 @@ func (c *Coordinator) Dispatch(ctx context.Context, body []byte) ([]byte, error)
 			c.redispatches++
 		}
 		c.mu.Unlock()
-		res, err := c.runOn(ctx, w, body)
-		c.dropLease(w.id)
+		res, transient, err := c.runOn(ctx, w, body)
+		c.dropLease(w)
 		if err == nil {
 			return res, nil
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if !isTransient(err) {
+		if !transient {
 			return nil, err
 		}
 		// Transient: presume the worker lost, re-dispatch elsewhere. The
 		// worker re-admits itself by re-registering once healthy.
-		c.markDead(w.id)
+		c.markDead(w)
 		lastErr = err
 	}
 	return nil, fmt.Errorf("cluster: dispatch gave up after %d attempts: %w", maxDispatchAttempts, lastErr)
 }
 
-// runOn executes one job on one worker: submit, poll, fetch result. A
-// worker whose lease lapses while its job runs yields a transient error so
-// the job re-dispatches; the abandoned worker's own copy is harmless — if
-// it finishes anyway it publishes the same content-addressed plan.
-func (c *Coordinator) runOn(ctx context.Context, w *worker, body []byte) ([]byte, error) {
-	id, err := c.submit(ctx, w, body)
-	if err != nil {
-		return nil, err
-	}
-	timer := time.NewTimer(c.poll)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-timer.C:
-		}
-		if !c.alive(w.id) {
-			return nil, transient("cluster: worker %s lease expired with job %s in flight", w.id, id)
-		}
-		st, err := c.status(ctx, w, id)
-		if err != nil {
-			return nil, err
-		}
-		switch st.State {
-		case "done":
-			return c.result(ctx, w, id)
-		case "failed", "canceled":
-			if st.Error != nil {
-				return nil, st.Error.Err()
-			}
-			return nil, fmt.Errorf("cluster: job %s on worker %s ended %s", id, w.id, st.State)
-		}
-		timer.Reset(c.poll)
-	}
-}
-
-// submit posts the request document to the worker's job API, propagating
-// any remaining context deadline the way a direct client would.
-func (c *Coordinator) submit(ctx context.Context, w *worker, body []byte) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
+// runOn executes one job on one worker as a plain job-API client: submit,
+// follow the event stream to the terminal state, fetch the result bytes.
+// The transport carries no retry policy — a failure it would retry
+// (jobclient.Retryable) is reported transient instead, as are the worker's
+// lease ending mid-job and the worker no longer knowing the job it
+// accepted (restarted without a journal); the job re-dispatches, and the
+// abandoned worker's own copy is harmless — if it finishes anyway it
+// publishes the same content-addressed plan. A job that ended failed or
+// canceled is the job's outcome, not the worker's fault: permanent.
+func (c *Coordinator) runOn(ctx context.Context, w *worker, body []byte) (res []byte, transient bool, err error) {
+	// The submit runs under the worker's lease and the caller's deadline but
+	// not the caller's cancellation: a submit abandoned mid-flight may still
+	// have created the job, and without its ID the worker's copy could never
+	// be canceled.
+	sctx, cancel := w.lease, context.CancelFunc(func() {})
 	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			req.Header.Set("X-Stubby-Deadline-MS", strconv.FormatInt(ms, 10))
+		sctx, cancel = context.WithDeadline(w.lease, dl)
+	}
+	id, err := w.t.Submit(sctx, body)
+	cancel()
+	if err != nil {
+		return nil, jobclient.Retryable(err), err
+	}
+	// wctx ends when the caller gives up or the worker's lease does.
+	wctx, stop := context.WithCancel(ctx)
+	defer stop()
+	defer context.AfterFunc(w.lease, stop)()
+	st, err := w.t.Wait(wctx, id)
+	if err == nil {
+		if st.State != "done" {
+			if st.Error != nil {
+				return nil, false, st.Error.Err()
+			}
+			return nil, false, fmt.Errorf("cluster: job %s on worker %s ended %s", id, w.id, st.State)
+		}
+		if res, err = w.t.Result(wctx, id); err == nil {
+			return res, false, nil
 		}
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", transient("cluster: submit to worker %s: %v", w.id, err)
+	switch {
+	case ctx.Err() != nil:
+		// Nobody will read this plan: stop the worker computing it.
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cancelGrace)
+		defer cancel()
+		_, _ = w.t.Cancel(cctx, id) // best effort; the propagated deadline bounds the job otherwise
+		return nil, false, ctx.Err()
+	case w.lease.Err() != nil:
+		return nil, true, fmt.Errorf("cluster: worker %s lease expired with job %s in flight", w.id, id)
+	default:
+		return nil, jobclient.Retryable(err) || errors.Is(err, stubbyerr.KindNotFound), err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return "", transient("cluster: read submit ack from worker %s: %v", w.id, err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", classifyHTTP(w.id, "submit", resp.StatusCode, data)
-	}
-	var ack planio.SubmitResponse
-	if err := json.Unmarshal(data, &ack); err != nil || ack.ID == "" {
-		return "", transient("cluster: malformed submit ack from worker %s", w.id)
-	}
-	return ack.ID, nil
-}
-
-func (c *Coordinator) status(ctx context.Context, w *worker, id string) (*planio.StatusDoc, error) {
-	data, err := c.get(ctx, w, "/v1/jobs/"+url.PathEscape(id), "status")
-	if err != nil {
-		return nil, err
-	}
-	var doc planio.StatusDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, transient("cluster: malformed status from worker %s: %v", w.id, err)
-	}
-	return &doc, nil
-}
-
-func (c *Coordinator) result(ctx context.Context, w *worker, id string) ([]byte, error) {
-	return c.get(ctx, w, "/v1/jobs/"+url.PathEscape(id)+"/result", "result")
-}
-
-func (c *Coordinator) get(ctx context.Context, w *worker, path, op string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, transient("cluster: %s from worker %s: %v", op, w.id, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, transient("cluster: read %s from worker %s: %v", op, w.id, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, classifyHTTP(w.id, op, resp.StatusCode, data)
-	}
-	return data, nil
-}
-
-// classifyHTTP folds a worker's HTTP error into the transient/permanent
-// split. 4xx responses are the request's fault (or the job's own terminal
-// state) and would repeat on any worker; 5xx and 429 mean this worker
-// can't take the job right now — some other one may.
-func classifyHTTP(workerID, op string, code int, body []byte) error {
-	msg := fmt.Sprintf("cluster: %s on worker %s: HTTP %d", op, workerID, code)
-	var env planio.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil {
-		if code == http.StatusTooManyRequests || code >= 500 {
-			return &transientError{env.Error.Err()}
-		}
-		return env.Error.Err()
-	}
-	if code == http.StatusTooManyRequests || code >= 500 {
-		return transient("%s", msg)
-	}
-	return errors.New(msg)
 }
 
 // Handle mounts the cluster control plane onto a serving mux.

@@ -7,6 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,7 +64,7 @@ func TestHeartbeatAfterMarkDeadDemandsReregister(t *testing.T) {
 	t.Parallel()
 	c := New()
 	id, _ := c.Register("http://w1", "")
-	c.markDead(id)
+	kill(c, id)
 	if c.Heartbeat(id, 0, 0) {
 		t.Fatal("heartbeat accepted for dead-marked worker")
 	}
@@ -72,48 +76,131 @@ func TestHeartbeatAfterMarkDeadDemandsReregister(t *testing.T) {
 	}
 }
 
+// live reports whether the worker named id currently holds a lease.
+func live(c *Coordinator, id string) bool {
+	for _, w := range c.Workers() {
+		if w.ID == id {
+			return w.Live
+		}
+	}
+	return false
+}
+
+// kill marks the worker named id dead, as a failed dispatch would.
+func kill(c *Coordinator, id string) {
+	c.mu.Lock()
+	w := c.workers[id]
+	c.mu.Unlock()
+	c.markDead(w)
+}
+
 // fakeWorker is a minimal stand-in for a stubbyd worker's job API: every
-// submission becomes a job that reaches the configured terminal state.
+// submission becomes a job whose event stream replays to the configured
+// terminal state and closes — or, for state "running", never ends. Every
+// request is recorded as "METHOD path".
 type fakeWorker struct {
 	srv        *httptest.Server
-	submits    atomic.Int64
-	state      string // terminal state reported after submission
+	state      string // terminal state streamed after submission
 	result     []byte
 	errDoc     *planio.ErrorDoc
-	submitCode int // non-zero: reject submissions with this HTTP status
+	submitCode int  // non-zero: reject submissions with this HTTP status
+	lostJobs   bool // accept submissions, then 404 every other job route
+
+	mu       sync.Mutex
+	requests []string
 }
+
+func (f *fakeWorker) count(prefix string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, r := range f.requests {
+		if strings.HasPrefix(r, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
+func (f *fakeWorker) submits() int { return f.count("POST /v1/jobs") - f.count("POST /v1/jobs/") }
 
 func newFakeWorker(t *testing.T, state string, result []byte) *fakeWorker {
 	t.Helper()
 	f := &fakeWorker{state: state, result: result}
+	lost := func(w http.ResponseWriter) bool {
+		if f.lostJobs {
+			w.WriteHeader(http.StatusNotFound)
+			_ = json.NewEncoder(w).Encode(planio.ErrorEnvelope{Error: &planio.ErrorDoc{Kind: "not_found", Message: "unknown job"}})
+		}
+		return f.lostJobs
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		n := f.submits.Add(1)
 		if f.submitCode != 0 {
 			w.WriteHeader(f.submitCode)
 			_ = json.NewEncoder(w).Encode(planio.ErrorEnvelope{Error: f.errDoc})
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(planio.SubmitResponse{ID: fmt.Sprintf("job-%d", n), State: "queued"})
+		_ = json.NewEncoder(w).Encode(planio.SubmitResponse{ID: fmt.Sprintf("job-%d", f.submits()), State: "queued"})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		doc := planio.StatusDoc{ID: r.PathValue("id"), State: f.state, Error: f.errDoc}
-		_ = json.NewEncoder(w).Encode(doc)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		if lost(w) {
+			return
+		}
+		enc := json.NewEncoder(w)
+		_ = enc.Encode(planio.EventDoc{Type: planio.EventStateChanged, JobID: r.PathValue("id"), State: "running"})
+		w.(http.Flusher).Flush()
+		if f.state == "running" {
+			<-r.Context().Done() // never terminal: held open until the coordinator hangs up
+			return
+		}
+		_ = enc.Encode(planio.EventDoc{Type: planio.EventStateChanged, JobID: r.PathValue("id"), State: f.state, Error: f.errDoc})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write(f.result)
+		if !lost(w) {
+			_, _ = w.Write(f.result)
+		}
 	})
-	f.srv = httptest.NewServer(mux)
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(planio.StatusDoc{ID: r.PathValue("id"), State: "canceled"})
+	})
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.requests = append(f.requests, r.Method+" "+r.URL.Path)
+		f.mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.srv.Close)
 	return f
 }
 
+// keepAlive heartbeats the worker named id until the test ends.
+func keepAlive(t *testing.T, c *Coordinator, id string) {
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		tick := time.NewTicker(15 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				c.Heartbeat(id, 0, 0)
+			}
+		}
+	}()
+}
+
+// TestDispatchRoundTrip also pins the data plane's cost: an
+// already-terminal job is exactly three worker requests — submit, the
+// event stream, the result — and never a status poll.
 func TestDispatchRoundTrip(t *testing.T) {
 	t.Parallel()
 	want := []byte(`{"plan":"dispatched"}`)
 	fw := newFakeWorker(t, "done", want)
-	c := New(WithPollInterval(2 * time.Millisecond))
+	c := New()
 	id, _ := c.Register(fw.srv.URL, "")
 	res, err := c.Dispatch(context.Background(), []byte(`{}`))
 	if err != nil {
@@ -126,8 +213,12 @@ func TestDispatchRoundTrip(t *testing.T) {
 	if st.Dispatches != 1 || st.Redispatches != 0 || st.Failovers != 0 {
 		t.Fatalf("counters = %+v", st)
 	}
-	if !c.alive(id) {
+	if !live(c, id) {
 		t.Fatal("worker lost its lease over a successful dispatch")
+	}
+	wantReqs := []string{"POST /v1/jobs", "GET /v1/jobs/job-1/events", "GET /v1/jobs/job-1/result"}
+	if got := fw.requests; !reflect.DeepEqual(got, wantReqs) {
+		t.Fatalf("worker requests = %q, want %q", got, wantReqs)
 	}
 }
 
@@ -148,13 +239,13 @@ func TestDispatchPermanentErrorNoRetry(t *testing.T) {
 	fw := newFakeWorker(t, "done", nil)
 	fw.submitCode = http.StatusBadRequest
 	fw.errDoc = &planio.ErrorDoc{Kind: "invalid", Message: "bad plan"}
-	c := New(WithPollInterval(2 * time.Millisecond))
+	c := New()
 	c.Register(fw.srv.URL, "")
 	_, err := c.Dispatch(context.Background(), []byte(`{}`))
 	if err == nil || errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("Dispatch error = %v, want permanent error", err)
 	}
-	if n := fw.submits.Load(); n != 1 {
+	if n := fw.submits(); n != 1 {
 		t.Fatalf("submits = %d, want 1 (no retry on permanent errors)", n)
 	}
 	if st := c.Stats(); st.LiveWorkers != 1 {
@@ -162,47 +253,88 @@ func TestDispatchPermanentErrorNoRetry(t *testing.T) {
 	}
 }
 
+// TestDispatchJobFailureIsPermanent: a job that ended failed — even with
+// a cause of a kind the transport would retry — is the job's outcome, not
+// the worker's fault: no re-dispatch, and the worker keeps its lease.
 func TestDispatchJobFailureIsPermanent(t *testing.T) {
 	t.Parallel()
 	fw := newFakeWorker(t, "failed", nil)
 	fw.errDoc = &planio.ErrorDoc{Kind: "internal", Message: "search exploded"}
-	c := New(WithPollInterval(2 * time.Millisecond))
+	other := newFakeWorker(t, "done", nil)
+	c := New()
 	c.Register(fw.srv.URL, "")
+	c.Register(other.srv.URL, "")
 	_, err := c.Dispatch(context.Background(), []byte(`{}`))
-	if err == nil || isTransient(err) {
-		t.Fatalf("Dispatch error = %v, want permanent job failure", err)
+	if err == nil || !strings.Contains(err.Error(), "search exploded") {
+		t.Fatalf("Dispatch error = %v, want the job's own failure", err)
 	}
-	if n := fw.submits.Load(); n != 1 {
-		t.Fatalf("submits = %d, want 1", n)
+	if st := c.Stats(); st.Redispatches != 0 || st.LiveWorkers != 2 {
+		t.Fatalf("counters = %+v, want no re-dispatch and both workers live", st)
+	}
+	if a, b := fw.submits(), other.submits(); a != 1 || b != 0 {
+		t.Fatalf("submits = %d and %d, want 1 and 0", a, b)
 	}
 }
 
-func TestDispatchRedispatchesOffDeadWorker(t *testing.T) {
-	t.Parallel()
-	// Worker A accepts the job but never finishes it (state stays
-	// "running"); worker B completes. A's lease is allowed to lapse
-	// mid-job, so the coordinator must re-dispatch to B.
+// TestDispatchLeaseExpiryCutsWait: worker A accepts the job and holds its
+// event stream open forever; worker B completes. Nothing polls — A's lease
+// lapsing is what cuts the blocked wait — so the job must land on B within
+// about two TTLs, and no goroutine may be left on A's stream.
+func TestDispatchLeaseExpiryCutsWait(t *testing.T) {
+	const ttl = 60 * time.Millisecond
 	want := []byte(`{"plan":"from-b"}`)
 	wa := newFakeWorker(t, "running", nil)
 	wb := newFakeWorker(t, "done", want)
-	c := New(WithLeaseTTL(60*time.Millisecond), WithPollInterval(2*time.Millisecond))
+	before := runtime.NumGoroutine()
+	c := New(WithLeaseTTL(ttl))
 	idA, _ := c.Register(wa.srv.URL, "")
 	idB, _ := c.Register(wb.srv.URL, "")
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() { // keep only B alive
-		t := time.NewTicker(15 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.Heartbeat(idB, 0, 0)
-			}
-		}
-	}()
+	keepAlive(t, c, idB) // only B heartbeats
 	// The id tiebreak ("w-1" < "w-2") sends the first attempt to A.
+	start := time.Now()
+	res, err := c.Dispatch(context.Background(), []byte(`{}`))
+	if err != nil {
+		t.Fatalf("Dispatch: %v", err)
+	}
+	// About one TTL on an idle machine; the bounds only tell "cut by the
+	// lease" from "never waited" and "rescued by some longer timeout".
+	if d := time.Since(start); d < ttl/2 || d > 20*ttl {
+		t.Fatalf("re-dispatched after %v, want about the %v lease TTL", d, ttl)
+	}
+	if string(res) != string(want) {
+		t.Fatalf("Dispatch result = %q, want %q", res, want)
+	}
+	if st := c.Stats(); st.Redispatches != 1 {
+		t.Fatalf("redispatches = %d, want 1 (counters %+v)", st.Redispatches, st)
+	}
+	if live(c, idA) {
+		t.Fatal("dead worker still holds a lease")
+	}
+	if wa.submits() != 1 || wb.submits() != 1 {
+		t.Fatalf("submits a=%d b=%d, want 1 each", wa.submits(), wb.submits())
+	}
+	if n := wa.count("POST /v1/jobs/"); n != 0 {
+		t.Fatalf("lease expiry sent %d cancels to the lost worker, want 0 (its journal must keep the job)", n)
+	}
+	// Everything the dispatch started is gone: the wait on A's stream, its
+	// connection, the expiry timer's callback. (The one goroutine allowed
+	// is keepAlive's ticker.)
+	http.DefaultClient.CloseIdleConnections()
+	waitFor(t, "dispatch goroutines to exit", func() bool { return runtime.NumGoroutine() <= before+1 })
+}
+
+// TestDispatchLostJobRedispatches: a worker that accepted the job and then
+// no longer knows it (restarted inside its lease without a journal) must
+// not fail the client's job — the 404 is about the worker, not the request.
+func TestDispatchLostJobRedispatches(t *testing.T) {
+	t.Parallel()
+	want := []byte(`{"plan":"from-b"}`)
+	wa := newFakeWorker(t, "done", nil)
+	wa.lostJobs = true
+	wb := newFakeWorker(t, "done", want)
+	c := New()
+	idA, _ := c.Register(wa.srv.URL, "")
+	c.Register(wb.srv.URL, "")
 	res, err := c.Dispatch(context.Background(), []byte(`{}`))
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
@@ -210,42 +342,34 @@ func TestDispatchRedispatchesOffDeadWorker(t *testing.T) {
 	if string(res) != string(want) {
 		t.Fatalf("Dispatch result = %q, want %q", res, want)
 	}
-	st := c.Stats()
-	if st.Redispatches == 0 {
-		t.Fatalf("redispatches = 0, want > 0 (counters %+v)", st)
+	if st := c.Stats(); st.Redispatches != 1 || st.Failovers != 0 {
+		t.Fatalf("counters = %+v, want exactly one re-dispatch", st)
 	}
-	if c.alive(idA) {
-		t.Fatal("dead worker still holds a lease")
-	}
-	if wa.submits.Load() < 1 || wb.submits.Load() < 1 {
-		t.Fatalf("submits a=%d b=%d, want both >= 1", wa.submits.Load(), wb.submits.Load())
+	if live(c, idA) {
+		t.Fatal("the worker that lost the job still holds a lease")
 	}
 }
 
+// TestDispatchContextCancel: when the caller gives up with the job in
+// flight, Dispatch returns the caller's error and the worker's copy gets
+// exactly one cancel.
 func TestDispatchContextCancel(t *testing.T) {
 	t.Parallel()
 	fw := newFakeWorker(t, "running", nil) // never finishes
-	c := New(WithPollInterval(2 * time.Millisecond))
+	c := New()
 	id, _ := c.Register(fw.srv.URL, "")
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		t := time.NewTicker(20 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.Heartbeat(id, 0, 0)
-			}
-		}
-	}()
+	keepAlive(t, c, id)
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	_, err := c.Dispatch(ctx, []byte(`{}`))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Dispatch error = %v, want deadline exceeded", err)
+	}
+	if n := fw.count("POST /v1/jobs/job-1/cancel"); n != 1 {
+		t.Fatalf("worker saw %d cancels for the abandoned job, want 1 (requests %q)", n, fw.requests)
+	}
+	if fw.submits() != 1 || !live(c, id) {
+		t.Fatalf("caller cancel re-dispatched or cost the worker its lease (requests %q)", fw.requests)
 	}
 }
 
@@ -280,7 +404,7 @@ func TestAgentLifecycle(t *testing.T) {
 
 	// A coordinator that marks the worker dead (or restarts) rejects the
 	// next heartbeat; the agent must re-register under the same ID.
-	c.markDead(id)
+	kill(c, id)
 	waitFor(t, "agent re-registration", func() bool {
 		return c.Stats().LiveWorkers == 1 && a.ID() == id
 	})

@@ -1,218 +1,38 @@
 package stubby
 
-// retry.go is the client half of the failure-handling story: an opt-in
-// retry policy for Client with exponential backoff, deterministic seeded
-// jitter, retry classification over the error taxonomy, Retry-After
-// honoring, and deadline propagation. The matching server half (journal,
-// in-flight dedup, resumable event streams) makes every retried request
-// idempotent, so the policy can be aggressive without duplicating work.
-
 import (
 	"context"
 	"errors"
-	"math"
-	"net/http"
-	"strconv"
-	"sync/atomic"
-	"time"
 
+	"github.com/stubby-mr/stubby/internal/jobclient"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 )
 
 // RetryPolicy configures Client-side retries of transient failures:
 // transport errors, HTTP 429 (ErrKindOverloaded), HTTP 503
-// (ErrKindUnavailable), and responses cut mid-body. Delays grow
-// exponentially from BaseDelay by Multiplier up to MaxDelay, each scaled
-// by a deterministic jitter in [0.5, 1.0] drawn from Seed — two clients
-// with different seeds desynchronize their retry storms, and a fixed seed
-// replays the exact schedule in tests. A server-sent Retry-After header
-// overrides the computed delay (capped at MaxDelay, which stays the
-// policy's ceiling). Errors that retrying cannot fix — ErrKindInvalid,
-// ErrKindNotFound, ErrKindConflict, and the other terminal kinds — are
-// returned immediately.
-//
-// The zero value of each field selects a default (4 attempts, 50ms base,
-// 2s cap, 2x growth); a Client without WithRetryPolicy never retries.
-type RetryPolicy struct {
-	// MaxAttempts bounds total tries, the first included (default 4).
-	MaxAttempts int
-	// BaseDelay is the pre-jitter delay before the first retry (default 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps every delay, Retry-After included (default 2s).
-	MaxDelay time.Duration
-	// Multiplier grows the delay per retry (default 2; values < 1 reset to 2).
-	Multiplier float64
-	// Seed drives the deterministic jitter sequence.
-	Seed int64
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	return p
-}
+// (ErrKindUnavailable), and responses cut mid-body — exponential backoff
+// from BaseDelay by Multiplier up to MaxDelay with deterministic jitter
+// drawn from Seed, at most MaxAttempts tries, a server-sent Retry-After
+// honored (capped at MaxDelay). The zero value of each field selects a
+// default (4 attempts, 50ms base, 2s cap, 2x growth); a Client without
+// WithRetryPolicy never retries.
+type RetryPolicy = jobclient.RetryPolicy
 
 // WithRetryPolicy enables retries on the client under p (zero fields take
 // defaults). Retries are safe against a journaled server: submissions
 // deduplicate on their request fingerprint server-side, and every other
 // route is naturally idempotent.
 func WithRetryPolicy(p RetryPolicy) ClientOption {
-	return func(c *Client) {
-		rp := p.withDefaults()
-		c.retry = &rp
-	}
+	return func(c *Client) { c.t.SetRetryPolicy(p) }
 }
 
-// ClientMetrics counts a Client's wire activity since construction.
-type ClientMetrics struct {
-	// Requests counts HTTP requests issued (retries included).
-	Requests uint64
-	// Retries counts re-issued requests (Requests - Retries = first tries).
-	Retries uint64
-	// Resumes counts event-stream reconnects that resumed at a cursor.
-	Resumes uint64
-}
+// ClientMetrics counts a Client's wire activity since construction: HTTP
+// requests issued (retries included), re-issued requests, and event-stream
+// reconnects that resumed at a cursor.
+type ClientMetrics = jobclient.Metrics
 
 // Metrics snapshots the client's request/retry/resume counters.
-func (c *Client) Metrics() ClientMetrics {
-	return ClientMetrics{
-		Requests: c.requests.Load(),
-		Retries:  c.retries.Load(),
-		Resumes:  c.resumes.Load(),
-	}
-}
-
-// clientCounters holds the Client's atomic activity counters (embedded so
-// client.go stays focused on the protocol).
-type clientCounters struct {
-	requests  atomic.Uint64
-	retries   atomic.Uint64
-	resumes   atomic.Uint64
-	jitterSeq atomic.Uint64
-}
-
-// retryMix is splitmix64's finalizer — the repo's standard counter-based
-// deterministic draw (mrsim's fault model, faultproxy).
-func retryMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// backoff computes the delay before retry number `attempt` (0-based):
-// exponential growth, capped, jittered into [0.5, 1.0]× deterministically.
-func (c *Client) backoff(attempt int) time.Duration {
-	p := c.retry
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(attempt))
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	h := retryMix(retryMix(uint64(p.Seed)) ^ c.jitterSeq.Add(1))
-	frac := 0.5 + 0.5*float64(h>>11)/float64(1<<53)
-	return time.Duration(d * frac)
-}
-
-// retryDelay resolves the wait before the next attempt: the server's
-// Retry-After when it sent one (capped at MaxDelay), the backoff schedule
-// otherwise.
-func (c *Client) retryDelay(attempt int, retryAfter time.Duration) time.Duration {
-	if retryAfter > 0 {
-		if retryAfter > c.retry.MaxDelay {
-			return c.retry.MaxDelay
-		}
-		return retryAfter
-	}
-	return c.backoff(attempt)
-}
-
-// retryable classifies err against the taxonomy: overload and
-// unavailability are transient by definition; internal errors (which is
-// also where a mid-body connection cut surfaces after decode) are worth
-// re-trying against an idempotent server; everything else — invalid input,
-// unknown job, conflict, cancellation, expired deadline — is terminal.
-func (c *Client) retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, stubbyerr.KindOverloaded) ||
-		errors.Is(err, stubbyerr.KindUnavailable) ||
-		errors.Is(err, stubbyerr.KindInternal)
-}
-
-// parseRetryAfter reads an integer-seconds Retry-After value (the only
-// form the service emits); anything else is no hint.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// sleepCtx sleeps d unless ctx ends first, reporting whether it slept.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// doRetry runs one idempotent exchange under the retry policy: issue the
-// request, decode a 2xx with fn, and classify everything else. Without a
-// policy it degrades to exactly one attempt. fn owns only the response
-// body's content, not its closing.
-func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, fn func(*http.Response) error) error {
-	attempts := 1
-	if c.retry != nil {
-		attempts = c.retry.MaxAttempts
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-		}
-		var retryAfter time.Duration
-		resp, err := c.do(ctx, method, path, body)
-		if err == nil {
-			if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-				err = fn(resp)
-			} else {
-				retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
-				err = decodeHTTPError(resp)
-			}
-			resp.Body.Close()
-			if err == nil {
-				return nil
-			}
-		}
-		lastErr = err
-		if c.retry == nil || attempt == attempts-1 || ctx.Err() != nil || !c.retryable(err) {
-			return lastErr
-		}
-		if !sleepCtx(ctx, c.retryDelay(attempt, retryAfter)) {
-			return lastErr
-		}
-	}
-	return lastErr
-}
+func (c *Client) Metrics() ClientMetrics { return c.t.Metrics() }
 
 // Optimize submits req and waits for its outcome — the one-call remote
 // counterpart of Session.Optimize. If the job vanished across a server

@@ -11,17 +11,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/stubby-mr/stubby/internal/jobclient"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/service"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
-
-// deadlineHeader carries a submission's remaining time budget (integer
-// milliseconds) from client to server; the server turns it into an
-// absolute execution deadline on the job (and journals it, so a recovered
-// job keeps its deadline).
-const deadlineHeader = "X-Stubby-Deadline-MS"
 
 // Server exposes a Session's Submit lifecycle over HTTP — the handler
 // behind the stubbyd command, embeddable in any mux. The API is versioned
@@ -274,7 +269,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// A client that set a context deadline propagates the remaining budget
 	// over the wire; the job's execution context expires with it.
-	if ms := r.Header.Get(deadlineHeader); ms != "" {
+	if ms := r.Header.Get(jobclient.DeadlineHeader); ms != "" {
 		if v, perr := strconv.ParseInt(ms, 10, 64); perr == nil && v > 0 {
 			oreq.deadline = time.Now().Add(time.Duration(v) * time.Millisecond)
 		}
