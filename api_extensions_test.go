@@ -2,6 +2,7 @@ package stubby_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,11 +15,10 @@ import (
 // custom transformations (EXODUS-style extensibility).
 
 func TestPublicAPIPlanExportImport(t *testing.T) {
-	wl, err := stubby.BuildWorkload("SN", stubby.WorkloadOptions{SizeFactor: 0.1, Seed: 5})
+	wl := profiledWorkload(t, "SN", 0.1, 5)
+	ctx := context.Background()
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(5))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stubby.Profile(wl.Cluster, wl.Workflow, wl.DFS, 0.5, 5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -37,11 +37,11 @@ func TestPublicAPIPlanExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("import structure: %v", err)
 	}
-	resMem, err := stubby.Optimize(wl.Cluster, wl.Workflow, stubby.Options{Seed: 5})
+	resMem, err := sess.Optimize(ctx, wl.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resImp, err := stubby.Optimize(wl.Cluster, structural, stubby.Options{Seed: 5})
+	resImp, err := sess.Optimize(ctx, structural)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestPublicAPIPlanExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	a, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), wl.Workflow)
+	a, err := sess.Run(ctx, wl.DFS.Clone(), wl.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), runnable)
+	b, err := sess.Run(ctx, wl.DFS.Clone(), runnable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,11 @@ func TestPublicAPICompileQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if _, err := stubby.Run(stubby.DefaultCluster(), dfs, w); err != nil {
+	sess, err := stubby.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(context.Background(), dfs, w); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	st, ok := dfs.Get("out")
@@ -148,17 +152,15 @@ func (dropSinkCopy) Apply(plan *stubby.Workflow, unitJobs []string) []stubby.Pro
 }
 
 func TestPublicAPICustomTransformation(t *testing.T) {
-	wl, err := stubby.BuildWorkload("PJ", stubby.WorkloadOptions{SizeFactor: 0.1, Seed: 6})
+	wl := profiledWorkload(t, "PJ", 0.1, 6)
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithOptimizerOptions(stubby.Options{
+		Seed:   6,
+		Custom: []stubby.Transformation{dropSinkCopy{}},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stubby.Profile(wl.Cluster, wl.Workflow, wl.DFS, 0.5, 6); err != nil {
-		t.Fatal(err)
-	}
-	res, err := stubby.Optimize(wl.Cluster, wl.Workflow, stubby.Options{
-		Seed:   6,
-		Custom: []stubby.Transformation{dropSinkCopy{}},
-	})
+	res, err := sess.Optimize(context.Background(), wl.Workflow)
 	if err != nil {
 		t.Fatalf("optimize with custom transformation: %v", err)
 	}

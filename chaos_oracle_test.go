@@ -42,9 +42,8 @@ func TestChaosOracleGeneratedWorkflows(t *testing.T) {
 				t.Fatalf("workflow seed %d: profiling: %v", seed, err)
 			}
 			opt := optimizer.New(c.Cluster, optimizer.Options{
-				Seed:               seed,
-				RRSEvals:           chaosRRSEvals,
-				DisableIncremental: disableIncremental(),
+				Seed:     seed,
+				RRSEvals: chaosRRSEvals,
 			})
 			res, err := opt.Optimize(c.Workflow)
 			if err != nil {

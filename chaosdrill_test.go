@@ -25,6 +25,7 @@ import (
 
 	"github.com/stubby-mr/stubby"
 	"github.com/stubby-mr/stubby/internal/faultproxy"
+	"github.com/stubby-mr/stubby/internal/planio"
 )
 
 // journaledFixture is one "process instance" of a journaled server: a
@@ -156,6 +157,87 @@ func TestJournalRestartRecovery(t *testing.T) {
 	waitRemoteState(t, f2.client, jobB.ID(), stubby.StateDone)
 }
 
+// TestJournalRestartLegacySubmitRecord: a journal written before the
+// estimation-mode knob was retired holds submit records whose request
+// documents carry "disableIncremental". Such a document resolves to the
+// same request key as the current one (a duplicate submission attaches to
+// it), and the record re-enqueues and completes on restart.
+func TestJournalRestartLegacySubmitRecord(t *testing.T) {
+	dir := t.TempDir()
+	storeDir, journalDir := filepath.Join(dir, "store"), filepath.Join(dir, "journal")
+	ctx := context.Background()
+
+	f1 := newJournaledFixture(t, storeDir, journalDir)
+	wl := tinyWorkload(t, "IR")
+	id := postJob(t, f1.hs.URL, legacyRequestBody(t,
+		&planio.Request{Planner: "blocking", Cluster: wl.Cluster, Plan: wl.Workflow}))
+	<-f1.started
+	dup, err := f1.client.Submit(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow, Planner: "blocking", Cluster: wl.Cluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup.ID() != id {
+		t.Fatalf("current-format duplicate got job %s, want attach to legacy-format job %s", dup.ID(), id)
+	}
+
+	f1.crash(t)
+
+	f2 := newJournaledFixture(t, storeDir, journalDir)
+	defer func() {
+		f2.hs.Close()
+		f2.journal.Close()
+	}()
+	close(f2.release)
+	if stats, ok := f2.srv.JournalStats(); !ok || stats.Recovered != 1 {
+		t.Fatalf("recovered = %+v, ok=%v; want the legacy submit record recovered", stats, ok)
+	}
+	waitRemoteState(t, f2.client, id, stubby.StateDone)
+}
+
+// TestSubmitRefusedWhenJournalRefuses: a submission the journal cannot
+// record is not acknowledged — the server answers 503 (retryable
+// ErrKindUnavailable) and drops the job it had admitted, instead of
+// promising durability it does not have.
+func TestSubmitRefusedWhenJournalRefuses(t *testing.T) {
+	dir := t.TempDir()
+	f := newJournaledFixture(t, filepath.Join(dir, "store"), filepath.Join(dir, "journal"))
+	defer f.hs.Close()
+	defer close(f.release)
+	ctx := context.Background()
+	// A closed journal refuses every append, like a log on a full disk.
+	if err := f.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wl := tinyWorkload(t, "IR")
+	body, err := planio.EncodeRequest(&planio.Request{Planner: "blocking", Cluster: wl.Cluster, Plan: wl.Workflow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(f.hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit with a refusing journal: %s (Retry-After %q), want 503 with a hint",
+			resp.Status, resp.Header.Get("Retry-After"))
+	}
+	_, err = f.client.Submit(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow, Planner: "blocking", Cluster: wl.Cluster})
+	if !errors.Is(err, stubby.ErrKindUnavailable) {
+		t.Fatalf("client submit = %v, want ErrKindUnavailable (retryable under any retry policy)", err)
+	}
+
+	// Nothing was acknowledged, so nothing may stay admitted.
+	waitForCluster(t, "refused jobs to leave the queue", func() bool {
+		st, err := f.client.Stats(ctx)
+		return err == nil && st.Queued == 0 && st.Busy == 0
+	})
+	if stats, ok := f.srv.JournalStats(); !ok || stats.Errors < 1 {
+		t.Fatalf("journal stats = %+v, ok=%v; want the refused appends counted", stats, ok)
+	}
+}
+
 // TestJournalRestartCanceledStaysCanceled: a job canceled before the
 // crash has its terminal record in the journal, so recovery must not
 // resurrect it — after restart it is simply gone (ErrKindNotFound),
@@ -180,6 +262,13 @@ func TestJournalRestartCanceledStaysCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRemoteState(t, f1.client, jobB.ID(), stubby.StateCanceled)
+	// The server journals a transition just after the state flips; a kill
+	// inside that window would rightly resurrect B, so wait for both
+	// records (A running, B canceled) before pulling the plug.
+	waitForCluster(t, "the cancel to reach the journal", func() bool {
+		stats, _ := f1.srv.JournalStats()
+		return stats.Transitions >= 2
+	})
 
 	f1.crash(t)
 

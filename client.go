@@ -133,11 +133,10 @@ func (c *Client) Submit(ctx context.Context, req OptimizeRequest) (*RemoteJob, e
 		return nil, stubbyerr.New(stubbyerr.KindInvalid, "submit", "", "", "nil workflow")
 	}
 	body, err := planio.EncodeRequest(&planio.Request{
-		Planner:            req.Planner,
-		Seed:               req.Seed,
-		DisableIncremental: req.DisableIncremental,
-		Cluster:            req.Cluster,
-		Plan:               req.Workflow,
+		Planner: req.Planner,
+		Seed:    req.Seed,
+		Cluster: req.Cluster,
+		Plan:    req.Workflow,
 	})
 	if err != nil {
 		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "submit", req.Workflow.Name, err)

@@ -140,11 +140,10 @@ func (s *Session) dispatchOptimize(ctx context.Context, req OptimizeRequest, nam
 		cl = s.cluster
 	}
 	body, err := planio.EncodeRequest(&planio.Request{
-		Planner:            name,
-		Seed:               seed,
-		DisableIncremental: req.DisableIncremental,
-		Cluster:            cl,
-		Plan:               req.Workflow,
+		Planner: name,
+		Seed:    seed,
+		Cluster: cl,
+		Plan:    req.Workflow,
 	})
 	if err != nil {
 		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "dispatch", req.Workflow.Name, err)

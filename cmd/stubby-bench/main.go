@@ -10,7 +10,6 @@
 //	stubby-bench -ablation ordering | search | units | profile | all
 //	stubby-bench -whatif
 //	stubby-bench -bench-optimizer -bench-out BENCH_optimizer.json
-//	stubby-bench -bench-service -bench-service-out BENCH_service.json
 //	stubby-bench -fig 12 -cpuprofile cpu.prof -memprofile mem.prof
 //	stubby-bench -list-optimizers
 //	stubby-bench -gen -seed 42            # reproduce one generated case
@@ -40,10 +39,6 @@ func main() {
 		benchOpt   = flag.Bool("bench-optimizer", false, "benchmark the optimizer hot path: incremental vs monolithic what-if estimation")
 		benchOut   = flag.String("bench-out", "BENCH_optimizer.json", "where -bench-optimizer writes its JSON report")
 		benchGuard = flag.String("bench-guard", "", "CI smoke for -bench-optimizer: baseline JSON to guard against — robustness rows must be emitted and nil-model wall time must not regress >5%")
-		benchSvc   = flag.Bool("bench-service", false, "benchmark the job service end to end: submit→result throughput and latency through a live stubbyd HTTP server at queue depths 1/8/64")
-		benchSvcN  = flag.Int("bench-service-jobs", 32, "submissions per queue depth for -bench-service")
-		benchSvcW  = flag.Int("bench-service-workers", 4, "worker-pool size for -bench-service")
-		benchSvcO  = flag.String("bench-service-out", "BENCH_service.json", "where -bench-service writes its JSON report")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 		listOpts   = flag.Bool("list-optimizers", false, "list registered optimizers and exit")
@@ -161,12 +156,6 @@ func main() {
 	if *all || *benchOpt {
 		ran = true
 		if err := runOptimizerBench(h, *benchOut, *benchGuard, *size, *seed); err != nil {
-			fail(err)
-		}
-	}
-	if *benchSvc {
-		ran = true
-		if err := runServiceBench(h, *benchSvcO, *benchSvcN, *benchSvcW); err != nil {
 			fail(err)
 		}
 	}
@@ -372,106 +361,6 @@ func runOptimizerBench(h *bench.Harness, out, guard string, size float64, seed i
 		}
 		fmt.Printf("bench guard passed against %s: %d robustness rows, nil-model wall within %.0f%%\n",
 			guard, len(report.Robustness), (bench.GuardWallSlack-1)*100)
-	}
-	return nil
-}
-
-// runServiceBench measures submit→result throughput and latency through a
-// live in-process stubbyd HTTP server at each queue depth, prints the
-// table, and writes the JSON perf trajectory.
-func runServiceBench(h *bench.Harness, out string, jobs, workers int) error {
-	rows, err := h.ServiceBench(bench.ServiceBenchDepths, jobs, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Job service end to end: submit→result over HTTP (IR workload, reduced search budget)")
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.Depth),
-			fmt.Sprintf("%d", r.Workers),
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%d", r.Overloads),
-			fmt.Sprintf("%.0f ms", r.WallMS),
-			fmt.Sprintf("%.1f/s", r.Throughput),
-			fmt.Sprintf("%.1f ms", r.P50MS),
-			fmt.Sprintf("%.1f ms", r.P99MS),
-		})
-	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Depth", "Workers", "Jobs", "Overloads", "Wall", "Throughput", "p50", "p99"}, cells))
-
-	cache, err := h.ServiceCacheBench(3, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Persistent plan store: cold (first sight of each paper workload) vs warm (repeated arrival mix)")
-	cells = nil
-	for _, r := range cache {
-		cells = append(cells, []string{
-			r.Phase,
-			fmt.Sprintf("%d", r.Submissions),
-			fmt.Sprintf("%d", r.StoreHits),
-			fmt.Sprintf("%.0f%%", 100*r.HitRatio),
-			fmt.Sprintf("%d", r.Optimizations),
-			fmt.Sprintf("%.1f ms", r.P50MS),
-			fmt.Sprintf("%.1f ms", r.P99MS),
-			fmt.Sprintf("%.0f ms", r.WallMS),
-		})
-	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Phase", "Submissions", "Store hits", "Hit ratio", "Optimizations", "p50", "p99", "Wall"}, cells))
-
-	chaos, err := h.ServiceChaosBench(jobs, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Failure handling: retry-policy clients through the deterministic fault proxy (journaled server)")
-	cells = nil
-	for _, r := range chaos {
-		cells = append(cells, []string{
-			r.Profile,
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%d/%d/%d", r.Injected503, r.Resets, r.Truncations),
-			fmt.Sprintf("%d", r.Retries),
-			fmt.Sprintf("%d", r.Resumes),
-			fmt.Sprintf("%d", r.Optimizations),
-			fmt.Sprintf("%.1f ms", r.P50MS),
-			fmt.Sprintf("%.1f ms", r.P99MS),
-			fmt.Sprintf("%.0f ms", r.WallMS),
-		})
-	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Profile", "Jobs", "503/rst/trunc", "Retries", "Resumes", "Optimizations", "p50", "p99", "Wall"}, cells))
-
-	cluster, err := h.ServiceClusterBench(jobs, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Distributed service: coordinator + worker replicas over one shared plan store (repeated-workflow mix)")
-	cells = nil
-	for _, r := range cluster {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.Replicas),
-			fmt.Sprintf("%d", r.Depth),
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%d", r.Dispatches),
-			fmt.Sprintf("%d", r.StoreHits),
-			fmt.Sprintf("%.0f%%", 100*r.HitRatio),
-			fmt.Sprintf("%d/%d", r.Computes, r.Distinct),
-			fmt.Sprintf("%.1f/s", r.Throughput),
-			fmt.Sprintf("%.1f ms", r.P50MS),
-			fmt.Sprintf("%.1f ms", r.P99MS),
-		})
-	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Replicas", "Depth", "Jobs", "Dispatches", "Store hits", "Hit ratio", "Computes/distinct", "Throughput", "p50", "p99"}, cells))
-
-	if out != "" {
-		if err := bench.ServiceBenchJSON(out, h, rows, cache, chaos, cluster, jobs); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
 	}
 	return nil
 }

@@ -42,7 +42,6 @@ func main() {
 		fraction = flag.Float64("profile", 0.5, "profiling sample fraction")
 		useCache = flag.Bool("cache", true, "memoize what-if estimates under workflow fingerprints")
 		reuseDir = flag.String("reuse-catalog", "", "sub-plan reuse catalog directory: -run publishes materialized intermediates, optimizations reuse catalog-matched sub-DAG results")
-		incr     = flag.Bool("incremental", true, "delta-estimate configuration-search probes (bit-transparent; disable to benchmark the monolithic estimator)")
 		robSamples = flag.Int("robustness", 0, "Monte-Carlo samples for fault-aware robustness scoring (0 disables)")
 		faultName  = flag.String("fault-profile", "standard", "fault profile for -robustness (standard, failures, stragglers)")
 		faultSeed  = flag.Int64("fault-seed", 42, "base perturbation seed for -robustness")
@@ -88,7 +87,6 @@ func main() {
 		stubby.WithCluster(wl.Cluster),
 		stubby.WithSeed(*seed),
 		stubby.WithProfileFraction(*fraction),
-		stubby.WithIncrementalEstimation(*incr),
 	}
 	var cache *stubby.EstimateCache
 	if *useCache {

@@ -3,11 +3,12 @@ package stubby_test
 import (
 	"bytes"
 	"context"
-	"os"
+	"fmt"
 	"sync"
 	"testing"
 
 	"github.com/stubby-mr/stubby"
+	"github.com/stubby-mr/stubby/internal/gen"
 )
 
 // The differential regression suite proves the estimate cache transparent:
@@ -29,6 +30,11 @@ const differentialSize = 0.1
 // tractable under -race. The golden-snapshot suite covers the default
 // budget.
 const differentialRRSEvals = 40
+
+// differentialGenSeeds is how many generator seeds (1..N, the committed
+// corpus seeds first) the incremental-vs-monolithic differential adds to
+// the paper workloads.
+const differentialGenSeeds = 30
 
 // differentialWorkloads builds and profiles every paper workload once for
 // the whole suite (profiling dominates runtime, and both sides of each
@@ -52,14 +58,6 @@ func differentialWorkloads(t *testing.T) map[string]*stubby.Workload {
 	return diffWls
 }
 
-// disableIncremental lets CI run the whole differential suite under both
-// estimation modes: unset, searches delta-estimate incrementally (the
-// default); with STUBBY_DISABLE_INCREMENTAL set, every probe goes through
-// the monolithic estimator. Transparency must hold either way.
-func disableIncremental() bool {
-	return os.Getenv("STUBBY_DISABLE_INCREMENTAL") != ""
-}
-
 // optimizeWith runs one Optimize for the differential pair. parallelism > 1
 // engages the concurrent subplan search on the cached side.
 func optimizeWith(t *testing.T, wl *stubby.Workload, planner string,
@@ -70,7 +68,6 @@ func optimizeWith(t *testing.T, wl *stubby.Workload, planner string,
 		stubby.WithSeed(1),
 		stubby.WithPlanner(planner),
 		stubby.WithParallelism(parallelism),
-		stubby.WithIncrementalEstimation(!disableIncremental()),
 		stubby.WithOptimizerOptions(stubby.Options{RRSEvals: differentialRRSEvals}),
 	}
 	if cache != nil {
@@ -186,42 +183,62 @@ func TestDifferentialOptimizeAllSharedCache(t *testing.T) {
 }
 
 // TestDifferentialIncrementalVsMonolithic pins the incremental estimator's
-// end-to-end transparency directly: for every workload, a search whose
-// probes delta-estimate through whatif.Prepared must choose a byte-identical
-// plan at an equal cost to a search re-estimating every probe monolithically
-// — the optimizer-level witness of the estimator's bitwise-equivalence
-// contract (the flow/scheduling split, slot-pool snapshots, card
-// memoization, and tail truncation all sit under this test).
+// end-to-end transparency directly: a search whose probes delta-estimate
+// through whatif.Prepared must choose a byte-identical plan at an equal
+// cost, asking the same number of What-if questions, as a search
+// re-estimating every probe monolithically (Options.DisableIncremental, the
+// reference path) — the optimizer-level witness of the estimator's
+// bitwise-equivalence contract (the flow/scheduling split, slot-pool
+// snapshots, card memoization, and tail truncation all sit under this
+// test). The eight paper workloads cover the transformations; generated
+// workflows cover arbitrary DAG shapes.
 func TestDifferentialIncrementalVsMonolithic(t *testing.T) {
+	type subject struct {
+		name     string
+		cluster  *stubby.Cluster
+		workflow *stubby.Workflow
+		// multiJob subjects must also show the incremental path skipping
+		// flow work; a generated single-job plan has no prefix to skip.
+		multiJob bool
+	}
+	var subjects []subject
 	wls := differentialWorkloads(t)
 	for _, abbr := range stubby.Workloads() {
-		wl := wls[abbr]
-		t.Run(abbr, func(t *testing.T) {
-			run := func(incremental bool) *stubby.Result {
+		subjects = append(subjects, subject{abbr, wls[abbr].Cluster, wls[abbr].Workflow, true})
+	}
+	for seed := int64(1); seed <= differentialGenSeeds; seed++ {
+		c := profiledGenCase(t, seed, gen.Options{})
+		subjects = append(subjects, subject{fmt.Sprintf("gen-%d", seed), c.Cluster, c.Workflow, false})
+	}
+	for _, sub := range subjects {
+		sub := sub
+		t.Run(sub.name, func(t *testing.T) {
+			run := func(monolithic bool) *stubby.Result {
 				sess, err := stubby.NewSession(
-					stubby.WithCluster(wl.Cluster),
+					stubby.WithCluster(sub.cluster),
 					stubby.WithSeed(1),
 					stubby.WithParallelism(1),
-					stubby.WithIncrementalEstimation(incremental),
-					stubby.WithOptimizerOptions(stubby.Options{RRSEvals: differentialRRSEvals}),
+					stubby.WithOptimizerOptions(stubby.Options{
+						RRSEvals: differentialRRSEvals, DisableIncremental: monolithic,
+					}),
 				)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := sess.Optimize(context.Background(), wl.Workflow)
+				res, err := sess.Optimize(context.Background(), sub.workflow)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			mono := run(false)
-			incr := run(true)
+			mono := run(true)
+			incr := run(false)
 			assertSamePlan(t, mono, incr)
 			if mono.WhatIfCalls != incr.WhatIfCalls {
 				t.Errorf("incremental estimation changed the search itself: %d vs %d requests",
 					mono.WhatIfCalls, incr.WhatIfCalls)
 			}
-			if incr.FlowCards >= mono.FlowCards {
+			if sub.multiJob && incr.FlowCards >= mono.FlowCards {
 				t.Errorf("incremental path saved no flow work: %d vs %d cards",
 					incr.FlowCards, mono.FlowCards)
 			}

@@ -5,10 +5,9 @@ import (
 )
 
 // Error is the structured error of the stubby API. Every public entry
-// point — Session methods, Submit handles, the deprecated package-level
-// wrappers, and Client calls against a stubbyd server — surfaces failures
-// as (or wrapping) an *Error, so one errors.As(*stubby.Error) branch works
-// across library and wire:
+// point — Session methods, Submit handles, and Client calls against a
+// stubbyd server — surfaces failures as (or wrapping) an *Error, so one
+// errors.As(*stubby.Error) branch works across library and wire:
 //
 //	var se *stubby.Error
 //	if errors.As(err, &se) {

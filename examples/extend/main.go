@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -130,7 +131,12 @@ func main() {
 
 	cluster := stubby.DefaultCluster()
 	cluster.VirtualScale = 40000
-	if err := stubby.Profile(cluster, w, dfs, 0.5, 1); err != nil {
+	ctx := context.Background()
+	sess, err := stubby.NewSession(stubby.WithCluster(cluster), stubby.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Profile(ctx, w, dfs); err != nil {
 		log.Fatal(err)
 	}
 
@@ -142,11 +148,15 @@ func main() {
 	custom := domainSplitPoints{Field: "ord", Points: points}
 
 	optimize := func(opt stubby.Options) float64 {
-		res, err := stubby.Optimize(cluster, w, opt)
+		tuned, err := stubby.NewSession(stubby.WithCluster(cluster), stubby.WithOptimizerOptions(opt))
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := stubby.Run(cluster, dfs.Clone(), res.Plan)
+		res, err := tuned.Optimize(ctx, w)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := sess.Run(ctx, dfs.Clone(), res.Plan)
 		if err != nil {
 			log.Fatal(err)
 		}

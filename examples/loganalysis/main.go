@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,14 +20,19 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s (%s): %.0f GB simulated\n\n", wl.Abbr, wl.Title, wl.PaperGB)
-	if err := stubby.Profile(wl.Cluster, wl.Workflow, wl.DFS, 0.5, 5); err != nil {
+	ctx := context.Background()
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(5))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Profile(ctx, wl.Workflow, wl.DFS); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("original plan:")
 	fmt.Print(wl.Workflow.Summary())
 
-	res, err := stubby.Optimize(wl.Cluster, wl.Workflow, stubby.Options{Seed: 5})
+	res, err := sess.Optimize(ctx, wl.Workflow)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,11 +45,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	before, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), basePlan)
+	before, err := sess.Run(ctx, wl.DFS.Clone(), basePlan)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), res.Plan)
+	after, err := sess.Run(ctx, wl.DFS.Clone(), res.Plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func main() {
 
 	// The top-revenue user survives optimization byte-for-byte.
 	dfs := wl.DFS.Clone()
-	if _, err := stubby.Run(wl.Cluster, dfs, res.Plan); err != nil {
+	if _, err := sess.Run(ctx, dfs, res.Plan); err != nil {
 		log.Fatal(err)
 	}
 	if stored, ok := dfs.Get("topuser"); ok {

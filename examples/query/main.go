@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -79,22 +80,27 @@ func main() {
 	cluster := stubby.DefaultCluster()
 	cluster.VirtualScale = 40000
 
-	if err := stubby.Profile(cluster, w, dfs, 0.5, 1); err != nil {
+	ctx := context.Background()
+	sess, err := stubby.NewSession(stubby.WithCluster(cluster), stubby.WithSeed(1))
+	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := stubby.Optimize(cluster, w, stubby.Options{Seed: 1})
+	if err := sess.Profile(ctx, w, dfs); err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Optimize(ctx, w)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("optimized plan:")
 	fmt.Print(res.Plan.Summary())
 
-	before, err := stubby.Run(cluster, dfs.Clone(), w)
+	before, err := sess.Run(ctx, dfs.Clone(), w)
 	if err != nil {
 		log.Fatal(err)
 	}
 	outDFS := dfs.Clone()
-	after, err := stubby.Run(cluster, outDFS, res.Plan)
+	after, err := sess.Run(ctx, outDFS, res.Plan)
 	if err != nil {
 		log.Fatal(err)
 	}

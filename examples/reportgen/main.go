@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,13 +22,18 @@ func main() {
 	}
 	fmt.Printf("%s (%s): %.0f GB of simulated data\n", wl.Abbr, wl.Title, wl.PaperGB)
 
-	if err := stubby.Profile(wl.Cluster, wl.Workflow, wl.DFS, 0.5, 7); err != nil {
+	ctx := context.Background()
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(7))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Profile(ctx, wl.Workflow, wl.DFS); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\noriginal plan:")
 	fmt.Print(wl.Workflow.Summary())
 
-	res, err := stubby.Optimize(wl.Cluster, wl.Workflow, stubby.Options{Seed: 7})
+	res, err := sess.Optimize(ctx, wl.Workflow)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,11 +53,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	before, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), basePlan)
+	before, err := sess.Run(ctx, wl.DFS.Clone(), basePlan)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), res.Plan)
+	after, err := sess.Run(ctx, wl.DFS.Clone(), res.Plan)
 	if err != nil {
 		log.Fatal(err)
 	}

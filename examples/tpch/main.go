@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,7 +20,12 @@ func main() {
 	}
 	fmt.Printf("%s (%s): %.0f GB of simulated lineitem/part data, co-partitioned on partID\n\n",
 		wl.Abbr, wl.Title, wl.PaperGB)
-	if err := stubby.Profile(wl.Cluster, wl.Workflow, wl.DFS, 0.5, 3); err != nil {
+	ctx := context.Background()
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(3))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Profile(ctx, wl.Workflow, wl.DFS); err != nil {
 		log.Fatal(err)
 	}
 	planners := []stubby.Planner{
@@ -37,7 +43,7 @@ func main() {
 			log.Fatalf("%s: %v", p.Name(), err)
 		}
 		opt := time.Since(t0)
-		rep, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), plan)
+		rep, err := sess.Run(ctx, wl.DFS.Clone(), plan)
 		if err != nil {
 			log.Fatalf("%s plan failed: %v", p.Name(), err)
 		}

@@ -92,7 +92,6 @@ func TestZeroPerturbationPaperWorkloads(t *testing.T) {
 				opts := []stubby.SessionOption{
 					stubby.WithCluster(wl.Cluster),
 					stubby.WithSeed(1),
-					stubby.WithIncrementalEstimation(!disableIncremental()),
 					stubby.WithOptimizerOptions(stubby.Options{RRSEvals: differentialRRSEvals}),
 				}
 				if rob {

@@ -296,11 +296,6 @@ type StubbyPlanner struct {
 	Groups  optimizer.Groups
 	Seed    int64
 	Label   string
-	// DisableIncremental forces every configuration-search probe through
-	// the monolithic What-if estimator (see optimizer.Options). Incremental
-	// estimation is bit-transparent, so this never changes plans; the
-	// equivalence suites run under both settings to keep it that way.
-	DisableIncremental bool
 }
 
 // Name implements Planner.
@@ -329,5 +324,5 @@ func (s StubbyPlanner) PlanContext(ctx context.Context, w *wf.Workflow) (*wf.Wor
 // caller that wants the full search trace (or progress observation) drive
 // the optimizer directly with the same settings.
 func (s StubbyPlanner) Options() optimizer.Options {
-	return optimizer.Options{Groups: s.Groups, Seed: s.Seed, DisableIncremental: s.DisableIncremental}
+	return optimizer.Options{Groups: s.Groups, Seed: s.Seed}
 }

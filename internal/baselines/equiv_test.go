@@ -2,7 +2,6 @@ package baselines_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"github.com/stubby-mr/stubby/internal/baselines"
@@ -42,12 +41,6 @@ const dominanceSlack = 1.05
 // worst ratio is still computed and logged so drift stays visible.
 var dominanceBaselines = []string{"baseline", "starfish", "ysmart", "mrshare"}
 
-// disableIncremental mirrors the differential suite's env hook so CI can
-// run the whole equivalence matrix in both estimation modes.
-func disableIncremental() bool {
-	return os.Getenv("STUBBY_DISABLE_INCREMENTAL") != ""
-}
-
 func TestGeneratedPlannerEquivalenceAndDominance(t *testing.T) {
 	reg := baselines.DefaultRegistry()
 	pairs := 0
@@ -68,10 +61,6 @@ func TestGeneratedPlannerEquivalenceAndDominance(t *testing.T) {
 			costs := map[string]float64{}
 			for _, spec := range reg.Specs() {
 				p := spec.New(c.Cluster, seed)
-				if sp, ok := p.(baselines.StubbyPlanner); ok && disableIncremental() {
-					sp.DisableIncremental = true
-					p = sp
-				}
 				plan, err := p.Plan(c.Workflow)
 				if err != nil {
 					t.Errorf("seed %d: planner %s failed: %v", seed, spec.Name, err)

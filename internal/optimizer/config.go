@@ -97,7 +97,7 @@ func (s *Stubby) tuneConfigs(ctx context.Context, est searchEstimator, plan *wf.
 	// once, and per-probe work shrinks to the affected cone plus a cheap
 	// scheduling replay. Estimates are bit-identical to the monolithic
 	// path, so the search trajectory — and therefore the chosen plan — is
-	// unchanged (Options.DisableIncremental escape-hatches back).
+	// unchanged.
 	estimateScratch := func() (*whatif.Estimate, error) { return est.Estimate(scratch) }
 	if !s.opt.DisableIncremental {
 		if ip, ok := est.(incrementalPreparer); ok {

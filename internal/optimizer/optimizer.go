@@ -103,13 +103,11 @@ type Options struct {
 	// cannot perturb anything (all rates zero, no node classes) reports
 	// but never re-ranks, so it cannot change the chosen plan.
 	Robustness *whatif.RobustnessOptions
-	// DisableIncremental forces every configuration-search probe through
-	// the monolithic What-if estimator instead of the incremental
-	// (prepared) path that delta-estimates only the jobs a probe affects.
-	// Incremental estimation is bit-transparent — plans and costs are
-	// identical either way (the differential suite and equivalence fuzz
-	// tests enforce it) — so this is an escape hatch for debugging and for
-	// measuring the incremental path's speedup, not a semantic knob.
+	// DisableIncremental selects the reference path: every
+	// configuration-search probe re-estimates the whole plan instead of
+	// delta-estimating the jobs it affects. Only the differential test and
+	// the optimizer benchmark's baseline rows set it, to check and to
+	// measure the incremental path against; plans and costs are identical.
 	DisableIncremental bool
 	// ReuseCatalog, when non-nil, enables the ReStore-style sub-plan reuse
 	// pre-pass: before the structural phases, rooted sub-DAGs whose

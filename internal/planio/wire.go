@@ -36,9 +36,6 @@ type Request struct {
 	Planner string
 	// Seed overrides the serving session's search seed when non-zero.
 	Seed int64
-	// DisableIncremental forces every configuration probe through the
-	// monolithic estimator (debugging aid; plans are identical either way).
-	DisableIncremental bool
 	// Cluster describes the cluster to optimize for. Nil uses the serving
 	// session's cluster.
 	Cluster *mrsim.Cluster
@@ -138,10 +135,14 @@ func decodeCluster(d *clusterDoc) *mrsim.Cluster {
 }
 
 type requestDoc struct {
-	Format             string      `json:"format"`
-	Version            int         `json:"version"`
-	Planner            string      `json:"planner,omitempty"`
-	Seed               int64       `json:"seed,omitempty"`
+	Format  string `json:"format"`
+	Version int    `json:"version"`
+	Planner string `json:"planner,omitempty"`
+	Seed    int64  `json:"seed,omitempty"`
+	// DisableIncremental is decode-only: version-1 clients and journal
+	// records written before the estimation-mode knob was retired may
+	// carry it, and the decoder rejects unknown members. It is accepted,
+	// ignored, and never emitted.
 	DisableIncremental bool        `json:"disableIncremental,omitempty"`
 	Cluster            *clusterDoc `json:"cluster,omitempty"`
 	Plan               *document   `json:"plan"`
@@ -171,13 +172,12 @@ func EncodeRequest(r *Request) ([]byte, error) {
 		return nil, err
 	}
 	doc := &requestDoc{
-		Format:             RequestFormatName,
-		Version:            RequestFormatVersion,
-		Planner:            r.Planner,
-		Seed:               r.Seed,
-		DisableIncremental: r.DisableIncremental,
-		Cluster:            encodeCluster(r.Cluster),
-		Plan:               plan,
+		Format:  RequestFormatName,
+		Version: RequestFormatVersion,
+		Planner: r.Planner,
+		Seed:    r.Seed,
+		Cluster: encodeCluster(r.Cluster),
+		Plan:    plan,
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }
@@ -207,11 +207,10 @@ func DecodeRequest(data []byte) (*Request, error) {
 		return nil, err
 	}
 	return &Request{
-		Planner:            doc.Planner,
-		Seed:               doc.Seed,
-		DisableIncremental: doc.DisableIncremental,
-		Cluster:            decodeCluster(doc.Cluster),
-		Plan:               plan,
+		Planner: doc.Planner,
+		Seed:    doc.Seed,
+		Cluster: decodeCluster(doc.Cluster),
+		Plan:    plan,
 	}, nil
 }
 

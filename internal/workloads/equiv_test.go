@@ -1,7 +1,6 @@
 package workloads_test
 
 import (
-	"os"
 	"testing"
 
 	"github.com/stubby-mr/stubby/internal/baselines"
@@ -44,12 +43,6 @@ func TestWorkloadPlannerEquivalence(t *testing.T) {
 			}
 			for _, spec := range reg.Specs() {
 				p := spec.New(wl.Cluster, 1)
-				// CI runs this suite in both estimation modes; mirror the
-				// differential/baselines env hook for the Stubby variants.
-				if sp, ok := p.(baselines.StubbyPlanner); ok && os.Getenv("STUBBY_DISABLE_INCREMENTAL") != "" {
-					sp.DisableIncremental = true
-					p = sp
-				}
 				plan, err := p.Plan(wl.Workflow)
 				if err != nil {
 					t.Errorf("%s on %s: %v", spec.Name, abbr, err)

@@ -68,7 +68,8 @@ func (j *Journal) Dir() string { return j.j.Dir() }
 func (j *Journal) Close() error { return j.j.Close() }
 
 // WithJournal attaches a durable job journal to the server: accepted
-// submissions are journaled before they are acknowledged, lifecycle
+// submissions are journaled before they are acknowledged (one the journal
+// refuses is rejected with ErrKindUnavailable instead), lifecycle
 // transitions are appended as they happen, and NewServer re-enqueues the
 // journal's incomplete jobs — under their original IDs — before serving
 // traffic. A journaled server also deduplicates in-flight submissions: a
@@ -110,12 +111,11 @@ func (s *Server) recoverJournaled() {
 			continue
 		}
 		oreq := OptimizeRequest{
-			Workflow:           req.Plan,
-			Planner:            req.Planner,
-			Seed:               req.Seed,
-			Cluster:            req.Cluster,
-			DisableIncremental: req.DisableIncremental,
-			resumeID:           in.ID,
+			Workflow: req.Plan,
+			Planner:  req.Planner,
+			Seed:     req.Seed,
+			Cluster:  req.Cluster,
+			resumeID: in.ID,
 		}
 		if in.DeadlineUnixMS > 0 {
 			// An already-expired deadline still re-enqueues: the job fails

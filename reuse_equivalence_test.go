@@ -34,7 +34,6 @@ func reuseSession(t *testing.T, c *gen.Case, cat *stubby.ReuseCatalog) *stubby.S
 		stubby.WithCluster(c.Cluster),
 		stubby.WithSeed(1),
 		stubby.WithProfileFraction(0.5),
-		stubby.WithIncrementalEstimation(!disableIncremental()),
 		stubby.WithOptimizerOptions(stubby.Options{RRSEvals: reuseRRSEvals}),
 	}
 	if cat != nil {

@@ -32,9 +32,10 @@ import (
 //	GET  /statsz               queue/estimate-cache/plan-store/journal counters
 //
 // Errors travel as {"error": {kind, op, workflow, job, message}} with the
-// kind-appropriate HTTP status (429 overloaded, 503 draining, 404 unknown
-// job, 409 not finished, ...); Client reconstructs them into *Error, so
-// errors.Is/As work identically over the wire.
+// kind-appropriate HTTP status (429 overloaded, 503 draining or unable to
+// journal the submission, 404 unknown job, 409 not finished, ...); Client
+// reconstructs them into *Error, so errors.Is/As work identically over the
+// wire.
 type Server struct {
 	sess        *Session
 	mux         *http.ServeMux
@@ -261,11 +262,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	oreq := OptimizeRequest{
-		Workflow:           req.Plan,
-		Planner:            req.Planner,
-		Seed:               req.Seed,
-		Cluster:            req.Cluster,
-		DisableIncremental: req.DisableIncremental,
+		Workflow: req.Plan,
+		Planner:  req.Planner,
+		Seed:     req.Seed,
+		Cluster:  req.Cluster,
 	}
 	// A client that set a context deadline propagates the remaining budget
 	// over the wire; the job's execution context expires with it.
@@ -301,7 +301,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if !oreq.deadline.IsZero() {
 			deadlineMS = oreq.deadline.UnixMilli()
 		}
-		_ = s.journal.j.AppendSubmit(h.ID(), body, deadlineMS)
+		if err := s.journal.j.AppendSubmit(h.ID(), body, deadlineMS); err != nil {
+			// Not durable, so not accepted: drop the job and let the
+			// client's retry policy (or the coordinator's re-dispatch)
+			// take the submission to a server that can journal it.
+			h.Cancel()
+			s.writeError(w, stubbyerr.WithKind(stubbyerr.KindUnavailable, "submit", req.Plan.Name,
+				fmt.Errorf("journal append: %w", err)))
+			return
+		}
 	}
 	s.adopt(h, key)
 	writeJSON(w, http.StatusAccepted, planio.SubmitResponse{ID: h.ID(), State: h.State().String()})

@@ -299,21 +299,16 @@ func TestEstimateContextCancellation(t *testing.T) {
 	if _, err := sess.Estimate(ctx, wl.Workflow); !errors.Is(err, stubby.ErrKindCanceled) {
 		t.Fatalf("Estimate under canceled ctx = %v, want ErrKindCanceled", err)
 	}
-	// The deprecated ctx-less wrapper still estimates.
-	est, err := sess.EstimateCost(wl.Workflow)
-	if err != nil || est == nil {
-		t.Fatalf("EstimateCost = %v, %v", est, err)
-	}
-	// And the context-aware path agrees with it.
-	est2, err := sess.Estimate(context.Background(), wl.Workflow)
-	if err != nil || est2.Makespan != est.Makespan {
-		t.Fatalf("Estimate = %v, %v; want makespan %v", est2, err, est.Makespan)
+	// A live context estimates.
+	est, err := sess.Estimate(context.Background(), wl.Workflow)
+	if err != nil || est == nil || est.Makespan <= 0 {
+		t.Fatalf("Estimate = %v, %v", est, err)
 	}
 }
 
-// TestDeprecatedWrappersCarryTaxonomy: every deprecated package-level
-// entry point surfaces *stubby.Error on failure.
-func TestDeprecatedWrappersCarryTaxonomy(t *testing.T) {
+// TestSessionErrorsCarryTaxonomy: the synchronous Session entry points
+// surface *stubby.Error on failure.
+func TestSessionErrorsCarryTaxonomy(t *testing.T) {
 	// An invalid workflow: a job reading a dataset that does not exist.
 	bad := &stubby.Workflow{Name: "bad"}
 	bad.Jobs = append(bad.Jobs, &stubby.Job{
@@ -327,7 +322,12 @@ func TestDeprecatedWrappersCarryTaxonomy(t *testing.T) {
 		ReduceGroups: []stubby.ReduceGroup{{Output: "out"}},
 	})
 
-	_, err := stubby.Optimize(stubby.DefaultCluster(), bad, stubby.Options{})
+	sess, err := stubby.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, err = sess.Optimize(ctx, bad)
 	var se *stubby.Error
 	if !errors.As(err, &se) {
 		t.Fatalf("Optimize on invalid workflow = %v, want *stubby.Error", err)
@@ -339,14 +339,14 @@ func TestDeprecatedWrappersCarryTaxonomy(t *testing.T) {
 		t.Fatalf("Optimize error workflow = %q, want bad", se.Workflow)
 	}
 
-	if err := stubby.Profile(stubby.DefaultCluster(), bad, stubby.NewDFS(), 2.0, 1); !errors.As(err, &se) {
-		t.Fatalf("Profile with invalid fraction = %v, want *stubby.Error", err)
+	if err := sess.Profile(ctx, bad, stubby.NewDFS()); !errors.As(err, &se) {
+		t.Fatalf("Profile on invalid workflow = %v, want *stubby.Error", err)
 	}
-	if _, err := stubby.EstimateCost(stubby.DefaultCluster(), bad); err != nil {
+	if _, err := sess.Estimate(ctx, bad); err != nil {
 		// Fallback estimation tolerates missing annotations; reaching here
 		// means the workflow itself broke TopoSort — still must be typed.
 		if !errors.As(err, &se) {
-			t.Fatalf("EstimateCost = %v, want *stubby.Error", err)
+			t.Fatalf("Estimate = %v, want *stubby.Error", err)
 		}
 	}
 }

@@ -133,10 +133,6 @@ type Session struct {
 	// cluster workers instead of the local optimizer; ErrNoWorkers falls
 	// back to optimizing locally.
 	dispatch dispatchFunc
-	// incrementalSet/disableIncremental record WithIncrementalEstimation:
-	// tri-state so an unset option defers to WithOptimizerOptions.
-	incrementalSet     bool
-	disableIncremental bool
 	// queueDepth bounds the Submit admission queue (WithQueueDepth;
 	// DefaultQueueDepth when 0). The queue itself is created lazily on the
 	// first Submit, so sessions that never Submit pay nothing.
@@ -251,22 +247,6 @@ func WithEstimateCache(c *EstimateCache) SessionOption {
 			return fmt.Errorf("stubby: WithEstimateCache(nil)")
 		}
 		s.estCache = c
-		return nil
-	}
-}
-
-// WithIncrementalEstimation enables or disables incremental What-if
-// estimation during configuration search (default: enabled). When enabled,
-// the built-in Stubby optimizer delta-estimates each search probe —
-// recomputing per-job flow only for the jobs the probe affects and
-// replaying scheduling from a slot-pool snapshot — instead of re-estimating
-// the whole workflow. Incremental estimation is bit-transparent: plans and
-// costs are identical either way, so disabling it is only useful for
-// debugging and benchmarking the estimator itself.
-func WithIncrementalEstimation(enabled bool) SessionOption {
-	return func(s *Session) error {
-		s.incrementalSet = true
-		s.disableIncremental = !enabled
 		return nil
 	}
 }
@@ -430,9 +410,6 @@ func (s *Session) optimizerOptions(workflow string) optimizer.Options {
 	}
 	if o.EstimateCache == nil {
 		o.EstimateCache = s.estCache
-	}
-	if s.incrementalSet {
-		o.DisableIncremental = s.disableIncremental
 	}
 	if o.Robustness == nil {
 		o.Robustness = s.robustness
@@ -675,13 +652,6 @@ func (s *Session) Robustness(ctx context.Context, w *Workflow, opt RobustnessOpt
 			Err: errors.New("plan lacks the annotations for cost-based estimation (fallback regime)")}
 	}
 	return rob, nil
-}
-
-// EstimateCost runs the What-if engine without cancellation.
-//
-// Deprecated: use Estimate with a context.
-func (s *Session) EstimateCost(w *Workflow) (*Estimate, error) {
-	return s.Estimate(context.Background(), w)
 }
 
 // optimizerObserver adapts the public Observer to the optimizer's internal

@@ -45,7 +45,7 @@ func exportBytes(t *testing.T, w *stubby.Workflow) []byte {
 	return buf.Bytes()
 }
 
-func TestSessionOptimizeMatchesLegacyAndSerial(t *testing.T) {
+func TestSessionOptimizeMatchesSerial(t *testing.T) {
 	wl := profiledWorkload(t, "IR", 0.15, 2)
 	serial, err := stubby.NewSession(
 		stubby.WithCluster(wl.Cluster), stubby.WithSeed(2), stubby.WithParallelism(1))
@@ -69,14 +69,6 @@ func TestSessionOptimizeMatchesLegacyAndSerial(t *testing.T) {
 	if len(a.Plan.Jobs) != len(b.Plan.Jobs) || a.EstimatedCost != b.EstimatedCost {
 		t.Fatalf("parallel search diverged from serial: %d jobs / %.3f vs %d jobs / %.3f",
 			len(a.Plan.Jobs), a.EstimatedCost, len(b.Plan.Jobs), b.EstimatedCost)
-	}
-	// The deprecated free function must agree with the session it wraps.
-	legacy, err := stubby.Optimize(wl.Cluster, wl.Workflow, stubby.Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.EstimatedCost != a.EstimatedCost {
-		t.Fatalf("legacy Optimize diverged: %.3f vs %.3f", legacy.EstimatedCost, a.EstimatedCost)
 	}
 }
 

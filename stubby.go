@@ -22,9 +22,7 @@
 // Session is the primary entry point: a reusable, concurrent-safe facade
 // holding the cluster, planner registry, and default options, with
 // context-aware (cancellable) and observable methods, plus concurrent
-// fan-out over independent workflows via OptimizeAll. The package-level
-// Optimize/Run/Profile/EstimateCost functions predate Session and survive
-// as thin deprecated wrappers.
+// fan-out over independent workflows via OptimizeAll.
 //
 // # Service API
 //
@@ -44,7 +42,6 @@
 package stubby
 
 import (
-	"context"
 	"io"
 
 	"github.com/stubby-mr/stubby/internal/baselines"
@@ -54,7 +51,6 @@ import (
 	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/rrs"
-	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/workloads"
@@ -192,63 +188,6 @@ func NewDFS() *DFS { return mrsim.NewDFS() }
 
 // IngestSpec tells Ingest how to lay out a base dataset.
 type IngestSpec = mrsim.IngestSpec
-
-// Run executes the workflow on the cluster over the DFS, materializing all
-// outputs and returning simulated timings.
-//
-// Deprecated: use Session.Run, which supports cancellation and progress
-// observation. This wrapper delegates to a throwaway session.
-func Run(c *Cluster, dfs *DFS, w *Workflow) (*RunReport, error) {
-	s, err := NewSession(WithCluster(c))
-	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "run", w.Name, err)
-	}
-	defer s.Close(context.Background())
-	return s.Run(context.Background(), dfs, w)
-}
-
-// Profile attaches profile annotations to every job of w by executing it
-// over a deterministic sample (fraction in (0,1]) of the base data, and
-// fills dataset size/layout annotations from the DFS.
-//
-// Deprecated: use Session.Profile with WithProfileFraction and WithSeed.
-// This wrapper delegates to a throwaway session.
-func Profile(c *Cluster, w *Workflow, dfs *DFS, fraction float64, seed int64) error {
-	s, err := NewSession(WithCluster(c), WithProfileFraction(fraction), WithSeed(seed))
-	if err != nil {
-		return stubbyerr.WithKind(stubbyerr.KindInvalid, "profile", w.Name, err)
-	}
-	defer s.Close(context.Background())
-	return s.Profile(context.Background(), w, dfs)
-}
-
-// Optimize runs the Stubby optimizer and returns the optimized plan with
-// its search trace. The input plan is left unmodified.
-//
-// Deprecated: use Session.Optimize, which supports cancellation, progress
-// observation, named planners, and concurrent fan-out (OptimizeAll). This
-// wrapper delegates to a throwaway session.
-func Optimize(c *Cluster, w *Workflow, opt Options) (*Result, error) {
-	s, err := NewSession(WithCluster(c), WithOptimizerOptions(opt))
-	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "optimize", w.Name, err)
-	}
-	defer s.Close(context.Background())
-	return s.Optimize(context.Background(), w)
-}
-
-// EstimateCost runs the What-if engine on an annotated plan.
-//
-// Deprecated: use Session.Estimate. This wrapper delegates to a throwaway
-// session.
-func EstimateCost(c *Cluster, w *Workflow) (*Estimate, error) {
-	s, err := NewSession(WithCluster(c))
-	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "estimate", w.Name, err)
-	}
-	defer s.Close(context.Background())
-	return s.Estimate(context.Background(), w)
-}
 
 // FaultProfile returns a named standard fault model ("standard",
 // "failures", "stragglers") rooted at the given seed — the profiles the

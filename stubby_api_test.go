@@ -1,6 +1,7 @@
 package stubby_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,28 +16,33 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stubby.Profile(wl.Cluster, wl.Workflow, wl.DFS, 0.5, 2); err != nil {
+	ctx := context.Background()
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := stubby.EstimateCost(wl.Cluster, wl.Workflow)
+	if err := sess.Profile(ctx, wl.Workflow, wl.DFS); err != nil {
+		t.Fatal(err)
+	}
+	est, err := sess.Estimate(ctx, wl.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Fallback || est.Makespan <= 0 {
 		t.Fatalf("estimate unusable: %+v", est)
 	}
-	res, err := stubby.Optimize(wl.Cluster, wl.Workflow, stubby.Options{Seed: 2})
+	res, err := sess.Optimize(ctx, wl.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Plan.Jobs) >= len(wl.Workflow.Jobs) {
 		t.Errorf("IR should pack: %d -> %d jobs", len(wl.Workflow.Jobs), len(res.Plan.Jobs))
 	}
-	before, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), wl.Workflow)
+	before, err := sess.Run(ctx, wl.DFS.Clone(), wl.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), res.Plan)
+	after, err := sess.Run(ctx, wl.DFS.Clone(), res.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +87,11 @@ func TestPublicAPIBuildWorkflowByHand(t *testing.T) {
 			{ID: "out"},
 		},
 	}
-	cluster := stubby.DefaultCluster()
-	rep, err := stubby.Run(cluster, dfs, w)
+	sess, err := stubby.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Run(context.Background(), dfs, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +105,9 @@ func TestPublicAPIBuildWorkflowByHand(t *testing.T) {
 }
 
 func TestPublicAPIPlanners(t *testing.T) {
-	wl, err := stubby.BuildWorkload("PJ", stubby.WorkloadOptions{SizeFactor: 0.2, Seed: 4})
+	wl := profiledWorkload(t, "PJ", 0.2, 4)
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stubby.Profile(wl.Cluster, wl.Workflow, wl.DFS, 0.5, 4); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []stubby.Planner{
@@ -114,7 +121,7 @@ func TestPublicAPIPlanners(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		if _, err := stubby.Run(wl.Cluster, wl.DFS.Clone(), plan); err != nil {
+		if _, err := sess.Run(context.Background(), wl.DFS.Clone(), plan); err != nil {
 			t.Fatalf("%s plan failed: %v", p.Name(), err)
 		}
 	}

@@ -52,10 +52,6 @@ type OptimizeRequest struct {
 	// session's estimate cache is still consulted — cache keys include a
 	// cluster fingerprint, so entries never leak across clusters.
 	Cluster *Cluster
-	// DisableIncremental forces every configuration probe of this job
-	// through the monolithic estimator (a debugging/benchmarking aid;
-	// plans are identical either way).
-	DisableIncremental bool
 
 	// resumeID pins the job's ID instead of drawing a fresh one — set only
 	// by journal recovery, which must re-enqueue a crashed job under its
@@ -379,44 +375,34 @@ func (s *Session) jobQueue() *service.Queue {
 }
 
 // deriveFor resolves the session a request's job runs against: s itself
-// when the request carries no overrides, otherwise a derived session with
-// the request's cluster and/or estimation mode applied. A derived session
-// shares the planner registry and the estimate cache (whose keys include
-// a cluster fingerprint, so sharing is safe) but has no queue of its own;
-// jobs still run on s's pool.
+// when the request names no cluster, otherwise a derived session
+// optimizing for the request's cluster. A derived session shares the
+// planner registry and the estimate cache (whose keys include a cluster
+// fingerprint, so sharing is safe) but has no queue of its own; jobs still
+// run on s's pool.
 func (s *Session) deriveFor(req OptimizeRequest) (*Session, error) {
-	if req.Cluster == nil && !req.DisableIncremental {
+	if req.Cluster == nil {
 		return s, nil
 	}
-	cluster := req.Cluster
-	if cluster == nil {
-		cluster = s.cluster
-	} else if err := cluster.Validate(); err != nil {
+	if err := req.Cluster.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Session{
-		cluster:            cluster,
-		groups:             s.groups,
-		seed:               s.seed,
-		plannerName:        s.plannerName,
-		parallelism:        s.parallelism,
-		observer:           s.observer,
-		fraction:           s.fraction,
-		baseOpts:           s.baseOpts,
-		registry:           s.registry,
-		estCache:           s.estCache,
-		planStore:          s.planStore,
-		reuseCatalog:       s.reuseCatalog,
-		robustness:         s.robustness,
-		dispatch:           s.dispatch,
-		incrementalSet:     s.incrementalSet,
-		disableIncremental: s.disableIncremental,
-	}
-	if req.DisableIncremental {
-		d.incrementalSet = true
-		d.disableIncremental = true
-	}
-	return d, nil
+	return &Session{
+		cluster:      req.Cluster,
+		groups:       s.groups,
+		seed:         s.seed,
+		plannerName:  s.plannerName,
+		parallelism:  s.parallelism,
+		observer:     s.observer,
+		fraction:     s.fraction,
+		baseOpts:     s.baseOpts,
+		registry:     s.registry,
+		estCache:     s.estCache,
+		planStore:    s.planStore,
+		reuseCatalog: s.reuseCatalog,
+		robustness:   s.robustness,
+		dispatch:     s.dispatch,
+	}, nil
 }
 
 // Close drains the session's Submit queue: new submissions are rejected

@@ -1,7 +1,9 @@
 package stubby_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -205,7 +207,6 @@ func serviceFixture(t *testing.T, opts ...stubby.SessionOption) (*stubby.Session
 	base := []stubby.SessionOption{
 		stubby.WithSeed(1),
 		stubby.WithOptimizerOptions(stubby.Options{RRSEvals: differentialRRSEvals}),
-		stubby.WithIncrementalEstimation(!disableIncremental()),
 	}
 	sess, err := stubby.NewSession(append(base, opts...)...)
 	if err != nil {
@@ -391,35 +392,86 @@ func TestRemoteOverloadTyped(t *testing.T) {
 	}
 }
 
-// TestRemoteDisableIncremental: the wire knob reaches the optimizer —
-// monolithic estimation computes far more full estimates, while the plan
-// stays fingerprint-identical (incremental estimation is bit-transparent).
-func TestRemoteDisableIncremental(t *testing.T) {
+// legacyRequestBody renders req the way a client built before the
+// estimation-mode knob was retired could: the current document plus a
+// top-level "disableIncremental": true member.
+func legacyRequestBody(t *testing.T, req *planio.Request) []byte {
+	t.Helper()
+	body, err := planio.EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(body, []byte("disableIncremental")) {
+		t.Fatal("EncodeRequest emitted the retired disableIncremental member")
+	}
+	legacy := bytes.Replace(body, []byte(`"version": 1,`),
+		[]byte("\"version\": 1,\n  \"disableIncremental\": true,"), 1)
+	if bytes.Equal(legacy, body) {
+		t.Fatal("request document head changed; update legacyRequestBody")
+	}
+	return legacy
+}
+
+// postJob submits a raw request document and returns the assigned job ID.
+func postJob(t *testing.T, baseURL string, body []byte) string {
+	t.Helper()
+	resp, err := http.Post(baseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sub planio.SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %s, %+v, %v", resp.Status, sub, err)
+	}
+	return sub.ID
+}
+
+// TestWireLegacyDisableIncrementalIgnored: version-1 request documents
+// written while the wire carried an estimation-mode knob still decode (the
+// decoder rejects unknown members, so the member must stay declared), the
+// member changes nothing — same decoded request, byte-identical plan, same
+// amount of estimation work — and it is never emitted again.
+func TestWireLegacyDisableIncrementalIgnored(t *testing.T) {
 	wl := differentialWorkloads(t)["IR"]
-	_, _, client := serviceFixture(t)
+	req := &planio.Request{Planner: "stubby", Seed: 1, Cluster: wl.Cluster, Plan: wl.Workflow}
+	legacy := legacyRequestBody(t, req)
+
+	decoded, err := planio.DecodeRequest(legacy)
+	if err != nil {
+		t.Fatalf("legacy request document rejected: %v", err)
+	}
+	again, err := planio.EncodeRequest(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(again, []byte("disableIncremental")) {
+		t.Fatal("re-encoding a legacy request emitted disableIncremental")
+	}
+	if decoded.Planner != req.Planner || decoded.Seed != req.Seed || fpOf(t, decoded.Plan) != fpOf(t, req.Plan) {
+		t.Fatalf("legacy member changed the decoded request: %+v", decoded)
+	}
+
+	_, hs, client := serviceFixture(t)
 	ctx := context.Background()
-	run := func(disable bool) *stubby.Result {
-		job, err := client.Submit(ctx, stubby.OptimizeRequest{
-			Workflow: wl.Workflow, Planner: "stubby", Seed: 1, Cluster: wl.Cluster,
-			DisableIncremental: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := job.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	fromLegacy, err := client.Job(postJob(t, hs.URL, legacy)).Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	incr := run(false)
-	mono := run(true)
-	if fpOf(t, incr.Plan) != fpOf(t, mono.Plan) {
-		t.Fatal("DisableIncremental changed the plan (must be bit-transparent)")
+	job, err := client.Submit(ctx, stubby.OptimizeRequest{
+		Workflow: wl.Workflow, Planner: "stubby", Seed: 1, Cluster: wl.Cluster,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mono.WhatIfComputed <= incr.WhatIfComputed {
-		t.Fatalf("DisableIncremental not honored over the wire: monolithic computed %d full estimates, incremental %d",
-			mono.WhatIfComputed, incr.WhatIfComputed)
+	plain, err := job.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamePlan(t, plain, fromLegacy)
+	if plain.FlowCards != fromLegacy.FlowCards {
+		t.Fatalf("legacy member still selects an estimation mode: %d vs %d flow cards",
+			fromLegacy.FlowCards, plain.FlowCards)
 	}
 }
 
