@@ -842,7 +842,11 @@ func TestCrashDrill(t *testing.T) {
 	if st.Journal == nil {
 		t.Fatal("restarted server reports no journal in /statsz")
 	}
-	if st.Journal.Submits == 0 && st.Journal.Recovered == 0 {
+	// The restarted server shares the first one's journal: it re-enqueued
+	// what was in flight at the kill (Recovered), or — when every journaled
+	// job had already finished — dropped their records on open (Compacted).
+	// Its own traffic may be all store hits, which are never journaled.
+	if st.Journal.Submits == 0 && st.Journal.Recovered == 0 && st.Journal.Compacted == 0 {
 		t.Fatalf("journal saw no activity: %+v", st.Journal)
 	}
 }

@@ -2,6 +2,7 @@ package stubby
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -11,6 +12,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/jobclient"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
+	"github.com/stubby-mr/stubby/internal/wf"
 )
 
 // Client speaks the stubbyd wire protocol: it submits OptimizeRequests as
@@ -125,27 +127,43 @@ func (c *Client) Stats(ctx context.Context) (*ServiceStats, error) {
 	return st, nil
 }
 
-// Submit encodes the request as a wire document, posts it, and returns a
-// remote job bound to the server-assigned ID. Overload and drain
-// rejections surface as ErrKindOverloaded / ErrKindUnavailable.
+// Submit posts the request and returns a remote job bound to the
+// server-assigned ID. It names the answer before it ships the question: the
+// first document carries the plan's fingerprint in place of the plan (a few
+// hundred bytes), and a server that already holds the result for that key
+// answers with a finished job. One that does not answers "plan required"
+// (ErrKindNotFound) — and one that predates key-first documents rejects the
+// unknown member (ErrKindInvalid) — and Submit then sends the full
+// document. Overload and drain rejections surface as ErrKindOverloaded /
+// ErrKindUnavailable.
 func (c *Client) Submit(ctx context.Context, req OptimizeRequest) (*RemoteJob, error) {
 	if req.Workflow == nil {
 		return nil, stubbyerr.New(stubbyerr.KindInvalid, "submit", "", "", "nil workflow")
 	}
-	body, err := planio.EncodeRequest(&planio.Request{
-		Planner: req.Planner,
-		Seed:    req.Seed,
-		Cluster: req.Cluster,
-		Plan:    req.Workflow,
-	})
-	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "submit", req.Workflow.Name, err)
+	doc := planio.Request{
+		Planner:     req.Planner,
+		Seed:        req.Seed,
+		Cluster:     req.Cluster,
+		Fingerprint: wf.FingerprintWorkflow(req.Workflow),
+		Workflow:    req.Workflow.Name,
 	}
-	id, err := c.t.Submit(ctx, body)
+	id, err := c.submitDoc(ctx, &doc)
+	if errors.Is(err, stubbyerr.KindNotFound) || errors.Is(err, stubbyerr.KindInvalid) {
+		doc.Plan = req.Workflow
+		id, err = c.submitDoc(ctx, &doc)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &RemoteJob{c: c, id: id, workflow: req.Workflow.Name}, nil
+}
+
+func (c *Client) submitDoc(ctx context.Context, doc *planio.Request) (string, error) {
+	body, err := planio.EncodeRequest(doc)
+	if err != nil {
+		return "", stubbyerr.WithKind(stubbyerr.KindInvalid, "submit", doc.Workflow, err)
+	}
+	return c.t.Submit(ctx, body)
 }
 
 // Job binds a RemoteJob to an already-known ID (e.g. persisted from an

@@ -69,7 +69,9 @@ type ClusterStats struct {
 	Leases int
 	// Dispatches counts first dispatch attempts; Redispatches counts
 	// attempts re-routed off a dead or expired worker; Failovers counts
-	// jobs that found no live worker and ran on the coordinator itself.
+	// jobs that found no live worker and ran on the coordinator itself. A
+	// key-first probe that a worker refuses with "plan required" ran
+	// nothing and is not counted; the full document that follows it is.
 	Dispatches   uint64
 	Redispatches uint64
 	Failovers    uint64
@@ -122,6 +124,38 @@ func clusterStatsFromDoc(d planio.ClusterStatsDoc) ClusterStats {
 		Leases: d.Leases, Dispatches: d.Dispatches, Redispatches: d.Redispatches,
 		Failovers: d.Failovers, SingleFlightHits: d.SingleFlightHits,
 		Computes: d.Computes}
+}
+
+// forwardProbe is what a server does with a key-first submission its own
+// store cannot answer. A coordinator with a live worker forwards the
+// document — defaults resolved, cluster explicit, so the worker derives the
+// same key — as the job's one dispatch, and returns the worker's result
+// document unparsed; a worker that lacks the plan too has its "plan
+// required" relayed. Every other server answers "plan required" itself, and
+// the submitter sends the full document down the ordinary path.
+func (s *Server) forwardProbe(ctx context.Context, a admission) ([]byte, error) {
+	planRequired := func() error {
+		return stubbyerr.New(stubbyerr.KindNotFound, "probe", a.workflow, "",
+			"plan required: no stored result for plan fingerprint %v", a.key.Plan)
+	}
+	if s.coordinator == nil || s.coordinator.Stats().LiveWorkers == 0 {
+		return nil, planRequired()
+	}
+	probe, err := planio.EncodeRequest(&planio.Request{
+		Planner:     a.key.Planner,
+		Seed:        a.key.Seed,
+		Cluster:     a.target.cluster,
+		Fingerprint: a.key.Plan,
+		Workflow:    a.workflow,
+	})
+	if err != nil {
+		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "probe", a.workflow, err)
+	}
+	doc, err := s.coordinator.Dispatch(ctx, probe)
+	if errors.Is(err, ErrNoWorkers) {
+		return nil, planRequired()
+	}
+	return doc, err
 }
 
 // dispatchFunc routes one encoded optimize-request document to a worker

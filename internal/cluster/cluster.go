@@ -83,6 +83,7 @@ type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]*worker
 	nextID  int
+	last    string // ID of the worker that took the last attempt; pick's ties go to the one after it
 
 	dispatches   uint64
 	redispatches uint64
@@ -179,8 +180,12 @@ func (c *Coordinator) markDead(w *worker) {
 	c.retireLocked(w)
 }
 
-// pick returns the live worker with the fewest in-flight dispatches (ties
-// broken by ID for determinism), or nil when no worker holds a lease.
+// pick returns the live worker with the fewest in-flight dispatches, or nil
+// when no worker holds a lease. Ties rotate: among the least-leased, the
+// first ID after that of the worker that took the last attempt wins
+// (wrapping to the lowest), so that short jobs arriving one at a time —
+// every worker idle, every pick a tie — spread over the cluster instead of
+// all landing on the lowest ID.
 func (c *Coordinator) pick() *worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,7 +194,8 @@ func (c *Coordinator) pick() *worker {
 		if w.dead {
 			continue
 		}
-		if best == nil || w.leases < best.leases || (w.leases == best.leases && w.id < best.id) {
+		if best == nil || w.leases < best.leases ||
+			(w.leases == best.leases && rotatedLess(w.id, best.id, c.last)) {
 			best = w
 		}
 	}
@@ -199,10 +205,33 @@ func (c *Coordinator) pick() *worker {
 	return best
 }
 
-func (c *Coordinator) dropLease(w *worker) {
+// rotatedLess orders IDs cyclically, starting just after pivot: IDs above
+// the pivot come first, in order, then the rest.
+func rotatedLess(a, b, pivot string) bool {
+	if (a > pivot) != (b > pivot) {
+		return a > pivot
+	}
+	return a < b
+}
+
+// settle closes one attempt on w: the lease is returned, the attempt is
+// counted and the tie-break rotates past w — unless the worker refused the
+// document outright with "plan required" (a key-first probe it holds no
+// answer for). Nothing ran there, so the refusal is not the job's dispatch
+// and takes no turn; the full document that follows it is and does.
+func (c *Coordinator) settle(w *worker, attempt int, refused bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w.leases--
+	if refused {
+		return
+	}
+	c.last = w.id
+	if attempt == 0 {
+		c.dispatches++
+	} else {
+		c.redispatches++
+	}
 }
 
 // Workers snapshots the membership for /v1/cluster/workers.
@@ -246,16 +275,17 @@ func (c *Coordinator) Stats() planio.ClusterStatsDoc {
 	return doc
 }
 
-// Dispatch runs one encoded optimize request (a planio request document)
-// on the cluster and returns the worker's encoded result document.
-// Transient failures — an unreachable worker, a drained or overloaded one,
-// a lease expiring mid-job, a worker that lost the job — mark the worker
-// dead and re-dispatch to another, up to maxDispatchAttempts. Permanent
-// failures (an invalid request, the optimization itself failing) return
-// immediately: they would fail identically anywhere. With no live workers
-// it returns ErrNoWorkers, the caller's cue to fail over to local
-// optimization. When ctx ends with the job in flight, the worker's copy is
-// canceled and ctx's error returned.
+// Dispatch runs one encoded optimize request (a planio request document,
+// full or key-first — it is never parsed here) on the cluster and returns
+// the worker's encoded result document, equally unparsed. Transient
+// failures — an unreachable worker, a drained or overloaded one, a lease
+// expiring mid-job, a worker that lost the job — mark the worker dead and
+// re-dispatch to another, up to maxDispatchAttempts. Permanent failures (an
+// invalid request, the optimization itself failing, a worker answering a
+// key-first document "plan required") return immediately: they would fail
+// identically anywhere. With no live workers it returns ErrNoWorkers, the
+// caller's cue to fail over to local optimization. When ctx ends with the
+// job in flight, the worker's copy is canceled and ctx's error returned.
 func (c *Coordinator) Dispatch(ctx context.Context, body []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxDispatchAttempts; attempt++ {
@@ -272,15 +302,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, body []byte) ([]byte, error)
 			}
 			return nil, ErrNoWorkers
 		}
-		c.mu.Lock()
-		if attempt == 0 {
-			c.dispatches++
-		} else {
-			c.redispatches++
-		}
-		c.mu.Unlock()
 		res, transient, err := c.runOn(ctx, w, body)
-		c.dropLease(w)
+		c.settle(w, attempt, err != nil && !transient && errors.Is(err, stubbyerr.KindNotFound))
 		if err == nil {
 			return res, nil
 		}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/stubbyerr"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -222,6 +223,62 @@ func TestDispatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDispatchRotatesTies: jobs that arrive one at a time find every worker
+// idle, so every pick is a tie — and ties must take turns rather than all
+// go to the lowest ID.
+func TestDispatchRotatesTies(t *testing.T) {
+	t.Parallel()
+	workers := []*fakeWorker{newFakeWorker(t, "done", nil), newFakeWorker(t, "done", nil), newFakeWorker(t, "done", nil)}
+	c := New()
+	for _, fw := range workers {
+		c.Register(fw.srv.URL, "")
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := c.Dispatch(context.Background(), []byte(`{}`)); err != nil {
+			t.Fatalf("Dispatch %d: %v", i, err)
+		}
+	}
+	for i, fw := range workers {
+		if n := fw.submits(); n != 2 {
+			t.Errorf("worker %d took %d of 6 sequential jobs, want 2", i, n)
+		}
+	}
+}
+
+// TestDispatchPlanRequiredIsNotADispatch: a worker that refuses a
+// key-first probe with "plan required" ran nothing. The refusal comes back
+// as it is (the caller relays it), costs the worker neither its lease nor
+// its turn, and is not counted — the full document that follows is the
+// job's dispatch.
+func TestDispatchPlanRequiredIsNotADispatch(t *testing.T) {
+	t.Parallel()
+	refusing := newFakeWorker(t, "done", nil)
+	refusing.submitCode = http.StatusNotFound
+	refusing.errDoc = &planio.ErrorDoc{Kind: "not_found", Op: "probe", Message: "plan required"}
+	other := newFakeWorker(t, "done", nil)
+	c := New()
+	id, _ := c.Register(refusing.srv.URL, "")
+	c.Register(other.srv.URL, "")
+	_, err := c.Dispatch(context.Background(), []byte(`{}`))
+	if !errors.Is(err, stubbyerr.KindNotFound) || !strings.Contains(err.Error(), "plan required") {
+		t.Fatalf("Dispatch error = %v, want the worker's plan-required refusal", err)
+	}
+	if st := c.Stats(); st.Dispatches != 0 || st.Redispatches != 0 || st.Leases != 0 || !live(c, id) {
+		t.Fatalf("after a refused probe: %+v, want nothing counted and the worker live", st)
+	}
+	if refusing.submits() != 1 || other.submits() != 0 {
+		t.Fatalf("submits = %d and %d, want the refusal final", refusing.submits(), other.submits())
+	}
+	// The refusal took no turn: the next document goes to the same worker.
+	refusing.submitCode = 0
+	if _, err := c.Dispatch(context.Background(), []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Dispatches != 1 || refusing.submits() != 2 {
+		t.Fatalf("after the full document: %+v, %d submits on the refusing worker; want 1 dispatch there", st, refusing.submits())
+	}
+}
+
 func TestDispatchNoWorkersFailsOver(t *testing.T) {
 	t.Parallel()
 	c := New()
@@ -290,7 +347,7 @@ func TestDispatchLeaseExpiryCutsWait(t *testing.T) {
 	idA, _ := c.Register(wa.srv.URL, "")
 	idB, _ := c.Register(wb.srv.URL, "")
 	keepAlive(t, c, idB) // only B heartbeats
-	// The id tiebreak ("w-1" < "w-2") sends the first attempt to A.
+	// A coordinator's first pick is the lowest ID: the first attempt goes to A.
 	start := time.Now()
 	res, err := c.Dispatch(context.Background(), []byte(`{}`))
 	if err != nil {

@@ -11,6 +11,13 @@
 // coordinator is a client of its workers and dispatches through the same
 // transport with no retry policy, re-dispatching elsewhere on exactly the
 // failures Retryable names.
+//
+// The transport moves documents and never looks inside them. Which request
+// document to post — the key-first one that names the plan by fingerprint,
+// or, after a KindNotFound "plan required" answer, the full one — is the
+// caller's decision (stubby.Client.Submit makes it; the coordinator
+// forwards whichever it was given), and a result document comes back as
+// the bytes the server wrote, read into one buffer of the declared length.
 package jobclient
 
 import (
@@ -185,6 +192,19 @@ func (t *Transport) Cancel(ctx context.Context, id string) (*planio.StatusDoc, e
 	return &doc, nil
 }
 
+// ReadBody reads a message body to its end. A body whose length n the peer
+// declared (n >= 0) lands in one buffer of that size; io.ReadAll, the
+// fallback for an undeclared length, grows its buffer by doubling and so
+// allocates several times a megabyte document's size.
+func ReadBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return io.ReadAll(r)
+	}
+	body := make([]byte, n)
+	_, err := io.ReadFull(r, body)
+	return body, err
+}
+
 // Result fetches the finished job's encoded result document verbatim. An
 // unfinished job yields KindConflict; a failed or canceled one yields its
 // structured error.
@@ -192,7 +212,7 @@ func (t *Transport) Result(ctx context.Context, id string) ([]byte, error) {
 	var data []byte
 	err := t.exchange(ctx, http.MethodGet, jobPath(id, "/result"), nil, func(resp *http.Response) error {
 		var err error
-		if data, err = io.ReadAll(resp.Body); err != nil {
+		if data, err = ReadBody(resp.Body, resp.ContentLength); err != nil {
 			// A cut mid-body is transient: the journal-era server will
 			// serve the identical document again.
 			return stubbyerr.WithKind(stubbyerr.KindUnavailable, "result", "", err)

@@ -169,3 +169,39 @@ func TestWaitReportsOutcomeAsStatus(t *testing.T) {
 		t.Fatalf("status = %+v (error %+v), want the failed job's own status", st, st.Error)
 	}
 }
+
+// TestResultReadsDeclaredLength: a result whose length the server declared
+// lands in one buffer of exactly that size; one sent chunked, with no
+// length, is still read whole; one cut short of its declared length is a
+// transient failure, not a short document.
+func TestResultReadsDeclaredLength(t *testing.T) {
+	doc := []byte(strings.Repeat(`{"plan":"x"}`, 4096))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/jobs/declared/result":
+			w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
+			_, _ = w.Write(doc)
+		case "/v1/jobs/chunked/result":
+			_, _ = w.Write(doc[:len(doc)/2])
+			w.(http.Flusher).Flush()
+			_, _ = w.Write(doc[len(doc)/2:])
+		case "/v1/jobs/cut/result":
+			w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
+			_, _ = w.Write(doc[:len(doc)/2])
+			panic(http.ErrAbortHandler)
+		}
+	}))
+	defer srv.Close()
+	tr := New(srv.URL)
+	ctx := context.Background()
+	got, err := tr.Result(ctx, "declared")
+	if err != nil || string(got) != string(doc) || cap(got) != len(doc) {
+		t.Errorf("declared length: %d bytes in a buffer of %d, err %v; want %d in %d", len(got), cap(got), err, len(doc), len(doc))
+	}
+	if got, err = tr.Result(ctx, "chunked"); err != nil || string(got) != string(doc) {
+		t.Errorf("undeclared length: %d of %d bytes, err %v", len(got), len(doc), err)
+	}
+	if _, err = tr.Result(ctx, "cut"); !Retryable(err) {
+		t.Errorf("body cut short of its declared length: err %v, want a retryable one", err)
+	}
+}

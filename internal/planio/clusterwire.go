@@ -83,9 +83,9 @@ type ClusterStatsDoc struct {
 	Computes         uint64 `json:"computes"`
 }
 
-// decodeClusterDoc strictly parses one control document, rejecting
-// unknown fields like the job wire does.
-func decodeClusterDoc(data []byte, kind string, into any) error {
+// decodeStrict parses one control or job-wire document into `into`,
+// rejecting unknown fields.
+func decodeStrict(data []byte, kind string, into any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
@@ -104,7 +104,7 @@ func EncodeRegisterRequest(r *RegisterRequest) ([]byte, error) {
 // unknown fields and version mismatches like the job wire does.
 func DecodeRegisterRequest(data []byte) (*RegisterRequest, error) {
 	var r RegisterRequest
-	if err := decodeClusterDoc(data, "register request", &r); err != nil {
+	if err := decodeStrict(data, "register request", &r); err != nil {
 		return nil, err
 	}
 	if r.Version != ClusterFormatVersion {
@@ -125,7 +125,7 @@ func EncodeHeartbeatRequest(h *HeartbeatRequest) ([]byte, error) {
 // DecodeHeartbeatRequest parses a lease renewal.
 func DecodeHeartbeatRequest(data []byte) (*HeartbeatRequest, error) {
 	var h HeartbeatRequest
-	if err := decodeClusterDoc(data, "heartbeat request", &h); err != nil {
+	if err := decodeStrict(data, "heartbeat request", &h); err != nil {
 		return nil, err
 	}
 	if h.Version != ClusterFormatVersion {

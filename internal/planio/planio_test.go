@@ -495,3 +495,55 @@ func stdJSONRoundTrip(td tupleDoc) (tupleDoc, error) {
 	}
 	return out, nil
 }
+
+// TestKeyFirstRequest: a request may name its plan by fingerprint instead
+// of carrying it; the document is small, round-trips, and must name the
+// plan exactly one way.
+func TestKeyFirstRequest(t *testing.T) {
+	w := fullWorkflow()
+	fp := wf.FingerprintWorkflow(w)
+	if back, err := wf.ParseFingerprint(fp.String()); err != nil || back != fp {
+		t.Fatalf("ParseFingerprint(%s) = %v, %v", fp, back, err)
+	}
+	for _, bad := range []string{"", "abc", fp.String() + "0", "zz" + fp.String()[2:], "+1" + fp.String()[2:]} {
+		if _, err := wf.ParseFingerprint(bad); err == nil {
+			t.Errorf("ParseFingerprint(%q) accepted", bad)
+		}
+	}
+
+	cluster := mrsim.DefaultCluster()
+	data, err := EncodeRequest(&Request{Planner: "stubby", Seed: 9, Cluster: cluster, Fingerprint: fp, Workflow: w.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) > 1024 || bytes.Contains(data, []byte(`"plan"`)) {
+		t.Errorf("key-first document is %d bytes: %s", len(data), data)
+	}
+	req, err := DecodeRequest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Plan != nil || req.Fingerprint != fp || req.Workflow != w.Name || req.Planner != "stubby" ||
+		req.Seed != 9 || req.Cluster == nil || *req.Cluster != *cluster {
+		t.Errorf("key-first round trip lost something: %+v", req)
+	}
+
+	full, err := EncodeRequest(&Request{Plan: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(full, []byte("planFingerprint")) || bytes.Contains(full, []byte(`"workflow"`)) {
+		t.Error("a full document carries key-first members")
+	}
+	both := bytes.Replace(full, []byte(`"version":1,`), []byte(`"version":1,"planFingerprint":"`+fp.String()+`",`), 1)
+	neither := []byte(`{"format":"` + RequestFormatName + `","version":1,"seed":3}`)
+	malformed := bytes.Replace(data, []byte(fp.String()), []byte("not-a-fingerprint"), 1)
+	for name, doc := range map[string][]byte{"both": both, "neither": neither, "malformed fingerprint": malformed} {
+		if bytes.Equal(doc, full) || bytes.Equal(doc, data) {
+			t.Fatalf("%s: the document under test was not built", name)
+		}
+		if _, err := DecodeRequest(doc); err == nil {
+			t.Errorf("request naming its plan %s ways decoded", name)
+		}
+	}
+}

@@ -6,9 +6,22 @@ package planio
 // envelope. The public stubby.Client and the stubbyd server both speak
 // exactly these documents, and every encoder here is deterministic so wire
 // bytes can be golden-tested.
+//
+// Requests and results are written compact — they travel the wire, sit in
+// the journal and are the plan store's records, and five sixths of an
+// indented document is indentation — while Encode, the plan file people
+// read, stays indented. The decoders take either, so documents written
+// indented by earlier builds (old clients, existing stores and journals)
+// still read. json.Indent of a compact document reproduces the indented
+// bytes exactly, which is how the wire goldens stay reviewable.
+//
+// A request names its plan one of two ways: by value (`plan`, the full
+// annotated document) or by key (`planFingerprint` + `workflow`, a few
+// hundred bytes). The key-first form asks "do you already hold the answer
+// for this plan?" — a server that does not answers KindNotFound and the
+// submitter sends the full document.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,8 +52,13 @@ type Request struct {
 	// Cluster describes the cluster to optimize for. Nil uses the serving
 	// session's cluster.
 	Cluster *mrsim.Cluster
-	// Plan is the annotated workflow to optimize.
+	// Plan is the annotated workflow to optimize. Nil makes the request
+	// key-first: Fingerprint and Workflow name the plan instead.
 	Plan *wf.Workflow
+	// Fingerprint is Plan's canonical wf.Fingerprint, and Workflow its name,
+	// in a key-first request; both are ignored when Plan is set.
+	Fingerprint wf.Fingerprint
+	Workflow    string
 }
 
 // Result is one optimize outcome: the chosen plan with its estimated cost
@@ -134,9 +152,14 @@ func decodeCluster(d *clusterDoc) *mrsim.Cluster {
 	}
 }
 
-type requestDoc struct {
+// envelope is the header every request and result document opens with.
+type envelope struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
+}
+
+type requestDoc struct {
+	envelope
 	Planner string `json:"planner,omitempty"`
 	Seed    int64  `json:"seed,omitempty"`
 	// DisableIncremental is decode-only: version-1 clients and journal
@@ -145,12 +168,14 @@ type requestDoc struct {
 	// ignored, and never emitted.
 	DisableIncremental bool        `json:"disableIncremental,omitempty"`
 	Cluster            *clusterDoc `json:"cluster,omitempty"`
-	Plan               *document   `json:"plan"`
+	// Exactly one of Plan and PlanFingerprint (with Workflow) is present.
+	PlanFingerprint string    `json:"planFingerprint,omitempty"`
+	Workflow        string    `json:"workflow,omitempty"`
+	Plan            *document `json:"plan,omitempty"`
 }
 
 type resultDoc struct {
-	Format         string         `json:"format"`
-	Version        int            `json:"version"`
+	envelope
 	EstimatedCost  float64        `json:"estimatedCost"`
 	DurationMS     float64        `json:"durationMS"`
 	WhatIfCalls    uint64         `json:"whatIfCalls"`
@@ -162,59 +187,80 @@ type resultDoc struct {
 	Plan           *document      `json:"plan"`
 }
 
-// EncodeRequest serializes the request to deterministic indented JSON.
+// EncodeRequest serializes the request to deterministic compact JSON: the
+// full document when r.Plan is set, the key-first one otherwise.
 func EncodeRequest(r *Request) ([]byte, error) {
-	if r == nil || r.Plan == nil {
+	if r == nil {
 		return nil, errors.New("planio: request without a plan")
 	}
-	plan, err := encodeDoc(r.Plan)
-	if err != nil {
-		return nil, err
-	}
 	doc := &requestDoc{
-		Format:  RequestFormatName,
-		Version: RequestFormatVersion,
-		Planner: r.Planner,
-		Seed:    r.Seed,
-		Cluster: encodeCluster(r.Cluster),
-		Plan:    plan,
+		envelope: envelope{RequestFormatName, RequestFormatVersion},
+		Planner:  r.Planner,
+		Seed:     r.Seed,
+		Cluster:  encodeCluster(r.Cluster),
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	if r.Plan != nil {
+		plan, err := encodeDoc(r.Plan)
+		if err != nil {
+			return nil, err
+		}
+		doc.Plan = plan
+	} else {
+		doc.PlanFingerprint, doc.Workflow = r.Fingerprint.String(), r.Workflow
+	}
+	return json.Marshal(doc)
+}
+
+// decodeWire strictly parses a request or result document into doc and
+// checks the envelope doc embeds.
+func decodeWire(data []byte, kind string, doc any, env *envelope, format string, version int) error {
+	if err := decodeStrict(data, kind, doc); err != nil {
+		return err
+	}
+	if env.Format != format {
+		return fmt.Errorf("planio: not a %s document (format %q)", format, env.Format)
+	}
+	if env.Version != version {
+		return fmt.Errorf("planio: unsupported %s version %d (want %d)", kind, env.Version, version)
+	}
+	return nil
 }
 
 // DecodeRequest parses an optimize-request document. The embedded plan is
 // decoded structure-only (annotations intact, inert stage functions) — the
 // natural mode for an optimizer service, which costs and rewrites plans but
-// never executes them.
+// never executes them. A key-first document comes back with a nil Plan and
+// its Fingerprint parsed; one that names its plan both ways, or neither, is
+// rejected.
 func DecodeRequest(data []byte) (*Request, error) {
 	var doc requestDoc
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("planio: parse request: %w", err)
+	if err := decodeWire(data, "request", &doc, &doc.envelope, RequestFormatName, RequestFormatVersion); err != nil {
+		return nil, err
 	}
-	if doc.Format != RequestFormatName {
-		return nil, fmt.Errorf("planio: not a %s document (format %q)", RequestFormatName, doc.Format)
+	req := &Request{
+		Planner:  doc.Planner,
+		Seed:     doc.Seed,
+		Cluster:  decodeCluster(doc.Cluster),
+		Workflow: doc.Workflow,
 	}
-	if doc.Version != RequestFormatVersion {
-		return nil, fmt.Errorf("planio: unsupported request version %d (want %d)", doc.Version, RequestFormatVersion)
-	}
-	if doc.Plan == nil {
+	var err error
+	switch {
+	case doc.Plan != nil && doc.PlanFingerprint != "":
+		return nil, errors.New("planio: request with both a plan and a plan fingerprint")
+	case doc.Plan != nil:
+		req.Plan, err = decodeDocument(doc.Plan, NewRegistry(), true)
+	case doc.PlanFingerprint != "":
+		req.Fingerprint, err = wf.ParseFingerprint(doc.PlanFingerprint)
+	default:
 		return nil, errors.New("planio: request without a plan")
 	}
-	plan, err := decodeDocument(doc.Plan, NewRegistry(), true)
 	if err != nil {
 		return nil, err
 	}
-	return &Request{
-		Planner: doc.Planner,
-		Seed:    doc.Seed,
-		Cluster: decodeCluster(doc.Cluster),
-		Plan:    plan,
-	}, nil
+	return req, nil
 }
 
-// EncodeResult serializes the result to deterministic indented JSON.
+// EncodeResult serializes the result to deterministic compact JSON.
 func EncodeResult(r *Result) ([]byte, error) {
 	if r == nil || r.Plan == nil {
 		return nil, errors.New("planio: result without a plan")
@@ -224,8 +270,7 @@ func EncodeResult(r *Result) ([]byte, error) {
 		return nil, err
 	}
 	doc := &resultDoc{
-		Format:         ResultFormatName,
-		Version:        ResultFormatVersion,
+		envelope:       envelope{ResultFormatName, ResultFormatVersion},
 		EstimatedCost:  r.EstimatedCost,
 		DurationMS:     r.DurationMS,
 		WhatIfCalls:    r.WhatIfCalls,
@@ -236,77 +281,38 @@ func EncodeResult(r *Result) ([]byte, error) {
 		ReusedSubplans: r.ReusedSubplans,
 		Plan:           plan,
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.Marshal(doc)
 }
 
 // DecodeResult parses an optimize-result document (plan structure-only)
 // and, when the document carries a fingerprint, verifies the decoded plan
 // reproduces it — a free end-to-end integrity check on every wire result.
 func DecodeResult(data []byte) (*Result, error) {
-	var doc resultDoc
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("planio: parse result: %w", err)
-	}
-	if doc.Format != ResultFormatName {
-		return nil, fmt.Errorf("planio: not a %s document (format %q)", ResultFormatName, doc.Format)
-	}
-	if doc.Version != ResultFormatVersion {
-		return nil, fmt.Errorf("planio: unsupported result version %d (want %d)", doc.Version, ResultFormatVersion)
-	}
-	if doc.Plan == nil {
-		return nil, errors.New("planio: result without a plan")
-	}
-	plan, err := decodeDocument(doc.Plan, NewRegistry(), true)
-	if err != nil {
-		return nil, err
-	}
-	if doc.Fingerprint != "" {
-		if got := wf.FingerprintWorkflow(plan).String(); got != doc.Fingerprint {
-			return nil, fmt.Errorf("planio: result plan fingerprint %s does not match document fingerprint %s",
-				got, doc.Fingerprint)
-		}
-	}
-	return &Result{
-		Plan:           plan,
-		EstimatedCost:  doc.EstimatedCost,
-		DurationMS:     doc.DurationMS,
-		WhatIfCalls:    doc.WhatIfCalls,
-		WhatIfComputed: doc.WhatIfComputed,
-		FlowCards:      doc.FlowCards,
-		Fingerprint:    doc.Fingerprint,
-		Robustness:     doc.Robustness,
-		ReusedSubplans: doc.ReusedSubplans,
-	}, nil
+	return decodeResult(data, NewRegistry(), true)
 }
 
 // DecodeResultBound parses an optimize-result document like DecodeResult
 // but binds the plan's stage functions through reg, yielding an executable
-// plan. This is the plan-store hit path: the submitter holds the original
-// workflow (and therefore its function library), so a stored plan can come
-// back runnable rather than structure-only. It returns a *MissingError when
-// reg lacks a stage the stored plan references.
+// plan. This is the in-process plan-store hit path: the submitter holds the
+// original workflow (and therefore its function library), so a stored plan
+// can come back runnable rather than structure-only. It returns a
+// *MissingError when reg lacks a stage the stored plan references.
 func DecodeResultBound(data []byte, reg *Registry) (*Result, error) {
 	if reg == nil {
 		reg = NewRegistry()
 	}
+	return decodeResult(data, reg, false)
+}
+
+func decodeResult(data []byte, reg *Registry, structureOnly bool) (*Result, error) {
 	var doc resultDoc
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("planio: parse result: %w", err)
-	}
-	if doc.Format != ResultFormatName {
-		return nil, fmt.Errorf("planio: not a %s document (format %q)", ResultFormatName, doc.Format)
-	}
-	if doc.Version != ResultFormatVersion {
-		return nil, fmt.Errorf("planio: unsupported result version %d (want %d)", doc.Version, ResultFormatVersion)
+	if err := decodeWire(data, "result", &doc, &doc.envelope, ResultFormatName, ResultFormatVersion); err != nil {
+		return nil, err
 	}
 	if doc.Plan == nil {
 		return nil, errors.New("planio: result without a plan")
 	}
-	plan, err := decodeDocument(doc.Plan, reg, false)
+	plan, err := decodeDocument(doc.Plan, reg, structureOnly)
 	if err != nil {
 		return nil, err
 	}

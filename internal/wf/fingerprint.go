@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 )
@@ -32,6 +33,21 @@ type Fingerprint [2]uint64
 // String renders the fingerprint as 32 hex digits.
 func (f Fingerprint) String() string {
 	return fmt.Sprintf("%016x%016x", f[0], f[1])
+}
+
+// ParseFingerprint reads String's 32 hex digits back into the fingerprint
+// they render.
+func ParseFingerprint(s string) (Fingerprint, error) {
+	var f Fingerprint
+	ok := len(s) == 32
+	for i := 0; ok && i < len(f); i++ {
+		v, err := strconv.ParseUint(s[16*i:16*i+16], 16, 64)
+		f[i], ok = v, err == nil
+	}
+	if !ok {
+		return Fingerprint{}, fmt.Errorf("wf: fingerprint %q is not 32 hex digits", s)
+	}
+	return f, nil
 }
 
 // FingerprintWorkflow digests a workflow with a throwaway Hasher. Callers

@@ -2,14 +2,16 @@ package stubby
 
 // journal.go is the public face of the durable job journal (see
 // internal/service/journal.go for the on-disk format): OpenJournal +
-// WithJournal make a Server crash-safe. Every accepted submission is
-// journaled — verbatim request document, propagated deadline, and each
-// lifecycle transition — in an append-only CRC-checked log, and a server
-// constructed over a reopened journal re-enqueues exactly the jobs that
-// were in flight when the previous process died, under their original
-// IDs. Re-executed jobs complete idempotently through the plan store
-// (same fingerprint key, byte-identical plan), canceled jobs stay
-// canceled, and finished jobs are never resurrected.
+// WithJournal make a Server crash-safe. Every submission accepted for
+// optimization is journaled — verbatim request document, propagated
+// deadline, and each lifecycle transition — in an append-only CRC-checked
+// log, and a server constructed over a reopened journal re-enqueues exactly
+// the jobs that were in flight when the previous process died, under their
+// original IDs. Re-executed jobs complete idempotently through the plan
+// store (same fingerprint key, byte-identical plan), canceled jobs stay
+// canceled, and finished jobs are never resurrected — which is why a
+// submission answered on the spot from the plan store leaves no record at
+// all: it is born finished, and the journal only resurrects the unfinished.
 
 import (
 	"context"
@@ -67,14 +69,15 @@ func (j *Journal) Dir() string { return j.j.Dir() }
 // Close releases the journal's log and directory lock.
 func (j *Journal) Close() error { return j.j.Close() }
 
-// WithJournal attaches a durable job journal to the server: accepted
-// submissions are journaled before they are acknowledged (one the journal
-// refuses is rejected with ErrKindUnavailable instead), lifecycle
+// WithJournal attaches a durable job journal to the server: submissions
+// accepted for optimization are journaled before they are acknowledged (one
+// the journal refuses is rejected with ErrKindUnavailable instead; one the
+// plan store answers on the spot is never journaled), lifecycle
 // transitions are appended as they happen, and NewServer re-enqueues the
 // journal's incomplete jobs — under their original IDs — before serving
 // traffic. A journaled server also deduplicates in-flight submissions: a
-// request whose resolved (workflow, cluster, planner, seed) fingerprint
-// matches a live job attaches to that job instead of starting another,
+// full request document whose resolved (workflow, cluster, planner, seed)
+// key matches a live job attaches to that job instead of starting another,
 // which is what makes client submit retries idempotent.
 func WithJournal(j *Journal) ServerOption {
 	return func(s *Server) {
@@ -123,7 +126,6 @@ func (s *Server) recoverJournaled() {
 			// the journal needs.
 			oreq.deadline = time.UnixMilli(in.DeadlineUnixMS)
 		}
-		s.sess.reserveJobID(in.ID)
 		var h *OptimizeHandle
 		var serr error
 		for attempt := 0; attempt < 250; attempt++ {
@@ -139,14 +141,14 @@ func (s *Server) recoverJournaled() {
 			_ = s.journal.j.AppendState(in.ID, service.Failed)
 			continue
 		}
-		s.adopt(h, s.sess.requestKey(oreq))
+		s.adopt(h)
 	}
 }
 
 // watch journals h's lifecycle transitions (Running and the terminal
 // state; Queued is implied by the submit record) and, once the job is
-// terminal, retires its fingerprint from the in-flight index.
-func (s *Server) watch(h *OptimizeHandle, key string) {
+// terminal, retires its key from the in-flight index.
+func (s *Server) watch(h *OptimizeHandle) {
 	for ev := range h.Events(context.Background()) {
 		sc, ok := ev.(StateChangedEvent)
 		if !ok || sc.State == StateQueued {
@@ -155,11 +157,9 @@ func (s *Server) watch(h *OptimizeHandle, key string) {
 		_ = s.journal.j.AppendState(h.ID(), sc.State)
 	}
 	// The stream closes after the terminal event.
-	if key != "" {
-		s.mu.Lock()
-		if s.inflight[key] == h.ID() {
-			delete(s.inflight, key)
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	if s.inflight[h.key] == h.ID() {
+		delete(s.inflight, h.key)
 	}
+	s.mu.Unlock()
 }

@@ -3,8 +3,6 @@ package stubby
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planio"
@@ -71,59 +69,35 @@ func (s *Session) PlanStoreStats() (stats PlanStoreStats, ok bool) {
 	return s.planStore.Stats(), true
 }
 
-// planKey builds the store key of one optimization: everything the search
-// outcome depends on. The workflow fingerprint is canonical (insensitive
-// to names and job-ID renaming), so resubmitting a renamed copy of a known
-// workflow still hits.
-func (s *Session) planKey(w *Workflow, planner string, seed int64) planstore.Key {
+// planKey builds the store key of one optimization from the submitted
+// workflow's fingerprint: everything the search outcome depends on. The
+// fingerprint is canonical (insensitive to names and job-ID renaming), so
+// resubmitting a renamed copy of a known workflow still hits. Two requests
+// with equal keys produce byte-identical plans, which also makes the key
+// the in-flight identity a journaled server deduplicates submissions by
+// (the idempotency that makes client-side submit retries safe).
+func (s *Session) planKey(fp wf.Fingerprint, planner string, seed int64) planstore.Key {
 	return planstore.Key{
-		Plan:    wf.FingerprintWorkflow(w),
+		Plan:    fp,
 		Cluster: estcache.ClusterFingerprint(s.cluster),
 		Planner: planner,
 		Seed:    seed,
 	}
 }
 
-// requestKey renders the canonical in-flight identity of a submission: the
-// plan-store key fields — workflow fingerprint, cluster fingerprint,
-// resolved planner, resolved seed — as a map key. Two requests with equal
-// keys produce byte-identical plans, so a journaled server lets the second
-// attach to the first's job instead of running it twice (the idempotency
-// that makes client-side submit retries safe).
-func (s *Session) requestKey(req OptimizeRequest) string {
-	if req.Workflow == nil {
-		return ""
-	}
-	name := req.Planner
-	if name == "" {
-		name = s.plannerName
-	}
-	if name == "" {
-		name = "stubby"
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.seed
-	}
-	cluster := s.cluster
-	if req.Cluster != nil {
-		cluster = req.Cluster
-	}
-	return fmt.Sprintf("%v|%v|%s|%d", wf.FingerprintWorkflow(req.Workflow),
-		estcache.ClusterFingerprint(cluster), name, seed)
-}
-
 // encodeStoredResult renders an optimization result as the planio wire
 // document the store persists, stamped with the plan's fingerprint so
-// every later read is integrity-checked end to end.
+// every later read is integrity-checked end to end. The search's own
+// counters — duration, What-if activity, flow cards — are left zero: the
+// stored bytes are exactly the document a hit serves (a hit did no
+// search), and they depend on the key alone, so two replicas that compute
+// the same key publish identical records. Documents written by earlier
+// builds carry the original search's counters; served as they are, a hit on
+// one reports those, which is harmless.
 func encodeStoredResult(res *Result) ([]byte, error) {
 	return planio.EncodeResult(&planio.Result{
 		Plan:           res.Plan,
 		EstimatedCost:  res.EstimatedCost,
-		DurationMS:     float64(res.Duration) / float64(time.Millisecond),
-		WhatIfCalls:    res.WhatIfCalls,
-		WhatIfComputed: res.WhatIfComputed,
-		FlowCards:      res.FlowCards,
 		Fingerprint:    wf.FingerprintWorkflow(res.Plan).String(),
 		ReusedSubplans: res.ReusedSubplans,
 	})
@@ -149,8 +123,8 @@ func decodeStoredResult(doc []byte, w *Workflow) (*Result, error) {
 // storeLookup is the non-computing store probe Submit uses before
 // enqueueing: a decodable hit comes back as a ready Result, anything else
 // (miss, store error, undecodable document) defers to the worker path.
-func (s *Session) storeLookup(w *Workflow, planner string, seed int64) (*Result, bool) {
-	doc, ok, err := s.planStore.Get(s.planKey(w, planner, seed))
+func (s *Session) storeLookup(key planstore.Key, w *Workflow) (*Result, bool) {
+	doc, ok, err := s.planStore.Get(key)
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -161,17 +135,18 @@ func (s *Session) storeLookup(w *Workflow, planner string, seed int64) (*Result,
 	return res, true
 }
 
-// optimizeNamed dispatches one named optimization, fronted by the plan
-// store when one is attached: a stored plan is returned without searching,
-// and a miss runs the search under a per-key single-flight — in-process and,
-// through the store's claim files, across every replica sharing the store
-// directory — so concurrent submissions of the same workflow cost one
-// optimization cluster-wide.
-func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, name string, seed int64, obs optimizer.Observer) (*Result, error) {
+// optimizeNamed dispatches one optimization of w — key.Planner under
+// key.Seed — fronted by the plan store when one is attached (only then is
+// the rest of key, w's planKey, read): a stored plan is returned without
+// searching, and a miss runs the search under a per-key single-flight —
+// in-process and, through the store's claim files, across every replica
+// sharing the store directory — so concurrent submissions of the same
+// workflow cost one optimization cluster-wide.
+func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, key planstore.Key, obs optimizer.Observer) (*Result, error) {
+	name, seed := key.Planner, key.Seed
 	if s.planStore == nil {
 		return s.optimizeDirect(ctx, w, name, seed, obs)
 	}
-	key := s.planKey(w, name, seed)
 	for {
 		var computed *Result
 		doc, hit, err := s.planStore.GetOrComputeCtx(ctx, key, func() ([]byte, error) {

@@ -13,6 +13,7 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/jobclient"
 	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/service"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
@@ -31,6 +32,16 @@ import (
 //	GET  /readyz               readiness (503 the moment Drain begins)
 //	GET  /statsz               queue/estimate-cache/plan-store/journal counters
 //
+// A request document names its plan by value (`plan`) or, key-first, by
+// fingerprint (`planFingerprint` + `workflow`, a few hundred bytes). Either
+// kind whose key the session's plan store holds — or, for a key-first
+// document on a coordinator, a worker's store — is answered 202 with a job
+// that is already done, whose result is the stored document written byte
+// for byte: nothing is decoded, re-encoded, fingerprinted, queued or
+// journaled. A key-first document nobody can answer gets 404
+// {"kind":"not_found","op":"probe","message":"plan required…"}, and the
+// submitter posts the full document, which is journaled and queued as ever.
+//
 // Errors travel as {"error": {kind, op, workflow, job, message}} with the
 // kind-appropriate HTTP status (429 overloaded, 503 draining or unable to
 // journal the submission, 404 unknown job, 409 not finished, ...); Client
@@ -48,8 +59,8 @@ type Server struct {
 
 	mu       sync.RWMutex
 	jobs     map[string]*OptimizeHandle
-	order    []string          // submission order, for terminal-handle pruning
-	inflight map[string]string // request fingerprint → live job ID (journaled servers)
+	order    []string                 // submission order, for terminal-handle pruning
+	inflight map[planstore.Key]string // admission key → live job ID (journaled servers)
 }
 
 // ServerOption configures a Server under construction.
@@ -106,7 +117,7 @@ func NewServer(sess *Session, opts ...ServerOption) *Server {
 		retain:      1024,
 		retryPerJob: DefaultRetryAfterPerJob,
 		jobs:        make(map[string]*OptimizeHandle),
-		inflight:    make(map[string]string),
+		inflight:    make(map[planstore.Key]string),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -120,25 +131,35 @@ func NewServer(sess *Session, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	if s.journal != nil {
+		// A journaled server outlives its process, and so do the job IDs its
+		// clients hold: one acknowledged before a crash must name the same
+		// job after it (recovery preserves it) or no job at all — never a
+		// different job of the next incarnation, whose plan the client would
+		// take for its own. So every incarnation numbers its jobs under an
+		// epoch of its own, the nanosecond it started.
+		sess.jobEpoch = strconv.FormatInt(time.Now().UnixNano(), 36) + "-"
 		s.recoverJournaled()
 	}
 	return s
 }
 
-// adopt registers a freshly submitted (or recovered) handle for lookup,
-// indexes its fingerprint as in-flight, and — on journaled servers —
-// starts the watcher that journals its lifecycle transitions.
-func (s *Server) adopt(h *OptimizeHandle, key string) {
+// adopt registers a freshly submitted (or recovered) handle for lookup
+// and — on journaled servers — indexes its key as in flight and starts the
+// watcher that journals its lifecycle transitions. A job the server answered
+// from bytes at hand has no submit record and nothing to recover, so it is
+// neither indexed nor watched.
+func (s *Server) adopt(h *OptimizeHandle) {
+	journaled := s.journal != nil && h.raw == nil
 	s.mu.Lock()
 	s.jobs[h.ID()] = h
 	s.order = append(s.order, h.ID())
-	if s.journal != nil && key != "" {
-		s.inflight[key] = h.ID()
+	if journaled {
+		s.inflight[h.key] = h.ID()
 	}
 	s.pruneLocked()
 	s.mu.Unlock()
-	if s.journal != nil {
-		go s.watch(h, key)
+	if journaled {
+		go s.watch(h)
 	}
 }
 
@@ -240,20 +261,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// readBody reads a submission's body into one buffer sized from the declared
+// Content-Length (a body that declares none is read to its end), refusing
+// anything over the server's bound.
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
+	tooLarge := stubbyerr.New(stubbyerr.KindInvalid, "submit", "", "",
+		"request body exceeds %d bytes", s.maxBody)
+	if r.ContentLength > s.maxBody {
+		return nil, tooLarge
+	}
+	body, err := jobclient.ReadBody(io.LimitReader(r.Body, s.maxBody+1), r.ContentLength)
+	if err != nil {
+		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "submit", "", err)
+	}
+	if int64(len(body)) > s.maxBody { // only a body that declared no length can get here
+		return nil, tooLarge
+	}
+	return body, nil
+}
+
+// handleSubmit admits one optimize-request document, full or key-first.
+// Either kind whose answer is at hand — in the session's plan store, or, for
+// a key-first document on a coordinator, on a worker — is answered without
+// touching the queue or the journal: the job is born terminal around the
+// encoded result document, which GET …/result then writes as is. Otherwise a
+// full document is journaled and queued, and a key-first one is refused
+// with KindNotFound ("plan required"): the submitter sends the plan.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeError(w, stubbyerr.New(stubbyerr.KindUnavailable, "submit", "", "",
 			"server is draining"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
+	body, err := s.readBody(r)
 	if err != nil {
-		s.writeError(w, stubbyerr.WithKind(stubbyerr.KindInvalid, "submit", "", err))
-		return
-	}
-	if int64(len(body)) > s.maxBody {
-		s.writeError(w, stubbyerr.New(stubbyerr.KindInvalid, "submit", "", "",
-			"request body exceeds %d bytes", s.maxBody))
+		s.writeError(w, err)
 		return
 	}
 	req, err := planio.DecodeRequest(body)
@@ -274,14 +316,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			oreq.deadline = time.Now().Add(time.Duration(v) * time.Millisecond)
 		}
 	}
-	var key string
+	// The plan is fingerprinted once, here; the in-flight index, the store
+	// lookup and the worker's store key all read this one digest.
+	wfName, fp := req.Workflow, req.Fingerprint
+	if req.Plan != nil {
+		wfName, fp = req.Plan.Name, wf.FingerprintWorkflow(req.Plan)
+	}
+	a, err := s.sess.admit(oreq, wfName, fp)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	var doc []byte
+	if a.target.planStore != nil {
+		// The one store lookup of a hit. A failed or empty lookup is a miss.
+		doc, _, _ = a.target.planStore.Get(a.key)
+	}
+	if doc == nil && req.Plan == nil {
+		if doc, err = s.forwardProbe(r.Context(), a); err != nil {
+			s.writeError(w, err)
+			return
+		}
+	}
+	if doc != nil {
+		h := s.sess.finished(a, oreq, doc)
+		s.adopt(h)
+		writeJSON(w, http.StatusAccepted, planio.SubmitResponse{ID: h.ID(), State: h.State().String()})
+		return
+	}
 	if s.journal != nil {
-		// Idempotent admission: a fingerprint already in flight means this
+		// Idempotent admission: a key already in flight means this
 		// submission is a retry (or a concurrent duplicate) of live work —
 		// attach to the existing job instead of running it twice.
-		key = s.sess.requestKey(oreq)
 		s.mu.RLock()
-		prior := s.jobs[s.inflight[key]]
+		prior := s.jobs[s.inflight[a.key]]
 		s.mu.RUnlock()
 		if prior != nil && !prior.State().Terminal() {
 			writeJSON(w, http.StatusAccepted,
@@ -289,7 +357,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h, err := s.sess.Submit(r.Context(), oreq)
+	h, err := s.sess.enqueue(a, oreq)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -306,12 +374,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// client's retry policy (or the coordinator's re-dispatch)
 			// take the submission to a server that can journal it.
 			h.Cancel()
-			s.writeError(w, stubbyerr.WithKind(stubbyerr.KindUnavailable, "submit", req.Plan.Name,
+			s.writeError(w, stubbyerr.WithKind(stubbyerr.KindUnavailable, "submit", wfName,
 				fmt.Errorf("journal append: %w", err)))
 			return
 		}
 	}
-	s.adopt(h, key)
+	s.adopt(h)
 	writeJSON(w, http.StatusAccepted, planio.SubmitResponse{ID: h.ID(), State: h.State().String()})
 }
 
@@ -384,6 +452,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	if h.raw != nil {
+		writeResult(w, h.raw)
+		return
+	}
 	switch h.State() {
 	case StateQueued, StateRunning:
 		s.writeError(w, stubbyerr.New(stubbyerr.KindConflict, "result", h.WorkflowName(), "",
@@ -410,9 +482,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, stubbyerr.From("result", h.WorkflowName(), err))
 		return
 	}
+	writeResult(w, data)
+}
+
+// writeResult writes an encoded result document as the response body, its
+// length declared so the receiver reads it into one buffer of that size.
+func writeResult(w http.ResponseWriter, doc []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	_, _ = w.Write(doc)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

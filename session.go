@@ -15,6 +15,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/service"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
+	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/whatif/estcache"
 )
@@ -140,7 +141,11 @@ type Session struct {
 	queueOnce  sync.Once
 	queue      *service.Queue
 	closed     atomic.Bool
-	jobSeq     atomic.Uint64
+	// Job IDs are "job-<epoch><n>": n counts the session's submissions, and
+	// epoch — empty unless a journaled Server sets it — tells one
+	// incarnation of a crash-safe server from the next.
+	jobSeq   atomic.Uint64
+	jobEpoch string
 }
 
 // SessionOption configures a Session under construction.
@@ -471,7 +476,11 @@ func (s *Session) Optimize(ctx context.Context, w *Workflow) (*Result, error) {
 	if name == "" {
 		name = "stubby"
 	}
-	res, err := s.optimizeNamed(ctx, w, name, s.seed, nil)
+	var fp wf.Fingerprint
+	if s.planStore != nil {
+		fp = wf.FingerprintWorkflow(w) // only the store key reads it
+	}
+	res, err := s.optimizeNamed(ctx, w, s.planKey(fp, name, s.seed), nil)
 	if err != nil {
 		return nil, stubbyerr.From("optimize", w.Name, err)
 	}

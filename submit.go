@@ -4,14 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/optimizer"
+	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/service"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
+	"github.com/stubby-mr/stubby/internal/wf"
 )
 
 // JobState is the lifecycle state of a submitted optimization:
@@ -84,8 +84,13 @@ type Progress struct {
 type OptimizeHandle struct {
 	id       string
 	workflow string
+	key      planstore.Key // the admission's: what names the job's outcome
 	job      *service.Job
 	obs      Observer // deprecated session observer, fanned out by the bridge
+	// raw, set only on a job the server answered from bytes already at hand
+	// (a plan-store hit, a worker's relayed answer), is the encoded result
+	// document GET …/result writes as is. Immutable once the handle exists.
+	raw []byte
 
 	mu           sync.Mutex
 	units        int
@@ -233,6 +238,52 @@ func (b submitObserver) BestCostImproved(unit int, desc string, cost float64) {
 	}
 }
 
+// admission is a submission resolved against the session that serves it:
+// the session the job runs on (the serving one, or one derived for the
+// request's cluster) and that session's plan-store key for the job — the
+// plan's fingerprint, the cluster's, and the planner and seed with the
+// serving session's defaults filled in. Equal keys mean byte-identical
+// plans, so the key is also the job's identity in a journaled server's
+// in-flight index.
+type admission struct {
+	target   *Session
+	workflow string // the submitted workflow's name
+	key      planstore.Key
+}
+
+// admit resolves req — planner, seed, cluster — for the workflow named
+// wfName and fingerprinted fp, rejecting what no server could run: a closed
+// session, an invalid cluster, an unknown planner. It never reads
+// req.Workflow, so a key-first submission resolves exactly as the full
+// document would.
+func (s *Session) admit(req OptimizeRequest, wfName string, fp wf.Fingerprint) (admission, error) {
+	const op = "submit"
+	if s.closed.Load() {
+		return admission{}, stubbyerr.New(stubbyerr.KindUnavailable, op, wfName, "",
+			"session is closed")
+	}
+	target, err := s.deriveFor(req)
+	if err != nil {
+		return admission{}, stubbyerr.WithKind(stubbyerr.KindInvalid, op, wfName, err)
+	}
+	name := req.Planner
+	if name == "" {
+		name = s.plannerName
+	}
+	if name == "" {
+		name = "stubby"
+	}
+	if _, ok := s.registry.Lookup(name); !ok {
+		return admission{}, stubbyerr.New(stubbyerr.KindUnknownPlanner, op, wfName, "",
+			"unknown planner %q", name)
+	}
+	seed := req.Seed
+	if seed == 0 {
+		seed = s.seed
+	}
+	return admission{target: target, workflow: wfName, key: target.planKey(fp, name, seed)}, nil
+}
+
 // Submit admits the request to the session's bounded queue and returns a
 // handle immediately. The optimization runs asynchronously on the
 // session's worker pool (WithParallelism workers over a WithQueueDepth
@@ -245,42 +296,58 @@ func (s *Session) Submit(ctx context.Context, req OptimizeRequest) (*OptimizeHan
 	if req.Workflow == nil {
 		return nil, stubbyerr.New(stubbyerr.KindInvalid, op, "", "", "nil workflow")
 	}
-	wfName := req.Workflow.Name
 	if err := ctx.Err(); err != nil {
-		return nil, stubbyerr.From(op, wfName, err)
+		return nil, stubbyerr.From(op, req.Workflow.Name, err)
 	}
-	if s.closed.Load() {
-		return nil, stubbyerr.New(stubbyerr.KindUnavailable, op, wfName, "",
-			"session is closed")
-	}
-	target, err := s.deriveFor(req)
+	// Fingerprinted whether or not a store is attached: a journaled server
+	// indexes the jobs it recovers through Submit by this key.
+	a, err := s.admit(req, req.Workflow.Name, wf.FingerprintWorkflow(req.Workflow))
 	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, op, wfName, err)
+		return nil, err
 	}
-	name := req.Planner
-	if name == "" {
-		name = s.plannerName
+	// A plan-store hit skips the queue entirely: the stored plan is
+	// decodable right now, so the job finishes on the submitting goroutine
+	// and never occupies a worker.
+	if a.target.planStore != nil {
+		if res, ok := a.target.storeLookup(a.key, req.Workflow); ok {
+			return s.finished(a, req, res), nil
+		}
 	}
-	if name == "" {
-		name = "stubby"
-	}
-	if _, ok := s.registry.Lookup(name); !ok {
-		return nil, stubbyerr.New(stubbyerr.KindUnknownPlanner, op, wfName, "",
-			"unknown planner %q", name)
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.seed
-	}
+	return s.enqueue(a, req)
+}
+
+// newHandle builds the handle of a job under a fresh ID (or, for a job
+// recovered from the journal, its original one).
+func (s *Session) newHandle(a admission, req OptimizeRequest) *OptimizeHandle {
 	id := req.resumeID
 	if id == "" {
-		id = fmt.Sprintf("job-%d", s.jobSeq.Add(1))
+		id = fmt.Sprintf("job-%s%d", s.jobEpoch, s.jobSeq.Add(1))
 	}
-	h := &OptimizeHandle{
-		id:       id,
-		workflow: wfName,
-		obs:      s.observer,
+	return &OptimizeHandle{id: id, workflow: a.workflow, key: a.key, obs: s.observer}
+}
+
+// finished returns the handle of a job that is born terminal because its
+// answer was at hand: res is a decoded *Result (Submit's own store hit) or
+// the encoded result document as the store or a worker holds it (the
+// server's, which serves those bytes as they are). Subscribers still see the
+// full Queued→Running→Done lifecycle, with the store's report when this
+// session's store gave the answer.
+func (s *Session) finished(a admission, req OptimizeRequest, res any) *OptimizeHandle {
+	h := s.newHandle(a, req)
+	h.raw, _ = res.([]byte)
+	h.job = service.NewJob(h.id, nil)
+	if a.target.planStore != nil {
+		h.job.Publish(PlanStoreEvent{Workflow: a.workflow, Hit: true,
+			Stats: a.target.planStore.Stats()})
 	}
+	h.job.Finish(res)
+	return h
+}
+
+// enqueue queues the admitted optimization on the session's worker pool.
+func (s *Session) enqueue(a admission, req OptimizeRequest) (*OptimizeHandle, error) {
+	target, wfName := a.target, a.workflow
+	h := s.newHandle(a, req)
 	h.job = service.NewJobWithDeadline(h.id, req.deadline, func(ctx context.Context) (any, error) {
 		var res *Result
 		var err error
@@ -289,13 +356,13 @@ func (s *Session) Submit(ctx context.Context, req OptimizeRequest) (*OptimizeHan
 			// no-live-workers condition falls back to the local optimizer;
 			// any other dispatch failure is the job's real outcome (the
 			// coordinator already re-dispatched transient failures).
-			res, err = target.dispatchOptimize(ctx, req, name, seed)
+			res, err = target.dispatchOptimize(ctx, req, a.key.Planner, a.key.Seed)
 			if err != nil && !errors.Is(err, ErrNoWorkers) {
 				return nil, stubbyerr.From("optimize", wfName, err)
 			}
 		}
 		if res == nil {
-			res, err = target.optimizeNamed(ctx, req.Workflow, name, seed, submitObserver{h})
+			res, err = target.optimizeNamed(ctx, req.Workflow, a.key, submitObserver{h})
 			if err != nil {
 				return nil, stubbyerr.From("optimize", wfName, err)
 			}
@@ -320,18 +387,6 @@ func (s *Session) Submit(ctx context.Context, req OptimizeRequest) (*OptimizeHan
 		}
 		return res, nil
 	})
-	// A plan-store hit skips the queue entirely: the stored plan is
-	// decodable right now, so the job finishes on the submitting goroutine
-	// with the full Queued→Running→Done lifecycle (and a storeReport event)
-	// and never occupies a worker.
-	if target.planStore != nil {
-		if res, ok := target.storeLookup(req.Workflow, name, seed); ok {
-			h.job.Publish(PlanStoreEvent{Workflow: wfName, Hit: true,
-				Stats: target.planStore.Stats()})
-			h.job.Finish(res)
-			return h, nil
-		}
-	}
 	if err := s.jobQueue().Submit(h.job); err != nil {
 		var se *Error
 		if errors.As(err, &se) {
@@ -340,25 +395,9 @@ func (s *Session) Submit(ctx context.Context, req OptimizeRequest) (*OptimizeHan
 			e.Workflow = wfName
 			return nil, &e
 		}
-		return nil, stubbyerr.From(op, wfName, err)
+		return nil, stubbyerr.From("submit", wfName, err)
 	}
 	return h, nil
-}
-
-// reserveJobID advances the session's job-ID sequence past a recovered
-// job's numeric suffix, so fresh submissions after a journal recovery
-// never collide with a preserved pre-crash ID.
-func (s *Session) reserveJobID(id string) {
-	n, err := strconv.ParseUint(strings.TrimPrefix(id, "job-"), 10, 64)
-	if err != nil {
-		return
-	}
-	for {
-		cur := s.jobSeq.Load()
-		if cur >= n || s.jobSeq.CompareAndSwap(cur, n) {
-			return
-		}
-	}
 }
 
 // jobQueue lazily creates the session's admission queue: WithParallelism

@@ -172,10 +172,22 @@ func TestWireGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, filepath.Join("testdata", "wire", fmt.Sprintf("request-seed-%02d.golden", seed)), reqData)
-			checkGolden(t, filepath.Join("testdata", "wire", fmt.Sprintf("result-seed-%02d.golden", seed)), resData)
+			// The encoders write compact JSON; the goldens hold the same
+			// documents indented (MarshalIndent is Marshal + Indent), which
+			// keeps schema diffs reviewable.
+			checkGolden(t, filepath.Join("testdata", "wire", fmt.Sprintf("request-seed-%02d.golden", seed)), indentJSON(t, reqData))
+			checkGolden(t, filepath.Join("testdata", "wire", fmt.Sprintf("result-seed-%02d.golden", seed)), indentJSON(t, resData))
 		})
 	}
+}
+
+func indentJSON(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, doc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func checkGolden(t *testing.T, path string, got []byte) {
@@ -393,8 +405,9 @@ func TestRemoteOverloadTyped(t *testing.T) {
 }
 
 // legacyRequestBody renders req the way a client built before the
-// estimation-mode knob was retired could: the current document plus a
-// top-level "disableIncremental": true member.
+// estimation-mode knob was retired could: the current document, indented
+// as those clients wrote it, plus a top-level "disableIncremental": true
+// member.
 func legacyRequestBody(t *testing.T, req *planio.Request) []byte {
 	t.Helper()
 	body, err := planio.EncodeRequest(req)
@@ -404,6 +417,7 @@ func legacyRequestBody(t *testing.T, req *planio.Request) []byte {
 	if bytes.Contains(body, []byte("disableIncremental")) {
 		t.Fatal("EncodeRequest emitted the retired disableIncremental member")
 	}
+	body = indentJSON(t, body)
 	legacy := bytes.Replace(body, []byte(`"version": 1,`),
 		[]byte("\"version\": 1,\n  \"disableIncremental\": true,"), 1)
 	if bytes.Equal(legacy, body) {
