@@ -288,6 +288,86 @@ func TestJournalRestartCanceledStaysCanceled(t *testing.T) {
 	}
 }
 
+// TestJournalRecoveryBacklogExceedsQueue: a server restarted with a smaller
+// queue than the backlog it journaled loses none of it. Three jobs are in
+// flight at the kill; the next incarnation has one worker and one queue
+// slot, so recovery can place two and the third must wait — however long —
+// for the first to finish. All three complete under their original IDs and
+// none is journaled failed.
+func TestJournalRecoveryBacklogExceedsQueue(t *testing.T) {
+	dir := t.TempDir()
+	storeDir, journalDir := filepath.Join(dir, "store"), filepath.Join(dir, "journal")
+	ctx := context.Background()
+
+	f1 := newJournaledFixture(t, storeDir, journalDir)
+	wl := tinyWorkload(t, "IR")
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		job, err := f1.client.Submit(ctx, stubby.OptimizeRequest{
+			Workflow: wl.Workflow, Planner: "blocking", Cluster: wl.Cluster, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID())
+	}
+	f1.crash(t)
+
+	// No plan store this time: the killed incarnation's released jobs may
+	// still publish their plans, and a recovered job answered from the
+	// store would never occupy the queue this test is about.
+	sess, err := stubby.NewSession(stubby.WithSeed(1), stubby.WithParallelism(1),
+		stubby.WithQueueDepth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := registerBlocking(t, sess)
+	journal, err := stubby.OpenJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NewServer re-enqueues the backlog before it returns, so it is held
+	// until the gate opens: the worker is parked in job one, job two fills
+	// the queue, job three has nowhere to go.
+	built := make(chan *stubby.Server, 1)
+	go func() { built <- stubby.NewServer(sess, stubby.WithJournal(journal)) }()
+	<-started
+	select {
+	case <-built:
+		t.Fatal("NewServer returned with a third of the backlog unplaced")
+	default:
+	}
+	close(release)
+	srv := <-built
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	client, err := stubby.NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		waitRemoteState(t, client, id, stubby.StateDone)
+	}
+	// Every job reaches the journal as done (running and done, a moment
+	// after the job's own events): a reopen finds nothing to recover. (A job
+	// recovery gave up on is journaled failed and never adopted, so its ID
+	// would have been unknown above.)
+	waitTransitions(t, srv, 6)
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := stubby.OpenJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if st := reopened.Stats(); st.Recovered != 0 {
+		t.Fatalf("reopened journal recovers %d jobs, want 0", st.Recovered)
+	}
+}
+
 // TestWireCancelRacesCompletion: Cancel issued concurrently with the
 // job's completion must land in exactly one consistent terminal state —
 // Done with a result, or Canceled with a typed error — on the wire and

@@ -64,9 +64,9 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	return c, nil
 }
 
-// ServiceStats is a stubbyd server's /statsz snapshot: queue occupancy
-// plus the counters of the serving session's optional subsystems.
-// EstimateCache and PlanStore are nil when the server runs without them.
+// ServiceStats is a stubbyd server's /statsz snapshot: status, queue
+// occupancy, and one pointer per optional section of counters, nil when the
+// server runs without that subsystem (planio.StatszDoc lists the sections).
 type ServiceStats struct {
 	// Status is "ok", or "draining" after shutdown began.
 	Status string
@@ -96,35 +96,18 @@ func (c *Client) Stats(ctx context.Context) (*ServiceStats, error) {
 	if err := c.t.JSON(ctx, "stats", http.MethodGet, "/statsz", nil, &doc); err != nil {
 		return nil, err
 	}
-	st := &ServiceStats{
-		Status:     doc.Status,
-		Workers:    doc.Queue.Workers,
-		QueueDepth: doc.Queue.Depth,
-		Queued:     doc.Queue.Queued,
-		Busy:       doc.Queue.Busy,
-	}
-	if doc.EstCache != nil {
-		st.EstimateCache = &EstimateCacheStats{Hits: doc.EstCache.Hits,
-			Misses: doc.EstCache.Misses, Evictions: doc.EstCache.Evictions,
-			Entries: doc.EstCache.Entries, Capacity: doc.EstCache.Capacity}
-	}
-	if doc.PlanStore != nil {
-		stats := storeStatsFromDoc(doc.PlanStore)
-		st.PlanStore = &stats
-	}
-	if doc.ReuseCatalog != nil {
-		stats := reuseStatsFromDoc(doc.ReuseCatalog)
-		st.ReuseCatalog = &stats
-	}
-	if doc.Journal != nil {
-		stats := journalStatsFromDoc(doc.Journal)
-		st.Journal = &stats
-	}
-	if doc.Cluster != nil {
-		stats := clusterStatsFromDoc(*doc.Cluster)
-		st.Cluster = &stats
-	}
-	return st, nil
+	return &ServiceStats{
+		Status:        doc.Status,
+		Workers:       doc.Queue.Workers,
+		QueueDepth:    doc.Queue.Depth,
+		Queued:        doc.Queue.Queued,
+		Busy:          doc.Queue.Busy,
+		EstimateCache: doc.EstCache,
+		PlanStore:     doc.PlanStore,
+		ReuseCatalog:  doc.ReuseCatalog,
+		Journal:       doc.Journal,
+		Cluster:       doc.Cluster,
+	}, nil
 }
 
 // Submit posts the request and returns a remote job bound to the

@@ -7,6 +7,7 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/cluster"
 	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 )
 
@@ -58,30 +59,9 @@ func WithWorkerStats(fn func() (claimHits, computes uint64)) WorkerAgentOption {
 	return cluster.WithAgentStats(fn)
 }
 
-// ClusterStats snapshots a coordinator's view of the cluster: membership,
-// live leases, the dispatch/failover counters, and the cluster-wide
-// single-flight totals summed from worker heartbeats.
-type ClusterStats struct {
-	// Workers is total registered; LiveWorkers those holding a lease.
-	Workers     int
-	LiveWorkers int
-	// Leases is the number of in-flight dispatches on live workers.
-	Leases int
-	// Dispatches counts first dispatch attempts; Redispatches counts
-	// attempts re-routed off a dead or expired worker; Failovers counts
-	// jobs that found no live worker and ran on the coordinator itself. A
-	// key-first probe that a worker refuses with "plan required" ran
-	// nothing and is not counted; the full document that follows it is.
-	Dispatches   uint64
-	Redispatches uint64
-	Failovers    uint64
-	// SingleFlightHits sums the workers' last-reported cross-replica
-	// single-flight hits (optimizations answered by another replica's
-	// concurrent computation); Computes sums the optimizations workers
-	// actually ran.
-	SingleFlightHits uint64
-	Computes         uint64
-}
+// ClusterStats snapshots a coordinator's view of the cluster; see
+// Server.ClusterStats.
+type ClusterStats = stats.Cluster
 
 // WithCoordinator mounts a coordinator onto the server: the cluster
 // control plane (/v1/cluster/register, /v1/cluster/heartbeat,
@@ -107,23 +87,7 @@ func (s *Server) ClusterStats() (ClusterStats, bool) {
 	if s.coordinator == nil {
 		return ClusterStats{}, false
 	}
-	return clusterStatsFromDoc(s.coordinator.Stats()), true
-}
-
-// clusterStatsDoc converts cluster stats to their wire form.
-func clusterStatsDoc(st ClusterStats) *planio.ClusterStatsDoc {
-	return &planio.ClusterStatsDoc{Workers: st.Workers, LiveWorkers: st.LiveWorkers,
-		Leases: st.Leases, Dispatches: st.Dispatches, Redispatches: st.Redispatches,
-		Failovers: st.Failovers, SingleFlightHits: st.SingleFlightHits,
-		Computes: st.Computes}
-}
-
-// clusterStatsFromDoc is the client-side inverse of clusterStatsDoc.
-func clusterStatsFromDoc(d planio.ClusterStatsDoc) ClusterStats {
-	return ClusterStats{Workers: d.Workers, LiveWorkers: d.LiveWorkers,
-		Leases: d.Leases, Dispatches: d.Dispatches, Redispatches: d.Redispatches,
-		Failovers: d.Failovers, SingleFlightHits: d.SingleFlightHits,
-		Computes: d.Computes}
+	return s.coordinator.Stats(), true
 }
 
 // forwardProbe is what a server does with a key-first submission its own

@@ -18,7 +18,7 @@
 //	GET  /v1/jobs/{id}/events  NDJSON event stream (?from=N resumes)
 //	GET  /healthz              liveness + queue shape
 //	GET  /readyz               readiness (503 while draining)
-//	GET  /statsz               queue/cache/plan-store/journal counters
+//	GET  /statsz               counters, section by section (planio.StatszDoc)
 //
 // With -store DIR, optimized plans are persisted to a content-addressed
 // store under DIR and repeat submissions — across restarts and across

@@ -34,6 +34,7 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/framelog"
 	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/trans"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
@@ -80,43 +81,9 @@ type Entry struct {
 	StoredAtMS int64 `json:"storedAtMS,omitempty"`
 }
 
-// Stats is a point-in-time snapshot of catalog activity. Counters are
-// cumulative since Open.
-type Stats struct {
-	// Entries is the current number of distinct fingerprints held.
-	Entries int
-	// Puts counts entries published (including overwrites of a fingerprint).
-	Puts uint64
-	// Hits / Misses count Lookup outcomes; a CRC or decode failure on read
-	// counts as a miss (and an Error).
-	Hits   uint64
-	Misses uint64
-	// Compacted is how many stale records (duplicate fingerprints) the
-	// reopening compaction dropped.
-	Compacted int
-	// Expired is how many entries the reopening scan dropped for exceeding
-	// the TTL (WithTTL); Vanished is how many it dropped because their
-	// stored dataset location no longer exists (WithLocationCheck). Both
-	// are eviction outcomes, not errors.
-	Expired  int
-	Vanished int
-	// TornBytes is how many trailing bytes the reopening scan discarded as a
-	// torn or corrupt tail.
-	TornBytes int64
-	// BytesWritten counts record bytes appended (headers included).
-	BytesWritten uint64
-	// Errors counts append/sync/verify failures; lookups keep working when
-	// it rises, falling back to recomputation.
-	Errors uint64
-}
-
-// HitRate returns Hits over total lookups, or 0 when none happened.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
+// Stats is a point-in-time snapshot of catalog activity, declared in
+// internal/stats.
+type Stats = stats.Reuse
 
 // framed is one in-memory record: the raw payload with its CRC, re-verified
 // on every read.

@@ -31,6 +31,7 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/jobclient"
 	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 )
 
@@ -255,10 +256,10 @@ func (c *Coordinator) Workers() []planio.WorkerDoc {
 // Stats snapshots the cluster counters for /statsz. SingleFlightHits and
 // Computes are cluster-wide sums of the workers' last-reported store
 // counters.
-func (c *Coordinator) Stats() planio.ClusterStatsDoc {
+func (c *Coordinator) Stats() stats.Cluster {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	doc := planio.ClusterStatsDoc{
+	st := stats.Cluster{
 		Workers:      len(c.workers),
 		Dispatches:   c.dispatches,
 		Redispatches: c.redispatches,
@@ -266,13 +267,13 @@ func (c *Coordinator) Stats() planio.ClusterStatsDoc {
 	}
 	for _, w := range c.workers {
 		if !w.dead {
-			doc.LiveWorkers++
-			doc.Leases += w.leases
+			st.LiveWorkers++
+			st.Leases += w.leases
 		}
-		doc.SingleFlightHits += w.claimHits
-		doc.Computes += w.computes
+		st.SingleFlightHits += w.claimHits
+		st.Computes += w.computes
 	}
-	return doc
+	return st
 }
 
 // Dispatch runs one encoded optimize request (a planio request document,

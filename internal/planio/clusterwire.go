@@ -69,20 +69,6 @@ type WorkersResponse struct {
 	Workers []WorkerDoc `json:"workers"`
 }
 
-// ClusterStatsDoc is the cluster section of /statsz on a coordinator:
-// membership, live leases, and the dispatch/failover counters, plus the
-// cluster-wide single-flight totals summed from worker heartbeats.
-type ClusterStatsDoc struct {
-	Workers          int    `json:"workers"`
-	LiveWorkers      int    `json:"liveWorkers"`
-	Leases           int    `json:"leases"`
-	Dispatches       uint64 `json:"dispatches"`
-	Redispatches     uint64 `json:"redispatches"`
-	Failovers        uint64 `json:"failovers"`
-	SingleFlightHits uint64 `json:"singleFlightHits"`
-	Computes         uint64 `json:"computes"`
-}
-
 // decodeStrict parses one control or job-wire document into `into`,
 // rejecting unknown fields.
 func decodeStrict(data []byte, kind string, into any) error {

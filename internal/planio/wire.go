@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"github.com/stubby-mr/stubby/internal/mrsim"
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
@@ -401,48 +402,6 @@ const (
 	EventReuseReport       = "reuseReport"
 )
 
-// CacheStatsDoc is the wire form of the estimate cache's counters.
-type CacheStatsDoc struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
-
-// StoreStatsDoc is the wire form of the plan store's counters.
-type StoreStatsDoc struct {
-	Hits         uint64 `json:"hits"`
-	MemHits      uint64 `json:"memHits"`
-	DiskHits     uint64 `json:"diskHits"`
-	Misses       uint64 `json:"misses"`
-	Computes     uint64 `json:"computes"`
-	Puts         uint64 `json:"puts"`
-	Evictions    uint64 `json:"evictions"`
-	BytesWritten uint64 `json:"bytesWritten"`
-	BytesRead    uint64 `json:"bytesRead"`
-	Errors       uint64 `json:"errors"`
-	Entries      int    `json:"entries"`
-	Segments     int    `json:"segments"`
-	Claims       uint64 `json:"claims,omitempty"`
-	ClaimWaits   uint64 `json:"claimWaits,omitempty"`
-	ClaimHits    uint64 `json:"claimHits,omitempty"`
-}
-
-// ReuseStatsDoc is the wire form of the sub-plan reuse catalog's counters.
-type ReuseStatsDoc struct {
-	Entries      int    `json:"entries"`
-	Puts         uint64 `json:"puts"`
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Compacted    int    `json:"compacted"`
-	TornBytes    int64  `json:"tornBytes"`
-	BytesWritten uint64 `json:"bytesWritten"`
-	Errors       uint64 `json:"errors"`
-	Expired      int    `json:"expired,omitempty"`
-	Vanished     int    `json:"vanished,omitempty"`
-}
-
 // EventDoc is the wire form of one progress event: a closed set of type
 // tags over a flat field union (NDJSON-friendly — one compact object per
 // stream line). Unknown types are skipped by clients, so the stream can
@@ -461,12 +420,12 @@ type EventDoc struct {
 	End        float64        `json:"end,omitempty"`
 	State      string         `json:"state,omitempty"`
 	Error      *ErrorDoc      `json:"error,omitempty"`
-	Cache      *CacheStatsDoc `json:"cache,omitempty"`
+	Cache      *stats.Cache   `json:"cache,omitempty"`
 	Hit        bool           `json:"hit,omitempty"`
-	Store      *StoreStatsDoc `json:"store,omitempty"`
+	Store      *stats.Store   `json:"store,omitempty"`
 	Robustness *RobustnessDoc `json:"robustness,omitempty"`
 	Reused     int            `json:"reused,omitempty"`
-	Reuse      *ReuseStatsDoc `json:"reuse,omitempty"`
+	Reuse      *stats.Reuse   `json:"reuse,omitempty"`
 }
 
 // StatusDoc is the wire form of a job's status: lifecycle state, the
@@ -489,36 +448,18 @@ type SubmitResponse struct {
 	State string `json:"state"`
 }
 
-// QueueStatsDoc describes the job queue's occupancy.
-type QueueStatsDoc struct {
-	Workers int `json:"workers"`
-	Depth   int `json:"depth"`
-	Queued  int `json:"queued"`
-	Busy    int `json:"busy"`
-}
-
-// JournalStatsDoc is the wire form of the job journal's counters.
-type JournalStatsDoc struct {
-	Submits      uint64 `json:"submits"`
-	Transitions  uint64 `json:"transitions"`
-	Recovered    int    `json:"recovered"`
-	Compacted    int    `json:"compacted"`
-	Compactions  uint64 `json:"compactions,omitempty"`
-	TornBytes    int64  `json:"tornBytes"`
-	BytesWritten uint64 `json:"bytesWritten"`
-	Errors       uint64 `json:"errors"`
-}
-
 // StatszDoc is the wire form of the /statsz endpoint: server status plus
-// the counters of every subsystem a serving session carries. EstCache,
-// PlanStore, ReuseCatalog, and Journal are nil when the session runs
-// without them.
+// the six sections of counters a server can carry, each declared once, in
+// internal/stats. The queue is always present; the estimate cache, plan
+// store, reuse catalog and journal are nil when the serving session runs
+// without them, and the cluster section is nil unless the server mounts a
+// coordinator.
 type StatszDoc struct {
-	Status       string           `json:"status"`
-	Queue        QueueStatsDoc    `json:"queue"`
-	EstCache     *CacheStatsDoc   `json:"estcache,omitempty"`
-	PlanStore    *StoreStatsDoc   `json:"planstore,omitempty"`
-	ReuseCatalog *ReuseStatsDoc   `json:"reusecatalog,omitempty"`
-	Journal      *JournalStatsDoc `json:"journal,omitempty"`
-	Cluster      *ClusterStatsDoc `json:"cluster,omitempty"`
+	Status       string         `json:"status"`
+	Queue        stats.Queue    `json:"queue"`
+	EstCache     *stats.Cache   `json:"estcache,omitempty"`
+	PlanStore    *stats.Store   `json:"planstore,omitempty"`
+	ReuseCatalog *stats.Reuse   `json:"reusecatalog,omitempty"`
+	Journal      *stats.Journal `json:"journal,omitempty"`
+	Cluster      *stats.Cluster `json:"cluster,omitempty"`
 }

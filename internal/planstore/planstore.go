@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 
 	"github.com/stubby-mr/stubby/internal/framelog"
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
 
@@ -93,55 +94,9 @@ type Address [2]uint64
 // String renders the address as 32 hex digits.
 func (a Address) String() string { return fmt.Sprintf("%016x%016x", a[0], a[1]) }
 
-// Stats is a point-in-time snapshot of store activity. All counters are
-// cumulative since Open.
-type Stats struct {
-	// Hits counts lookups answered without running compute: memory hits,
-	// disk hits, and single-flight waits on another caller's computation.
-	Hits uint64
-	// MemHits / DiskHits split Hits by where the bytes came from (waits on
-	// an in-flight computation count toward Hits only).
-	MemHits  uint64
-	DiskHits uint64
-	// Misses counts lookups that found nothing anywhere.
-	Misses uint64
-	// Computes counts GetOrCompute calls that actually ran compute — the
-	// number of optimizations the whole process paid for.
-	Computes uint64
-	// Puts counts records appended to this writer's segment.
-	Puts uint64
-	// Evictions counts in-memory LRU evictions (disk entries are never
-	// evicted).
-	Evictions uint64
-	// BytesWritten / BytesRead count record payload traffic to/from disk.
-	BytesWritten uint64
-	BytesRead    uint64
-	// Errors counts background persistence failures (a failed append or
-	// index publish); reads and computes still succeed when it rises.
-	Errors uint64
-	// Claims counts cross-process claims this store acquired — the times it
-	// became the cluster-wide computing replica for an address.
-	Claims uint64
-	// ClaimWaits counts GetOrCompute calls that found another replica's
-	// live claim and waited on it instead of computing.
-	ClaimWaits uint64
-	// ClaimHits counts waits answered by another replica's publish — the
-	// cross-replica single-flight hits: optimizations this replica was
-	// about to run that another replica's concurrent computation covered.
-	ClaimHits uint64
-	// Entries is the number of distinct addresses known (memory + disk).
-	Entries int
-	// Segments is the number of segment files in the directory.
-	Segments int
-}
-
-// HitRate returns Hits over (Hits+Misses) in [0, 1] (zero when empty).
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
+// Stats is a point-in-time snapshot of store activity, declared in
+// internal/stats.
+type Stats = stats.Store
 
 // recLoc locates one record's payload inside a segment.
 type recLoc struct {

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"github.com/stubby-mr/stubby/internal/framelog"
+	"github.com/stubby-mr/stubby/internal/stats"
 )
 
 const (
@@ -82,31 +83,9 @@ type IncompleteJob struct {
 	DeadlineUnixMS int64
 }
 
-// JournalStats is a point-in-time snapshot of journal activity. Counters
-// are cumulative since Open.
-type JournalStats struct {
-	// Submits / Transitions count records appended by kind.
-	Submits     uint64
-	Transitions uint64
-	// Recovered is how many incomplete jobs the reopening scan yielded.
-	Recovered int
-	// Compacted is how many stale records (of already-terminal jobs)
-	// compaction has dropped: the reopening one plus every live one since.
-	Compacted int
-	// Compactions counts live (threshold-triggered) compactions performed
-	// since Open; the reopening compaction is not included.
-	Compactions uint64
-	// TornBytes is how many trailing bytes the reopening scan discarded as
-	// a torn or corrupt tail.
-	TornBytes int64
-	// BytesWritten counts record bytes appended (headers included).
-	BytesWritten uint64
-	// Errors counts failed appends and compactions; the service keeps
-	// running when it rises. A failed append is not journaled (framelog
-	// truncates it away), so that one submission or transition is not
-	// recoverable — but every later append that succeeds is.
-	Errors uint64
-}
+// JournalStats is a point-in-time snapshot of journal activity, declared
+// in internal/stats.
+type JournalStats = stats.Journal
 
 // Journal is a single-writer durable job journal. All methods are safe
 // for concurrent use; Append* calls from concurrent submissions serialize

@@ -351,7 +351,10 @@ func (j *Job) finishLocked(s State, res any, err error) {
 // KindOverloaded error instead of queueing unbounded work, and a draining
 // queue rejects with KindUnavailable.
 type Queue struct {
-	jobs    chan *Job
+	jobs chan *Job
+	// freed holds a token when a worker has taken a job off jobs since
+	// SubmitWait last looked: what a submitter waiting for room wakes on.
+	freed   chan struct{}
 	workers int
 	busy    atomic.Int64
 	wg      sync.WaitGroup
@@ -370,12 +373,16 @@ func NewQueue(workers, depth int) *Queue {
 	if depth < 1 {
 		depth = 1
 	}
-	q := &Queue{jobs: make(chan *Job, depth), workers: workers}
+	q := &Queue{jobs: make(chan *Job, depth), freed: make(chan struct{}, 1), workers: workers}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer q.wg.Done()
 			for j := range q.jobs {
+				select {
+				case q.freed <- struct{}{}:
+				default:
+				}
 				q.busy.Add(1)
 				j.Execute()
 				q.busy.Add(-1)
@@ -414,6 +421,27 @@ func (q *Queue) Submit(j *Job) error {
 	default:
 		return stubbyerr.New(stubbyerr.KindOverloaded, "submit", "", "",
 			"admission queue full (depth %d)", cap(q.jobs))
+	}
+}
+
+// SubmitWait admits j like Submit, but where Submit would shed it waits for
+// a worker to make room. It is for work that was already accepted and may
+// not be refused — a journaled backlog re-enqueued after a restart — never
+// for traffic. It returns KindUnavailable once the queue drains, or ctx's
+// error.
+func (q *Queue) SubmitWait(ctx context.Context, j *Job) error {
+	for {
+		err := q.Submit(j)
+		if !errors.Is(err, stubbyerr.KindOverloaded) {
+			return err
+		}
+		// Full: workers are busy or about to be, and the next job one of
+		// them takes leaves a token here.
+		select {
+		case <-q.freed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
 

@@ -179,6 +179,60 @@ func TestQueueShedsWithOverloadedKind(t *testing.T) {
 	}
 }
 
+// TestQueueSubmitWait: where Submit sheds, SubmitWait waits for a worker to
+// make room — every job of a backlog five times the queue's capacity is
+// admitted and runs — and it gives up only with its context or the queue.
+func TestQueueSubmitWait(t *testing.T) {
+	q := NewQueue(1, 1)
+	release := make(chan struct{})
+	var jobs []*Job
+	admitted := make(chan error)
+	go func() {
+		for i := 0; i < 10; i++ {
+			j := NewJob("j", func(ctx context.Context) (any, error) {
+				<-release
+				return nil, nil
+			})
+			jobs = append(jobs, j)
+			if err := q.SubmitWait(context.Background(), j); err != nil {
+				admitted <- err
+				return
+			}
+		}
+		close(admitted)
+	}()
+	// One job runs, one is queued, the third waits: a submitter with a
+	// deadline gives up while it does.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	for {
+		err := q.SubmitWait(ctx, NewJob("late", func(context.Context) (any, error) { return nil, nil }))
+		if errors.Is(err, context.DeadlineExceeded) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("SubmitWait on a full queue = %v, want the context's error", err)
+		}
+		// Admitted before the backlog filled the queue; it waits its turn.
+	}
+	close(release)
+	if err := <-admitted; err != nil {
+		t.Fatalf("SubmitWait refused a job: %v", err)
+	}
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		if j.State() != Done {
+			t.Fatalf("job %d state %v after drain", i, j.State())
+		}
+	}
+	err := q.SubmitWait(context.Background(), NewJob("late", func(context.Context) (any, error) { return nil, nil }))
+	if !errors.Is(err, stubbyerr.KindUnavailable) {
+		t.Fatalf("SubmitWait after drain = %v, want KindUnavailable", err)
+	}
+}
+
 func TestQueueRejectsAfterDrain(t *testing.T) {
 	q := NewQueue(1, 4)
 	if err := q.Drain(context.Background()); err != nil {

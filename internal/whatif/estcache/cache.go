@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/whatif"
 )
@@ -37,32 +38,9 @@ type Key struct {
 	Cluster uint64
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness counters.
-type Stats struct {
-	// Hits counts lookups answered from the cache, including lookups that
-	// waited on another caller's in-flight computation instead of starting
-	// their own.
-	Hits uint64
-	// Misses counts lookups that had to run the estimator.
-	Misses uint64
-	// Evictions counts entries dropped by the LRU bound.
-	Evictions uint64
-	// Entries is the current number of cached estimates.
-	Entries int
-	// Capacity is the maximum number of cached estimates.
-	Capacity int
-}
-
-// Lookups returns the total number of cache consultations.
-func (s Stats) Lookups() uint64 { return s.Hits + s.Misses }
-
-// HitRate returns Hits over Lookups in [0, 1] (zero when empty).
-func (s Stats) HitRate() float64 {
-	if l := s.Lookups(); l > 0 {
-		return float64(s.Hits) / float64(l)
-	}
-	return 0
-}
+// Stats is a point-in-time snapshot of cache effectiveness counters,
+// declared in internal/stats.
+type Stats = stats.Cache
 
 // entry is one cached estimate plus the job-ID vector of the workflow that
 // computed it (in Jobs slice order), so a hit from a fingerprint-equal

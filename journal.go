@@ -15,7 +15,6 @@ package stubby
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/planio"
@@ -99,10 +98,12 @@ func (s *Server) JournalStats() (stats JournalStats, ok bool) {
 // recoverJournaled re-enqueues every journaled job that never reached a
 // terminal state, preserving original IDs and deadlines. It runs inside
 // NewServer — before the server can accept traffic — so recovered jobs
-// are queryable the moment the listener opens. Each re-execution is
-// idempotent: the plan store answers repeat fingerprints with the stored
-// byte-identical plan, so a job that in fact finished just before the
-// crash (its terminal record lost) completes again without re-optimizing.
+// are queryable the moment the listener opens; a backlog deeper than the
+// queue therefore holds NewServer until workers have made room for its
+// tail. Each re-execution is idempotent: the plan store answers repeat
+// fingerprints with the stored byte-identical plan, so a job that in fact
+// finished just before the crash (its terminal record lost) completes
+// again without re-optimizing.
 func (s *Server) recoverJournaled() {
 	for _, in := range s.journal.incomplete {
 		req, err := planio.DecodeRequest(in.Doc)
@@ -126,18 +127,11 @@ func (s *Server) recoverJournaled() {
 			// the journal needs.
 			oreq.deadline = time.UnixMilli(in.DeadlineUnixMS)
 		}
-		var h *OptimizeHandle
-		var serr error
-		for attempt := 0; attempt < 250; attempt++ {
-			h, serr = s.sess.Submit(context.Background(), oreq)
-			if !errors.Is(serr, stubbyerr.KindOverloaded) {
-				break
-			}
-			// The admission queue is smaller than the recovered backlog;
-			// wait for workers to drain a slot.
-			time.Sleep(20 * time.Millisecond)
-		}
-		if serr != nil {
+		// A backlog larger than this incarnation's queue waits here for
+		// workers to make room (resumeID): the jobs were accepted, so none is
+		// shed.
+		h, err := s.sess.Submit(context.Background(), oreq)
+		if err != nil {
 			_ = s.journal.j.AppendState(in.ID, service.Failed)
 			continue
 		}

@@ -15,6 +15,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/service"
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
@@ -357,7 +358,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h, err := s.sess.enqueue(a, oreq)
+	h, err := s.sess.enqueue(r.Context(), a, oreq)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -566,10 +567,9 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStatsz serves the counters of every subsystem the serving session
-// carries: queue occupancy, estimate-cache activity, and plan-store
-// activity. Every counter read is an atomic snapshot, so polling /statsz
-// never contends with the optimizer's hot paths.
+// handleStatsz serves the server's counters, section by section (see
+// planio.StatszDoc). Every counter read is an atomic snapshot, so polling
+// /statsz never contends with the optimizer's hot paths.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	q := s.sess.jobQueue()
 	status := "ok"
@@ -578,95 +578,29 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	doc := &planio.StatszDoc{
 		Status: status,
-		Queue: planio.QueueStatsDoc{
+		Queue: stats.Queue{
 			Workers: q.Workers(),
 			Depth:   q.Depth(),
 			Queued:  q.Queued(),
 			Busy:    q.Busy(),
 		},
 	}
-	if stats, ok := s.sess.EstimateCacheStats(); ok {
-		doc.EstCache = cacheStatsDoc(stats)
+	if st, ok := s.sess.EstimateCacheStats(); ok {
+		doc.EstCache = &st
 	}
-	if stats, ok := s.sess.PlanStoreStats(); ok {
-		doc.PlanStore = storeStatsDoc(stats)
+	if st, ok := s.sess.PlanStoreStats(); ok {
+		doc.PlanStore = &st
 	}
-	if stats, ok := s.sess.ReuseCatalogStats(); ok {
-		doc.ReuseCatalog = reuseStatsDoc(stats)
+	if st, ok := s.sess.ReuseCatalogStats(); ok {
+		doc.ReuseCatalog = &st
 	}
-	if stats, ok := s.JournalStats(); ok {
-		doc.Journal = journalStatsDoc(stats)
+	if st, ok := s.JournalStats(); ok {
+		doc.Journal = &st
 	}
-	if s.coordinator != nil {
-		cs := s.coordinator.Stats()
-		doc.Cluster = &cs
+	if st, ok := s.ClusterStats(); ok {
+		doc.Cluster = &st
 	}
 	writeJSON(w, http.StatusOK, doc)
-}
-
-// journalStatsDoc converts journal stats to their wire form.
-func journalStatsDoc(st JournalStats) *planio.JournalStatsDoc {
-	return &planio.JournalStatsDoc{Submits: st.Submits, Transitions: st.Transitions,
-		Recovered: st.Recovered, Compacted: st.Compacted, Compactions: st.Compactions,
-		TornBytes: st.TornBytes, BytesWritten: st.BytesWritten, Errors: st.Errors}
-}
-
-// journalStatsFromDoc is the client-side inverse of journalStatsDoc.
-func journalStatsFromDoc(d *planio.JournalStatsDoc) JournalStats {
-	if d == nil {
-		return JournalStats{}
-	}
-	return JournalStats{Submits: d.Submits, Transitions: d.Transitions,
-		Recovered: d.Recovered, Compacted: d.Compacted, Compactions: d.Compactions,
-		TornBytes: d.TornBytes, BytesWritten: d.BytesWritten, Errors: d.Errors}
-}
-
-// cacheStatsDoc converts estimate-cache stats to their wire form.
-func cacheStatsDoc(st EstimateCacheStats) *planio.CacheStatsDoc {
-	return &planio.CacheStatsDoc{Hits: st.Hits, Misses: st.Misses,
-		Evictions: st.Evictions, Entries: st.Entries, Capacity: st.Capacity}
-}
-
-// storeStatsDoc converts plan-store stats to their wire form.
-func storeStatsDoc(st PlanStoreStats) *planio.StoreStatsDoc {
-	return &planio.StoreStatsDoc{Hits: st.Hits, MemHits: st.MemHits,
-		DiskHits: st.DiskHits, Misses: st.Misses, Computes: st.Computes,
-		Puts: st.Puts, Evictions: st.Evictions, BytesWritten: st.BytesWritten,
-		BytesRead: st.BytesRead, Errors: st.Errors, Entries: st.Entries,
-		Segments: st.Segments, Claims: st.Claims, ClaimWaits: st.ClaimWaits,
-		ClaimHits: st.ClaimHits}
-}
-
-// storeStatsFromDoc is the client-side inverse of storeStatsDoc.
-func storeStatsFromDoc(d *planio.StoreStatsDoc) PlanStoreStats {
-	if d == nil {
-		return PlanStoreStats{}
-	}
-	return PlanStoreStats{Hits: d.Hits, MemHits: d.MemHits,
-		DiskHits: d.DiskHits, Misses: d.Misses, Computes: d.Computes,
-		Puts: d.Puts, Evictions: d.Evictions, BytesWritten: d.BytesWritten,
-		BytesRead: d.BytesRead, Errors: d.Errors, Entries: d.Entries,
-		Segments: d.Segments, Claims: d.Claims, ClaimWaits: d.ClaimWaits,
-		ClaimHits: d.ClaimHits}
-}
-
-// reuseStatsDoc converts reuse-catalog stats to their wire form.
-func reuseStatsDoc(st ReuseCatalogStats) *planio.ReuseStatsDoc {
-	return &planio.ReuseStatsDoc{Entries: st.Entries, Puts: st.Puts,
-		Hits: st.Hits, Misses: st.Misses, Compacted: st.Compacted,
-		TornBytes: st.TornBytes, BytesWritten: st.BytesWritten, Errors: st.Errors,
-		Expired: st.Expired, Vanished: st.Vanished}
-}
-
-// reuseStatsFromDoc is the client-side inverse of reuseStatsDoc.
-func reuseStatsFromDoc(d *planio.ReuseStatsDoc) ReuseCatalogStats {
-	if d == nil {
-		return ReuseCatalogStats{}
-	}
-	return ReuseCatalogStats{Entries: d.Entries, Puts: d.Puts,
-		Hits: d.Hits, Misses: d.Misses, Compacted: d.Compacted,
-		TornBytes: d.TornBytes, BytesWritten: d.BytesWritten, Errors: d.Errors,
-		Expired: d.Expired, Vanished: d.Vanished}
 }
 
 // robustnessDoc converts a robustness report to its wire form (nil-safe).
@@ -705,17 +639,16 @@ func eventToDoc(ev Event) *planio.EventDoc {
 			Job: e.Job, Start: e.Start, End: e.End}
 	case CacheReportEvent:
 		return &planio.EventDoc{Type: planio.EventCacheReport, Workflow: e.Workflow,
-			Cache: &planio.CacheStatsDoc{Hits: e.Stats.Hits, Misses: e.Stats.Misses,
-				Evictions: e.Stats.Evictions, Entries: e.Stats.Entries, Capacity: e.Stats.Capacity}}
+			Cache: &e.Stats}
 	case PlanStoreEvent:
 		return &planio.EventDoc{Type: planio.EventStoreReport, Workflow: e.Workflow,
-			Hit: e.Hit, Store: storeStatsDoc(e.Stats)}
+			Hit: e.Hit, Store: &e.Stats}
 	case RobustnessEvent:
 		return &planio.EventDoc{Type: planio.EventRobustness, Workflow: e.Workflow,
 			Robustness: robustnessDoc(e.Report)}
 	case ReuseReportEvent:
 		return &planio.EventDoc{Type: planio.EventReuseReport, Workflow: e.Workflow,
-			Reused: e.Reused, Reuse: reuseStatsDoc(e.Stats)}
+			Reused: e.Reused, Reuse: &e.Stats}
 	case StateChangedEvent:
 		return &planio.EventDoc{Type: planio.EventStateChanged, Workflow: e.Workflow,
 			JobID: e.JobID, State: e.State.String(), Error: planio.NewErrorDoc(e.Err)}
@@ -737,21 +670,16 @@ func eventFromDoc(d *planio.EventDoc) (Event, bool) {
 	case planio.EventJobFinished:
 		return JobFinishedEvent{Workflow: d.Workflow, Job: d.Job, Start: d.Start, End: d.End}, true
 	case planio.EventCacheReport:
-		var stats EstimateCacheStats
-		if d.Cache != nil {
-			stats = EstimateCacheStats{Hits: d.Cache.Hits, Misses: d.Cache.Misses,
-				Evictions: d.Cache.Evictions, Entries: d.Cache.Entries, Capacity: d.Cache.Capacity}
-		}
-		return CacheReportEvent{Workflow: d.Workflow, Stats: stats}, true
+		return CacheReportEvent{Workflow: d.Workflow, Stats: deref(d.Cache)}, true
 	case planio.EventStoreReport:
 		return PlanStoreEvent{Workflow: d.Workflow, Hit: d.Hit,
-			Stats: storeStatsFromDoc(d.Store)}, true
+			Stats: deref(d.Store)}, true
 	case planio.EventRobustness:
 		return RobustnessEvent{Workflow: d.Workflow,
 			Report: robustnessFromDoc(d.Robustness)}, true
 	case planio.EventReuseReport:
 		return ReuseReportEvent{Workflow: d.Workflow, Reused: d.Reused,
-			Stats: reuseStatsFromDoc(d.Reuse)}, true
+			Stats: deref(d.Reuse)}, true
 	case planio.EventStateChanged:
 		st, err := parseJobState(d.State)
 		if err != nil {
@@ -761,6 +689,14 @@ func eventFromDoc(d *planio.EventDoc) (Event, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// deref is *p, or the zero value for a section the sender left out.
+func deref[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
+	}
+	return v
 }
 
 // parseJobState maps a wire spelling back to a JobState.

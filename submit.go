@@ -55,7 +55,9 @@ type OptimizeRequest struct {
 
 	// resumeID pins the job's ID instead of drawing a fresh one — set only
 	// by journal recovery, which must re-enqueue a crashed job under its
-	// original identifier so clients polling that ID reconnect to it.
+	// original identifier so clients polling that ID reconnect to it. The
+	// job was accepted once already, so a full queue makes it wait for room
+	// where it would shed a new submission.
 	resumeID string
 	// deadline bounds the job's execution absolutely (zero = none). The
 	// server sets it from the client's propagated wire deadline.
@@ -313,7 +315,7 @@ func (s *Session) Submit(ctx context.Context, req OptimizeRequest) (*OptimizeHan
 			return s.finished(a, req, res), nil
 		}
 	}
-	return s.enqueue(a, req)
+	return s.enqueue(ctx, a, req)
 }
 
 // newHandle builds the handle of a job under a fresh ID (or, for a job
@@ -345,7 +347,7 @@ func (s *Session) finished(a admission, req OptimizeRequest, res any) *OptimizeH
 }
 
 // enqueue queues the admitted optimization on the session's worker pool.
-func (s *Session) enqueue(a admission, req OptimizeRequest) (*OptimizeHandle, error) {
+func (s *Session) enqueue(ctx context.Context, a admission, req OptimizeRequest) (*OptimizeHandle, error) {
 	target, wfName := a.target, a.workflow
 	h := s.newHandle(a, req)
 	h.job = service.NewJobWithDeadline(h.id, req.deadline, func(ctx context.Context) (any, error) {
@@ -387,7 +389,13 @@ func (s *Session) enqueue(a admission, req OptimizeRequest) (*OptimizeHandle, er
 		}
 		return res, nil
 	})
-	if err := s.jobQueue().Submit(h.job); err != nil {
+	var err error
+	if q := s.jobQueue(); req.resumeID != "" {
+		err = q.SubmitWait(ctx, h.job)
+	} else {
+		err = q.Submit(h.job)
+	}
+	if err != nil {
 		var se *Error
 		if errors.As(err, &se) {
 			// The queue doesn't know the workflow; stamp it for the caller.
