@@ -6,7 +6,7 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planio"
-	"github.com/stubby-mr/stubby/internal/whatif/estcache"
+	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
@@ -53,7 +53,7 @@ func (h *Harness) WhatIfCounts() ([]WhatIfRun, error) {
 	// Sized so the sweep's full working set stays resident; the default
 	// capacity targets long-running services where bounding memory matters
 	// more than a perfect replay.
-	cache := estcache.New(1 << 18)
+	cache := whatif.NewCache(1 << 18)
 	var out []WhatIfRun
 	for _, abbr := range workloads.Abbrs() {
 		wl, err := h.workload(abbr)

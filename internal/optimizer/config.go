@@ -35,7 +35,7 @@ type configDim struct {
 // downstream noise is not. The estimator is passed in (rather than read
 // from s.est) so parallel subplan searches can use private memoization.
 // Cancellation is checked between RRS evaluations.
-func (s *Stubby) tuneConfigs(ctx context.Context, est searchEstimator, plan *wf.Workflow, unitOrigins map[string]bool, seed int64) (*wf.Workflow, float64, bool, error) {
+func (s *Stubby) tuneConfigs(ctx context.Context, est *whatif.Estimator, plan *wf.Workflow, unitOrigins map[string]bool, seed int64) (*wf.Workflow, float64, bool, error) {
 	dims := s.configSpace(plan, unitOrigins)
 	unitJobs := jobsWithinOrigins(plan, unitOrigins)
 	unitCost := func(est *whatif.Estimate) float64 {
@@ -100,17 +100,15 @@ func (s *Stubby) tuneConfigs(ctx context.Context, est searchEstimator, plan *wf.
 	// unchanged.
 	estimateScratch := func() (*whatif.Estimate, error) { return est.Estimate(scratch) }
 	if !s.opt.DisableIncremental {
-		if ip, ok := est.(incrementalPreparer); ok {
-			if prep, err := ip.Prepare(scratch, dimJobs(dims)); err == nil {
-				estimateScratch = prep.Estimate
-				// unitCost reads only the unit jobs' start/end times — plus
-				// whole-plan makespan in one degenerate branch that requires
-				// a job with predicted End == 0, impossible once task setup
-				// costs anything. On such clusters the tail scheduled after
-				// the last unit job can be skipped outright.
-				if s.cluster.TaskSetupSec > 0 {
-					estimateScratch = prep.EstimateChanged
-				}
+		if prep, err := est.Prepare(scratch, dimJobs(dims)); err == nil {
+			estimateScratch = prep.Estimate
+			// unitCost reads only the unit jobs' start/end times — plus
+			// whole-plan makespan in one degenerate branch that requires
+			// a job with predicted End == 0, impossible once task setup
+			// costs anything. On such clusters the tail scheduled after
+			// the last unit job can be skipped outright.
+			if s.cluster.TaskSetupSec > 0 {
+				estimateScratch = prep.EstimateChanged
 			}
 		}
 	}

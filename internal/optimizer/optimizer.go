@@ -14,7 +14,6 @@ import (
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/whatif"
-	"github.com/stubby-mr/stubby/internal/whatif/estcache"
 )
 
 // Groups selects which transformation groups the optimizer applies
@@ -93,7 +92,7 @@ type Options struct {
 	// the cached answer. Caching is transparent — estimates are pure
 	// functions of (plan, cluster), so plans and costs are identical with
 	// or without it; the differential test suite enforces this.
-	EstimateCache *estcache.Cache
+	EstimateCache *whatif.Cache
 	// Robustness, when non-nil, closes the fault-aware simulator into plan
 	// selection: the final plan carries a Monte-Carlo whatif.Robustness
 	// report, and candidates within robustnessTieBand of a unit's best
@@ -164,36 +163,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// searchEstimator is what the search needs from a cost estimator: the
-// What-if answer plus activity counters. Implemented by whatif.Estimator
-// (direct) and estcache.Estimator (memoized through a shared cache). Both
-// also implement incrementalPreparer; the interfaces are split so custom
-// estimators without an incremental path still plug in.
-type searchEstimator interface {
-	Estimate(w *wf.Workflow) (*whatif.Estimate, error)
-	Counts() whatif.Counts
-}
-
-// incrementalPreparer is the optional fast path of a searchEstimator:
-// prepare one plan for repeated re-estimation under configuration probes
-// that mutate only the declared jobs.
-type incrementalPreparer interface {
-	Prepare(w *wf.Workflow, changedJobIDs []string) (*whatif.Prepared, error)
-}
-
 // Stubby is the transformation-based workflow optimizer.
 type Stubby struct {
 	cluster *mrsim.Cluster
-	est     searchEstimator
+	est     *whatif.Estimator
 	// estPool hands one private estimator to each concurrent subplan
 	// search (nil when Parallelism <= 1). Pool lifetime spans the whole
 	// search, so per-estimator memoization (skew, fingerprints) persists
 	// across units and phases just as the serial path's single estimator
 	// does. With Options.EstimateCache the pool estimators additionally
 	// share the concurrent-safe estimate cache.
-	estPool chan searchEstimator
+	estPool chan *whatif.Estimator
 	// allEsts lists every estimator ever handed out, for counter sums.
-	allEsts []searchEstimator
+	allEsts []*whatif.Estimator
 	opt     Options
 }
 
@@ -202,7 +184,7 @@ func New(cluster *mrsim.Cluster, opt Options) *Stubby {
 	s := &Stubby{cluster: cluster, opt: opt.withDefaults()}
 	s.est = s.newEstimator()
 	if s.opt.Parallelism > 1 {
-		s.estPool = make(chan searchEstimator, s.opt.Parallelism)
+		s.estPool = make(chan *whatif.Estimator, s.opt.Parallelism)
 		for i := 0; i < s.opt.Parallelism; i++ {
 			s.estPool <- s.newEstimator()
 		}
@@ -210,14 +192,10 @@ func New(cluster *mrsim.Cluster, opt Options) *Stubby {
 	return s
 }
 
-// newEstimator builds one private (not concurrent-safe) estimator, fronted
-// by the shared estimate cache when one is configured.
-func (s *Stubby) newEstimator() searchEstimator {
-	inner := whatif.New(s.cluster)
-	var est searchEstimator = inner
-	if s.opt.EstimateCache != nil {
-		est = estcache.NewEstimator(s.opt.EstimateCache, inner)
-	}
+// newEstimator builds one private (not concurrent-safe) estimator, answering
+// from the shared estimate cache when one is configured.
+func (s *Stubby) newEstimator() *whatif.Estimator {
+	est := whatif.NewCached(s.cluster, s.opt.EstimateCache)
 	s.allEsts = append(s.allEsts, est)
 	return est
 }
@@ -350,7 +328,7 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 	res.Plan = plan
 	res.EstimatedCost = est.Makespan
 	if s.opt.Robustness != nil && !est.Fallback {
-		rob, rerr := s.robustness(ctx, plan)
+		rob, rerr := s.est.Robustness(ctx, plan, *s.opt.Robustness)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -362,24 +340,6 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 	res.WhatIfComputed = counts1.Computed - counts0.Computed
 	res.FlowCards = counts1.FlowCards - counts0.FlowCards
 	return res, nil
-}
-
-// robustnessEstimator is the optional Monte-Carlo replay capability of a
-// searchEstimator (whatif.Estimator directly, estcache.Estimator by
-// forwarding — replays are cheap and never cached).
-type robustnessEstimator interface {
-	Robustness(ctx context.Context, w *wf.Workflow, opt whatif.RobustnessOptions) (*whatif.Robustness, error)
-}
-
-// robustness evaluates a plan under Options.Robustness through the
-// search's estimator (falling back to a fresh direct estimator for custom
-// searchEstimator implementations without the capability).
-func (s *Stubby) robustness(ctx context.Context, plan *wf.Workflow) (*whatif.Robustness, error) {
-	re, ok := s.est.(robustnessEstimator)
-	if !ok {
-		re = whatif.New(s.cluster)
-	}
-	return re.Robustness(ctx, plan, *s.opt.Robustness)
 }
 
 // phaseSpec selects which transformations a traversal pass applies.

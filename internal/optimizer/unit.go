@@ -146,7 +146,7 @@ func (s *Stubby) robustTieBreak(ctx context.Context, tuned []tunedSubplan, basel
 	}
 	p99 := make(map[int]float64, len(ties))
 	for _, i := range ties {
-		rob, err := s.robustness(ctx, tuned[i].plan)
+		rob, err := s.est.Robustness(ctx, tuned[i].plan, *s.opt.Robustness)
 		if err != nil {
 			return 0, nil, err
 		}

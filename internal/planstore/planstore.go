@@ -65,7 +65,7 @@ type Key struct {
 	// Plan is the canonical fingerprint of the *submitted* workflow (not of
 	// the optimized plan stored under the key).
 	Plan wf.Fingerprint
-	// Cluster digests the cluster description (estcache.ClusterFingerprint).
+	// Cluster digests the cluster description (whatif.ClusterFingerprint).
 	Cluster uint64
 	// Planner names the planner that produced the plan.
 	Planner string

@@ -6,8 +6,9 @@
 // the increment in its owner.
 //
 // The package imports nothing, so that every owner and planio can import
-// it: catalog imports planio, and planio's tests reach estcache through the
-// optimizer, so neither side of that pair could hold the types for both.
+// it: catalog imports planio, and planio's tests reach whatif (which owns
+// the estimate cache) through the optimizer, so neither side of that pair
+// could hold the types for both.
 package stats
 
 // Cache is a point-in-time snapshot of the estimate cache's effectiveness

@@ -170,11 +170,11 @@ func (h *Hasher) program(j *Job) Fingerprint {
 	fw.str("job")
 	fw.num(len(j.MapBranches))
 	for i := range j.MapBranches {
-		fw.branch(&j.MapBranches[i])
+		fw.branch(&j.MapBranches[i], true)
 	}
 	fw.num(len(j.ReduceGroups))
 	for i := range j.ReduceGroups {
-		fw.group(&j.ReduceGroups[i])
+		fw.group(&j.ReduceGroups[i], true)
 	}
 	fp := fw.sum()
 	h.jobMemo[j] = fp
@@ -359,9 +359,14 @@ func (fw *fpWriter) stages(ss []Stage) {
 	}
 }
 
-func (fw *fpWriter) branch(b *MapBranch) {
+// branch hashes one map branch. Sub-plan fingerprints pass named = false to
+// elide the Input dataset name — the recursive input sub-fingerprint already
+// stands in for it.
+func (fw *fpWriter) branch(b *MapBranch, named bool) {
 	fw.num(b.Tag)
-	fw.str(b.Input)
+	if named {
+		fw.str(b.Input)
+	}
 	fw.stages(b.Stages)
 	if b.Filter == nil {
 		fw.bool(false)
@@ -377,9 +382,14 @@ func (fw *fpWriter) branch(b *MapBranch) {
 	fw.strs(b.ValOut)
 }
 
-func (fw *fpWriter) group(g *ReduceGroup) {
+// group hashes one reduce group. Sub-plan fingerprints pass named = false to
+// elide the Output dataset name — the root ordinal written after the group
+// list stands in for it.
+func (fw *fpWriter) group(g *ReduceGroup, named bool) {
 	fw.num(g.Tag)
-	fw.str(g.Output)
+	if named {
+		fw.str(g.Output)
+	}
 	fw.bool(g.RunsMapSide)
 	fw.stages(g.Stages)
 	if g.Combiner == nil {

@@ -1,7 +1,5 @@
 package wf
 
-import "github.com/stubby-mr/stubby/internal/keyval"
-
 // Rooted-subgraph fingerprints (ReStore-style sub-plan reuse): a canonical
 // digest of everything that determines the *content* of one dataset — the
 // producing sub-DAG's structure, per-job programs, configurations, and
@@ -77,7 +75,7 @@ func (h *Hasher) subplan(w *Workflow, dsID string, memo map[string]Fingerprint, 
 		}
 		fw.u64(in[0])
 		fw.u64(in[1])
-		fw.subBranch(b)
+		fw.branch(b, false)
 	}
 	fw.num(len(j.ReduceGroups))
 	target := -1
@@ -86,7 +84,7 @@ func (h *Hasher) subplan(w *Workflow, dsID string, memo map[string]Fingerprint, 
 		if g.Output == dsID && target < 0 {
 			target = i
 		}
-		fw.subGroup(g)
+		fw.group(g, false)
 	}
 	// Which of the job's outputs this fingerprint is rooted at — a
 	// multi-output producer yields one distinct digest per output.
@@ -94,58 +92,6 @@ func (h *Hasher) subplan(w *Workflow, dsID string, memo map[string]Fingerprint, 
 	out := fw.sum()
 	memo[dsID] = out
 	return out, true
-}
-
-// subBranch is fpWriter.branch with the Input dataset name elided — the
-// recursive input sub-fingerprint already stands in for it.
-func (fw *fpWriter) subBranch(b *MapBranch) {
-	fw.num(b.Tag)
-	fw.stages(b.Stages)
-	if b.Filter == nil {
-		fw.bool(false)
-	} else {
-		fw.bool(true)
-		fw.str(b.Filter.Field)
-		fw.tuple(keyval.Tuple{b.Filter.Interval.Lo})
-		fw.tuple(keyval.Tuple{b.Filter.Interval.Hi})
-	}
-	fw.strs(b.KeyIn)
-	fw.strs(b.ValIn)
-	fw.strs(b.KeyOut)
-	fw.strs(b.ValOut)
-}
-
-// subGroup is fpWriter.group with the Output dataset name elided — the root
-// ordinal written after the group list stands in for it.
-func (fw *fpWriter) subGroup(g *ReduceGroup) {
-	fw.num(g.Tag)
-	fw.bool(g.RunsMapSide)
-	fw.stages(g.Stages)
-	if g.Combiner == nil {
-		fw.bool(false)
-	} else {
-		fw.bool(true)
-		fw.stage(g.Combiner)
-	}
-	fw.num(int(g.Part.Type))
-	fw.ints(g.Part.KeyFields)
-	fw.ints(g.Part.SortFields)
-	fw.tuples(g.Part.SplitPoints)
-	fw.num(len(g.Constraints))
-	for i := range g.Constraints {
-		c := &g.Constraints[i]
-		fw.strs(c.CoGroup)
-		fw.strs(c.SortPrefix)
-		if c.RequireType == nil {
-			fw.num(-1)
-		} else {
-			fw.num(int(*c.RequireType))
-		}
-	}
-	fw.strs(g.KeyIn)
-	fw.strs(g.ValIn)
-	fw.strs(g.KeyOut)
-	fw.strs(g.ValOut)
 }
 
 // ProducingJobs returns the transitive producer closure of one dataset: every

@@ -1,4 +1,20 @@
-// Package estcache memoizes What-if cost estimates under canonical workflow
+package whatif
+
+import (
+	"container/list"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"github.com/stubby-mr/stubby/internal/mrsim"
+	"github.com/stubby-mr/stubby/internal/stats"
+	"github.com/stubby-mr/stubby/internal/wf"
+)
+
+// The estimate cache memoizes What-if cost estimates under canonical workflow
 // fingerprints (package wf), so a search that revisits a cost-equivalent
 // plan — the same structure, configurations, profiles, and layouts,
 // regardless of job-ID renaming — reuses the earlier answer instead of
@@ -7,30 +23,18 @@
 // of the same plan with a single-flight guard, and counts hits, misses, and
 // evictions for observability.
 //
-// Cached *whatif.Estimate values are shared between callers and MUST be
-// treated as immutable; every consumer in this repository only reads them.
-package estcache
+// Cached *Estimate values are shared between callers and MUST be treated as
+// immutable; every consumer in this repository only reads them.
 
-import (
-	"container/list"
-	"slices"
-	"sync"
-	"sync/atomic"
-
-	"github.com/stubby-mr/stubby/internal/stats"
-	"github.com/stubby-mr/stubby/internal/wf"
-	"github.com/stubby-mr/stubby/internal/whatif"
-)
-
-// DefaultCapacity bounds a cache built with New(0). Estimates are small
-// (per-job aggregates, not per-task data), so thousands of entries cost a
-// few MB at most.
-const DefaultCapacity = 8192
+// DefaultCacheCapacity bounds a cache built with NewCache(0). Estimates are
+// small (per-job aggregates, not per-task data), so thousands of entries
+// cost a few MB at most.
+const DefaultCacheCapacity = 8192
 
 const numShards = 16 // power of two; key[0] low bits select the shard
 
-// Key identifies one (workflow, cluster) estimation question.
-type Key struct {
+// CacheKey identifies one (workflow, cluster) estimation question.
+type CacheKey struct {
 	// Plan is the canonical workflow fingerprint.
 	Plan wf.Fingerprint
 	// Cluster digests the cluster description, so one cache shared across
@@ -38,17 +42,13 @@ type Key struct {
 	Cluster uint64
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness counters,
-// declared in internal/stats.
-type Stats = stats.Cache
-
 // entry is one cached estimate plus the job-ID vector of the workflow that
 // computed it (in Jobs slice order), so a hit from a fingerprint-equal
 // workflow with renamed jobs can be re-keyed before use.
 type entry struct {
-	key    Key
+	key    CacheKey
 	jobIDs []string
-	est    *whatif.Estimate
+	est    *Estimate
 }
 
 // flight tracks one in-progress computation other callers can wait on.
@@ -60,9 +60,9 @@ type flight struct {
 
 type shard struct {
 	mu      sync.Mutex
-	entries map[Key]*list.Element // of *entry
-	lru     *list.List            // front = most recently used
-	flights map[Key]*flight
+	entries map[CacheKey]*list.Element // of *entry
+	lru     *list.List                 // front = most recently used
+	flights map[CacheKey]*flight
 	// The counters are atomics (size mirrors lru.Len()) so Stats can
 	// snapshot them without taking shard locks — a /statsz poll never
 	// contends with the optimizer's hot lookup path.
@@ -81,12 +81,12 @@ type Cache struct {
 	capPerShard int
 }
 
-// New builds a cache bounded to roughly capacity entries (<= 0 uses
-// DefaultCapacity). The bound is enforced per shard, so the effective
+// NewCache builds a cache bounded to roughly capacity entries (<= 0 uses
+// DefaultCacheCapacity). The bound is enforced per shard, so the effective
 // capacity is capacity rounded up to a multiple of the shard count.
-func New(capacity int) *Cache {
+func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
-		capacity = DefaultCapacity
+		capacity = DefaultCacheCapacity
 	}
 	per := (capacity + numShards - 1) / numShards
 	if per < 1 {
@@ -95,9 +95,9 @@ func New(capacity int) *Cache {
 	c := &Cache{capPerShard: per}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			entries: make(map[Key]*list.Element),
+			entries: make(map[CacheKey]*list.Element),
 			lru:     list.New(),
-			flights: make(map[Key]*flight),
+			flights: make(map[CacheKey]*flight),
 		}
 	}
 	return c
@@ -106,7 +106,7 @@ func New(capacity int) *Cache {
 // Capacity returns the total entry bound.
 func (c *Cache) Capacity() int { return c.capPerShard * numShards }
 
-func (c *Cache) shard(k Key) *shard {
+func (c *Cache) shard(k CacheKey) *shard {
 	return c.shards[k.Plan[0]&(numShards-1)]
 }
 
@@ -117,8 +117,8 @@ func (c *Cache) shard(k Key) *shard {
 // cached vector differs (fingerprint-equal workflow with renamed jobs), the
 // returned estimate is re-keyed position-for-position, which the
 // fingerprint's job-order sensitivity makes sound.
-func (c *Cache) GetOrCompute(key Key, jobIDs []string,
-	compute func() (*whatif.Estimate, error)) (*whatif.Estimate, error) {
+func (c *Cache) GetOrCompute(key CacheKey, jobIDs []string,
+	compute func() (*Estimate, error)) (*Estimate, error) {
 
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -171,12 +171,12 @@ func (c *Cache) GetOrCompute(key Key, jobIDs []string,
 	return est, nil
 }
 
-// Stats snapshots the cache counters, summed across shards. The counters
-// are atomics, so the snapshot takes no locks and never contends with
-// concurrent lookups (each individual counter is exact; the sum is a
-// consistent-enough point-in-time view for monitoring).
-func (c *Cache) Stats() Stats {
-	out := Stats{Capacity: c.Capacity()}
+// Stats snapshots the cache counters (declared in internal/stats), summed
+// across shards. The counters are atomics, so the snapshot takes no locks
+// and never contends with concurrent lookups (each individual counter is
+// exact; the sum is a consistent-enough point-in-time view for monitoring).
+func (c *Cache) Stats() stats.Cache {
+	out := stats.Cache{Capacity: c.Capacity()}
 	for _, sh := range c.shards {
 		out.Hits += sh.hits.Load()
 		out.Misses += sh.misses.Load()
@@ -191,7 +191,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Reset() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.entries = make(map[Key]*list.Element)
+		sh.entries = make(map[CacheKey]*list.Element)
 		sh.lru = list.New()
 		sh.hits.Store(0)
 		sh.misses.Store(0)
@@ -205,14 +205,14 @@ func (c *Cache) Reset() {
 // the vectors already agree (the overwhelmingly common case) the cached
 // value is returned as-is; otherwise the Jobs map is rebuilt with the
 // caller's IDs, sharing the per-job and per-dataset values.
-func remap(ent *entry, jobIDs []string) *whatif.Estimate {
+func remap(ent *entry, jobIDs []string) *Estimate {
 	if slices.Equal(ent.jobIDs, jobIDs) {
 		return ent.est
 	}
-	out := &whatif.Estimate{
+	out := &Estimate{
 		Makespan: ent.est.Makespan,
 		Fallback: ent.est.Fallback,
-		Jobs:     make(map[string]*whatif.JobEstimate, len(ent.est.Jobs)),
+		Jobs:     make(map[string]*JobEstimate, len(ent.est.Jobs)),
 		Datasets: ent.est.Datasets,
 	}
 	for i, old := range ent.jobIDs {
@@ -224,4 +224,26 @@ func remap(ent *entry, jobIDs []string) *whatif.Estimate {
 		}
 	}
 	return out
+}
+
+// ClusterFingerprint digests the cluster description for cache keying. The
+// cluster is a flat struct of scalars, hashed field by field.
+func ClusterFingerprint(c *mrsim.Cluster) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	wu := func(v uint64) {
+		binary.BigEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	wu(uint64(c.Nodes))
+	wu(uint64(c.MapSlotsPerNode))
+	wu(uint64(c.ReduceSlotsPerNode))
+	wu(math.Float64bits(c.DiskMBps))
+	wu(math.Float64bits(c.NetMBps))
+	wu(math.Float64bits(c.TaskSetupSec))
+	wu(math.Float64bits(c.SortCPUPerRecord))
+	wu(math.Float64bits(c.CompressRatio))
+	wu(math.Float64bits(c.CompressCPUSecPerMB))
+	wu(math.Float64bits(c.VirtualScale))
+	return h.Sum64()
 }

@@ -1,11 +1,10 @@
-package estcache
+package whatif
 
 import (
 	"testing"
 
 	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/wf"
-	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
@@ -36,7 +35,7 @@ func BenchmarkFingerprint(b *testing.B) {
 // BenchmarkEstimateUncached is the baseline the cache competes with.
 func BenchmarkEstimateUncached(b *testing.B) {
 	w, wl := benchWorkflow(b)
-	est := whatif.New(wl.Cluster)
+	est := New(wl.Cluster)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,10 +50,10 @@ func BenchmarkEstimateUncached(b *testing.B) {
 // allocate — TestCacheHitZeroAllocs enforces that.
 func BenchmarkCacheHit(b *testing.B) {
 	w, wl := benchWorkflow(b)
-	c := New(0)
-	key := Key{Plan: wf.FingerprintWorkflow(w), Cluster: ClusterFingerprint(wl.Cluster)}
+	c := NewCache(0)
+	key := CacheKey{Plan: wf.FingerprintWorkflow(w), Cluster: ClusterFingerprint(wl.Cluster)}
 	jobIDs := jobIDsOf(w)
-	compute := func() (*whatif.Estimate, error) { return whatif.New(wl.Cluster).Estimate(w) }
+	compute := func() (*Estimate, error) { return New(wl.Cluster).Estimate(w) }
 	if _, err := c.GetOrCompute(key, jobIDs, compute); err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func BenchmarkCacheHit(b *testing.B) {
 
 // BenchmarkCacheStats measures the atomic stats snapshot /statsz polls.
 func BenchmarkCacheStats(b *testing.B) {
-	c := New(0)
+	c := NewCache(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,10 +87,10 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 	if err := profile.NewProfiler(wl.Cluster, 0.5, 1).Annotate(wl.Workflow, wl.DFS); err != nil {
 		t.Fatal(err)
 	}
-	c := New(0)
-	key := Key{Plan: wf.FingerprintWorkflow(wl.Workflow), Cluster: ClusterFingerprint(wl.Cluster)}
+	c := NewCache(0)
+	key := CacheKey{Plan: wf.FingerprintWorkflow(wl.Workflow), Cluster: ClusterFingerprint(wl.Cluster)}
 	jobIDs := jobIDsOf(wl.Workflow)
-	compute := func() (*whatif.Estimate, error) { return whatif.New(wl.Cluster).Estimate(wl.Workflow) }
+	compute := func() (*Estimate, error) { return New(wl.Cluster).Estimate(wl.Workflow) }
 	if _, err := c.GetOrCompute(key, jobIDs, compute); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func jobIDsOf(w *wf.Workflow) []string {
 // fingerprint + sharded lookup.
 func BenchmarkEstimateCacheHit(b *testing.B) {
 	w, wl := benchWorkflow(b)
-	est := NewEstimator(New(0), whatif.New(wl.Cluster))
+	est := NewCached(wl.Cluster, NewCache(0))
 	if _, err := est.Estimate(w); err != nil {
 		b.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package estcache
+package whatif
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/stubby-mr/stubby/internal/profile"
-	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
@@ -43,16 +42,16 @@ func contextWorkload(t *testing.T) *workloads.Workload {
 // ctx's error, caches nothing, and the next live caller computes cleanly.
 func TestEstimateContextCanceledNotCached(t *testing.T) {
 	wl := contextWorkload(t)
-	cache := New(0)
+	cache := NewCache(0)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewEstimator(cache, whatif.New(wl.Cluster)).EstimateContext(canceled, wl.Workflow); !errors.Is(err, context.Canceled) {
+	if _, err := NewCached(wl.Cluster, cache).EstimateContext(canceled, wl.Workflow); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled estimate = %v, want context.Canceled", err)
 	}
 	if st := cache.Stats(); st.Entries != 0 {
 		t.Fatalf("canceled computation was cached: %+v", st)
 	}
-	est, err := NewEstimator(cache, whatif.New(wl.Cluster)).EstimateContext(context.Background(), wl.Workflow)
+	est, err := NewCached(wl.Cluster, cache).EstimateContext(context.Background(), wl.Workflow)
 	if err != nil || est == nil {
 		t.Fatalf("live estimate after canceled one = %v, %v", est, err)
 	}
@@ -69,18 +68,18 @@ func TestEstimateContextCanceledNotCached(t *testing.T) {
 func TestEstimateContextCancelDoesNotPoisonWaiters(t *testing.T) {
 	wl := contextWorkload(t)
 	for round := 0; round < 30; round++ {
-		cache := New(0) // fresh: every round recomputes, so flights form
+		cache := NewCache(0) // fresh: every round recomputes, so flights form
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { // the canceled caller, racing to own the flight
 			defer wg.Done()
-			_, _ = NewEstimator(cache, whatif.New(wl.Cluster)).EstimateContext(ctx, wl.Workflow)
+			_, _ = NewCached(wl.Cluster, cache).EstimateContext(ctx, wl.Workflow)
 		}()
 		var liveErr error
 		go func() { // the live caller that must never be poisoned
 			defer wg.Done()
-			_, liveErr = NewEstimator(cache, whatif.New(wl.Cluster)).EstimateContext(context.Background(), wl.Workflow)
+			_, liveErr = NewCached(wl.Cluster, cache).EstimateContext(context.Background(), wl.Workflow)
 		}()
 		cancel()
 		wg.Wait()

@@ -1,4 +1,4 @@
-package estcache
+package whatif
 
 import (
 	"errors"
@@ -11,27 +11,26 @@ import (
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/wf"
-	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
-func key(n uint64) Key {
-	return Key{Plan: wf.Fingerprint{n, n ^ 0x9e3779b97f4a7c15}}
+func key(n uint64) CacheKey {
+	return CacheKey{Plan: wf.Fingerprint{n, n ^ 0x9e3779b97f4a7c15}}
 }
 
-func estimate(makespan float64) *whatif.Estimate {
-	return &whatif.Estimate{
+func estimate(makespan float64) *Estimate {
+	return &Estimate{
 		Makespan: makespan,
-		Jobs:     map[string]*whatif.JobEstimate{},
-		Datasets: map[string]*whatif.DatasetEstimate{},
+		Jobs:     map[string]*JobEstimate{},
+		Datasets: map[string]*DatasetEstimate{},
 	}
 }
 
 func TestCacheGetOrCompute(t *testing.T) {
-	c := New(64)
+	c := NewCache(64)
 	computes := 0
-	get := func() (*whatif.Estimate, error) {
-		est, err := c.GetOrCompute(key(1), []string{"j1"}, func() (*whatif.Estimate, error) {
+	get := func() (*Estimate, error) {
+		est, err := c.GetOrCompute(key(1), []string{"j1"}, func() (*Estimate, error) {
 			computes++
 			return estimate(42), nil
 		})
@@ -55,15 +54,15 @@ func TestCacheGetOrCompute(t *testing.T) {
 }
 
 func TestCacheErrorsNotCached(t *testing.T) {
-	c := New(64)
+	c := NewCache(64)
 	boom := errors.New("boom")
-	if _, err := c.GetOrCompute(key(2), nil, func() (*whatif.Estimate, error) {
+	if _, err := c.GetOrCompute(key(2), nil, func() (*Estimate, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure must not poison the key: the next call recomputes.
-	est, err := c.GetOrCompute(key(2), nil, func() (*whatif.Estimate, error) {
+	est, err := c.GetOrCompute(key(2), nil, func() (*Estimate, error) {
 		return estimate(7), nil
 	})
 	if err != nil || est.Makespan != 7 {
@@ -75,14 +74,14 @@ func TestCacheErrorsNotCached(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := New(numShards) // one entry per shard
+	c := NewCache(numShards) // one entry per shard
 	// Fill one shard (fixed low bits select the shard) beyond capacity.
 	k1, k2 := key(16), key(32) // same shard: low bits zero
 	if c.shard(k1) != c.shard(k2) {
 		t.Fatal("test keys landed in different shards")
 	}
-	for i, k := range []Key{k1, k2} {
-		c.GetOrCompute(k, nil, func() (*whatif.Estimate, error) {
+	for i, k := range []CacheKey{k1, k2} {
+		c.GetOrCompute(k, nil, func() (*Estimate, error) {
 			return estimate(float64(i)), nil
 		})
 	}
@@ -92,14 +91,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// k2 survives (hit, no recompute); k1 was evicted (recomputes).
 	recomputed := false
-	c.GetOrCompute(k2, nil, func() (*whatif.Estimate, error) {
+	c.GetOrCompute(k2, nil, func() (*Estimate, error) {
 		recomputed = true
 		return estimate(9), nil
 	})
 	if recomputed {
 		t.Fatal("most recent entry evicted")
 	}
-	c.GetOrCompute(k1, nil, func() (*whatif.Estimate, error) {
+	c.GetOrCompute(k1, nil, func() (*Estimate, error) {
 		recomputed = true
 		return estimate(9), nil
 	})
@@ -109,17 +108,17 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheSingleFlight(t *testing.T) {
-	c := New(64)
+	c := NewCache(64)
 	var computes atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	const callers = 8
-	results := make([]*whatif.Estimate, callers)
+	results := make([]*Estimate, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			est, err := c.GetOrCompute(key(3), nil, func() (*whatif.Estimate, error) {
+			est, err := c.GetOrCompute(key(3), nil, func() (*Estimate, error) {
 				computes.Add(1)
 				<-release
 				return estimate(9), nil
@@ -147,7 +146,7 @@ func TestCacheSingleFlight(t *testing.T) {
 }
 
 func TestCacheConcurrentMixedKeys(t *testing.T) {
-	c := New(32) // small: force evictions under concurrency
+	c := NewCache(32) // small: force evictions under concurrency
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -156,7 +155,7 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := key(uint64(i % 50))
 				want := float64(i % 50)
-				est, err := c.GetOrCompute(k, nil, func() (*whatif.Estimate, error) {
+				est, err := c.GetOrCompute(k, nil, func() (*Estimate, error) {
 					return estimate(want), nil
 				})
 				if err != nil {
@@ -174,8 +173,8 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 }
 
 func TestCacheReset(t *testing.T) {
-	c := New(64)
-	c.GetOrCompute(key(5), nil, func() (*whatif.Estimate, error) { return estimate(1), nil })
+	c := NewCache(64)
+	c.GetOrCompute(key(5), nil, func() (*Estimate, error) { return estimate(1), nil })
 	c.Reset()
 	st := c.Stats()
 	if st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
@@ -194,12 +193,12 @@ func TestEstimatorTransparency(t *testing.T) {
 	if err := profile.NewProfiler(wl.Cluster, 0.5, 1).Annotate(wl.Workflow, wl.DFS); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := whatif.New(wl.Cluster).Estimate(wl.Workflow)
+	plain, err := New(wl.Cluster).Estimate(wl.Workflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := New(0)
-	cached := NewEstimator(cache, whatif.New(wl.Cluster))
+	cache := NewCache(0)
+	cached := NewCached(wl.Cluster, cache)
 	first, err := cached.Estimate(wl.Workflow)
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +260,12 @@ func TestClusterFingerprintDistinguishesClusters(t *testing.T) {
 	b.VirtualScale *= 2
 	if ClusterFingerprint(a) == ClusterFingerprint(b) {
 		t.Fatal("different clusters share a fingerprint")
+	}
+	// On-disk pin: the digest is the Cluster component of every plan-store
+	// key, so it must survive refactors. The literal was produced by the
+	// code that predates the cache's move into this package.
+	if got := ClusterFingerprint(mrsim.DefaultCluster()); got != 0xd7d4fd1f169ba59e {
+		t.Fatalf("ClusterFingerprint(DefaultCluster()) = %#016x, want 0xd7d4fd1f169ba59e: existing plan stores would be re-keyed", got)
 	}
 	// Drift guard: ClusterFingerprint hand-enumerates every Cluster field.
 	// A new cost-relevant field that it misses would let sessions with

@@ -27,18 +27,14 @@ import (
 // (the structure — jobs, branches, groups, partition specs — must not
 // change). Like Estimator, it is not safe for concurrent use.
 type Prepared struct {
-	est     *Estimator
-	plan    *wf.Workflow
-	order   []*wf.Job
-	split   int // topo index of the first changeable job
-	limit   int // one past the last changeable job (EstimateChanged's stop)
-	changed map[string]bool
+	est  *Estimator
+	plan *wf.Workflow
 
 	fallback bool
 
 	// Prefix snapshot: per-job estimates, dataset estimates, dataset-ready
-	// times, and partial makespan for order[:split], plus the slot pools'
-	// exact state after scheduling the prefix.
+	// times, and partial makespan for the jobs before suffix, plus the slot
+	// pools' exact state after scheduling the prefix.
 	prefixJobs     []prefixJob
 	prefixDatasets []prefixDataset
 	prefixReady    map[string]float64
@@ -58,10 +54,13 @@ type Prepared struct {
 	// which the clustered probes of RRS's exploit phase revisit heavily.
 	memo map[string]map[wf.Config]*jobCard
 
-	// window precomputes each probe-path job's distinct input/output
-	// dataset IDs: job.Inputs/Outputs allocate per call, and probes run
-	// hundreds of times per subplan.
-	window []windowJob
+	// suffix is every job from the first changeable one on, in topological
+	// order, with its distinct input/output dataset IDs precomputed:
+	// job.Inputs/Outputs allocate per call, and probes run hundreds of
+	// times per subplan. suffix[:window] ends at the last changeable job —
+	// EstimateChanged's stop.
+	suffix []suffixJob
+	window int
 
 	// cur* are EstimateChanged's reusable buffers: one Estimate skeleton
 	// whose prefix entries are seeded once and whose suffix entries are
@@ -71,7 +70,7 @@ type Prepared struct {
 	curReady map[string]float64
 }
 
-type windowJob struct {
+type suffixJob struct {
 	job       *wf.Job
 	ins, outs []string
 }
@@ -89,21 +88,19 @@ type prefixDataset struct {
 // Prepare builds an incremental estimator for w, declaring that subsequent
 // probes mutate only the configurations of changedJobIDs. The prefix — every
 // job topologically ordered before the first changeable job — is estimated
-// and scheduled once, here.
+// and scheduled once, here. Delta estimates bypass the estimate cache —
+// their whole point is that consecutive search probes are cheaper to
+// re-derive than to fingerprint — but they share the estimator's
+// memoization and are counted in Counts.
 func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, error) {
 	order, err := w.TopoSort()
 	if err != nil {
 		return nil, err
 	}
 	p := &Prepared{
-		est:     e,
-		plan:    w,
-		order:   order,
-		changed: make(map[string]bool, len(changedJobIDs)),
-		memo:    make(map[string]map[wf.Config]*jobCard),
-	}
-	for _, id := range changedJobIDs {
-		p.changed[id] = true
+		est:  e,
+		plan: w,
+		memo: make(map[string]map[wf.Config]*jobCard),
 	}
 	if !profile.HasFullProfiles(w) || !hasBaseSizes(w) {
 		// Fallback costing ignores configurations entirely; every Estimate
@@ -111,17 +108,15 @@ func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, 
 		p.fallback = true
 		return p, nil
 	}
-	p.split = len(order)
-	for i, job := range order {
-		if p.changed[job.ID] {
-			p.split = i
-			break
-		}
+	changed := make(map[string]bool, len(changedJobIDs))
+	for _, id := range changedJobIDs {
+		changed[id] = true
 	}
-	p.limit = p.split
-	for i := p.split; i < len(order); i++ {
-		if p.changed[order[i].ID] {
-			p.limit = i + 1
+	split := len(order) // topo index of the first changeable job
+	for i, job := range order {
+		if changed[job.ID] {
+			split = i
+			break
 		}
 	}
 
@@ -133,7 +128,7 @@ func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, 
 	p.mapPool = mrsim.NewSlotPool(e.Cluster.TotalMapSlots())
 	p.redPool = mrsim.NewSlotPool(e.Cluster.TotalReduceSlots())
 	p.prefixReady = make(map[string]float64)
-	for _, job := range order[:p.split] {
+	for _, job := range order[:split] {
 		jobReady := readyTime(job, p.prefixReady)
 		card, err := e.flowJob(job, datasets)
 		if err != nil {
@@ -155,8 +150,11 @@ func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, 
 	}
 	p.mapSnap = p.mapPool.Snapshot()
 	p.redSnap = p.redPool.Snapshot()
-	for _, job := range order[p.split:p.limit] {
-		p.window = append(p.window, windowJob{job: job, ins: job.Inputs(), outs: job.Outputs()})
+	for _, job := range order[split:] {
+		p.suffix = append(p.suffix, suffixJob{job: job, ins: job.Inputs(), outs: job.Outputs()})
+		if changed[job.ID] {
+			p.window = len(p.suffix)
+		}
 	}
 	return p, nil
 }
@@ -166,10 +164,12 @@ func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, 
 // whose input dataset estimates differ from their memoized card; everything
 // else replays. The result is bit-identical to Estimator.Estimate on the
 // same plan and safe for the caller to hold across calls; like every
-// estimate in this package, its Layout slice fields alias plan/card state
-// and must be treated as immutable.
+// estimate in this package it must be treated as immutable — its prefix
+// entries alias the prepared snapshot, its Layout slice fields plan/card
+// state.
 func (p *Prepared) Estimate() (*Estimate, error) {
-	return p.estimate()
+	est, ready := p.newBuffers()
+	return p.replay(est, ready, p.suffix)
 }
 
 // EstimateChanged is the configuration search's probe path: Estimate
@@ -184,39 +184,56 @@ func (p *Prepared) Estimate() (*Estimate, error) {
 // EstimateChanged call and must not be mutated or retained. (Estimate
 // returns fresh allocations and has no such restriction.)
 func (p *Prepared) EstimateChanged() (*Estimate, error) {
+	if p.cur == nil {
+		p.cur, p.curReady = p.newBuffers()
+	}
+	return p.replay(p.cur, p.curReady, p.suffix[:p.window])
+}
+
+// newBuffers builds an Estimate skeleton and dataset-ready map seeded with
+// the prefix snapshot. The entries point into the snapshot itself: replay
+// writes suffix entries only, so the prefix stays immutable.
+func (p *Prepared) newBuffers() (*Estimate, map[string]float64) {
+	est := &Estimate{
+		Jobs:     make(map[string]*JobEstimate, len(p.plan.Jobs)),
+		Datasets: make(map[string]*DatasetEstimate, len(p.plan.Datasets)),
+	}
+	for i := range p.prefixJobs {
+		est.Jobs[p.prefixJobs[i].id] = &p.prefixJobs[i].je
+	}
+	for i := range p.prefixDatasets {
+		est.Datasets[p.prefixDatasets[i].id] = &p.prefixDatasets[i].de
+	}
+	ready := make(map[string]float64, len(p.prefixReady))
+	for id, t := range p.prefixReady {
+		ready[id] = t
+	}
+	return est, ready
+}
+
+// replay is the one delta-estimate loop: it restores the slot pools to the
+// prefix snapshot and schedules jobs (a leading run of p.suffix) into est
+// and ready, which newBuffers seeded — freshly for Estimate, once per
+// Prepared for EstimateChanged. Suffix entries are overwritten in place
+// where a previous replay into the same buffers left them, and allocated
+// otherwise.
+func (p *Prepared) replay(est *Estimate, ready map[string]float64, jobs []suffixJob) (*Estimate, error) {
 	p.est.deltaCalls++
 	if p.fallback {
 		return fallbackEstimate(p.plan), nil
 	}
-	if p.cur == nil {
-		p.cur = &Estimate{
-			Jobs:     make(map[string]*JobEstimate, len(p.plan.Jobs)),
-			Datasets: make(map[string]*DatasetEstimate, len(p.plan.Datasets)),
-		}
-		for i := range p.prefixJobs {
-			p.cur.Jobs[p.prefixJobs[i].id] = &p.prefixJobs[i].je
-		}
-		for i := range p.prefixDatasets {
-			p.cur.Datasets[p.prefixDatasets[i].id] = &p.prefixDatasets[i].de
-		}
-		p.curReady = make(map[string]float64, len(p.prefixReady))
-		for id, t := range p.prefixReady {
-			p.curReady[id] = t
-		}
-	}
-	est := p.cur
 	est.Makespan = p.prefixMakespan
 	p.mapPool.Restore(p.mapSnap)
 	p.redPool.Restore(p.redSnap)
-	for i := range p.window {
-		w := &p.window[i]
+	for i := range jobs {
+		w := &jobs[i]
 		// Stale suffix entries from the previous probe are safe: topological
 		// order guarantees every entry a job reads was refreshed this probe
 		// (prefix entries are immutable; suffix inputs come from suffix jobs
 		// already processed above).
 		jobReady := 0.0
 		for _, in := range w.ins {
-			if t := p.curReady[in]; t > jobReady {
+			if t := ready[in]; t > jobReady {
 				jobReady = t
 			}
 		}
@@ -240,7 +257,7 @@ func (p *Prepared) EstimateChanged() (*Estimate, error) {
 			}
 		}
 		for _, out := range w.outs {
-			p.curReady[out] = je.End
+			ready[out] = je.End
 		}
 		if je.End > est.Makespan {
 			est.Makespan = je.End
@@ -267,53 +284,6 @@ func (p *Prepared) probeCard(job *wf.Job, datasets map[string]*DatasetEstimate) 
 		bucket[job.Config] = card
 	}
 	return card, nil
-}
-
-// estimate is the full (non-truncated, freshly assembled) delta-estimate
-// loop behind Estimate; the probe path with truncation and buffer reuse is
-// EstimateChanged's separate loop.
-func (p *Prepared) estimate() (*Estimate, error) {
-	p.est.deltaCalls++
-	if p.fallback {
-		return fallbackEstimate(p.plan), nil
-	}
-	est := &Estimate{
-		Makespan: p.prefixMakespan,
-		Jobs:     make(map[string]*JobEstimate, len(p.plan.Jobs)),
-		Datasets: make(map[string]*DatasetEstimate, len(p.plan.Datasets)),
-	}
-	for i := range p.prefixJobs {
-		je := p.prefixJobs[i].je
-		est.Jobs[p.prefixJobs[i].id] = &je
-	}
-	for i := range p.prefixDatasets {
-		de := p.prefixDatasets[i].de
-		est.Datasets[p.prefixDatasets[i].id] = &de
-	}
-	ready := make(map[string]float64, len(p.prefixReady))
-	for id, t := range p.prefixReady {
-		ready[id] = t
-	}
-	p.mapPool.Restore(p.mapSnap)
-	p.redPool.Restore(p.redSnap)
-	for _, job := range p.order[p.split:] {
-		jobReady := readyTime(job, ready)
-		card, err := p.probeCard(job, est.Datasets)
-		if err != nil {
-			return nil, err
-		}
-		end := scheduleJob(card, jobReady, p.mapPool, p.redPool)
-		je := card.jobEstimate(jobReady, end)
-		est.Jobs[job.ID] = je
-		card.applyOutputs(est.Datasets)
-		for _, out := range job.Outputs() {
-			ready[out] = je.End
-		}
-		if je.End > est.Makespan {
-			est.Makespan = je.End
-		}
-	}
-	return est, nil
 }
 
 // Plan returns the workflow this Prepared is bound to.

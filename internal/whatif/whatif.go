@@ -20,11 +20,15 @@
 // reduce slot pools, which is cheap arithmetic. Estimate composes the two;
 // Prepare (prepared.go) exploits the split to answer configuration-search
 // probes incrementally, recomputing flow only for jobs a probe actually
-// affects while replaying scheduling from a slot-pool snapshot.
+// affects while replaying scheduling from a slot-pool snapshot. An estimator
+// built with NewCached additionally answers whole-workflow estimates from a
+// shared, concurrent-safe Cache (cache.go) keyed by canonical workflow
+// fingerprint; delta estimates and robustness replays never consult it.
 package whatif
 
 import (
 	"context"
+	"errors"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
@@ -72,14 +76,14 @@ type Estimate struct {
 	Datasets map[string]*DatasetEstimate
 }
 
-// Counts reports what-if activity through an estimator (or a stack of
-// estimators — package estcache's wrapper fills the same struct).
+// Counts reports what-if activity through one estimator.
 type Counts struct {
 	// Requests is every estimate request issued: full workflow estimates
 	// plus incremental (Prepared) delta estimates.
 	Requests uint64
-	// Computed is how many requests ran the full monolithic estimator.
-	// Delta estimates and cache hits are excluded — their cost shows up in
+	// Computed is how many requests ran the full monolithic estimator
+	// here. Delta estimates, cache hits, and waits on another estimator's
+	// in-flight computation are excluded — their cost shows up in
 	// FlowCards instead.
 	Computed uint64
 	// FlowCards is the number of per-job flow computations performed — the
@@ -98,9 +102,17 @@ func (c *Counts) Add(o Counts) {
 
 // Estimator predicts workflow cost on a given cluster. It memoizes skew
 // computations across calls (configuration search evaluates thousands of
-// plans whose key samples are identical). It is not safe for concurrent use.
+// plans whose key samples are identical). It is not safe for concurrent use
+// (skew and fingerprint memoization are private state); concurrent searches
+// each hold their own Estimator around one shared Cache, which is
+// concurrent-safe and deduplicates in-flight work across them.
 type Estimator struct {
-	Cluster   *mrsim.Cluster
+	Cluster *mrsim.Cluster
+	// cache, when non-nil, memoizes whole-workflow estimates across every
+	// estimator sharing it; hasher and clusterFP build its keys.
+	cache     *Cache
+	hasher    *wf.Hasher
+	clusterFP uint64
 	skewCache map[skewKey]float64
 	// sampleHashes memoizes key-sample content digests by the address of
 	// the sample's first tuple. The pointer map key pins the backing array,
@@ -110,7 +122,8 @@ type Estimator struct {
 	// different sample, resurrecting stale skew entries nondeterministically
 	// with GC timing.)
 	sampleHashes map[*keyval.Tuple]uint64
-	fullCalls    uint64
+	requests     uint64 // EstimateContext calls
+	computed     uint64 // runs of the monolithic loop (all of requests without a cache)
 	deltaCalls   uint64
 	flowCards    uint64
 }
@@ -127,13 +140,24 @@ type skewKey struct {
 	sample   uint64
 }
 
-// New builds an estimator.
-func New(c *mrsim.Cluster) *Estimator {
-	return &Estimator{
+// New builds an estimator without an estimate cache.
+func New(c *mrsim.Cluster) *Estimator { return NewCached(c, nil) }
+
+// NewCached builds an estimator whose whole-workflow estimates are answered
+// from, and on a miss added to, the shared cache (nil: every estimate is
+// computed).
+func NewCached(c *mrsim.Cluster, cache *Cache) *Estimator {
+	e := &Estimator{
 		Cluster:      c,
+		cache:        cache,
 		skewCache:    make(map[skewKey]float64),
 		sampleHashes: make(map[*keyval.Tuple]uint64),
 	}
+	if cache != nil {
+		e.hasher = wf.NewHasher()
+		e.clusterFP = ClusterFingerprint(c)
+	}
+	return e
 }
 
 // sampleHash digests a key sample's contents, memoized by (pinned) address.
@@ -151,8 +175,8 @@ func (e *Estimator) sampleHash(sample []keyval.Tuple) uint64 {
 // through Prepare, and per-job flow computations.
 func (e *Estimator) Counts() Counts {
 	return Counts{
-		Requests:  e.fullCalls + e.deltaCalls,
-		Computed:  e.fullCalls,
+		Requests:  e.requests + e.deltaCalls,
+		Computed:  e.computed,
 		FlowCards: e.flowCards,
 	}
 }
@@ -160,16 +184,50 @@ func (e *Estimator) Counts() Counts {
 // Estimate predicts the execution of w. Base datasets must carry size
 // annotations and every job a profile annotation; otherwise the fallback
 // #jobs model is returned (never an error, mirroring Stubby's tolerance of
-// missing information).
+// missing information). With a cache, a cost-equivalent workflow estimated
+// before (by any estimator sharing the cache) is answered from it: the
+// returned estimate is then shared and must be treated as immutable. Errors
+// are never cached.
 func (e *Estimator) Estimate(w *wf.Workflow) (*Estimate, error) {
 	return e.EstimateContext(context.Background(), w)
 }
 
-// EstimateContext is Estimate under a context: cancellation is checked
-// between per-job flow computations, so estimates of long workflows stop
-// promptly with ctx.Err().
+// EstimateContext is Estimate under a context: a cache hit returns
+// immediately; a computation checks cancellation between per-job flow
+// computations, so estimates of long workflows stop promptly with
+// ctx.Err(), and a canceled computation is never cached.
 func (e *Estimator) EstimateContext(ctx context.Context, w *wf.Workflow) (*Estimate, error) {
-	e.fullCalls++
+	e.requests++
+	if e.cache == nil {
+		return e.compute(ctx, w)
+	}
+	key := CacheKey{Plan: e.hasher.Workflow(w), Cluster: e.clusterFP}
+	jobIDs := make([]string, len(w.Jobs))
+	for i, j := range w.Jobs {
+		jobIDs[i] = j.ID
+	}
+	for {
+		est, err := e.cache.GetOrCompute(key, jobIDs, func() (*Estimate, error) {
+			return e.compute(ctx, w)
+		})
+		// The single flight returns the owner's error to every waiter. A
+		// ctx-derived error with OUR ctx still live means a fingerprint-
+		// equal caller was canceled mid-computation — their cancellation
+		// must not poison this caller, so recompute (the failed flight was
+		// removed, so the retry starts fresh).
+		if err != nil && ctx.Err() == nil &&
+			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			continue
+		}
+		return est, err
+	}
+}
+
+// compute is the monolithic estimate: flow and scheduling for every job in
+// topological order. It is the reference the incremental path (prepared.go)
+// is tested against.
+func (e *Estimator) compute(ctx context.Context, w *wf.Workflow) (*Estimate, error) {
+	e.computed++
 	order, err := w.TopoSort()
 	if err != nil {
 		return nil, err

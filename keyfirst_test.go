@@ -25,7 +25,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/wf"
-	"github.com/stubby-mr/stubby/internal/whatif/estcache"
+	"github.com/stubby-mr/stubby/internal/whatif"
 )
 
 // wireLog records the requests a server saw as "METHOD path", with the
@@ -118,7 +118,7 @@ func waitTransitions(t *testing.T, srv *stubby.Server, n uint64) {
 // default planner and seed 1 derives for wl submitted with its own cluster.
 func storeKeyOf(wl *stubby.Workload) planstore.Key {
 	return planstore.Key{Plan: wf.FingerprintWorkflow(wl.Workflow),
-		Cluster: estcache.ClusterFingerprint(wl.Cluster), Planner: "stubby", Seed: 1}
+		Cluster: whatif.ClusterFingerprint(wl.Cluster), Planner: "stubby", Seed: 1}
 }
 
 func getBody(t *testing.T, url string) []byte {

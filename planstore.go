@@ -8,7 +8,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/wf"
-	"github.com/stubby-mr/stubby/internal/whatif/estcache"
+	"github.com/stubby-mr/stubby/internal/whatif"
 )
 
 // PlanStore is a durable, content-addressed store of optimized plans. It
@@ -79,7 +79,7 @@ func (s *Session) PlanStoreStats() (stats PlanStoreStats, ok bool) {
 func (s *Session) planKey(fp wf.Fingerprint, planner string, seed int64) planstore.Key {
 	return planstore.Key{
 		Plan:    fp,
-		Cluster: estcache.ClusterFingerprint(s.cluster),
+		Cluster: whatif.ClusterFingerprint(s.cluster),
 		Planner: planner,
 		Seed:    seed,
 	}

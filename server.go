@@ -51,7 +51,6 @@ import (
 type Server struct {
 	sess        *Session
 	mux         *http.ServeMux
-	maxBody     int64
 	retain      int
 	retryPerJob time.Duration
 	journal     *Journal     // durable job journal (WithJournal), nil without one
@@ -67,15 +66,9 @@ type Server struct {
 // ServerOption configures a Server under construction.
 type ServerOption func(*Server)
 
-// WithMaxRequestBytes bounds the accepted request-document size (default
-// 256 MiB — annotated plans carry profiles and key samples).
-func WithMaxRequestBytes(n int64) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBody = n
-		}
-	}
-}
+// maxRequestBytes bounds the accepted request-document size (annotated
+// plans carry profiles and key samples).
+const maxRequestBytes = 256 << 20
 
 // WithJobRetention bounds how many finished (done/failed/canceled) jobs
 // the server keeps queryable (default 1024). When a submission would
@@ -114,7 +107,6 @@ func NewServer(sess *Session, opts ...ServerOption) *Server {
 	s := &Server{
 		sess:        sess,
 		mux:         http.NewServeMux(),
-		maxBody:     256 << 20,
 		retain:      1024,
 		retryPerJob: DefaultRetryAfterPerJob,
 		jobs:        make(map[string]*OptimizeHandle),
@@ -267,15 +259,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // anything over the server's bound.
 func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	tooLarge := stubbyerr.New(stubbyerr.KindInvalid, "submit", "", "",
-		"request body exceeds %d bytes", s.maxBody)
-	if r.ContentLength > s.maxBody {
+		"request body exceeds %d bytes", maxRequestBytes)
+	if r.ContentLength > maxRequestBytes {
 		return nil, tooLarge
 	}
-	body, err := jobclient.ReadBody(io.LimitReader(r.Body, s.maxBody+1), r.ContentLength)
+	body, err := jobclient.ReadBody(io.LimitReader(r.Body, maxRequestBytes+1), r.ContentLength)
 	if err != nil {
 		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "submit", "", err)
 	}
-	if int64(len(body)) > s.maxBody { // only a body that declared no length can get here
+	if len(body) > maxRequestBytes { // only a body that declared no length can get here
 		return nil, tooLarge
 	}
 	return body, nil
@@ -534,34 +526,31 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // 200 even while draining — a draining server is alive and should not be
 // restarted by a liveness probe. Route traffic with /readyz instead.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	q := s.sess.jobQueue()
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     status,
-		"queueDepth": q.Depth(),
-		"workers":    q.Workers(),
-	})
+	s.writeLiveness(w, http.StatusOK, s.draining.Load())
 }
 
 // handleReady is readiness: 200 while the server accepts submissions,
 // 503 (Retry-After stamped) the moment Drain begins — load balancers stop
 // routing new work immediately while in-flight jobs finish.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	q := s.sess.jobQueue()
-	if s.draining.Load() {
+	draining := s.draining.Load()
+	code := http.StatusOK
+	if draining {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":     "draining",
-			"queueDepth": q.Depth(),
-			"workers":    q.Workers(),
-		})
-		return
+		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
+	s.writeLiveness(w, code, draining)
+}
+
+// writeLiveness writes the body /healthz and /readyz share.
+func (s *Server) writeLiveness(w http.ResponseWriter, code int, draining bool) {
+	q := s.sess.jobQueue()
+	status := "ok"
+	if draining {
+		status = "draining"
+	}
+	writeJSON(w, code, map[string]any{
+		"status":     status,
 		"queueDepth": q.Depth(),
 		"workers":    q.Workers(),
 	})

@@ -95,3 +95,20 @@ func TestServerRetryAfterDerivedFromQueueDepth(t *testing.T) {
 		t.Errorf("default Retry-After = %q, want 4 (4 outstanding jobs x 1s)", got)
 	}
 }
+
+// TestServerRejectsOversizedBody: a submission declaring more than the
+// 256 MiB request bound is refused as invalid before any of it is read.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	sess, err := stubby.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader([]byte("{}")))
+	req.ContentLength = 256<<20 + 1
+	rec := httptest.NewRecorder()
+	stubby.NewServer(sess).ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte("exceeds 268435456 bytes")) {
+		t.Fatalf("oversized submission: %d %s", rec.Code, rec.Body.Bytes())
+	}
+}

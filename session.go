@@ -14,10 +14,10 @@ import (
 	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/service"
+	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/whatif"
-	"github.com/stubby-mr/stubby/internal/whatif/estcache"
 )
 
 // EstimateCache memoizes What-if cost estimates under canonical workflow
@@ -27,16 +27,16 @@ import (
 // WithEstimateCache so fan-outs over repeated or overlapping workflows
 // amortize estimation work. Caching is transparent: optimization returns
 // byte-identical plans and equal costs with or without it.
-type EstimateCache = estcache.Cache
+type EstimateCache = whatif.Cache
 
 // EstimateCacheStats snapshots an EstimateCache's hit/miss/eviction
 // counters; see Session.EstimateCacheStats and Observer.EstimateCacheReport.
-type EstimateCacheStats = estcache.Stats
+type EstimateCacheStats = stats.Cache
 
 // NewEstimateCache builds an estimate cache bounded to roughly capacity
 // entries (<= 0 uses a default of a few thousand). Attach it to one session
 // — or several, to share — with WithEstimateCache.
-func NewEstimateCache(capacity int) *EstimateCache { return estcache.New(capacity) }
+func NewEstimateCache(capacity int) *EstimateCache { return whatif.NewCache(capacity) }
 
 // Observer receives progress events from a session's optimizations and
 // runs: the optimizer reports each optimization unit it opens, each subplan
@@ -118,7 +118,6 @@ func PlannerSpecs() []PlannerSpec { return baselines.DefaultRegistry().Specs() }
 // input plan).
 type Session struct {
 	cluster      *Cluster
-	groups       Groups
 	seed         int64
 	plannerName  string
 	parallelism  int
@@ -159,15 +158,6 @@ func WithCluster(c *Cluster) SessionOption {
 			return fmt.Errorf("stubby: WithCluster(nil)")
 		}
 		s.cluster = c
-		return nil
-	}
-}
-
-// WithGroups restricts the transformation groups of the session's built-in
-// optimizer (default GroupAll).
-func WithGroups(g Groups) SessionOption {
-	return func(s *Session) error {
-		s.groups = g
 		return nil
 	}
 }
@@ -229,8 +219,7 @@ func WithProfileFraction(f float64) SessionOption {
 
 // WithOptimizerOptions sets the base optimizer Options (custom
 // transformations, search budgets, ablation knobs). Session-level options
-// (WithGroups, WithSeed, WithParallelism, WithObserver) are applied on top
-// when set.
+// (WithSeed, WithParallelism, WithObserver) are applied on top when set.
 func WithOptimizerOptions(opt Options) SessionOption {
 	return func(s *Session) error {
 		s.baseOpts = opt
@@ -307,19 +296,6 @@ func WithQueueDepth(n int) SessionOption {
 	}
 }
 
-// WithPlannerRegistry replaces the session's planner registry (default: a
-// private clone of the built-in registry, so RegisterPlanner never leaks
-// into other sessions).
-func WithPlannerRegistry(r *PlannerRegistry) SessionOption {
-	return func(s *Session) error {
-		if r == nil {
-			return fmt.Errorf("stubby: WithPlannerRegistry(nil)")
-		}
-		s.registry = r
-		return nil
-	}
-}
-
 // NewSession builds a session from functional options. With no options it
 // serves the default evaluation cluster with the full Stubby optimizer.
 func NewSession(opts ...SessionOption) (*Session, error) {
@@ -338,9 +314,9 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	if s.parallelism <= 0 {
 		s.parallelism = runtime.GOMAXPROCS(0)
 	}
-	if s.registry == nil {
-		s.registry = baselines.DefaultRegistry().Clone()
-	}
+	// A private clone of the built-in registry, so RegisterPlanner never
+	// leaks into other sessions.
+	s.registry = baselines.DefaultRegistry().Clone()
 	// Resolve the seed once so Session.Planner and Session.Optimize always
 	// search with the same seed regardless of whether it arrived through
 	// WithSeed or WithOptimizerOptions.
@@ -353,14 +329,10 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 			return nil, fmt.Errorf("stubby: %w", err)
 		}
 		// A group-restricted Stubby variant and an explicit group
-		// restriction (WithGroups or WithOptimizerOptions) are two answers
-		// to the same question; silently preferring one would mislabel
-		// the result.
+		// restriction (WithOptimizerOptions) are two answers to the same
+		// question; silently preferring one would mislabel the result.
 		if sp, ok := p.(baselines.StubbyPlanner); ok {
-			groups := s.groups
-			if groups == 0 {
-				groups = s.baseOpts.Groups
-			}
+			groups := s.baseOpts.Groups
 			if sp.Groups != GroupAll && groups != 0 && groups != sp.Groups {
 				return nil, fmt.Errorf("stubby: the Groups restriction conflicts with WithPlanner(%q); set one or the other", s.plannerName)
 			}
@@ -393,8 +365,7 @@ func (s *Session) plannerSeeded(name string, seed int64) (Planner, error) {
 }
 
 // RegisterPlanner adds a planner to this session's registry (shadowing a
-// built-in of the same name). It does not affect other sessions unless the
-// registry was shared via WithPlannerRegistry.
+// built-in of the same name). It does not affect other sessions.
 func (s *Session) RegisterPlanner(spec PlannerSpec) error {
 	return s.registry.Register(spec)
 }
@@ -403,9 +374,6 @@ func (s *Session) RegisterPlanner(spec PlannerSpec) error {
 // binds the observer to a workflow name.
 func (s *Session) optimizerOptions(workflow string) optimizer.Options {
 	o := s.baseOpts
-	if s.groups != 0 {
-		o.Groups = s.groups
-	}
 	o.Seed = s.seed // resolved at NewSession; matches Session.Planner
 	if o.Parallelism == 0 {
 		o.Parallelism = s.parallelism
@@ -439,22 +407,10 @@ func (s *Session) EstimateCacheStats() (stats EstimateCacheStats, ok bool) {
 	return s.estCache.Stats(), true
 }
 
-// sessionEstimator is the estimator surface Session methods need: the
-// (cancellable) estimate plus activity counters (for Result.WhatIfCalls/
-// WhatIfComputed/FlowCards).
-type sessionEstimator interface {
-	EstimateContext(ctx context.Context, w *Workflow) (*Estimate, error)
-	Counts() whatif.Counts
-}
-
-// estimator builds a fresh what-if estimator, fronted by the session's
+// estimator builds a fresh what-if estimator, answering from the session's
 // estimate cache when one is attached.
-func (s *Session) estimator() sessionEstimator {
-	inner := whatif.New(s.cluster)
-	if s.estCache != nil {
-		return estcache.NewEstimator(s.estCache, inner)
-	}
-	return inner
+func (s *Session) estimator() *whatif.Estimator {
+	return whatif.NewCached(s.cluster, s.estCache)
 }
 
 // reportCacheStats emits the cache-stats observer event after an optimize.

@@ -268,16 +268,17 @@ func TestSessionPlannerRegistry(t *testing.T) {
 	// Conflicting group restrictions are rejected rather than silently
 	// preferring one.
 	if _, err := stubby.NewSession(
-		stubby.WithGroups(stubby.GroupAll), stubby.WithPlanner("vertical")); err == nil ||
+		stubby.WithOptimizerOptions(stubby.Options{Groups: stubby.GroupAll}),
+		stubby.WithPlanner("vertical")); err == nil ||
 		!strings.Contains(err.Error(), "conflicts") {
-		t.Fatalf("conflicting WithGroups+WithPlanner: got %v", err)
+		t.Fatalf("conflicting Groups+WithPlanner: got %v", err)
 	}
 	// Refining full Stubby with a group restriction stays allowed.
 	if _, err := stubby.NewSession(
-		stubby.WithGroups(stubby.GroupVertical), stubby.WithPlanner("stubby")); err != nil {
-		t.Fatalf("WithGroups refinement of stubby rejected: %v", err)
+		stubby.WithOptimizerOptions(stubby.Options{Groups: stubby.GroupVertical}),
+		stubby.WithPlanner("stubby")); err != nil {
+		t.Fatalf("Groups refinement of stubby rejected: %v", err)
 	}
-	// Groups smuggled in through WithOptimizerOptions conflict the same way.
 	if _, err := stubby.NewSession(
 		stubby.WithPlanner("vertical"),
 		stubby.WithOptimizerOptions(stubby.Options{Groups: stubby.GroupHorizontal}),

@@ -436,7 +436,6 @@ func (s *Session) deriveFor(req OptimizeRequest) (*Session, error) {
 	}
 	return &Session{
 		cluster:      req.Cluster,
-		groups:       s.groups,
 		seed:         s.seed,
 		plannerName:  s.plannerName,
 		parallelism:  s.parallelism,
