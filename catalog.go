@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/catalog"
-	"github.com/stubby-mr/stubby/internal/planio"
-	"github.com/stubby-mr/stubby/internal/wf"
 )
 
 // ReuseCatalog is a durable catalog of materialized sub-plan results (the
@@ -86,51 +84,4 @@ func (s *Session) ReuseCatalogStats() (stats ReuseCatalogStats, ok bool) {
 		return ReuseCatalogStats{}, false
 	}
 	return s.reuseCatalog.Stats(), true
-}
-
-// publishRunResults records every intermediate dataset a completed Run
-// materialized into the session's reuse catalog, keyed by the rooted
-// fingerprint of its producing sub-DAG. Empty results are skipped (a scan
-// of nothing never beats anything), as are datasets the run did not leave
-// on the DFS. Catalog append errors are absorbed into the catalog's Errors
-// counter — a full disk must not fail a run that already succeeded.
-func (s *Session) publishRunResults(dfs *DFS, w *Workflow) {
-	h := wf.NewHasher()
-	for _, d := range w.Datasets {
-		if d.Base || w.Producer(d.ID) == nil {
-			continue
-		}
-		fp, ok := h.Subplan(w, d.ID)
-		if !ok {
-			continue
-		}
-		stored, ok := dfs.Get(d.ID)
-		if !ok || stored.Records() == 0 || stored.Bytes() == 0 {
-			continue
-		}
-		layout, err := planio.EncodeLayout(stored.Layout)
-		if err != nil {
-			continue
-		}
-		total := stored.Bytes()
-		var maxPart int64
-		for _, p := range stored.Parts {
-			if p.Bytes > maxPart {
-				maxPart = p.Bytes
-			}
-		}
-		_ = s.reuseCatalog.Put(catalog.Entry{
-			Fingerprint:  fp.String(),
-			Dataset:      d.ID,
-			Workflow:     w.Name,
-			Jobs:         len(wf.ProducingJobs(w, d.ID)),
-			Records:      float64(stored.Records()),
-			Bytes:        float64(total),
-			Partitions:   len(stored.Parts),
-			MaxPartShare: float64(maxPart) / float64(total),
-			KeyFields:    d.KeyFields,
-			ValueFields:  d.ValueFields,
-			Layout:       layout,
-		})
-	}
 }

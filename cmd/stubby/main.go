@@ -108,9 +108,6 @@ func main() {
 		}()
 		opts = append(opts, stubby.WithReuseCatalog(reuseCat))
 	}
-	if *verbose {
-		opts = append(opts, stubby.WithObserver(progressObserver{}))
-	}
 	if *robSamples > 0 {
 		model, err := stubby.FaultProfile(*faultName, *faultSeed)
 		if err != nil {
@@ -159,19 +156,19 @@ func main() {
 	}
 
 	if *compare {
-		comparePlanners(ctx, sess, opts, wl)
+		comparePlanners(ctx, sess, opts, wl, *verbose)
 		return
 	}
 
 	plan := wl.Workflow
 	if plannerName != "none" {
-		// Optimize through the session (not Planner.Plan directly) so the
-		// -v observer sees per-unit progress for Stubby variants.
+		// Optimize through the session (not Planner.Plan directly) so -v
+		// sees per-unit progress for Stubby variants.
 		p, err := sess.Planner(plannerName)
 		if err != nil {
 			fail(err)
 		}
-		res, err := sess.Optimize(ctx, wl.Workflow)
+		res, err := optimize(ctx, sess, wl.Workflow, *verbose)
 		if err != nil {
 			fail(err)
 		}
@@ -197,15 +194,33 @@ func main() {
 	}
 }
 
-// progressObserver streams optimizer and engine progress to stderr (-v).
-type progressObserver struct{ stubby.NopObserver }
-
-func (progressObserver) UnitStarted(workflow, phase string, unit int, jobs []string) {
-	fmt.Fprintf(os.Stderr, "[%s] unit %d (%s): %v\n", workflow, unit, phase, jobs)
+// optimize runs one optimization on sess. Under -v it is submitted, so the
+// job's event stream can be printed as it arrives.
+func optimize(ctx context.Context, sess *stubby.Session, w *stubby.Workflow, verbose bool) (*stubby.Result, error) {
+	if !verbose {
+		return sess.Optimize(ctx, w)
+	}
+	job, err := sess.Submit(ctx, stubby.OptimizeRequest{Workflow: w})
+	if err != nil {
+		return nil, err
+	}
+	for ev := range job.Events(ctx) {
+		printEvent(ev)
+	}
+	return job.Wait(ctx)
 }
 
-func (progressObserver) BestCostImproved(workflow string, unit int, desc string, cost float64) {
-	fmt.Fprintf(os.Stderr, "[%s] unit %d: best <- %s (%.1f)\n", workflow, unit, desc, cost)
+// printEvent streams one progress event of a local or remote job to stderr
+// (-v).
+func printEvent(ev stubby.Event) {
+	switch e := ev.(type) {
+	case stubby.StateChangedEvent:
+		fmt.Fprintf(os.Stderr, "[%s] state %s\n", e.Workflow, e.State)
+	case stubby.UnitStartedEvent:
+		fmt.Fprintf(os.Stderr, "[%s] unit %d (%s): %v\n", e.Workflow, e.Unit, e.Phase, e.Jobs)
+	case stubby.BestCostImprovedEvent:
+		fmt.Fprintf(os.Stderr, "[%s] unit %d: best <- %s (%.1f)\n", e.Workflow, e.Unit, e.Desc, e.Cost)
+	}
 }
 
 // printWhatIf reports what-if activity for one optimization and, when a
@@ -233,7 +248,7 @@ func printWhatIf(res *stubby.Result, cache *stubby.EstimateCache) {
 	}
 }
 
-func comparePlanners(ctx context.Context, sess *stubby.Session, opts []stubby.SessionOption, wl *stubby.Workload) {
+func comparePlanners(ctx context.Context, sess *stubby.Session, opts []stubby.SessionOption, wl *stubby.Workload, verbose bool) {
 	// Baseline goes first: it anchors the speedup column.
 	names := []string{"baseline"}
 	for _, n := range sess.Planners() {
@@ -243,8 +258,8 @@ func comparePlanners(ctx context.Context, sess *stubby.Session, opts []stubby.Se
 	}
 	var baseTime float64
 	for _, name := range names {
-		// One session per planner, optimized through Session.Optimize so
-		// -v progress and ctx cancellation apply to every search.
+		// One session per planner, optimized through the session so -v
+		// progress and ctx cancellation apply to every search.
 		psess, err := stubby.NewSession(append(append([]stubby.SessionOption{}, opts...), stubby.WithPlanner(name))...)
 		if err != nil {
 			fail(err)
@@ -253,7 +268,7 @@ func comparePlanners(ctx context.Context, sess *stubby.Session, opts []stubby.Se
 		if err != nil {
 			fail(err)
 		}
-		res, err := psess.Optimize(ctx, wl.Workflow)
+		res, err := optimize(ctx, psess, wl.Workflow, verbose)
 		if err != nil {
 			fail(err)
 		}
@@ -299,14 +314,7 @@ func optimizeRemote(ctx context.Context, base string, wl *stubby.Workload, plann
 			fail(err)
 		}
 		for ev := range events {
-			switch e := ev.(type) {
-			case stubby.StateChangedEvent:
-				fmt.Fprintf(os.Stderr, "[%s] state %s\n", e.Workflow, e.State)
-			case stubby.UnitStartedEvent:
-				fmt.Fprintf(os.Stderr, "[%s] unit %d (%s): %v\n", e.Workflow, e.Unit, e.Phase, e.Jobs)
-			case stubby.BestCostImprovedEvent:
-				fmt.Fprintf(os.Stderr, "[%s] unit %d: best <- %s (%.1f)\n", e.Workflow, e.Unit, e.Desc, e.Cost)
-			}
+			printEvent(ev)
 		}
 	}
 	res, err := job.Wait(ctx)

@@ -1,10 +1,14 @@
 package stubby
 
-// Event is the closed sum type of progress events delivered by
-// OptimizeHandle.Events and Client event streams. It replaces the
-// ever-widening Observer interface: adding a new event type is a
-// non-breaking change (consumers switch on the types they care about),
-// whereas adding an Observer method broke every implementor.
+import "github.com/stubby-mr/stubby/internal/event"
+
+// Event is the closed sum type of progress events: what the optimizer and
+// the engine emit inside the process, what OptimizeHandle.Events and Client
+// event streams deliver, and what an Observer attached with WithObserver is
+// fed through ObserverEvents. It replaces the ever-widening Observer
+// interface: adding a new event type is a non-breaking change (consumers
+// switch on the types they care about), whereas adding an Observer method
+// broke every implementor.
 //
 //	for ev := range handle.Events(ctx) {
 //		switch e := ev.(type) {
@@ -15,119 +19,62 @@ package stubby
 //		}
 //	}
 //
-// The set is closed: only types in this package implement Event.
-type Event interface {
-	// WorkflowName returns the name of the workflow the event is about.
-	WorkflowName() string
-	event()
-}
+// The set is closed: only the types below implement Event. Each is a struct
+// declared once, in internal/event, with a Workflow field (also returned by
+// WorkflowName) besides the fields its comment lists.
+type Event = event.Event
 
-// UnitStartedEvent fires when the optimizer opens an optimization unit.
-type UnitStartedEvent struct {
-	Workflow string
-	Phase    string
-	Unit     int
-	Jobs     []string
-}
+// UnitStartedEvent fires when the optimizer opens an optimization unit:
+// Phase, Unit (a global index across phases), Jobs.
+type UnitStartedEvent = event.UnitStarted
 
 // SubplanEnumeratedEvent fires per enumerated subplan with its best cost
-// after configuration search.
-type SubplanEnumeratedEvent struct {
-	Workflow string
-	Unit     int
-	Desc     string
-	Cost     float64
-}
+// after configuration search: Unit, Desc, Cost.
+type SubplanEnumeratedEvent = event.SubplanEnumerated
 
 // BestCostImprovedEvent fires when a subplan displaces the unit's
-// incumbent.
-type BestCostImprovedEvent struct {
-	Workflow string
-	Unit     int
-	Desc     string
-	Cost     float64
-}
+// incumbent: Unit, Desc, Cost.
+type BestCostImprovedEvent = event.BestCostImproved
 
 // JobFinishedEvent fires after the execution engine completes a job of a
-// Run.
-type JobFinishedEvent struct {
-	Workflow string
-	Job      string
-	Start    float64
-	End      float64
-}
+// Run: Job, Start, End.
+type JobFinishedEvent = event.JobFinished
 
 // CacheReportEvent carries the estimate cache's cumulative statistics
-// after an optimization on a session with a cache attached.
-type CacheReportEvent struct {
-	Workflow string
-	Stats    EstimateCacheStats
-}
+// (Stats) after an optimization on a session with a cache attached.
+type CacheReportEvent = event.CacheReport
 
 // PlanStoreEvent fires once per submission on a session with a plan store
 // attached (WithPlanStore), reporting whether the submission was answered
 // from the store — Hit means the plan came back without running the
-// optimizer — along with the store's cumulative statistics.
-type PlanStoreEvent struct {
-	Workflow string
-	Hit      bool
-	Stats    PlanStoreStats
-}
+// optimizer — along with the store's cumulative statistics (Stats).
+type PlanStoreEvent = event.PlanStore
 
 // ReuseReportEvent fires once per optimizing submission on a session with
 // a reuse catalog attached (WithReuseCatalog), reporting how many rooted
 // sub-DAGs of this workflow's plan were replaced with scans of previously
-// materialized results, along with the catalog's cumulative statistics.
-type ReuseReportEvent struct {
-	Workflow string
-	Reused   int
-	Stats    ReuseCatalogStats
-}
+// materialized results (Reused), along with the catalog's cumulative
+// statistics (Stats).
+type ReuseReportEvent = event.ReuseReport
 
 // RobustnessEvent fires once per submission on a session with robustness-
 // aware planning configured (WithRobustness), carrying the chosen plan's
-// Monte-Carlo makespan distribution under the session's fault model.
-type RobustnessEvent struct {
-	Workflow string
-	Report   *Robustness
-}
+// Monte-Carlo makespan distribution under the session's fault model
+// (Report).
+type RobustnessEvent = event.Robustness
 
 // StateChangedEvent fires on every lifecycle transition of a submitted
-// job: Queued on admission, Running when a worker picks it up, then
-// exactly one of Done, Failed (Err set), or Canceled. It is always the
-// last event of a job's stream.
-type StateChangedEvent struct {
-	Workflow string
-	JobID    string
-	State    JobState
-	Err      error
-}
+// job (JobID, State, Err): Queued on admission, Running when a worker picks
+// it up, then exactly one of Done, Failed (Err set), or Canceled. It is
+// always the last event of a job's stream.
+type StateChangedEvent = event.StateChanged
 
-func (e UnitStartedEvent) WorkflowName() string       { return e.Workflow }
-func (e SubplanEnumeratedEvent) WorkflowName() string { return e.Workflow }
-func (e BestCostImprovedEvent) WorkflowName() string  { return e.Workflow }
-func (e JobFinishedEvent) WorkflowName() string       { return e.Workflow }
-func (e CacheReportEvent) WorkflowName() string       { return e.Workflow }
-func (e PlanStoreEvent) WorkflowName() string         { return e.Workflow }
-func (e ReuseReportEvent) WorkflowName() string       { return e.Workflow }
-func (e RobustnessEvent) WorkflowName() string        { return e.Workflow }
-func (e StateChangedEvent) WorkflowName() string      { return e.Workflow }
-
-func (UnitStartedEvent) event()       {}
-func (SubplanEnumeratedEvent) event() {}
-func (BestCostImprovedEvent) event()  {}
-func (JobFinishedEvent) event()       {}
-func (CacheReportEvent) event()       {}
-func (PlanStoreEvent) event()         {}
-func (ReuseReportEvent) event()       {}
-func (RobustnessEvent) event()        {}
-func (StateChangedEvent) event()      {}
-
-// ObserverEvents adapts a deprecated Observer to an event consumer: the
-// returned function dispatches each event to the matching Observer method
-// (StateChangedEvent has no Observer counterpart and is dropped). It is
-// the migration bridge for code that still owns an Observer implementation
-// but consumes the new typed stream:
+// ObserverEvents adapts an Observer to an event consumer — the one place an
+// Observer and the event stream meet: the returned function dispatches each
+// event to the matching Observer method and drops the types that have none
+// (the store, reuse, robustness and state events). WithObserver installs
+// exactly this function as the session's sink; use it directly to feed an
+// Observer from a handle's or a client's stream:
 //
 //	sink := stubby.ObserverEvents(myObserver)
 //	for ev := range handle.Events(ctx) { sink(ev) }

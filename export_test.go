@@ -1,7 +1,15 @@
 package stubby
 
+import "time"
+
 // The event wire mappers, for the round-trip completeness test.
 var (
 	EventToDoc   = eventToDoc
 	EventFromDoc = eventFromDoc
 )
+
+// SetJobRetention and SetRetryAfterPerJob vary, on a server not yet serving,
+// what production fixes as the constants jobRetention and retryAfterPerJob.
+func SetJobRetention(s *Server, n int) *Server { s.retain = n; return s }
+
+func SetRetryAfterPerJob(s *Server, d time.Duration) *Server { s.retryPerJob = d; return s }

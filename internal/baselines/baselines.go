@@ -76,11 +76,9 @@ func packAllSameInput(w *wf.Workflow) *wf.Workflow {
 		groups := sameInputGroups(plan)
 		applied := false
 		for _, g := range groups {
-			if trans.CanHorizontal(plan, g, true) != nil {
-				continue
-			}
-			next, err := trans.Horizontal(plan, g, true)
-			if err == nil {
+			// Horizontal checks its own precondition: an unpackable group
+			// is skipped on its error.
+			if next, err := trans.Horizontal(plan, g, true); err == nil {
 				plan = next
 				applied = true
 				break
@@ -221,35 +219,27 @@ func ySmartStep(plan *wf.Workflow) (*wf.Workflow, bool) {
 	}
 	for _, jp := range order {
 		for _, jc := range plan.JobConsumers(jp) {
-			if trans.CanInterVertical(plan, jp.ID, jc.ID) == nil {
-				if next, err := trans.InterVertical(plan, jp.ID, jc.ID); err == nil {
-					return next, true
-				}
+			if next, err := trans.InterVertical(plan, jp.ID, jc.ID); err == nil {
+				return next, true
 			}
 		}
 	}
 	for _, jc := range order {
-		if trans.CanIntraVertical(plan, jc.ID) == nil {
-			// Only worthwhile for YSmart if it unlocks an inter packing
-			// that removes a job; apply and check.
-			mid, err := trans.IntraVertical(plan, jc.ID)
-			if err != nil {
-				continue
-			}
-			for _, jp := range mid.JobProducers(mid.Job(jc.ID)) {
-				if trans.CanInterVertical(mid, jp.ID, jc.ID) == nil {
-					if next, err := trans.InterVertical(mid, jp.ID, jc.ID); err == nil {
-						return next, true
-					}
-				}
+		// Only worthwhile for YSmart if it unlocks an inter packing that
+		// removes a job; apply and check.
+		mid, err := trans.IntraVertical(plan, jc.ID)
+		if err != nil {
+			continue
+		}
+		for _, jp := range mid.JobProducers(mid.Job(jc.ID)) {
+			if next, err := trans.InterVertical(mid, jp.ID, jc.ID); err == nil {
+				return next, true
 			}
 		}
 	}
 	for _, g := range sameInputGroups(plan) {
-		if trans.CanHorizontal(plan, g, true) == nil {
-			if next, err := trans.Horizontal(plan, g, true); err == nil {
-				return next, true
-			}
+		if next, err := trans.Horizontal(plan, g, true); err == nil {
+			return next, true
 		}
 	}
 	return nil, false

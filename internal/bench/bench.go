@@ -6,7 +6,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -190,14 +189,4 @@ func FormatTable(header []string, rows [][]string) string {
 		line(r)
 	}
 	return b.String()
-}
-
-// sortedKeys returns map keys sorted.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -8,9 +8,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/gen"
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/optimizer"
-	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/profile"
-	"github.com/stubby-mr/stubby/internal/wf"
 )
 
 // ReuseRow measures the sub-plan reuse catalog on one member of an
@@ -53,53 +51,6 @@ const (
 	ReuseBenchMembers  = 3
 	ReuseBenchRRSEvals = 40
 )
-
-// publishCase mirrors the session's run-completion hook: every non-empty
-// intermediate dataset the run materialized is published under its producing
-// sub-DAG's rooted fingerprint.
-func publishCase(cat *catalog.Store, w *wf.Workflow, dfs *mrsim.DFS) error {
-	h := wf.NewHasher()
-	for _, d := range w.Datasets {
-		if d.Base || w.Producer(d.ID) == nil {
-			continue
-		}
-		fp, ok := h.Subplan(w, d.ID)
-		if !ok {
-			continue
-		}
-		stored, ok := dfs.Get(d.ID)
-		if !ok || stored.Records() == 0 || stored.Bytes() == 0 {
-			continue
-		}
-		layout, err := planio.EncodeLayout(stored.Layout)
-		if err != nil {
-			return err
-		}
-		total := stored.Bytes()
-		var maxPart int64
-		for _, p := range stored.Parts {
-			if p.Bytes > maxPart {
-				maxPart = p.Bytes
-			}
-		}
-		if err := cat.Put(catalog.Entry{
-			Fingerprint:  fp.String(),
-			Dataset:      d.ID,
-			Workflow:     w.Name,
-			Jobs:         len(wf.ProducingJobs(w, d.ID)),
-			Records:      float64(stored.Records()),
-			Bytes:        float64(total),
-			Partitions:   len(stored.Parts),
-			MaxPartShare: float64(maxPart) / float64(total),
-			KeyFields:    d.KeyFields,
-			ValueFields:  d.ValueFields,
-			Layout:       layout,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // ReuseBench measures cross-workflow sub-plan reuse over generator-produced
 // overlapping families. For each seed: member 0 is profiled, executed on the
@@ -152,7 +103,7 @@ func (h *Harness) reuseFamily(seed int64) ([]ReuseRow, error) {
 	if _, err := mrsim.NewEngine(fam[0].Cluster, runDFS).RunWorkflow(fam[0].Workflow); err != nil {
 		return nil, err
 	}
-	if err := publishCase(cat, fam[0].Workflow, runDFS); err != nil {
+	if err := cat.PublishRun(fam[0].Workflow, runDFS); err != nil {
 		return nil, err
 	}
 

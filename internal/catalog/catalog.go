@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/framelog"
+	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/trans"
@@ -274,6 +275,57 @@ func (s *Store) Put(e Entry) error {
 	s.entries[e.Fingerprint] = framed{payload: payload, crc: framelog.Checksum(payload)}
 	s.puts++
 	return nil
+}
+
+// PublishRun records every intermediate dataset a completed run of w left on
+// dfs, keyed by the rooted fingerprint of its producing sub-DAG. Empty
+// results are skipped (a scan of nothing never beats anything), as are
+// datasets the run did not leave on the DFS. A failed entry does not stop
+// the rest; the first failure is returned (and, for an append, counted in
+// Stats.Errors) so that a caller whose run already succeeded may ignore it.
+func (s *Store) PublishRun(w *wf.Workflow, dfs *mrsim.DFS) error {
+	var first error
+	h := wf.NewHasher()
+	for _, d := range w.Datasets {
+		if d.Base || w.Producer(d.ID) == nil {
+			continue
+		}
+		fp, ok := h.Subplan(w, d.ID)
+		if !ok {
+			continue
+		}
+		stored, ok := dfs.Get(d.ID)
+		if !ok || stored.Records() == 0 || stored.Bytes() == 0 {
+			continue
+		}
+		layout, err := planio.EncodeLayout(stored.Layout)
+		if err == nil {
+			total := stored.Bytes()
+			var maxPart int64
+			for _, p := range stored.Parts {
+				if p.Bytes > maxPart {
+					maxPart = p.Bytes
+				}
+			}
+			err = s.Put(Entry{
+				Fingerprint:  fp.String(),
+				Dataset:      d.ID,
+				Workflow:     w.Name,
+				Jobs:         len(wf.ProducingJobs(w, d.ID)),
+				Records:      float64(stored.Records()),
+				Bytes:        float64(total),
+				Partitions:   len(stored.Parts),
+				MaxPartShare: float64(maxPart) / float64(total),
+				KeyFields:    d.KeyFields,
+				ValueFields:  d.ValueFields,
+				Layout:       layout,
+			})
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Lookup resolves a sub-plan fingerprint to its stored result. The held

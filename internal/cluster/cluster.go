@@ -113,9 +113,6 @@ func New(opts ...Option) *Coordinator {
 	return c
 }
 
-// LeaseTTL reports the configured worker lease TTL.
-func (c *Coordinator) LeaseTTL() time.Duration { return c.leaseTTL }
-
 // Register admits (or revives) a worker and returns its ID and lease TTL.
 // A worker re-registering under its previous ID keeps it; an unknown or
 // empty ID gets a fresh one.

@@ -3,9 +3,6 @@ package gen
 import (
 	"fmt"
 	"math/rand"
-
-	"github.com/stubby-mr/stubby/internal/mrsim"
-	"github.com/stubby-mr/stubby/internal/wf"
 )
 
 // Family builds n cases whose workflows share a common prefix sub-DAG —
@@ -33,53 +30,11 @@ func Family(seed int64, n int, opt Options) []*Case {
 }
 
 func familyMember(seed int64, member int, opt Options) *Case {
-	b := &builder{
-		rng:    rand.New(rand.NewSource(seed ^ 0x5eed5eed)),
-		opt:    opt,
-		w:      &wf.Workflow{Name: fmt.Sprintf("FAM%d-%d", seed, member)},
-		dfs:    mrsim.NewDFS(),
-		labels: map[string][]int{},
-		jobN:   1,
-	}
-
-	// Shared prefix: the same draw sequence as Generate, replayed from the
-	// same seed for every member, so bases and prefix jobs are identical
-	// across the family (and across Generate(seed) itself).
-	nBases := 1 + b.rng.Intn(3)
-	var shared *fieldInfo
-	first := b.genBase(nil)
-	if nBases >= 2 && b.rng.Intn(10) < 6 {
-		shared = &first.key[0]
-	}
-	for i := 1; i < nBases; i++ {
-		b.genBase(shared)
-		shared = nil
-	}
-
-	target := opt.MinJobs + b.rng.Intn(opt.MaxJobs-opt.MinJobs+1)
-	for b.jobN <= target {
-		in := b.pool[b.rng.Intn(len(b.pool))]
-		switch r := b.rng.Intn(20); {
-		case r < 4 && target-b.jobN >= 1:
-			b.chainAgg(in)
-		case r < 7:
-			if a, c, ok := b.joinPartners(); ok {
-				b.join(a, c)
-			} else {
-				b.groupAgg(in)
-			}
-		case r < 10:
-			if u, ok := b.uniqueInput(); ok {
-				b.topK(u)
-			} else {
-				b.filterMap(in)
-			}
-		case r < 14:
-			b.filterMap(in)
-		default:
-			b.groupAgg(in)
-		}
-	}
+	// Shared prefix: Generate's own draw sequence, replayed from the same
+	// seed for every member, so bases and prefix jobs are identical across
+	// the family (and across Generate(seed) itself).
+	b := newBuilder(seed, fmt.Sprintf("FAM%d-%d", seed, member), opt)
+	b.drawWorkflow()
 
 	// The divergence point: the most recently produced dataset. Members
 	// past the first consume it, which also guarantees the rooted sub-DAG
@@ -97,23 +52,10 @@ func familyMember(seed int64, member int, opt Options) *Case {
 		}
 	}
 
-	if err := b.w.Validate(); err != nil {
-		panic(fmt.Sprintf("gen: family seed %d member %d produced an invalid workflow: %v", seed, member, err))
-	}
 	// The cluster draw runs on a member-independent rng (suffixes consume
 	// different amounts of member-specific randomness) and the DFS holds
 	// only base data, identical across members — so every member prices
 	// against the same machine model.
 	b.rng = rand.New(rand.NewSource(seed ^ 0x5eed5eed ^ 0x7a57e))
-	c := &Case{
-		Seed:     seed,
-		Workflow: b.w,
-		DFS:      b.dfs,
-		Cluster:  b.cluster(),
-		Canon:    map[string]mrsim.CanonSpec{},
-	}
-	for _, d := range b.w.SinkDatasets() {
-		c.Canon[d.ID] = mrsim.CanonSpec{LabelKeyFields: b.labels[d.ID]}
-	}
-	return c
+	return b.finish(seed)
 }

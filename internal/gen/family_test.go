@@ -85,3 +85,16 @@ func TestFamilyMembersValid(t *testing.T) {
 		}
 	}
 }
+
+// TestFamilyPrefixIsGenerate: the prefix every member replays is Generate's
+// own draw sequence, so member 0 — exactly the shared prefix — is the
+// workflow Generate builds for the seed, under another name.
+func TestFamilyPrefixIsGenerate(t *testing.T) {
+	for seed := int64(1); seed <= CorpusSeeds; seed++ {
+		member0 := Family(seed, 1, Options{})[0].Workflow
+		generated := Generate(seed, Options{}).Workflow
+		if a, b := wf.FingerprintWorkflow(member0), wf.FingerprintWorkflow(generated); a != b {
+			t.Errorf("seed %d: Family(seed, 1)[0] fingerprints %s, Generate(seed) %s", seed, a, b)
+		}
+	}
+}

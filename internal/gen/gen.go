@@ -148,16 +148,26 @@ type builder struct {
 // produces an invalid workflow — that is a generator bug, and the fuzz
 // targets hunt for it.
 func Generate(seed int64, opt Options) *Case {
-	opt = opt.withDefaults()
-	b := &builder{
+	b := newBuilder(seed, fmt.Sprintf("GEN%d", seed), opt.withDefaults())
+	b.drawWorkflow()
+	return b.finish(seed)
+}
+
+// newBuilder starts the named workflow's builder on the seed's rng.
+func newBuilder(seed int64, name string, opt Options) *builder {
+	return &builder{
 		rng:    rand.New(rand.NewSource(seed ^ 0x5eed5eed)),
 		opt:    opt,
-		w:      &wf.Workflow{Name: fmt.Sprintf("GEN%d", seed)},
+		w:      &wf.Workflow{Name: name},
 		dfs:    mrsim.NewDFS(),
 		labels: map[string][]int{},
 		jobN:   1,
 	}
+}
 
+// drawWorkflow draws the base datasets and the job mix: all of Generate's
+// workflow, and the prefix every Family member replays from the same seed.
+func (b *builder) drawWorkflow() {
 	// Base datasets; a shared key field across the first two enables joins.
 	nBases := 1 + b.rng.Intn(3)
 	var shared *fieldInfo
@@ -170,7 +180,7 @@ func Generate(seed int64, opt Options) *Case {
 		shared = nil
 	}
 
-	target := opt.MinJobs + b.rng.Intn(opt.MaxJobs-opt.MinJobs+1)
+	target := b.opt.MinJobs + b.rng.Intn(b.opt.MaxJobs-b.opt.MinJobs+1)
 	for b.jobN <= target {
 		in := b.pool[b.rng.Intn(len(b.pool))]
 		switch r := b.rng.Intn(20); {
@@ -194,9 +204,13 @@ func Generate(seed int64, opt Options) *Case {
 			b.groupAgg(in)
 		}
 	}
+}
 
+// finish validates the built workflow and wraps it, with the cluster drawn
+// from the builder's rng as it stands, into the seed's case.
+func (b *builder) finish(seed int64) *Case {
 	if err := b.w.Validate(); err != nil {
-		panic(fmt.Sprintf("gen: seed %d produced an invalid workflow: %v", seed, err))
+		panic(fmt.Sprintf("gen: seed %d produced an invalid workflow %s: %v", seed, b.w.Name, err))
 	}
 	c := &Case{
 		Seed:     seed,

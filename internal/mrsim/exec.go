@@ -16,19 +16,14 @@ import (
 // partitioners sample thousands of keys).
 const keySampleSize = 1500
 
-// JobObserver receives engine progress events. Callbacks run synchronously
-// from the simulation loop, so implementations should return quickly.
-type JobObserver interface {
-	// JobFinished fires after each job completes, with its full report.
-	JobFinished(r *JobReport)
-}
-
 // Engine executes workflows on a simulated cluster over a simulated DFS.
 type Engine struct {
 	Cluster *Cluster
 	DFS     *DFS
-	// Observer, when non-nil, receives a callback after every job.
-	Observer JobObserver
+	// JobFinished, when non-nil, is called after each job completes, with
+	// its full report. It runs synchronously from the simulation loop, so
+	// it should return quickly.
+	JobFinished func(*JobReport)
 	// Fault, when non-nil, perturbs task scheduling: failures with
 	// bounded retries, lognormal stragglers, heterogeneous slot speeds,
 	// and speculative re-execution. Only simulated timings move — the
@@ -79,8 +74,8 @@ type JobReport struct {
 	// MapTaskSeconds/ReduceTaskSeconds sum task durations (work, not span).
 	MapTaskSeconds, ReduceTaskSeconds float64
 	// MaxMapTaskSec/MaxReduceTaskSec expose straggler effects (skew);
-	// the What-if replay prices them into wave packing with
-	// SlotPool.ScheduleSpread (the straggler holds a slot from wave one).
+	// the What-if engine prices them into wave packing as one task of the
+	// maximum duration among tasks of the average.
 	MaxMapTaskSec, MaxReduceTaskSec float64
 	// TaskFailures/TaskRetries count failed attempts and the re-executions
 	// they triggered; SpeculativeTasks/SpeculativeWins count tasks that
@@ -224,8 +219,8 @@ func (e *Engine) RunWorkflowContext(ctx context.Context, w *wf.Workflow) (*RunRe
 		if end > report.Makespan {
 			report.Makespan = end
 		}
-		if e.Observer != nil {
-			e.Observer.JobFinished(jr)
+		if e.JobFinished != nil {
+			e.JobFinished(jr)
 		}
 	}
 	report.TaskEvents = sched.events

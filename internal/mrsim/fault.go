@@ -283,9 +283,6 @@ func NewFaultyPool(speeds []float64) *FaultyPool {
 	return p
 }
 
-// Slots reports the pool size.
-func (p *FaultyPool) Slots() int { return len(p.speed) }
-
 // Speed reports a slot's speed factor.
 func (p *FaultyPool) Speed(slot int) float64 { return p.speed[slot] }
 

@@ -94,61 +94,6 @@ func TestPerturbSeedsDistinct(t *testing.T) {
 	}
 }
 
-// --- straggler-aware wave packing (satellite: exec.go blind spot) --------
-
-// TestScheduleSpreadStragglerFirst pins the fix for the straggler blind
-// spot in the wave-packing model: scheduling the straggler task after the
-// uniform waves (the old scheduleJob ordering) charges it a full extra
-// wave, while the engine actually runs it from wave one. The worked
-// example: 2 slots, 6 tasks, avg 1s, one straggler of 10s. The engine
-// finishes at 10s (straggler on one slot, five 1s tasks on the other);
-// uniform-then-max finishes at 12s; ScheduleSpread matches the engine.
-func TestScheduleSpreadStragglerFirst(t *testing.T) {
-	const avg, max = 1.0, 10.0
-	oldPool := NewSlotPool(2)
-	uniformEnd := oldPool.ScheduleUniform(0, avg, 5)
-	_, oldEnd := oldPool.Schedule(0, max)
-	if uniformEnd != 3 || oldEnd != 12 {
-		t.Fatalf("old ordering: uniform end %g (want 3), total %g (want 12)", uniformEnd, oldEnd)
-	}
-	newPool := NewSlotPool(2)
-	if end := newPool.ScheduleSpread(0, avg, max, 6); end != 10 {
-		t.Fatalf("ScheduleSpread = %g, want 10 (straggler scheduled in wave one)", end)
-	}
-}
-
-// TestScheduleSpreadNeverWorseThanOldOrdering: across random skewed task
-// sets, straggler-first packing is never later than uniform-then-max and
-// never beats the trivial lower bounds (the straggler itself; total work
-// over slots).
-func TestScheduleSpreadNeverWorseThanOldOrdering(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 500; trial++ {
-		slots := 1 + r.Intn(12)
-		count := 1 + r.Intn(40)
-		avg := 0.5 + r.Float64()*5
-		max := avg * (1 + r.Float64()*9)
-		ready := r.Float64() * 20
-
-		oldPool := NewSlotPool(slots)
-		oldPool.ScheduleUniform(ready, avg, count-1)
-		_, oldEnd := oldPool.Schedule(ready, max)
-
-		newPool := NewSlotPool(slots)
-		newEnd := newPool.ScheduleSpread(ready, avg, max, count)
-
-		if newEnd > oldEnd+1e-9 {
-			t.Fatalf("trial %d (slots=%d count=%d avg=%g max=%g): spread %g worse than old %g",
-				trial, slots, count, avg, max, newEnd, oldEnd)
-		}
-		work := max + avg*float64(count-1)
-		lower := math.Max(ready+max, ready+work/float64(slots))
-		if newEnd < lower-1e-9 {
-			t.Fatalf("trial %d: spread %g beats lower bound %g", trial, newEnd, lower)
-		}
-	}
-}
-
 // --- fault schedule invariants (fuzz) -----------------------------------
 
 // FuzzFaultSchedule drives ScheduleTask with arbitrary model parameters and

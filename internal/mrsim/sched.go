@@ -165,28 +165,6 @@ func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 	return end
 }
 
-// ScheduleSpread places count tasks sharing one ready time but with a
-// known duration spread: one straggler of maxDur and count-1 tasks of
-// avgDur. The straggler is placed first, so it occupies a slot from the
-// first wave — greedy engines start the oversized split whenever its turn
-// comes, not after every uniform wave has drained, so appending it after
-// the uniform pack (the What-if estimator's historical model) overstates
-// skewed jobs whose task count exceeds the slot count by up to a full
-// task length. Returns the time the last task ends.
-func (p *SlotPool) ScheduleSpread(ready, avgDur, maxDur float64, count int) float64 {
-	if count <= 0 {
-		return ready
-	}
-	if maxDur < avgDur {
-		maxDur = avgDur
-	}
-	_, end := p.Schedule(ready, maxDur)
-	if e := p.ScheduleUniform(ready, avgDur, count-1); e > end {
-		end = e
-	}
-	return end
-}
-
 type timeHeap []float64
 
 func (h timeHeap) Len() int            { return len(h) }

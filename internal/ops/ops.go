@@ -149,12 +149,6 @@ func Count(name string, cpu float64) wf.Stage {
 	}, nil, cpu)
 }
 
-// CountCombiner pre-counts: values are assumed to carry partial counts in
-// field idx (use with map output value (1)).
-func CountCombiner(name string, cpu float64, idx int) wf.Stage {
-	return SumCombiner(name, cpu, idx)
-}
-
 // Avg emits (key, mean) of value field idx.
 func Avg(name string, cpu float64, idx int) wf.Stage {
 	return wf.ReduceStage(name, func(k keyval.Tuple, vs []keyval.Tuple, emit wf.Emit) {

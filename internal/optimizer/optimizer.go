@@ -10,6 +10,7 @@ import (
 	"context"
 	"time"
 
+	"github.com/stubby-mr/stubby/internal/event"
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
@@ -78,8 +79,12 @@ type Options struct {
 	// ablation of the divide-and-conquer strategy (Section 4.1). Raise
 	// MaxSubplans when enabling this on larger workflows.
 	GlobalUnit bool
-	// Observer receives search progress events (nil disables reporting).
-	Observer Observer
+	// Progress receives the search's progress events (nil disables
+	// reporting): event.UnitStarted, SubplanEnumerated and BestCostImproved,
+	// stamped with the workflow's name. It is called synchronously from the
+	// search loop — in enumeration order even when subplan tuning runs in
+	// parallel — so it should return quickly.
+	Progress func(event.Event)
 	// Parallelism bounds concurrent configuration searches over a unit's
 	// enumerated subplans (<=1 searches serially). Results are identical
 	// at any parallelism: per-subplan seeds derive from structure, and

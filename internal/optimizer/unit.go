@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/stubby-mr/stubby/internal/event"
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/trans"
 	"github.com/stubby-mr/stubby/internal/wf"
@@ -37,7 +38,7 @@ type tunedSubplan struct {
 // optimizeUnit enumerates all structural subplans for the unit (Figure 10),
 // searches configurations for each with RRS, and returns the plan with the
 // lowest estimated cost. Under Options.Parallelism the per-subplan searches
-// run concurrently; selection and observer events still replay in
+// run concurrently; selection and progress events still replay in
 // enumeration order, so the chosen plan is identical to a serial search.
 func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []string, ph phaseSpec, unitIdx int) (*wf.Workflow, *UnitReport, error) {
 	unitOrigins := map[string]bool{}
@@ -46,8 +47,10 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 			unitOrigins[o] = true
 		}
 	}
-	if obs := s.opt.Observer; obs != nil {
-		obs.UnitStarted(ph.name, unitIdx, append([]string(nil), unit...))
+	name := plan.Name // transformations never rename the workflow
+	if emit := s.opt.Progress; emit != nil {
+		emit(event.UnitStarted{Workflow: name, Phase: ph.name, Unit: unitIdx,
+			Jobs: append([]string(nil), unit...)})
 	}
 	subplans := s.enumerate(plan, unitOrigins, ph)
 	tuned := s.tuneSubplans(ctx, subplans, unitOrigins, unitIdx)
@@ -80,8 +83,8 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 			rep.Plan = tn.plan
 		}
 		report.Subplans = append(report.Subplans, rep)
-		if obs := s.opt.Observer; obs != nil {
-			obs.SubplanEnumerated(unitIdx, rep.Description, tn.cost)
+		if emit := s.opt.Progress; emit != nil {
+			emit(event.SubplanEnumerated{Workflow: name, Unit: unitIdx, Desc: rep.Description, Cost: tn.cost})
 		}
 		// Fallback (#jobs) costs are not comparable with time estimates:
 		// only compare within the baseline's costing regime.
@@ -97,8 +100,8 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 		}
 		if bestIdx == -1 || tn.cost < threshold {
 			bestIdx, bestCost, bestPlan = i, tn.cost, tn.plan
-			if obs := s.opt.Observer; obs != nil {
-				obs.BestCostImproved(unitIdx, rep.Description, tn.cost)
+			if emit := s.opt.Progress; emit != nil {
+				emit(event.BestCostImproved{Workflow: name, Unit: unitIdx, Desc: rep.Description, Cost: tn.cost})
 			}
 		}
 	}
@@ -110,8 +113,9 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 		if err != nil {
 			return nil, nil, err
 		}
-		if idx != bestIdx && s.opt.Observer != nil {
-			s.opt.Observer.BestCostImproved(unitIdx, report.Subplans[idx].Description, tuned[idx].cost)
+		if idx != bestIdx && s.opt.Progress != nil {
+			s.opt.Progress(event.BestCostImproved{Workflow: name, Unit: unitIdx,
+				Desc: report.Subplans[idx].Description, Cost: tuned[idx].cost})
 		}
 		bestIdx, bestPlan = idx, plan
 	}
@@ -255,13 +259,14 @@ func (s *Stubby) neighbors(cur subplan, unitOrigins map[string]bool, ph phaseSpe
 	}
 	unitJobs := jobsWithinOrigins(cur.plan, unitOrigins)
 
+	// Every transformation checks its own precondition first and returns an
+	// error when it does not hold, so an inapplicable candidate is skipped
+	// on that error; the precondition is not evaluated a second time here.
 	if ph.vertical {
 		for _, jc := range unitJobs {
-			if trans.CanIntraVertical(cur.plan, jc) == nil {
-				if producersWithin(cur.plan, jc, unitOrigins) {
-					if p, err := trans.IntraVertical(cur.plan, jc); err == nil {
-						add(p, "intra-vertical("+jc+")")
-					}
+			if producersWithin(cur.plan, jc, unitOrigins) {
+				if p, err := trans.IntraVertical(cur.plan, jc); err == nil {
+					add(p, "intra-vertical("+jc+")")
 				}
 			}
 		}
@@ -270,15 +275,13 @@ func (s *Stubby) neighbors(cur subplan, unitOrigins map[string]bool, ph phaseSpe
 				if jp == jc {
 					continue
 				}
-				if trans.CanInterVertical(cur.plan, jp, jc) == nil {
-					if p, err := trans.InterVertical(cur.plan, jp, jc); err == nil {
-						add(p, "inter-vertical("+jp+","+jc+")")
-					}
+				if p, err := trans.InterVertical(cur.plan, jp, jc); err == nil {
+					add(p, "inter-vertical("+jp+","+jc+")")
 				}
 			}
 		}
 		for _, jp := range unitJobs {
-			if trans.CanInterVerticalReplicate(cur.plan, jp) == nil && consumersWithin(cur.plan, jp, unitOrigins) {
+			if consumersWithin(cur.plan, jp, unitOrigins) {
 				if p, err := trans.InterVerticalReplicate(cur.plan, jp); err == nil {
 					add(p, "inter-vertical-replicate("+jp+")")
 				}
@@ -291,10 +294,8 @@ func (s *Stubby) neighbors(cur subplan, unitOrigins map[string]bool, ph phaseSpe
 				if jp == jc {
 					continue
 				}
-				if trans.CanInterVerticalKeep(cur.plan, jp, jc) == nil {
-					if p, err := trans.InterVerticalKeep(cur.plan, jp, jc); err == nil {
-						add(p, "inter-vertical-keep("+jp+","+jc+")")
-					}
+				if p, err := trans.InterVerticalKeep(cur.plan, jp, jc); err == nil {
+					add(p, "inter-vertical-keep("+jp+","+jc+")")
 				}
 			}
 		}
@@ -303,10 +304,8 @@ func (s *Stubby) neighbors(cur subplan, unitOrigins map[string]bool, ph phaseSpe
 		// Horizontal phase: same-input sibling groups, plus the
 		// concurrently-runnable extension over the whole unit.
 		for _, group := range horizontalGroups(cur.plan, unitJobs) {
-			if trans.CanHorizontal(cur.plan, group, false) == nil {
-				if p, err := trans.Horizontal(cur.plan, group, false); err == nil {
-					add(p, "horizontal("+strings.Join(group, ",")+")")
-				}
+			if p, err := trans.Horizontal(cur.plan, group, false); err == nil {
+				add(p, "horizontal("+strings.Join(group, ",")+")")
 			}
 		}
 	}

@@ -45,20 +45,6 @@ func ComposeSerial(a, b *wf.PipelineProfile) *wf.PipelineProfile {
 	return out
 }
 
-// AdjustIntraVertical derives the consumer-side profile after an intra-job
-// vertical packing converts consumer job jc into a map-only job: the new
-// map pipeline is [Mc..., Rc...], so its profile is the composition of the
-// consumer's old map-side and reduce-side profiles for the given tag and
-// input.
-func AdjustIntraVertical(jc *wf.Job, tag int, input string) *wf.PipelineProfile {
-	if jc.Profile == nil {
-		return nil
-	}
-	mp := jc.Profile.MapProfile(wf.MapBranch{Tag: tag, Input: input})
-	rp := jc.Profile.ReduceProfile(tag)
-	return ComposeSerial(mp, rp)
-}
-
 // AdjustInterVerticalIntoReduce derives the producer's new reduce-side
 // profile after inter-job vertical packing appends a map-only consumer's
 // map pipeline to the producer's reduce pipeline.

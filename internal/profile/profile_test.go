@@ -219,19 +219,6 @@ func TestComposeSerialAssociativeSelectivity(t *testing.T) {
 	}
 }
 
-func TestAdjustIntraVertical(t *testing.T) {
-	job := &wf.Job{ID: "jc", Profile: &wf.JobProfile{}}
-	job.Profile.SetMapProfile(0, "d", &wf.PipelineProfile{Selectivity: 0.5, CPUPerRecord: 1e-6, CombineReduction: 1})
-	job.Profile.SetReduceProfile(0, &wf.PipelineProfile{Selectivity: 0.1, CPUPerRecord: 2e-6, CombineReduction: 1})
-	got := AdjustIntraVertical(job, 0, "d")
-	if got == nil || math.Abs(got.Selectivity-0.05) > 1e-12 {
-		t.Fatalf("adjusted = %+v", got)
-	}
-	if AdjustIntraVertical(&wf.Job{ID: "x"}, 0, "d") != nil {
-		t.Error("missing profile should adjust to nil")
-	}
-}
-
 func TestMergeHorizontal(t *testing.T) {
 	j1 := &wf.Job{
 		ID:          "a",

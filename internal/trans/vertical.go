@@ -474,6 +474,18 @@ func mergeConsumerIntoProducer(out *wf.Workflow, jp, jc *wf.Job, link string) {
 // consumer branch that read its output. For one-to-one subgraphs only; the
 // one-to-many replication variant is InterVerticalReplicate.
 func mergeProducerIntoConsumer(out *wf.Workflow, jp, jc *wf.Job, link string) {
+	prependProducer(jp, jc, link)
+	jc.ID = mergeIDs(jp.ID, jc.ID)
+	jc.Origin = mergeOrigins(jp, jc)
+	out.RemoveJob(jp.ID)
+}
+
+// prependProducer is the packing every map-only-producer transformation
+// shares: each branch of jc that reads link gets jp's pipeline in front of
+// its own and reads jp's input directly (input, filter and input schema are
+// jp's), with the branch's profile re-derived; jc aligns its map tasks to
+// the input when jp did or when jp's pipeline groups.
+func prependProducer(jp, jc *wf.Job, link string) {
 	pb := &jp.MapBranches[0]
 	prodStages := pipelineOf(jp)
 	prodProfile := compositeMapProfile(jp)
@@ -499,9 +511,6 @@ func mergeProducerIntoConsumer(out *wf.Workflow, jp, jc *wf.Job, link string) {
 	if jp.AlignMapToInput || pipelineHasGroupingStages(prodStages) {
 		jc.AlignMapToInput = true
 	}
-	jc.ID = mergeIDs(jp.ID, jc.ID)
-	jc.Origin = mergeOrigins(jp, jc)
-	out.RemoveJob(jp.ID)
 }
 
 // CanInterVerticalReplicate checks the one-to-many extension: a map-only
@@ -543,34 +552,9 @@ func InterVerticalReplicate(w *wf.Workflow, jpID string) (*wf.Workflow, error) {
 	}
 	out := w.Clone()
 	jp := out.Job(jpID)
-	pb := &jp.MapBranches[0]
 	link := jp.ReduceGroups[0].Output
-	prodStages := pipelineOf(jp)
-	prodProfile := compositeMapProfile(jp)
-	needAlign := jp.AlignMapToInput || pipelineHasGroupingStages(prodStages)
 	for _, jc := range out.Consumers(link) {
-		for bi := range jc.MapBranches {
-			b := &jc.MapBranches[bi]
-			if b.Input != link {
-				continue
-			}
-			oldProf := (*wf.PipelineProfile)(nil)
-			if jc.Profile != nil {
-				oldProf = jc.Profile.MapProfile(*b)
-			}
-			b.Stages = append(cloneStageList(prodStages), b.Stages...)
-			b.Input = pb.Input
-			b.Filter = pb.Filter.Clone()
-			b.KeyIn = append([]string(nil), pb.KeyIn...)
-			b.ValIn = append([]string(nil), pb.ValIn...)
-			if jc.Profile != nil {
-				jc.Profile.SetMapProfile(b.Tag, b.Input,
-					profile.AdjustInterVerticalIntoMap(prodProfile, oldProf))
-			}
-		}
-		if needAlign {
-			jc.AlignMapToInput = true
-		}
+		prependProducer(jp, jc, link)
 		jc.Origin = mergeOrigins(jp, jc)
 	}
 	out.RemoveJob(jp.ID)
@@ -648,25 +632,7 @@ func InterVerticalKeep(w *wf.Workflow, jpID, jcID string) (*wf.Workflow, error) 
 
 	// Rewire the consumer's link branch(es): producer pipeline in front,
 	// reading the producer's input directly.
-	for bi := range jc.MapBranches {
-		b := &jc.MapBranches[bi]
-		if b.Input != link {
-			continue
-		}
-		oldProf := (*wf.PipelineProfile)(nil)
-		if jc.Profile != nil {
-			oldProf = jc.Profile.MapProfile(*b)
-		}
-		b.Stages = append(cloneStageList(prodStages), b.Stages...)
-		b.Input = pb.Input
-		b.Filter = pb.Filter.Clone()
-		b.KeyIn = append([]string(nil), pb.KeyIn...)
-		b.ValIn = append([]string(nil), pb.ValIn...)
-		if jc.Profile != nil {
-			jc.Profile.SetMapProfile(b.Tag, b.Input,
-				profile.AdjustInterVerticalIntoMap(prodProfile, oldProf))
-		}
-	}
+	prependProducer(jp, jc, link)
 
 	// A fresh tag materializes the producer's output for the remaining
 	// consumers, sharing the packed branch's scan of the input.
@@ -703,9 +669,6 @@ func InterVerticalKeep(w *wf.Workflow, jpID, jcID string) (*wf.Workflow, error) 
 		jc.Profile.SetMapProfile(newTag, pb.Input, prodProfile.Clone())
 	}
 
-	if jp.AlignMapToInput || pipelineHasGroupingStages(prodStages) {
-		jc.AlignMapToInput = true
-	}
 	jc.ID = mergeIDs(jp.ID, jc.ID)
 	jc.Origin = mergeOrigins(jp, jc)
 	out.RemoveJob(jp.ID)

@@ -213,8 +213,8 @@ func TestComposeEdgeCases(t *testing.T) {
 				if w.Dataset("cleaned").Base {
 					t.Fatal("shared dataset still marked base")
 				}
-				if jp := w.Job("J_clean"); ClassifyProducer(w, jp) != OneToMany {
-					t.Fatalf("diamond producer classifies as %v", ClassifyProducer(w, jp))
+				if n := len(w.JobConsumers(w.Job("J_clean"))); n != 2 {
+					t.Fatalf("diamond producer feeds %d jobs, want 2", n)
 				}
 			},
 		},

@@ -1,77 +1,5 @@
 package wf
 
-// SubgraphKind classifies the producer-consumer relationship around a job,
-// matching the five subgraph types of Figure 3. Transform preconditions
-// dispatch on this classification.
-type SubgraphKind int
-
-const (
-	// OneToOne: a single producer whose output feeds exactly this consumer.
-	OneToOne SubgraphKind = iota
-	// OneToMany: a producer whose output feeds several consumers.
-	OneToMany
-	// ManyToOne: a consumer fed by several producer jobs.
-	ManyToOne
-	// NoneToOne: a consumer reading only base datasets.
-	NoneToOne
-	// OneToNone: a producer whose outputs feed no further job.
-	OneToNone
-)
-
-func (k SubgraphKind) String() string {
-	switch k {
-	case OneToOne:
-		return "one-to-one"
-	case OneToMany:
-		return "one-to-many"
-	case ManyToOne:
-		return "many-to-one"
-	case NoneToOne:
-		return "none-to-one"
-	case OneToNone:
-		return "one-to-none"
-	default:
-		return "unknown"
-	}
-}
-
-// ClassifyConsumer classifies the subgraph upstream of job jc: how many
-// producer jobs feed it, and whether any shared producer output fans out.
-// Hybrid combinations (the paper notes they arise) resolve to the dominant
-// kind in this order: many-to-one before one-to-many before one-to-one.
-func ClassifyConsumer(w *Workflow, jc *Job) SubgraphKind {
-	producers := w.JobProducers(jc)
-	switch len(producers) {
-	case 0:
-		return NoneToOne
-	case 1:
-		jp := producers[0]
-		if len(w.JobConsumers(jp)) > 1 {
-			return OneToMany
-		}
-		return OneToOne
-	default:
-		return ManyToOne
-	}
-}
-
-// ClassifyProducer classifies the subgraph downstream of job jp.
-func ClassifyProducer(w *Workflow, jp *Job) SubgraphKind {
-	consumers := w.JobConsumers(jp)
-	switch len(consumers) {
-	case 0:
-		return OneToNone
-	case 1:
-		jc := consumers[0]
-		if len(w.JobProducers(jc)) > 1 {
-			return ManyToOne
-		}
-		return OneToOne
-	default:
-		return OneToMany
-	}
-}
-
 // SoleLink reports whether jp feeds jc through exactly one dataset and
 // returns that dataset ID. Vertical packing requires knowing the single
 // dataset on the packed edge.

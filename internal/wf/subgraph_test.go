@@ -3,7 +3,7 @@ package wf
 import "testing"
 
 // Shape-building helpers: tiny map-only jobs wired purely by dataset IDs,
-// enough for the subgraph classifiers, which never look at stages.
+// enough for the job-graph edge functions, which never look at stages.
 
 func shapeJob(id string, ins []string, outs []string) *Job {
 	j := &Job{ID: id, Config: DefaultConfig(), Origin: []string{id}}
@@ -39,9 +39,10 @@ func shapeWorkflow(name string, jobs []*Job, base []string) *Workflow {
 }
 
 // TestClassifySubgraphShapes is the table-driven edge-case suite the
-// generator's DAG shapes motivated: single-job workflows, chains, fan-out,
-// fan-in, diamond sharing, and the hybrid resolution order (many-to-one
-// before one-to-many before one-to-one).
+// generator's DAG shapes motivated — single-job workflows, chains, fan-out,
+// fan-in, diamond sharing, and a fan-in/fan-out hybrid — over the two edge
+// functions that tell Figure 3's subgraph shapes apart: how many jobs feed
+// a job (JobProducers) and how many it feeds (JobConsumers).
 func TestClassifySubgraphShapes(t *testing.T) {
 	single := shapeWorkflow("single",
 		[]*Job{shapeJob("J1", []string{"b"}, []string{"o"})}, []string{"b"})
@@ -66,7 +67,7 @@ func TestClassifySubgraphShapes(t *testing.T) {
 		shapeJob("J4", []string{"d2", "d3"}, []string{"o"}),
 	}, []string{"b"})
 	// Hybrid: J3 has two producers (many-to-one) and one of them fans out
-	// (one-to-many); the consumer classification resolves many-to-one first.
+	// (one-to-many).
 	hybrid := shapeWorkflow("hybrid", []*Job{
 		shapeJob("J1", []string{"b"}, []string{"d1"}),
 		shapeJob("J2", []string{"b"}, []string{"d2"}),
@@ -81,33 +82,33 @@ func TestClassifySubgraphShapes(t *testing.T) {
 	}
 
 	cases := []struct {
-		w        *Workflow
-		job      string
-		consumer SubgraphKind // ClassifyConsumer(job)
-		producer SubgraphKind // ClassifyProducer(job)
+		w         *Workflow
+		job       string
+		producers int // len(JobProducers(job))
+		consumers int // len(JobConsumers(job))
 	}{
-		{single, "J1", NoneToOne, OneToNone},
-		{chain, "J1", NoneToOne, OneToOne},
-		{chain, "J2", OneToOne, OneToNone},
-		{fanOut, "J1", NoneToOne, OneToMany},
-		{fanOut, "J2", OneToMany, OneToNone},
-		{fanOut, "J3", OneToMany, OneToNone},
-		{fanIn, "J3", ManyToOne, OneToNone},
-		{fanIn, "J1", NoneToOne, ManyToOne},
-		{diamond, "J1", NoneToOne, OneToMany},
-		{diamond, "J2", OneToMany, ManyToOne},
-		{diamond, "J4", ManyToOne, OneToNone},
-		{hybrid, "J3", ManyToOne, OneToNone}, // many-to-one wins over one-to-many
-		{hybrid, "J1", NoneToOne, OneToMany},
-		{hybrid, "J4", OneToMany, OneToNone},
+		{single, "J1", 0, 0},
+		{chain, "J1", 0, 1},
+		{chain, "J2", 1, 0},
+		{fanOut, "J1", 0, 2},
+		{fanOut, "J2", 1, 0},
+		{fanOut, "J3", 1, 0},
+		{fanIn, "J3", 2, 0},
+		{fanIn, "J1", 0, 1},
+		{diamond, "J1", 0, 2},
+		{diamond, "J2", 1, 1},
+		{diamond, "J4", 2, 0},
+		{hybrid, "J3", 2, 0},
+		{hybrid, "J1", 0, 2},
+		{hybrid, "J4", 1, 0},
 	}
 	for _, tc := range cases {
 		j := tc.w.Job(tc.job)
-		if got := ClassifyConsumer(tc.w, j); got != tc.consumer {
-			t.Errorf("%s: ClassifyConsumer(%s) = %v, want %v", tc.w.Name, tc.job, got, tc.consumer)
+		if got := len(tc.w.JobProducers(j)); got != tc.producers {
+			t.Errorf("%s: %s has %d producers, want %d", tc.w.Name, tc.job, got, tc.producers)
 		}
-		if got := ClassifyProducer(tc.w, j); got != tc.producer {
-			t.Errorf("%s: ClassifyProducer(%s) = %v, want %v", tc.w.Name, tc.job, got, tc.producer)
+		if got := len(tc.w.JobConsumers(j)); got != tc.consumers {
+			t.Errorf("%s: %s has %d consumers, want %d", tc.w.Name, tc.job, got, tc.consumers)
 		}
 	}
 }
@@ -147,25 +148,5 @@ func TestSoleLinkEdgeCases(t *testing.T) {
 	// Unrelated jobs share no link.
 	if _, ok := SoleLink(split, split.Job("J2"), split.Job("J3")); ok {
 		t.Error("unrelated jobs reported a sole link")
-	}
-}
-
-// TestSubgraphKindString covers the display names, including the unknown
-// fallback.
-func TestSubgraphKindString(t *testing.T) {
-	want := map[SubgraphKind]string{
-		OneToOne:  "one-to-one",
-		OneToMany: "one-to-many",
-		ManyToOne: "many-to-one",
-		NoneToOne: "none-to-one",
-		OneToNone: "one-to-none",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), s)
-		}
-	}
-	if SubgraphKind(99).String() != "unknown" {
-		t.Errorf("unknown kind renders %q", SubgraphKind(99).String())
 	}
 }

@@ -86,17 +86,6 @@ func (j *Job) Group(tag int) *ReduceGroup {
 	return nil
 }
 
-// BranchesForTag returns the map branches feeding a tag.
-func (j *Job) BranchesForTag(tag int) []*MapBranch {
-	var out []*MapBranch
-	for i := range j.MapBranches {
-		if j.MapBranches[i].Tag == tag {
-			out = append(out, &j.MapBranches[i])
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the job.
 func (j *Job) Clone() *Job {
 	out := &Job{

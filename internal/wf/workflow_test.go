@@ -154,43 +154,6 @@ func TestProducersConsumers(t *testing.T) {
 	}
 }
 
-func TestClassifySubgraphs(t *testing.T) {
-	w := diamondWorkflow()
-	cases := []struct {
-		job  string
-		want SubgraphKind
-	}{
-		{"J1", NoneToOne},
-		{"J2", OneToMany},
-		{"J3", OneToMany},
-		{"J4", ManyToOne},
-	}
-	for _, c := range cases {
-		if got := ClassifyConsumer(w, w.Job(c.job)); got != c.want {
-			t.Errorf("ClassifyConsumer(%s) = %v, want %v", c.job, got, c.want)
-		}
-	}
-	if got := ClassifyProducer(w, w.Job("J4")); got != OneToNone {
-		t.Errorf("ClassifyProducer(J4) = %v, want one-to-none", got)
-	}
-	if got := ClassifyProducer(w, w.Job("J1")); got != OneToMany {
-		t.Errorf("ClassifyProducer(J1) = %v, want one-to-many", got)
-	}
-	cw := chainWorkflow()
-	if got := ClassifyConsumer(cw, cw.Job("J2")); got != OneToOne {
-		t.Errorf("ClassifyConsumer(chain J2) = %v, want one-to-one", got)
-	}
-	if got := ClassifyProducer(cw, cw.Job("J1")); got != OneToOne {
-		t.Errorf("ClassifyProducer(chain J1) = %v, want one-to-one", got)
-	}
-	// Kinds render for diagnostics.
-	for _, k := range []SubgraphKind{OneToOne, OneToMany, ManyToOne, NoneToOne, OneToNone} {
-		if k.String() == "unknown" {
-			t.Error("kind renders as unknown")
-		}
-	}
-}
-
 func TestSoleLink(t *testing.T) {
 	w := chainWorkflow()
 	link, ok := SoleLink(w, w.Job("J1"), w.Job("J2"))
@@ -262,9 +225,6 @@ func TestJobAccessors(t *testing.T) {
 	}
 	if j4.Group(9) != nil {
 		t.Error("Group(9) should be nil")
-	}
-	if bs := j4.BranchesForTag(0); len(bs) != 2 {
-		t.Errorf("BranchesForTag = %d, want 2", len(bs))
 	}
 	if j4.MapOnly() {
 		t.Error("J4 is not map-only")

@@ -175,9 +175,10 @@ func (e *Estimator) Robustness(ctx context.Context, w *wf.Workflow, opt Robustne
 }
 
 // replayJob replays one card's tasks under the fault model, spreading
-// durations: task 0 is the straggler (max duration, first wave), the rest
-// run at the average — mirroring SlotPool.ScheduleSpread, which fixed the
-// old append-the-straggler-last wave-packing model.
+// durations: task 0 is the straggler (max duration) and is placed first, so
+// it holds a slot from the first wave; the rest run at the average. The
+// fault-free estimate's scheduleJob orders them the other way round — the
+// average tasks as one uniform pack, then the straggler.
 func replayJob(fm *mrsim.FaultModel, card *jobCard, jobID string, jobReady float64, mapPool, redPool *mrsim.FaultyPool, failed *bool) float64 {
 	mapsDone := jobReady
 	for t := 0; t < card.mapTasks; t++ {

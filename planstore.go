@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/wf"
@@ -142,15 +141,15 @@ func (s *Session) storeLookup(key planstore.Key, w *Workflow) (*Result, bool) {
 // in-process and, through the store's claim files, across every replica
 // sharing the store directory — so concurrent submissions of the same
 // workflow cost one optimization cluster-wide.
-func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, key planstore.Key, obs optimizer.Observer) (*Result, error) {
+func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, key planstore.Key, sink func(Event)) (*Result, error) {
 	name, seed := key.Planner, key.Seed
 	if s.planStore == nil {
-		return s.optimizeDirect(ctx, w, name, seed, obs)
+		return s.optimizeDirect(ctx, w, name, seed, sink)
 	}
 	for {
 		var computed *Result
 		doc, hit, err := s.planStore.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
-			res, rerr := s.optimizeDirect(ctx, w, name, seed, obs)
+			res, rerr := s.optimizeDirect(ctx, w, name, seed, sink)
 			if rerr != nil {
 				return nil, rerr
 			}
@@ -179,9 +178,9 @@ func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, key planstore.
 			}
 			// An undecodable stored document (e.g. a foreign stage name)
 			// must not fail the submission; optimize directly instead.
-			return s.optimizeDirect(ctx, w, name, seed, obs)
+			return s.optimizeDirect(ctx, w, name, seed, sink)
 		}
 		// Unreachable: a non-hit, non-error return always set computed.
-		return s.optimizeDirect(ctx, w, name, seed, obs)
+		return s.optimizeDirect(ctx, w, name, seed, sink)
 	}
 }

@@ -70,45 +70,28 @@ type ServerOption func(*Server)
 // plans carry profiles and key samples).
 const maxRequestBytes = 256 << 20
 
-// WithJobRetention bounds how many finished (done/failed/canceled) jobs
-// the server keeps queryable (default 1024). When a submission would
-// exceed the bound, the oldest finished jobs — with their event logs and
-// results — are forgotten; queued and running jobs are never evicted.
-func WithJobRetention(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.retain = n
-		}
-	}
-}
+// jobRetention bounds how many finished (done/failed/canceled) jobs a
+// server keeps queryable. When a submission would exceed the bound, the
+// oldest finished jobs — with their event logs and results — are forgotten;
+// queued and running jobs are never evicted.
+const jobRetention = 1024
 
-// DefaultRetryAfterPerJob is the per-outstanding-job pause Retry-After
-// hints are derived from when WithRetryAfterPerJob is not given.
-const DefaultRetryAfterPerJob = time.Second
-
-// WithRetryAfterPerJob sets how much Retry-After time each outstanding job
+// retryAfterPerJob is how much Retry-After time each outstanding job
 // (queued or running) contributes when the server sheds a submission or
 // rejects during drain: a loaded queue tells clients to back off longer, an
 // empty one invites a quick retry. The derived hint is clamped to [1, 60]
-// whole seconds; d <= 0 restores DefaultRetryAfterPerJob.
-func WithRetryAfterPerJob(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.retryPerJob = d
-		}
-	}
-}
+// whole seconds.
+const retryAfterPerJob = time.Second
 
 // NewServer builds the HTTP front end of sess. Job state is in-memory,
 // like the queue: a restarted server forgets finished jobs, and a
-// long-lived one retains only the WithJobRetention most recent finished
-// jobs.
+// long-lived one retains only the jobRetention most recent finished jobs.
 func NewServer(sess *Session, opts ...ServerOption) *Server {
 	s := &Server{
 		sess:        sess,
 		mux:         http.NewServeMux(),
-		retain:      1024,
-		retryPerJob: DefaultRetryAfterPerJob,
+		retain:      jobRetention,
+		retryPerJob: retryAfterPerJob,
 		jobs:        make(map[string]*OptimizeHandle),
 		inflight:    make(map[planstore.Key]string),
 	}

@@ -46,7 +46,7 @@ func TestServerRetryAfterDerivedFromQueueDepth(t *testing.T) {
 		return resp
 	}
 
-	srv := stubby.NewServer(sess, stubby.WithRetryAfterPerJob(2*time.Second))
+	srv := stubby.SetRetryAfterPerJob(stubby.NewServer(sess), 2*time.Second)
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
@@ -77,7 +77,7 @@ func TestServerRetryAfterDerivedFromQueueDepth(t *testing.T) {
 
 	// Same session through a steeper per-job hint: 4 x 45s = 180s clamps
 	// to the 60s ceiling.
-	steep := httptest.NewServer(stubby.NewServer(sess, stubby.WithRetryAfterPerJob(45*time.Second)))
+	steep := httptest.NewServer(stubby.SetRetryAfterPerJob(stubby.NewServer(sess), 45*time.Second))
 	defer steep.Close()
 	shed = submit(t, steep.URL, 100)
 	shed.Body.Close()
@@ -85,9 +85,8 @@ func TestServerRetryAfterDerivedFromQueueDepth(t *testing.T) {
 		t.Errorf("clamped Retry-After = %q, want 60", got)
 	}
 
-	// Default hint is one second per outstanding job; a non-positive
-	// option value is ignored rather than disabling the header.
-	def := httptest.NewServer(stubby.NewServer(sess, stubby.WithRetryAfterPerJob(0)))
+	// The hint a server is built with is one second per outstanding job.
+	def := httptest.NewServer(stubby.NewServer(sess))
 	defer def.Close()
 	shed = submit(t, def.URL, 101)
 	shed.Body.Close()

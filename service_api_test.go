@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -426,31 +426,23 @@ func TestSubmitFeedsDeprecatedObserver(t *testing.T) {
 	}
 }
 
-// optionsObserver implements the optimizer-level observer interface of
-// stubby.Options.Observer.
-type optionsObserver struct {
-	mu    sync.Mutex
-	units int
-}
-
-func (o *optionsObserver) UnitStarted(phase string, unit int, jobs []string) {
-	o.mu.Lock()
-	o.units++
-	o.mu.Unlock()
-}
-func (o *optionsObserver) SubplanEnumerated(unit int, desc string, cost float64) {}
-func (o *optionsObserver) BestCostImproved(unit int, desc string, cost float64)  {}
-
-// TestSubmitKeepsOptionsObserver: an observer installed directly through
-// WithOptimizerOptions keeps receiving search events for submitted jobs
-// (the bridge tees instead of replacing).
+// TestSubmitKeepsOptionsObserver: a progress function installed directly
+// through WithOptimizerOptions (Options.Progress, which replaced the
+// optimizer-level observer this test is named after) keeps receiving search
+// events for submitted jobs — the handle's sink is composed after it, not
+// in place of it.
 func TestSubmitKeepsOptionsObserver(t *testing.T) {
 	wl := profiledWorkload(t, "IR", 0.1, 1)
-	obs := &optionsObserver{}
+	var units atomic.Int64
+	progress := func(ev stubby.Event) {
+		if _, ok := ev.(stubby.UnitStartedEvent); ok {
+			units.Add(1)
+		}
+	}
 	sess, err := stubby.NewSession(
 		stubby.WithCluster(wl.Cluster),
 		stubby.WithSeed(1),
-		stubby.WithOptimizerOptions(stubby.Options{RRSEvals: 20, Observer: obs}),
+		stubby.WithOptimizerOptions(stubby.Options{RRSEvals: 20, Progress: progress}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -463,14 +455,11 @@ func TestSubmitKeepsOptionsObserver(t *testing.T) {
 	if _, err := h.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	obs.mu.Lock()
-	units := obs.units
-	obs.mu.Unlock()
-	if units == 0 {
-		t.Fatal("Options.Observer received no events from Submit")
+	if units.Load() == 0 {
+		t.Fatal("Options.Progress received no events from Submit")
 	}
-	if p := h.Progress(); p.Units != units {
-		t.Fatalf("bridge and Options.Observer disagree: %d vs %d units", p.Units, units)
+	if p := h.Progress(); int64(p.Units) != units.Load() {
+		t.Fatalf("handle and Options.Progress disagree: %d vs %d units", p.Units, units.Load())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/baselines"
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/optimizer"
+	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/service"
 	"github.com/stubby-mr/stubby/internal/stats"
@@ -30,7 +31,7 @@ import (
 type EstimateCache = whatif.Cache
 
 // EstimateCacheStats snapshots an EstimateCache's hit/miss/eviction
-// counters; see Session.EstimateCacheStats and Observer.EstimateCacheReport.
+// counters; see Session.EstimateCacheStats and CacheReportEvent.
 type EstimateCacheStats = stats.Cache
 
 // NewEstimateCache builds an estimate cache bounded to roughly capacity
@@ -38,9 +39,15 @@ type EstimateCacheStats = stats.Cache
 // — or several, to share — with WithEstimateCache.
 func NewEstimateCache(capacity int) *EstimateCache { return whatif.NewCache(capacity) }
 
-// Observer receives progress events from a session's optimizations and
-// runs: the optimizer reports each optimization unit it opens, each subplan
-// it enumerates (with its post-configuration-search cost), and each time a
+// Observer is a callback view of the typed Event stream, kept for code
+// that predates it: ObserverEvents turns an implementation into a
+// func(Event), one method per event type that has one, and WithObserver
+// installs that function as the session's sink. New code should switch on
+// the events of OptimizeHandle.Events instead — a new event type never
+// breaks a consumer, a new method here breaks every implementor.
+//
+// The optimizer reports each optimization unit it opens, each subplan it
+// enumerates (with its post-configuration-search cost), and each time a
 // subplan displaces the unit's incumbent; the execution engine reports each
 // finished job. Every event carries the workflow name, so one observer can
 // watch a concurrent OptimizeAll fan-out. Callbacks run synchronously on
@@ -121,7 +128,6 @@ type Session struct {
 	seed         int64
 	plannerName  string
 	parallelism  int
-	observer     Observer
 	fraction     float64
 	baseOpts     Options
 	registry     *PlannerRegistry
@@ -129,6 +135,10 @@ type Session struct {
 	planStore    *PlanStore
 	reuseCatalog *ReuseCatalog
 	robustness   *whatif.RobustnessOptions
+	// events is the session's progress sink (nil = none): the search events
+	// of every Optimize and Submit, the reports that follow them, and the
+	// JobFinished events of every Run end here.
+	events func(Event)
 	// dispatch, when set (WithCoordinator), routes submitted jobs to
 	// cluster workers instead of the local optimizer; ErrNoWorkers falls
 	// back to optimizing locally.
@@ -194,13 +204,17 @@ func WithParallelism(n int) SessionOption {
 	}
 }
 
-// WithObserver attaches a progress observer to the session: search events
-// fire from Optimize under the built-in Stubby optimizer (and its group
+// WithObserver attaches a progress observer to the session by installing
+// ObserverEvents(obs) as the session's event sink: search events fire from
+// Optimize and Submit under the built-in Stubby optimizer (and its group
 // variants), and JobFinished events fire from every Run. Other named
 // planners are opaque comparators and report no search progress.
 func WithObserver(obs Observer) SessionOption {
 	return func(s *Session) error {
-		s.observer = obs
+		s.events = nil
+		if obs != nil {
+			s.events = ObserverEvents(obs)
+		}
 		return nil
 	}
 }
@@ -371,15 +385,18 @@ func (s *Session) RegisterPlanner(spec PlannerSpec) error {
 }
 
 // optimizerOptions merges the session's settings over the base options and
-// binds the observer to a workflow name.
-func (s *Session) optimizerOptions(workflow string) optimizer.Options {
+// points the search's progress at sink. A Progress function installed
+// directly via WithOptimizerOptions keeps receiving events, ahead of sink.
+func (s *Session) optimizerOptions(sink func(Event)) optimizer.Options {
 	o := s.baseOpts
 	o.Seed = s.seed // resolved at NewSession; matches Session.Planner
 	if o.Parallelism == 0 {
 		o.Parallelism = s.parallelism
 	}
-	if o.Observer == nil && s.observer != nil {
-		o.Observer = optimizerObserver{obs: s.observer, workflow: workflow}
+	if user := o.Progress; user == nil {
+		o.Progress = sink
+	} else if sink != nil {
+		o.Progress = func(ev Event) { user(ev); sink(ev) }
 	}
 	if o.EstimateCache == nil {
 		o.EstimateCache = s.estCache
@@ -413,13 +430,6 @@ func (s *Session) estimator() *whatif.Estimator {
 	return whatif.NewCached(s.cluster, s.estCache)
 }
 
-// reportCacheStats emits the cache-stats observer event after an optimize.
-func (s *Session) reportCacheStats(workflow string) {
-	if s.estCache != nil && s.observer != nil {
-		s.observer.EstimateCacheReport(workflow, s.estCache.Stats())
-	}
-}
-
 // Optimize optimizes the workflow with the session's planner (default: the
 // full Stubby optimizer) and returns the result. The input plan is never
 // modified; cancellation via ctx stops the search promptly with ctx.Err().
@@ -436,40 +446,58 @@ func (s *Session) Optimize(ctx context.Context, w *Workflow) (*Result, error) {
 	if s.planStore != nil {
 		fp = wf.FingerprintWorkflow(w) // only the store key reads it
 	}
-	res, err := s.optimizeNamed(ctx, w, s.planKey(fp, name, s.seed), nil)
+	return s.optimizeAndReport(ctx, w, s.planKey(fp, name, s.seed), s.events)
+}
+
+// optimizeAndReport is the one body of an optimization, synchronous
+// (Optimize, whose sink is the session's) or queued (Submit, whose sink is
+// the handle's and forwards to the session's): optimize through the plan
+// store when one is attached, then emit the reports that follow.
+func (s *Session) optimizeAndReport(ctx context.Context, w *Workflow, key planstore.Key, sink func(Event)) (*Result, error) {
+	res, err := s.optimizeNamed(ctx, w, key, sink)
 	if err != nil {
 		return nil, stubbyerr.From("optimize", w.Name, err)
 	}
-	s.reportCacheStats(w.Name)
+	s.report(w.Name, res, sink)
 	return res, nil
 }
 
-// optimizeDirect is the planner dispatch shared by Optimize and Submit
-// (via optimizeNamed, which fronts it with the plan store when one is
-// attached): run the named planner with an explicit seed and, for Stubby
-// variants, an optional observer override (the Submit event bridge).
-// Cache-stats reporting is left to the caller, whose delivery channel
-// differs.
-func (s *Session) optimizeDirect(ctx context.Context, w *Workflow, name string, seed int64, obs optimizer.Observer) (*Result, error) {
+// report emits the reports that follow an optimization into sink, each only
+// when the session has the matching attachment, in the event stream's
+// order: estimate cache, plan store, robustness, reuse catalog.
+func (s *Session) report(workflow string, res *Result, sink func(Event)) {
+	if sink == nil {
+		return
+	}
+	if s.estCache != nil {
+		sink(CacheReportEvent{Workflow: workflow, Stats: s.estCache.Stats()})
+	}
+	if s.planStore != nil {
+		sink(PlanStoreEvent{Workflow: workflow, Hit: res.FromStore, Stats: s.planStore.Stats()})
+	}
+	if res.Robustness != nil {
+		sink(RobustnessEvent{Workflow: workflow, Report: res.Robustness})
+	}
+	if s.reuseCatalog != nil {
+		sink(ReuseReportEvent{Workflow: workflow, Reused: res.ReusedSubplans,
+			Stats: s.reuseCatalog.Stats()})
+	}
+}
+
+// optimizeDirect is the planner dispatch behind optimizeNamed (which
+// fronts it with the plan store when one is attached): run the named
+// planner with an explicit seed; Stubby variants report their search
+// progress into sink.
+func (s *Session) optimizeDirect(ctx context.Context, w *Workflow, name string, seed int64, sink func(Event)) (*Result, error) {
 	p, err := s.plannerSeeded(name, seed)
 	if err != nil {
 		return nil, err
 	}
 	// Stubby variants run through the optimizer directly so the Result
-	// keeps its search trace and the observer sees per-unit progress.
+	// keeps its search trace and the sink sees per-unit progress.
 	if sp, ok := p.(baselines.StubbyPlanner); ok {
-		o := s.optimizerOptions(w.Name)
+		o := s.optimizerOptions(sink)
 		o.Seed = seed
-		if obs != nil {
-			// The submit bridge takes over (it already fans out to the
-			// session's deprecated Observer); an observer installed
-			// directly via WithOptimizerOptions keeps receiving events too.
-			if base := s.baseOpts.Observer; base != nil {
-				o.Observer = teeObserver{base, obs}
-			} else {
-				o.Observer = obs
-			}
-		}
 		if o.Groups == 0 {
 			o.Groups = sp.Groups
 		}
@@ -556,15 +584,19 @@ func (s *Session) OptimizeAll(ctx context.Context, ws ...*Workflow) ([]*Result, 
 // remain on the DFS).
 func (s *Session) Run(ctx context.Context, dfs *DFS, w *Workflow) (*RunReport, error) {
 	eng := mrsim.NewEngine(s.cluster, dfs)
-	if s.observer != nil {
-		eng.Observer = engineObserver{obs: s.observer, workflow: w.Name}
+	if sink := s.events; sink != nil {
+		eng.JobFinished = func(r *mrsim.JobReport) {
+			sink(JobFinishedEvent{Workflow: w.Name, Job: r.JobID, Start: r.Start, End: r.End})
+		}
 	}
 	rep, err := eng.RunWorkflowContext(ctx, w)
 	if err != nil {
 		return nil, stubbyerr.From("run", w.Name, err)
 	}
 	if s.reuseCatalog != nil {
-		s.publishRunResults(dfs, w)
+		// A publish failure is absorbed into the catalog's Errors counter: a
+		// full disk must not fail a run that already succeeded.
+		_ = s.reuseCatalog.PublishRun(w, dfs)
 	}
 	return rep, nil
 }
@@ -617,51 +649,4 @@ func (s *Session) Robustness(ctx context.Context, w *Workflow, opt RobustnessOpt
 			Err: errors.New("plan lacks the annotations for cost-based estimation (fallback regime)")}
 	}
 	return rob, nil
-}
-
-// optimizerObserver adapts the public Observer to the optimizer's internal
-// observer, stamping the workflow name onto every event.
-type optimizerObserver struct {
-	obs      Observer
-	workflow string
-}
-
-func (a optimizerObserver) UnitStarted(phase string, unit int, jobs []string) {
-	a.obs.UnitStarted(a.workflow, phase, unit, jobs)
-}
-
-func (a optimizerObserver) SubplanEnumerated(unit int, desc string, cost float64) {
-	a.obs.SubplanEnumerated(a.workflow, unit, desc, cost)
-}
-
-func (a optimizerObserver) BestCostImproved(unit int, desc string, cost float64) {
-	a.obs.BestCostImproved(a.workflow, unit, desc, cost)
-}
-
-// teeObserver fans optimizer events out to two observers in order.
-type teeObserver struct{ a, b optimizer.Observer }
-
-func (t teeObserver) UnitStarted(phase string, unit int, jobs []string) {
-	t.a.UnitStarted(phase, unit, jobs)
-	t.b.UnitStarted(phase, unit, jobs)
-}
-
-func (t teeObserver) SubplanEnumerated(unit int, desc string, cost float64) {
-	t.a.SubplanEnumerated(unit, desc, cost)
-	t.b.SubplanEnumerated(unit, desc, cost)
-}
-
-func (t teeObserver) BestCostImproved(unit int, desc string, cost float64) {
-	t.a.BestCostImproved(unit, desc, cost)
-	t.b.BestCostImproved(unit, desc, cost)
-}
-
-// engineObserver adapts the public Observer to the engine's job events.
-type engineObserver struct {
-	obs      Observer
-	workflow string
-}
-
-func (a engineObserver) JobFinished(r *mrsim.JobReport) {
-	a.obs.JobFinished(a.workflow, r.JobID, r.Start, r.End)
 }

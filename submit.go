@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/service"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
@@ -88,7 +87,6 @@ type OptimizeHandle struct {
 	workflow string
 	key      planstore.Key // the admission's: what names the job's outcome
 	job      *service.Job
-	obs      Observer // deprecated session observer, fanned out by the bridge
 	// raw, set only on a job the server answered from bytes already at hand
 	// (a plan-store hit, a worker's relayed answer), is the encoded result
 	// document GET …/result writes as is. Immutable once the handle exists.
@@ -198,46 +196,22 @@ func (h *OptimizeHandle) EventsFrom(ctx context.Context, from int) <-chan Event 
 	return ch
 }
 
-// submitObserver bridges the optimizer's synchronous observer callbacks
-// into the handle: progress counters, the typed event stream, and — as the
-// deprecated adapter — the session's Observer, so existing observers keep
-// seeing Submit traffic without implementing anything new.
-type submitObserver struct{ h *OptimizeHandle }
-
-var _ optimizer.Observer = submitObserver{}
-
-func (b submitObserver) UnitStarted(phase string, unit int, jobs []string) {
-	h := b.h
+// record is the handle's half of a queued job's event sink: it counts
+// search progress for Progress and appends the event to the job's log, which
+// is what Events replays.
+func (h *OptimizeHandle) record(ev Event) {
 	h.mu.Lock()
-	h.units++
-	h.mu.Unlock()
-	h.job.Publish(UnitStartedEvent{Workflow: h.workflow, Phase: phase, Unit: unit, Jobs: jobs})
-	if h.obs != nil {
-		h.obs.UnitStarted(h.workflow, phase, unit, jobs)
+	switch e := ev.(type) {
+	case UnitStartedEvent:
+		h.units++
+	case SubplanEnumeratedEvent:
+		h.subplans++
+	case BestCostImprovedEvent:
+		h.improvements++
+		h.bestCost = e.Cost
 	}
-}
-
-func (b submitObserver) SubplanEnumerated(unit int, desc string, cost float64) {
-	h := b.h
-	h.mu.Lock()
-	h.subplans++
 	h.mu.Unlock()
-	h.job.Publish(SubplanEnumeratedEvent{Workflow: h.workflow, Unit: unit, Desc: desc, Cost: cost})
-	if h.obs != nil {
-		h.obs.SubplanEnumerated(h.workflow, unit, desc, cost)
-	}
-}
-
-func (b submitObserver) BestCostImproved(unit int, desc string, cost float64) {
-	h := b.h
-	h.mu.Lock()
-	h.improvements++
-	h.bestCost = cost
-	h.mu.Unlock()
-	h.job.Publish(BestCostImprovedEvent{Workflow: h.workflow, Unit: unit, Desc: desc, Cost: cost})
-	if h.obs != nil {
-		h.obs.BestCostImproved(h.workflow, unit, desc, cost)
-	}
+	h.job.Publish(ev)
 }
 
 // admission is a submission resolved against the session that serves it:
@@ -325,7 +299,7 @@ func (s *Session) newHandle(a admission, req OptimizeRequest) *OptimizeHandle {
 	if id == "" {
 		id = fmt.Sprintf("job-%s%d", s.jobEpoch, s.jobSeq.Add(1))
 	}
-	return &OptimizeHandle{id: id, workflow: a.workflow, key: a.key, obs: s.observer}
+	return &OptimizeHandle{id: id, workflow: a.workflow, key: a.key}
 }
 
 // finished returns the handle of a job that is born terminal because its
@@ -350,42 +324,32 @@ func (s *Session) finished(a admission, req OptimizeRequest, res any) *OptimizeH
 func (s *Session) enqueue(ctx context.Context, a admission, req OptimizeRequest) (*OptimizeHandle, error) {
 	target, wfName := a.target, a.workflow
 	h := s.newHandle(a, req)
+	// The job's sink: the handle first, then the serving session's sink, so
+	// whatever watches the session sees Submit traffic as it sees Optimize's.
+	sink := func(ev Event) {
+		h.record(ev)
+		if s.events != nil {
+			s.events(ev)
+		}
+	}
 	h.job = service.NewJobWithDeadline(h.id, req.deadline, func(ctx context.Context) (any, error) {
-		var res *Result
-		var err error
 		if target.dispatch != nil {
 			// Coordinator path: run the job on a cluster worker. Only the
 			// no-live-workers condition falls back to the local optimizer;
 			// any other dispatch failure is the job's real outcome (the
 			// coordinator already re-dispatched transient failures).
-			res, err = target.dispatchOptimize(ctx, req, a.key.Planner, a.key.Seed)
-			if err != nil && !errors.Is(err, ErrNoWorkers) {
+			res, err := target.dispatchOptimize(ctx, req, a.key.Planner, a.key.Seed)
+			if err == nil {
+				target.report(wfName, res, sink)
+				return res, nil
+			}
+			if !errors.Is(err, ErrNoWorkers) {
 				return nil, stubbyerr.From("optimize", wfName, err)
 			}
 		}
-		if res == nil {
-			res, err = target.optimizeNamed(ctx, req.Workflow, a.key, submitObserver{h})
-			if err != nil {
-				return nil, stubbyerr.From("optimize", wfName, err)
-			}
-		}
-		if target.estCache != nil {
-			stats := target.estCache.Stats()
-			h.job.Publish(CacheReportEvent{Workflow: wfName, Stats: stats})
-			if h.obs != nil {
-				h.obs.EstimateCacheReport(wfName, stats)
-			}
-		}
-		if target.planStore != nil {
-			h.job.Publish(PlanStoreEvent{Workflow: wfName, Hit: res.FromStore,
-				Stats: target.planStore.Stats()})
-		}
-		if res.Robustness != nil {
-			h.job.Publish(RobustnessEvent{Workflow: wfName, Report: res.Robustness})
-		}
-		if target.reuseCatalog != nil {
-			h.job.Publish(ReuseReportEvent{Workflow: wfName, Reused: res.ReusedSubplans,
-				Stats: target.reuseCatalog.Stats()})
+		res, err := target.optimizeAndReport(ctx, req.Workflow, a.key, sink)
+		if err != nil {
+			return nil, err
 		}
 		return res, nil
 	})
@@ -439,7 +403,7 @@ func (s *Session) deriveFor(req OptimizeRequest) (*Session, error) {
 		seed:         s.seed,
 		plannerName:  s.plannerName,
 		parallelism:  s.parallelism,
-		observer:     s.observer,
+		events:       s.events,
 		fraction:     s.fraction,
 		baseOpts:     s.baseOpts,
 		registry:     s.registry,

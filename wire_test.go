@@ -497,7 +497,7 @@ func TestServerJobRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(stubby.NewServer(sess, stubby.WithJobRetention(2)))
+	hs := httptest.NewServer(stubby.SetJobRetention(stubby.NewServer(sess), 2))
 	defer hs.Close()
 	defer sess.Close(context.Background())
 	client, err := stubby.NewClient(hs.URL)
