@@ -2,8 +2,7 @@
 // (Section 7). Each benchmark drives the experiment harness and prints the
 // same rows/series the paper reports; absolute numbers come from the
 // simulated substrate, so the shapes — who wins, by roughly what factor,
-// where the crossovers fall — are the reproduction target (EXPERIMENTS.md
-// records paper-vs-measured for each).
+// where the crossovers fall — are the reproduction target.
 //
 // Run with:
 //
@@ -194,8 +193,8 @@ func BenchmarkFigure14EstimateAccuracy(b *testing.B) {
 
 // --- ablation benchmarks -----------------------------------------------------
 //
-// These regenerate the ablation tables for the design choices DESIGN.md
-// calls out: phase ordering (Section 4), configuration-search strategy
+// These regenerate the ablation tables for the optimizer's design
+// choices: phase ordering (Section 4), configuration-search strategy
 // (Section 4.2), optimization-unit scope (Section 4.1), and profile
 // sampling fraction (Sections 2.2/5). They use a reduced workload subset
 // so a full -bench=. run stays tractable.

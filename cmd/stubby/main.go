@@ -29,25 +29,25 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list available workloads")
-		listOpts = flag.Bool("list-optimizers", false, "list registered optimizers")
-		workload = flag.String("workload", "", "workload abbreviation (IR, SN, LA, WG, BA, BR, PJ, US)")
-		planner  = flag.String("optimizer", "stubby", "optimizer name (see -list-optimizers) or none")
-		run      = flag.Bool("run", false, "execute the plans and report simulated runtimes")
-		compare  = flag.Bool("compare", false, "run every optimizer on the workload")
-		dot      = flag.Bool("dot", false, "print the optimized plan in Graphviz DOT format")
-		verbose  = flag.Bool("v", false, "report optimizer progress while searching")
-		size     = flag.Float64("size", 0.25, "workload size factor")
-		seed     = flag.Int64("seed", 1, "random seed")
-		fraction = flag.Float64("profile", 0.5, "profiling sample fraction")
-		useCache = flag.Bool("cache", true, "memoize what-if estimates under workflow fingerprints")
-		reuseDir = flag.String("reuse-catalog", "", "sub-plan reuse catalog directory: -run publishes materialized intermediates, optimizations reuse catalog-matched sub-DAG results")
+		list       = flag.Bool("list", false, "list available workloads")
+		listOpts   = flag.Bool("list-optimizers", false, "list registered optimizers")
+		workload   = flag.String("workload", "", "workload abbreviation (IR, SN, LA, WG, BA, BR, PJ, US)")
+		planner    = flag.String("optimizer", "stubby", "optimizer name (see -list-optimizers) or none")
+		run        = flag.Bool("run", false, "execute the plans and report simulated runtimes")
+		compare    = flag.Bool("compare", false, "run every optimizer on the workload")
+		dot        = flag.Bool("dot", false, "print the optimized plan in Graphviz DOT format")
+		verbose    = flag.Bool("v", false, "report optimizer progress while searching")
+		size       = flag.Float64("size", 0.25, "workload size factor")
+		seed       = flag.Int64("seed", 1, "random seed")
+		fraction   = flag.Float64("profile", 0.5, "profiling sample fraction")
+		useCache   = flag.Bool("cache", true, "memoize what-if estimates under workflow fingerprints")
+		reuseDir   = flag.String("reuse-catalog", "", "sub-plan reuse catalog directory: -run publishes materialized intermediates, optimizations reuse catalog-matched sub-DAG results")
 		robSamples = flag.Int("robustness", 0, "Monte-Carlo samples for fault-aware robustness scoring (0 disables)")
 		faultName  = flag.String("fault-profile", "standard", "fault profile for -robustness (standard, failures, stragglers)")
 		faultSeed  = flag.Int64("fault-seed", 42, "base perturbation seed for -robustness")
 		export     = flag.String("export", "", "write the annotated plan to this JSON file and exit")
-		imprt    = flag.String("import", "", "read an annotated plan from this JSON file (structure-only) instead of building a workload")
-		remote   = flag.String("remote", "", "optimize through the stubbyd server at this base URL (e.g. http://localhost:8080) instead of in-process")
+		imprt      = flag.String("import", "", "read an annotated plan from this JSON file (structure-only) instead of building a workload")
+		remote     = flag.String("remote", "", "optimize through the stubbyd server at this base URL (e.g. http://localhost:8080) instead of in-process")
 	)
 	flag.Parse()
 	ctx := context.Background()
@@ -231,6 +231,13 @@ func printWhatIf(res *stubby.Result, cache *stubby.EstimateCache) {
 	}
 	fmt.Printf("-- what-if calls: %d requested, %d full computations, %d flow cards\n",
 		res.WhatIfCalls, res.WhatIfComputed, res.FlowCards)
+	if yield := res.Yield(); len(yield) > 0 { // a remote or rule-based result has no search trace
+		fmt.Print("-- transformations:")
+		for _, y := range yield {
+			fmt.Printf(" %s %d/%d/%d,", y.Transformation, y.Proposed, y.Kept, y.Chosen)
+		}
+		fmt.Println(" as proposed/kept/chosen")
+	}
 	if res.ReusedSubplans > 0 {
 		fmt.Printf("-- sub-plan reuse: replaced %d sub-DAG(s) with stored-result scans\n", res.ReusedSubplans)
 	}

@@ -42,11 +42,16 @@ func main() {
 	fmt.Printf("optimization took %v over %d optimization units\n\n",
 		res.Duration.Round(1e6), len(res.Units))
 
-	// Show the search: which transformations each unit considered.
+	// Show the search: what each transformation contributed to each unit.
 	for i, u := range res.Units {
 		fmt.Printf("unit %d (%s phase): producers=%v consumers=%v, %d subplans, chose %q\n",
 			i, u.Phase, u.Producers, u.Consumers, len(u.Subplans),
 			u.Subplans[u.ChosenIdx].Description)
+		for _, y := range u.Yield {
+			if y.Proposed > 0 {
+				fmt.Printf("  %-24s proposed %3d, kept %2d, chosen %d\n", y.Transformation, y.Proposed, y.Kept, y.Chosen)
+			}
+		}
 	}
 
 	basePlan, err := stubby.NewBaseline(wl.Cluster).Plan(wl.Workflow)

@@ -144,35 +144,6 @@ func (b Baseline) PlanContext(ctx context.Context, w *wf.Workflow) (*wf.Workflow
 	return b.Plan(w)
 }
 
-// Starfish is the cost-based configuration-only comparator [8]: it finds
-// good configuration parameter settings for each job but misses every
-// packing opportunity.
-type Starfish struct {
-	Cluster *mrsim.Cluster
-	Seed    int64
-}
-
-// Name implements Planner.
-func (s Starfish) Name() string { return "Starfish" }
-
-// Plan implements Planner.
-func (s Starfish) Plan(w *wf.Workflow) (*wf.Workflow, error) {
-	return s.PlanContext(context.Background(), w)
-}
-
-// PlanContext implements ContextPlanner.
-func (s Starfish) PlanContext(ctx context.Context, w *wf.Workflow) (*wf.Workflow, error) {
-	opt := optimizer.New(s.Cluster, optimizer.Options{
-		Groups: optimizer.GroupConfigOnly,
-		Seed:   s.Seed,
-	})
-	res, err := opt.OptimizeContext(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	return res.Plan, nil
-}
-
 // YSmart is the rule-based comparator [11]: it packs vertically and
 // horizontally wherever preconditions allow, minimizing the total number of
 // jobs regardless of cost, with rule-based configuration settings
@@ -245,74 +216,80 @@ func ySmartStep(plan *wf.Workflow) (*wf.Workflow, bool) {
 	return nil, false
 }
 
+// CostBased is a cost-based planner: an optimizer search over a selection of
+// the transformation table's rows, plus a configuration mode. Full Stubby, its
+// one-group variants, Starfish and MRShare differ only in these fields.
+type CostBased struct {
+	Cluster *mrsim.Cluster
+	Seed    int64
+	// Label is the planner's display name (default "Stubby").
+	Label string
+	// Groups and DisablePartition select the rows, as in optimizer.Options.
+	Groups           optimizer.Groups
+	DisablePartition bool
+	// RuleConfigs applies RuleConfig first and keeps those configurations
+	// instead of searching them.
+	RuleConfigs bool
+}
+
+// Starfish is the cost-based configuration-only comparator [8]: it finds
+// good configuration parameter settings for each job but misses every
+// packing opportunity.
+func Starfish(c *mrsim.Cluster, seed int64) CostBased {
+	return CostBased{Label: "Starfish", Groups: optimizer.GroupConfigOnly}.bind(c, seed)
+}
+
 // MRShare is the cost-based horizontal packing comparator [13]: it decides
 // scan sharing with the What-if cost model but applies rule-based
 // configurations and considers neither vertical packing nor partition
 // function transformations.
-type MRShare struct {
-	Cluster *mrsim.Cluster
-	Seed    int64
+func MRShare(c *mrsim.Cluster, seed int64) CostBased {
+	return CostBased{Label: "MRShare", Groups: optimizer.GroupHorizontal,
+		DisablePartition: true, RuleConfigs: true}.bind(c, seed)
+}
+
+// bind returns the selection p as a planner for a cluster and seed.
+func (p CostBased) bind(c *mrsim.Cluster, seed int64) CostBased {
+	p.Cluster, p.Seed = c, seed
+	return p
 }
 
 // Name implements Planner.
-func (m MRShare) Name() string { return "MRShare" }
-
-// Plan implements Planner.
-func (m MRShare) Plan(w *wf.Workflow) (*wf.Workflow, error) {
-	return m.PlanContext(context.Background(), w)
-}
-
-// PlanContext implements ContextPlanner.
-func (m MRShare) PlanContext(ctx context.Context, w *wf.Workflow) (*wf.Workflow, error) {
-	plan := w.Clone()
-	RuleConfig(plan, m.Cluster)
-	opt := optimizer.New(m.Cluster, optimizer.Options{
-		Groups:              optimizer.GroupHorizontal,
-		DisablePartition:    true,
-		DisableConfigSearch: true,
-		Seed:                m.Seed,
-	})
-	res, err := opt.OptimizeContext(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	return res.Plan, nil
-}
-
-// StubbyPlanner adapts the full optimizer (or one of its transformation
-// groups) to the Planner interface.
-type StubbyPlanner struct {
-	Cluster *mrsim.Cluster
-	Groups  optimizer.Groups
-	Seed    int64
-	Label   string
-}
-
-// Name implements Planner.
-func (s StubbyPlanner) Name() string {
-	if s.Label != "" {
-		return s.Label
+func (p CostBased) Name() string {
+	if p.Label != "" {
+		return p.Label
 	}
 	return "Stubby"
 }
 
 // Plan implements Planner.
-func (s StubbyPlanner) Plan(w *wf.Workflow) (*wf.Workflow, error) {
-	return s.PlanContext(context.Background(), w)
+func (p CostBased) Plan(w *wf.Workflow) (*wf.Workflow, error) {
+	return p.PlanContext(context.Background(), w)
 }
 
 // PlanContext implements ContextPlanner.
-func (s StubbyPlanner) PlanContext(ctx context.Context, w *wf.Workflow) (*wf.Workflow, error) {
-	res, err := optimizer.New(s.Cluster, s.Options()).OptimizeContext(ctx, w)
+func (p CostBased) PlanContext(ctx context.Context, w *wf.Workflow) (*wf.Workflow, error) {
+	res, err := p.Search(ctx, w, optimizer.Options{})
 	if err != nil {
 		return nil, err
 	}
 	return res.Plan, nil
 }
 
-// Options exposes the optimizer options this planner runs with, letting a
-// caller that wants the full search trace (or progress observation) drive
-// the optimizer directly with the same settings.
-func (s StubbyPlanner) Options() optimizer.Options {
-	return optimizer.Options{Groups: s.Groups, Seed: s.Seed}
+// Search runs the optimizer with the planner's selection laid over base, so a
+// caller that wants the search trace, progress events or a shared estimate
+// cache supplies them in base; a Groups restriction in base refines the
+// planner's.
+func (p CostBased) Search(ctx context.Context, w *wf.Workflow, base optimizer.Options) (*optimizer.Result, error) {
+	base.Seed = p.Seed
+	if base.Groups == 0 {
+		base.Groups = p.Groups
+	}
+	base.DisablePartition = base.DisablePartition || p.DisablePartition
+	if p.RuleConfigs {
+		w = w.Clone()
+		RuleConfig(w, p.Cluster)
+		base.DisableConfigSearch = true
+	}
+	return optimizer.New(p.Cluster, base).OptimizeContext(ctx, w)
 }

@@ -1,11 +1,14 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
+	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
@@ -191,10 +194,10 @@ func TestPlannersPreserveResults(t *testing.T) {
 	}
 	planners := []Planner{
 		Baseline{Cluster: cluster},
-		Starfish{Cluster: cluster, Seed: 2},
+		Starfish(cluster, 2),
 		YSmart{Cluster: cluster},
-		MRShare{Cluster: cluster, Seed: 2},
-		StubbyPlanner{Cluster: cluster, Seed: 2},
+		MRShare(cluster, 2),
+		CostBased{Cluster: cluster, Seed: 2},
 	}
 	for _, p := range planners {
 		plan, err := p.Plan(w)
@@ -245,7 +248,7 @@ func TestStarfishOnlyTunesConfig(t *testing.T) {
 	if err := profile.NewProfiler(cluster, 1.0, 1).Annotate(w, dfs); err != nil {
 		t.Fatal(err)
 	}
-	s := Starfish{Cluster: cluster, Seed: 3}
+	s := Starfish(cluster, 3)
 	plan, err := s.Plan(w)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +270,7 @@ func TestStarfishOnlyTunesConfig(t *testing.T) {
 func TestMRSharePacksOnlyHorizontally(t *testing.T) {
 	cluster := testCluster()
 	w := fanout()
-	m := MRShare{Cluster: cluster, Seed: 4}
+	m := MRShare(cluster, 4)
 	plan, err := m.Plan(w)
 	if err != nil {
 		t.Fatal(err)
@@ -291,15 +294,60 @@ func TestPlannerNames(t *testing.T) {
 		want string
 	}{
 		{Baseline{Cluster: c}, "Baseline"},
-		{Starfish{Cluster: c}, "Starfish"},
+		{Starfish(c, 0), "Starfish"},
 		{YSmart{Cluster: c}, "YSmart"},
-		{MRShare{Cluster: c}, "MRShare"},
-		{StubbyPlanner{Cluster: c}, "Stubby"},
-		{StubbyPlanner{Cluster: c, Label: "Vertical"}, "Vertical"},
+		{MRShare(c, 0), "MRShare"},
+		{CostBased{Cluster: c}, "Stubby"},
+		{CostBased{Cluster: c, Label: "Vertical"}, "Vertical"},
 	}
 	for _, cse := range cases {
 		if got := cse.p.Name(); got != cse.want {
 			t.Errorf("Name() = %q, want %q", got, cse.want)
+		}
+	}
+}
+
+// TestCostBasedRegistryPlanners: the five cost-based registry planners are
+// one type, and each is the row selection its description promises — read
+// back from a search's trace as the table rows it enumerated over and the
+// traversal phases it ran (optimizer's TestTransformationTable pins which of
+// those rows take part in which phase).
+func TestCostBasedRegistryPlanners(t *testing.T) {
+	vertical := []string{"intra-vertical", "inter-vertical", "inter-vertical-replicate", "inter-vertical-keep"}
+	for _, c := range []struct {
+		name, label string
+		rows        []string
+		phases      []string
+	}{
+		{"stubby", "Stubby", append(append([]string{}, vertical...), "horizontal", "partition"), []string{"vertical", "horizontal"}},
+		{"vertical", "Vertical", append(append([]string{}, vertical...), "partition"), []string{"vertical"}},
+		{"horizontal", "Horizontal", []string{"horizontal", "partition"}, []string{"horizontal"}},
+		{"starfish", "Starfish", nil, []string{"config"}},
+		{"mrshare", "MRShare", []string{"horizontal"}, []string{"horizontal"}},
+	} {
+		p, err := DefaultRegistry().New(c.name, testCluster(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, ok := p.(CostBased)
+		if !ok || cb.Name() != c.label {
+			t.Fatalf("%s: registry built %T %q, want CostBased %q", c.name, p, p.Name(), c.label)
+		}
+		res, err := cb.Search(context.Background(), fanout(), optimizer.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var rows, phases []string
+		for _, y := range res.Yield() {
+			rows = append(rows, y.Transformation)
+		}
+		for _, u := range res.Units {
+			if len(phases) == 0 || phases[len(phases)-1] != u.Phase {
+				phases = append(phases, u.Phase)
+			}
+		}
+		if !reflect.DeepEqual(rows, c.rows) || !reflect.DeepEqual(phases, c.phases) {
+			t.Errorf("%s: rows %v phases %v, want rows %v phases %v", c.name, rows, phases, c.rows, c.phases)
 		}
 	}
 }

@@ -110,27 +110,12 @@ func (r *Registry) Clone() *Registry {
 // variants restricted to one transformation group (Figure 11).
 func builtinSpecs() []Spec {
 	return []Spec{
-		{
-			Name:        "stubby",
-			Description: "full transformation-based cost-based optimizer (the paper's system)",
-			New: func(c *mrsim.Cluster, seed int64) Planner {
-				return StubbyPlanner{Cluster: c, Groups: optimizer.GroupAll, Seed: seed, Label: "Stubby"}
-			},
-		},
-		{
-			Name:        "vertical",
-			Description: "Stubby restricted to the Vertical transformation group",
-			New: func(c *mrsim.Cluster, seed int64) Planner {
-				return StubbyPlanner{Cluster: c, Groups: optimizer.GroupVertical, Seed: seed, Label: "Vertical"}
-			},
-		},
-		{
-			Name:        "horizontal",
-			Description: "Stubby restricted to the Horizontal transformation group",
-			New: func(c *mrsim.Cluster, seed int64) Planner {
-				return StubbyPlanner{Cluster: c, Groups: optimizer.GroupHorizontal, Seed: seed, Label: "Horizontal"}
-			},
-		},
+		costBased("stubby", "full transformation-based cost-based optimizer (the paper's system)",
+			CostBased{Label: "Stubby", Groups: optimizer.GroupAll}.bind),
+		costBased("vertical", "Stubby restricted to the Vertical transformation group",
+			CostBased{Label: "Vertical", Groups: optimizer.GroupVertical}.bind),
+		costBased("horizontal", "Stubby restricted to the Horizontal transformation group",
+			CostBased{Label: "Horizontal", Groups: optimizer.GroupHorizontal}.bind),
 		{
 			Name:        "baseline",
 			Description: "production baseline: Pig rule-based packing + rule-of-thumb configs",
@@ -138,13 +123,7 @@ func builtinSpecs() []Spec {
 				return Baseline{Cluster: c}
 			},
 		},
-		{
-			Name:        "starfish",
-			Description: "cost-based configuration-only tuning (no packing)",
-			New: func(c *mrsim.Cluster, seed int64) Planner {
-				return Starfish{Cluster: c, Seed: seed}
-			},
-		},
+		costBased("starfish", "cost-based configuration-only tuning (no packing)", Starfish),
 		{
 			Name:        "ysmart",
 			Description: "rule-based packing minimizing job count",
@@ -152,14 +131,14 @@ func builtinSpecs() []Spec {
 				return YSmart{Cluster: c}
 			},
 		},
-		{
-			Name:        "mrshare",
-			Description: "cost-based horizontal scan sharing, rule-based configs",
-			New: func(c *mrsim.Cluster, seed int64) Planner {
-				return MRShare{Cluster: c, Seed: seed}
-			},
-		},
+		costBased("mrshare", "cost-based horizontal scan sharing, rule-based configs", MRShare),
 	}
+}
+
+// costBased is the spec of a cost-based planner.
+func costBased(name, description string, bind func(*mrsim.Cluster, int64) CostBased) Spec {
+	return Spec{Name: name, Description: description,
+		New: func(c *mrsim.Cluster, seed int64) Planner { return bind(c, seed) }}
 }
 
 // defaultRegistry holds the built-ins, constructed once.

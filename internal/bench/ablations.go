@@ -10,7 +10,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
-// Ablation drivers isolate the design choices DESIGN.md calls out:
+// Ablation drivers isolate the optimizer's design choices:
 // the Vertical-before-Horizontal phase ordering (Section 4), the dynamic
 // optimization-unit decomposition (Section 4.1), the use of RRS rather
 // than simpler configuration search (Section 4.2), and the profile

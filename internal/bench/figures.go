@@ -324,7 +324,7 @@ type Fig13Row struct {
 	// OverheadPct is OptimizeMS/1000 over WorkflowSec, in percent. (The
 	// optimizer runs on the host clock while workflows run on the
 	// simulated clock; the paper's "small relative overhead" shape is
-	// preserved, see EXPERIMENTS.md.)
+	// preserved.)
 	OverheadPct float64
 }
 

@@ -3,8 +3,9 @@
 // over records while accounting simulated wall-clock time with a calibrated
 // cost model (disk and network bandwidth, per-record CPU, task setup, sort
 // and spill passes, compression trade-offs) on a simulated cluster of task
-// slots. DESIGN.md documents why this substitution preserves the behaviour
-// the paper's evaluation exercises.
+// slots. The substitution keeps what the paper's evaluation exercises: every
+// optimizer decision trades quantities the model charges for, and because
+// jobs really run, a plan's output compares record for record with another's.
 package mrsim
 
 import "fmt"

@@ -454,7 +454,7 @@ func TestPartitionPruning(t *testing.T) {
 	if withF.Job("J1").MapInputBytes >= withoutF.Job("J1").MapInputBytes {
 		t.Error("pruning did not reduce input bytes")
 	}
-	// Pruning must not change results (invariant 6 in DESIGN.md).
+	// Pruning must not change results.
 	a, _ := dfsF.Get("out")
 	b, _ := dfsN.Get("out")
 	ga, gb := map[int64]int64{}, map[int64]int64{}

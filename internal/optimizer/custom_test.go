@@ -188,6 +188,22 @@ func TestCustomTransformationExtendsSearch(t *testing.T) {
 	if !traced {
 		t.Error("custom transformation missing from the search trace")
 	}
+	// A custom row is counted like a built-in: its one proposal per unit
+	// holding COPY is kept, and the chosen plan took exactly one.
+	yield := with.Yield()
+	if y := yield[len(yield)-1]; y.Transformation != "custom:copy-elision" ||
+		y.Proposed < 1 || y.Kept < 1 || y.Kept > y.Proposed || y.Chosen != 1 {
+		t.Errorf("custom row yield = %+v", y)
+	}
+	for _, u := range with.Units {
+		kept := 0
+		for _, y := range u.Yield {
+			kept += y.Kept
+		}
+		if kept+1 != len(u.Subplans) {
+			t.Errorf("%s unit: %d kept proposals but %d subplans", u.Phase, kept, len(u.Subplans))
+		}
+	}
 	if want, got := run(w), run(with.Plan); !reflect.DeepEqual(want, got) {
 		t.Fatal("custom-optimized plan changed results")
 	}

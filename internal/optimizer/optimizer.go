@@ -38,7 +38,8 @@ const (
 
 // Options tunes the search.
 type Options struct {
-	// Groups selects transformation groups (default GroupAll).
+	// Groups selects transformation groups (default GroupAll): a filter on
+	// the transformation table, keeping the rows of the selected groups.
 	Groups Groups
 	// RRSEvals bounds configuration-search evaluations per subplan.
 	// Zero (the default) sizes the budget adaptively to the number of
@@ -53,8 +54,9 @@ type Options struct {
 	// KeepSubplans retains every enumerated subplan in the unit reports
 	// (used by the Figure 14 deep-dive).
 	KeepSubplans bool
-	// DisablePartition turns the partition function transformation off
-	// (comparators like MRShare do not consider it — Section 7.3).
+	// DisablePartition drops the partition function row from the
+	// transformation table (comparators like MRShare do not consider it —
+	// Section 7.3).
 	DisablePartition bool
 	// DisableConfigSearch keeps job configurations as provided instead of
 	// searching them (rule-configured comparators).
@@ -62,8 +64,9 @@ type Options struct {
 	// Custom registers additional structural transformations, extending
 	// the optimizer EXODUS-style (Section 1: "Stubby allows new
 	// transformations to be added to extend the optimizer's functionality
-	// easily"). Custom transformations participate in both structural
-	// phases and compete on estimated cost like the built-ins.
+	// easily"). They become rows of the same table as the built-ins, after
+	// them: they take part in both structural phases, compete on estimated
+	// cost and are counted in UnitReport.Yield like any other row.
 	Custom []Transformation
 	// ConfigSearch selects the configuration-search strategy. The default
 	// is RRS; SearchRandom degrades to uniform sampling under the same
@@ -132,8 +135,9 @@ const (
 	SearchRandom
 )
 
-// Transformation is a user-defined structural transformation. Like the
-// built-in transformations it must be semantics-preserving: every proposed
+// Transformation is a structural transformation: the built-ins and the
+// user-defined ones of Options.Custom are rows of one table (table.go). A
+// user-defined one must be semantics-preserving like them: every proposed
 // plan must produce the same results as the input plan, and must only be
 // proposed when its preconditions are verifiable from the annotations
 // present (the information-spectrum contract).
@@ -162,6 +166,9 @@ func (o Options) withDefaults() Options {
 	if o.Groups == 0 {
 		o.Groups = GroupAll
 	}
+	if o.Groups&GroupAll != 0 {
+		o.Groups &^= GroupConfigOnly // a structural group subsumes the config-only pass
+	}
 	if o.MaxSubplans <= 0 {
 		o.MaxSubplans = 64
 	}
@@ -182,11 +189,14 @@ type Stubby struct {
 	// allEsts lists every estimator ever handed out, for counter sums.
 	allEsts []*whatif.Estimator
 	opt     Options
+	// table holds the structural transformations this search enumerates.
+	table []row
 }
 
 // New builds an optimizer for the given cluster.
 func New(cluster *mrsim.Cluster, opt Options) *Stubby {
 	s := &Stubby{cluster: cluster, opt: opt.withDefaults()}
+	s.table = newTable(cluster, s.opt)
 	s.est = s.newEstimator()
 	if s.opt.Parallelism > 1 {
 		s.estPool = make(chan *whatif.Estimator, s.opt.Parallelism)
@@ -235,6 +245,18 @@ type UnitReport struct {
 	Consumers []string
 	Subplans  []SubplanReport
 	ChosenIdx int
+	// Yield counts, per transformation of the search's table and in its
+	// order, what the transformation contributed to this unit.
+	Yield []Yield
+}
+
+// Yield is one transformation's contribution to a search.
+type Yield struct {
+	Transformation string
+	// Proposed counts the plans its Apply returned, Kept those that survived
+	// signature de-duplication and validation to become subplans, and Chosen
+	// the steps of chosen subplans that it produced.
+	Proposed, Kept, Chosen int
 }
 
 // Result is the outcome of optimization.
@@ -276,6 +298,22 @@ type Result struct {
 	ReusedSubplans int
 }
 
+// Yield sums the units' per-transformation counts, in table order.
+func (r *Result) Yield() []Yield {
+	var total []Yield
+	for _, u := range r.Units {
+		for i, y := range u.Yield {
+			if i == len(total) {
+				total = append(total, Yield{Transformation: y.Transformation})
+			}
+			total[i].Proposed += y.Proposed
+			total[i].Kept += y.Kept
+			total[i].Chosen += y.Chosen
+		}
+	}
+	return total
+}
+
 // Optimize runs the two-phase search and returns the optimized plan. The
 // input plan is not modified.
 func (s *Stubby) Optimize(w *wf.Workflow) (*Result, error) {
@@ -301,27 +339,15 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 			return nil, err
 		}
 	}
-	phases := []phaseSpec{
-		{name: "vertical", vertical: true},
-		{name: "horizontal", horizontal: true},
-	}
+	phases := []phaseSpec{{"vertical", GroupVertical}, {"horizontal", GroupHorizontal}, {"config", GroupConfigOnly}}
 	if s.opt.HorizontalFirst {
 		phases[0], phases[1] = phases[1], phases[0]
 	}
 	for _, ph := range phases {
-		if ph.vertical && s.opt.Groups&GroupVertical == 0 {
-			continue
-		}
-		if ph.horizontal && s.opt.Groups&GroupHorizontal == 0 {
+		if ph.groups&s.opt.Groups == 0 {
 			continue
 		}
 		plan, err = s.traverse(ctx, plan, ph, res)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if s.opt.Groups&GroupConfigOnly != 0 && s.opt.Groups&GroupAll == 0 {
-		plan, err = s.traverse(ctx, plan, phaseSpec{name: "config", configOnly: true}, res)
 		if err != nil {
 			return nil, err
 		}
@@ -347,12 +373,12 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 	return res, nil
 }
 
-// phaseSpec selects which transformations a traversal pass applies.
+// phaseSpec is one traversal pass: it applies the table rows of its groups.
+// No row belongs to GroupConfigOnly, so the "config" pass only searches
+// configurations.
 type phaseSpec struct {
-	name       string
-	vertical   bool
-	horizontal bool
-	configOnly bool
+	name   string
+	groups Groups
 }
 
 // traverse walks the workflow in topological order, generating optimization
@@ -361,21 +387,15 @@ type phaseSpec struct {
 // every job consuming their outputs; the next frontier is wherever those
 // consumers ended up after the unit's transformations (Figure 9).
 func (s *Stubby) traverse(ctx context.Context, plan *wf.Workflow, ph phaseSpec, res *Result) (*wf.Workflow, error) {
-	if s.opt.GlobalUnit {
-		unit := make([]string, 0, len(plan.Jobs))
-		for _, j := range plan.Jobs {
-			unit = append(unit, j.ID)
-		}
-		newPlan, report, err := s.optimizeUnit(ctx, plan, unit, ph, len(res.Units))
-		if err != nil {
-			return nil, err
-		}
-		report.Phase = ph.name
-		report.Producers = unit
-		res.Units = append(res.Units, *report)
-		return newPlan, nil
-	}
 	frontier := initialFrontier(plan)
+	if s.opt.GlobalUnit {
+		// Every job is a producer of the one unit, which leaves no consumers
+		// and so ends the walk after it.
+		frontier = nil
+		for _, j := range plan.Jobs {
+			frontier = append(frontier, j.ID)
+		}
+	}
 	for iter := 0; len(frontier) > 0 && iter <= len(plan.Jobs)+len(res.Units)+4; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -390,7 +410,6 @@ func (s *Stubby) traverse(ctx context.Context, plan *wf.Workflow, ph phaseSpec, 
 		if err != nil {
 			return nil, err
 		}
-		report.Phase = ph.name
 		report.Producers = frontier
 		report.Consumers = consumers
 		res.Units = append(res.Units, *report)

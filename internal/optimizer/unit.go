@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +13,6 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/event"
 	"github.com/stubby-mr/stubby/internal/keyval"
-	"github.com/stubby-mr/stubby/internal/trans"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
 
@@ -25,6 +25,7 @@ var errSearchAborted = errors.New("optimizer: subplan search aborted after earli
 type subplan struct {
 	plan  *wf.Workflow
 	steps []string // transformation descriptions, in application order
+	rows  []int    // the table row that proposed each step
 }
 
 // tunedSubplan is the outcome of one subplan's configuration search.
@@ -52,7 +53,7 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 		emit(event.UnitStarted{Workflow: name, Phase: ph.name, Unit: unitIdx,
 			Jobs: append([]string(nil), unit...)})
 	}
-	subplans := s.enumerate(plan, unitOrigins, ph)
+	subplans, yield := s.enumerate(plan, unitOrigins, ph)
 	tuned := s.tuneSubplans(ctx, subplans, unitOrigins, unitIdx)
 	// Surface the search failure that caused any abort, never the abort
 	// sentinel itself (slot order is unrelated to failure order; a
@@ -62,7 +63,7 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 			return nil, nil, tn.err
 		}
 	}
-	report := &UnitReport{}
+	report := &UnitReport{Phase: ph.name, Yield: yield}
 	bestIdx, bestCost := -1, 0.0
 	baselineFallback := false
 	var bestPlan *wf.Workflow
@@ -120,6 +121,9 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 		bestIdx, bestPlan = idx, plan
 	}
 	report.ChosenIdx = bestIdx
+	for _, r := range subplans[bestIdx].rows {
+		yield[r].Chosen++
+	}
 	return bestPlan, report, nil
 }
 
@@ -224,8 +228,13 @@ func (s *Stubby) tuneSubplans(ctx context.Context, subplans []subplan, unitOrigi
 // enumerate exhaustively applies the phase's structural transformations
 // within the unit, collecting unique subplans (Section 4.2: "Stubby
 // exhaustively applies all transformations, except the configuration
-// transformation").
-func (s *Stubby) enumerate(plan *wf.Workflow, unitOrigins map[string]bool, ph phaseSpec) []subplan {
+// transformation"). It also counts each table row's proposals and how many
+// of them entered the enumeration.
+func (s *Stubby) enumerate(plan *wf.Workflow, unitOrigins map[string]bool, ph phaseSpec) ([]subplan, []Yield) {
+	yield := make([]Yield, len(s.table))
+	for i, r := range s.table {
+		yield[i].Transformation = r.Name()
+	}
 	seen := map[string]bool{signature(plan): true}
 	queue := []subplan{{plan: plan}}
 	var out []subplan
@@ -234,6 +243,8 @@ func (s *Stubby) enumerate(plan *wf.Workflow, unitOrigins map[string]bool, ph ph
 		queue = queue[1:]
 		out = append(out, cur)
 		for _, next := range s.neighbors(cur, unitOrigins, ph) {
+			y := &yield[next.rows[len(next.rows)-1]]
+			y.Proposed++
 			sig := signature(next.plan)
 			if seen[sig] {
 				continue
@@ -245,103 +256,25 @@ func (s *Stubby) enumerate(plan *wf.Workflow, unitOrigins map[string]bool, ph ph
 			if err := next.plan.Validate(); err != nil {
 				continue
 			}
+			y.Kept++
 			queue = append(queue, next)
 		}
 	}
-	return out
+	return out, yield
 }
 
-// neighbors generates all single-transformation successors of a subplan.
+// neighbors generates all single-transformation successors of a subplan: the
+// proposals of every table row taking part in the phase, in table order.
 func (s *Stubby) neighbors(cur subplan, unitOrigins map[string]bool, ph phaseSpec) []subplan {
 	var out []subplan
-	add := func(p *wf.Workflow, desc string) {
-		out = append(out, subplan{plan: p, steps: append(append([]string{}, cur.steps...), desc)})
-	}
 	unitJobs := jobsWithinOrigins(cur.plan, unitOrigins)
-
-	// Every transformation checks its own precondition first and returns an
-	// error when it does not hold, so an inapplicable candidate is skipped
-	// on that error; the precondition is not evaluated a second time here.
-	if ph.vertical {
-		for _, jc := range unitJobs {
-			if producersWithin(cur.plan, jc, unitOrigins) {
-				if p, err := trans.IntraVertical(cur.plan, jc); err == nil {
-					add(p, "intra-vertical("+jc+")")
-				}
-			}
+	for i, r := range s.table {
+		if r.groups&ph.groups == 0 {
+			continue
 		}
-		for _, jp := range unitJobs {
-			for _, jc := range unitJobs {
-				if jp == jc {
-					continue
-				}
-				if p, err := trans.InterVertical(cur.plan, jp, jc); err == nil {
-					add(p, "inter-vertical("+jp+","+jc+")")
-				}
-			}
-		}
-		for _, jp := range unitJobs {
-			if consumersWithin(cur.plan, jp, unitOrigins) {
-				if p, err := trans.InterVerticalReplicate(cur.plan, jp); err == nil {
-					add(p, "inter-vertical-replicate("+jp+")")
-				}
-			}
-		}
-		// One-to-many extension (ii): pack the map-only producer with one
-		// consumer, keeping its output materialized for the others.
-		for _, jp := range unitJobs {
-			for _, jc := range unitJobs {
-				if jp == jc {
-					continue
-				}
-				if p, err := trans.InterVerticalKeep(cur.plan, jp, jc); err == nil {
-					add(p, "inter-vertical-keep("+jp+","+jc+")")
-				}
-			}
-		}
-	}
-	if ph.horizontal {
-		// Horizontal phase: same-input sibling groups, plus the
-		// concurrently-runnable extension over the whole unit.
-		for _, group := range horizontalGroups(cur.plan, unitJobs) {
-			if p, err := trans.Horizontal(cur.plan, group, false); err == nil {
-				add(p, "horizontal("+strings.Join(group, ",")+")")
-			}
-		}
-	}
-
-	// Partition function transformations belong to both structural groups
-	// (Section 4); disabled for comparators that lack them and in the
-	// config-only (Starfish) mode.
-	if !s.opt.DisablePartition && !ph.configOnly {
-		for _, id := range unitJobs {
-			j := cur.plan.Job(id)
-			for gi := range j.ReduceGroups {
-				tag := j.ReduceGroups[gi].Tag
-				for _, spec := range trans.EnumeratePartitionSpecs(cur.plan, id, tag, s.cluster.TotalReduceSlots()) {
-					if p, err := trans.ApplyPartitionSpec(cur.plan, id, tag, spec); err == nil {
-						add(p, fmt.Sprintf("partition(%s#%d:%s)", id, tag, spec.Type))
-					}
-				}
-			}
-		}
-	}
-
-	// Registered custom transformations extend both structural phases.
-	// Their proposals compete on estimated cost exactly like built-ins;
-	// structurally invalid proposals are discarded defensively.
-	if !ph.configOnly {
-		for _, tr := range s.opt.Custom {
-			for _, prop := range tr.Apply(cur.plan, append([]string(nil), unitJobs...)) {
-				if prop.Plan == nil || prop.Plan.Validate() != nil {
-					continue
-				}
-				desc := prop.Desc
-				if desc == "" {
-					desc = tr.Name()
-				}
-				add(prop.Plan, "custom:"+desc)
-			}
+		for _, prop := range r.Apply(cur.plan, unitJobs) {
+			out = append(out, subplan{plan: prop.Plan,
+				steps: append(slices.Clone(cur.steps), prop.Desc), rows: append(slices.Clone(cur.rows), i)})
 		}
 	}
 	return out
@@ -419,30 +352,6 @@ func jobsWithinOrigins(plan *wf.Workflow, unitOrigins map[string]bool) []string 
 		}
 	}
 	return out
-}
-
-// producersWithin reports whether every producing job of jc lies in the unit.
-func producersWithin(plan *wf.Workflow, jcID string, unitOrigins map[string]bool) bool {
-	for _, jp := range plan.JobProducers(plan.Job(jcID)) {
-		for _, o := range jp.Origin {
-			if !unitOrigins[o] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// consumersWithin reports whether every consumer of jp lies in the unit.
-func consumersWithin(plan *wf.Workflow, jpID string, unitOrigins map[string]bool) bool {
-	for _, jc := range plan.JobConsumers(plan.Job(jpID)) {
-		for _, o := range jc.Origin {
-			if !unitOrigins[o] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // signature canonically fingerprints a plan's structure: jobs (by sorted

@@ -14,7 +14,7 @@ import (
 // pageranks on the page URL (J1); aggregate average pagerank and total ad
 // revenue per user (J2); re-key by revenue (J3, map-only — standing in for
 // the paper's split-point sampling job, whose role Stubby's profile-driven
-// partition transformation subsumes, see DESIGN.md); find the user with the
+// partition transformation subsumes); find the user with the
 // highest total ad revenue (J4).
 //
 // uservisits is range partitioned on {date} (the Table 1 annotation), so

@@ -15,7 +15,7 @@ import (
 // J2 creates the coauthor pairs (map-only); J3 counts each pair; J4 finds
 // the top 20 pairs in decreasing order.
 //
-// Substitution note (DESIGN.md): the paper's J3 samples split points for
+// Substitution note: the paper's J3 samples split points for
 // J4's range partitioning; here split-point selection is subsumed by
 // Stubby's partition function transformation driven by profile key samples,
 // and pair creation (map-only J2) carries the workload's inter-job vertical

@@ -4,7 +4,7 @@
 // records; each workload carries a cluster whose VirtualScale maps the
 // materialized bytes onto the paper's dataset sizes (e.g. 264 GB for IR),
 // so cost dynamics — waves, shuffle volumes, spills — match the paper's
-// regime. DESIGN.md records the per-workload substitutions.
+// regime.
 package workloads
 
 import (

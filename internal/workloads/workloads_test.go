@@ -177,7 +177,7 @@ func TestExpectedPackingOpportunities(t *testing.T) {
 		t.Skip("integration: optimizer decisions per workflow; skipped in -short")
 	}
 	// Structural spot checks tying the workloads to the transformations
-	// they were designed to exercise (DESIGN.md experiment index).
+	// they were designed to exercise.
 	cases := []struct {
 		abbr     string
 		origJobs int

@@ -193,10 +193,9 @@ func WithPlanner(name string) SessionOption {
 
 // WithParallelism bounds the session's concurrency: the OptimizeAll worker
 // pool, and concurrent per-subplan configuration searches inside the
-// built-in Stubby optimizer (and its group variants). n <= 0 restores the
-// default (GOMAXPROCS); n == 1 is fully serial. Plans are identical at any
-// parallelism. Other named planners (starfish, mrshare, ...) reproduce the
-// paper's comparators faithfully and always search serially.
+// cost-based planners (stubby, vertical, horizontal, starfish, mrshare).
+// n <= 0 restores the default (GOMAXPROCS); n == 1 is fully serial. Plans
+// are identical at any parallelism.
 func WithParallelism(n int) SessionOption {
 	return func(s *Session) error {
 		s.parallelism = n
@@ -206,9 +205,9 @@ func WithParallelism(n int) SessionOption {
 
 // WithObserver attaches a progress observer to the session by installing
 // ObserverEvents(obs) as the session's event sink: search events fire from
-// Optimize and Submit under the built-in Stubby optimizer (and its group
-// variants), and JobFinished events fire from every Run. Other named
-// planners are opaque comparators and report no search progress.
+// Optimize and Submit under the cost-based planners (stubby, vertical,
+// horizontal, starfish, mrshare), and JobFinished events fire from every
+// Run. The rule-based planners run no search and report no progress.
 func WithObserver(obs Observer) SessionOption {
 	return func(s *Session) error {
 		s.events = nil
@@ -242,9 +241,9 @@ func WithOptimizerOptions(opt Options) SessionOption {
 }
 
 // WithEstimateCache attaches an estimate cache to the session: What-if
-// estimates issued by the built-in Stubby optimizer (and its group
-// variants), by Session.Estimate, and by the post-plan costing of other
-// named planners are memoized under canonical workflow fingerprints. Pass
+// estimates issued by the cost-based planners' searches, by
+// Session.Estimate, and by the post-plan costing of the rule-based and
+// registered planners are memoized under canonical workflow fingerprints. Pass
 // the same cache to several sessions to share it — the cache is
 // concurrent-safe, so an OptimizeAll fan-out (or many sessions) amortizes
 // estimates of repeated or overlapping workflows. Caching never changes
@@ -342,12 +341,12 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stubby: %w", err)
 		}
-		// A group-restricted Stubby variant and an explicit group
+		// A group-restricted cost-based planner and an explicit group
 		// restriction (WithOptimizerOptions) are two answers to the same
 		// question; silently preferring one would mislabel the result.
-		if sp, ok := p.(baselines.StubbyPlanner); ok {
+		if cb, ok := p.(baselines.CostBased); ok {
 			groups := s.baseOpts.Groups
-			if sp.Groups != GroupAll && groups != 0 && groups != sp.Groups {
+			if cb.Groups != GroupAll && groups != 0 && groups != cb.Groups {
 				return nil, fmt.Errorf("stubby: the Groups restriction conflicts with WithPlanner(%q); set one or the other", s.plannerName)
 			}
 		}
@@ -389,7 +388,6 @@ func (s *Session) RegisterPlanner(spec PlannerSpec) error {
 // directly via WithOptimizerOptions keeps receiving events, ahead of sink.
 func (s *Session) optimizerOptions(sink func(Event)) optimizer.Options {
 	o := s.baseOpts
-	o.Seed = s.seed // resolved at NewSession; matches Session.Planner
 	if o.Parallelism == 0 {
 		o.Parallelism = s.parallelism
 	}
@@ -433,10 +431,11 @@ func (s *Session) estimator() *whatif.Estimator {
 // Optimize optimizes the workflow with the session's planner (default: the
 // full Stubby optimizer) and returns the result. The input plan is never
 // modified; cancellation via ctx stops the search promptly with ctx.Err().
-// When the selected planner is one of Stubby's own variants the Result
-// carries the full per-unit search trace; for other planners it carries
-// the plan and its What-if cost estimate. Failures surface as (or wrap)
-// *Error.
+// When the selected planner is cost-based (stubby, vertical, horizontal,
+// starfish, mrshare — one search over a selection of the transformation
+// table) the Result carries the full per-unit search trace; for baseline,
+// ysmart and registered planners it carries the plan and its What-if cost
+// estimate. Failures surface as (or wrap) *Error.
 func (s *Session) Optimize(ctx context.Context, w *Workflow) (*Result, error) {
 	name := s.plannerName
 	if name == "" {
@@ -486,22 +485,17 @@ func (s *Session) report(workflow string, res *Result, sink func(Event)) {
 
 // optimizeDirect is the planner dispatch behind optimizeNamed (which
 // fronts it with the plan store when one is attached): run the named
-// planner with an explicit seed; Stubby variants report their search
+// planner with an explicit seed; cost-based planners report their search
 // progress into sink.
 func (s *Session) optimizeDirect(ctx context.Context, w *Workflow, name string, seed int64, sink func(Event)) (*Result, error) {
 	p, err := s.plannerSeeded(name, seed)
 	if err != nil {
 		return nil, err
 	}
-	// Stubby variants run through the optimizer directly so the Result
+	// Cost-based planners search under the session's options, so the Result
 	// keeps its search trace and the sink sees per-unit progress.
-	if sp, ok := p.(baselines.StubbyPlanner); ok {
-		o := s.optimizerOptions(sink)
-		o.Seed = seed
-		if o.Groups == 0 {
-			o.Groups = sp.Groups
-		}
-		return optimizer.New(s.cluster, o).OptimizeContext(ctx, w)
+	if cb, ok := p.(baselines.CostBased); ok {
+		return cb.Search(ctx, w, s.optimizerOptions(sink))
 	}
 	start := time.Now()
 	var plan *Workflow

@@ -285,6 +285,16 @@ func TestSessionPlannerRegistry(t *testing.T) {
 	); err == nil || !strings.Contains(err.Error(), "conflicts") {
 		t.Fatalf("conflicting base-option Groups+WithPlanner: got %v", err)
 	}
+	// The comparators are row selections too: a Groups restriction they
+	// would have to ignore is a conflict, not a silent no-op.
+	for _, name := range []string{"starfish", "mrshare"} {
+		if _, err := stubby.NewSession(
+			stubby.WithPlanner(name),
+			stubby.WithOptimizerOptions(stubby.Options{Groups: stubby.GroupVertical}),
+		); err == nil || !strings.Contains(err.Error(), "conflicts") {
+			t.Fatalf("conflicting Groups+WithPlanner(%q): got %v", name, err)
+		}
+	}
 }
 
 func TestSessionWithNamedPlanner(t *testing.T) {

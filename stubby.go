@@ -211,18 +211,18 @@ func Workloads() []string { return workloads.Abbrs() }
 func NewBaseline(c *Cluster) Planner { return baselines.Baseline{Cluster: c} }
 
 // NewStarfish returns the cost-based configuration-only planner.
-func NewStarfish(c *Cluster, seed int64) Planner { return baselines.Starfish{Cluster: c, Seed: seed} }
+func NewStarfish(c *Cluster, seed int64) Planner { return baselines.Starfish(c, seed) }
 
 // NewYSmart returns the rule-based packing planner.
 func NewYSmart(c *Cluster) Planner { return baselines.YSmart{Cluster: c} }
 
 // NewMRShare returns the cost-based horizontal-packing planner.
-func NewMRShare(c *Cluster, seed int64) Planner { return baselines.MRShare{Cluster: c, Seed: seed} }
+func NewMRShare(c *Cluster, seed int64) Planner { return baselines.MRShare(c, seed) }
 
 // NewStubbyPlanner adapts the Stubby optimizer (full or restricted to one
 // transformation group) to the Planner interface.
 func NewStubbyPlanner(c *Cluster, groups Groups, seed int64, label string) Planner {
-	return baselines.StubbyPlanner{Cluster: c, Groups: groups, Seed: seed, Label: label}
+	return baselines.CostBased{Cluster: c, Seed: seed, Label: label, Groups: groups}
 }
 
 // Plan import/export (the paper's Section 6 feature for moving annotated
