@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	stubby-bench -all
-//	stubby-bench -table 1
-//	stubby-bench -fig 5 | 11 | 12 | 13 | 14
+//	stubby-bench -all                      # every declared figure and ablation
+//	stubby-bench -fig table1,5,11,12,13,14
+//	stubby-bench -fig ordering,search,units,profile,seed,whatif
 //	stubby-bench -fig 11 -size 0.5 -seed 7
-//	stubby-bench -ablation ordering | search | units | profile | all
-//	stubby-bench -whatif
+//	stubby-bench -all -ledger BENCH_paper.json
+//	stubby-bench -all -ledger /tmp/paper.json -ledger-guard BENCH_paper.json
 //	stubby-bench -bench-optimizer -bench-out BENCH_optimizer.json
 //	stubby-bench -fig 12 -cpuprofile cpu.prof -memprofile mem.prof
 //	stubby-bench -list-optimizers
@@ -22,7 +22,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync"
+	"text/tabwriter"
 
 	"github.com/stubby-mr/stubby/internal/baselines"
 	"github.com/stubby-mr/stubby/internal/bench"
@@ -30,12 +33,16 @@ import (
 )
 
 func main() {
+	figs := figures()
+	var ids []string
+	for _, f := range figs {
+		ids = append(ids, f.id)
+	}
 	var (
-		fig        = flag.Int("fig", 0, "figure to regenerate (5, 11, 12, 13, 14)")
-		table      = flag.Int("table", 0, "table to regenerate (1)")
-		all        = flag.Bool("all", false, "regenerate everything")
-		ablation   = flag.String("ablation", "", "ablation to run: ordering, search, units, profile, all")
-		whatif     = flag.Bool("whatif", false, "report what-if call counts per workload, estimate cache off vs on")
+		fig        = flag.String("fig", "", "comma-separated figures to regenerate: "+strings.Join(ids, ", "))
+		all        = flag.Bool("all", false, "regenerate every declared figure and ablation")
+		ledger     = flag.String("ledger", "", "write the paper ledger (every grid cell, Figure 14, the evaluation's claims as pass/fail invariants) to this file")
+		ledgerGrd  = flag.String("ledger-guard", "", "baseline ledger (BENCH_paper.json) a fresh one must equal in everything but optimize_ms")
 		benchOpt   = flag.Bool("bench-optimizer", false, "benchmark the optimizer hot path: incremental vs monolithic what-if estimation")
 		benchOut   = flag.String("bench-out", "BENCH_optimizer.json", "where -bench-optimizer writes its JSON report")
 		benchGuard = flag.String("bench-guard", "", "CI smoke for -bench-optimizer: baseline JSON to guard against — robustness rows must be emitted and nil-model wall time must not regress >5%")
@@ -105,55 +112,27 @@ func main() {
 		}
 		defer profOnce.Do(stopProfiles)
 	}
-	if *all || *table == 1 {
+	selected := ids
+	if !*all {
+		selected = strings.FieldsFunc(*fig, func(r rune) bool { return r == ',' })
+	}
+	for _, id := range selected {
 		ran = true
-		if err := printTable1(h); err != nil {
+		i := slices.Index(ids, id)
+		if i < 0 {
+			fail(fmt.Errorf("unknown figure %q (have %s)", id, strings.Join(ids, ", ")))
+		}
+		if err := figs[i].print(h); err != nil {
 			fail(err)
 		}
 	}
-	if *all || *fig == 5 {
+	if *ledger != "" || *ledgerGrd != "" {
 		ran = true
-		if err := printFig5(h); err != nil {
+		if err := runLedger(h, *ledger, *ledgerGrd); err != nil {
 			fail(err)
 		}
 	}
-	if *all || *fig == 11 {
-		ran = true
-		if err := printFigSpeedups(h, 11); err != nil {
-			fail(err)
-		}
-	}
-	if *all || *fig == 12 {
-		ran = true
-		if err := printFigSpeedups(h, 12); err != nil {
-			fail(err)
-		}
-	}
-	if *all || *fig == 13 {
-		ran = true
-		if err := printFig13(h); err != nil {
-			fail(err)
-		}
-	}
-	if *all || *fig == 14 {
-		ran = true
-		if err := printFig14(h); err != nil {
-			fail(err)
-		}
-	}
-	if *ablation != "" {
-		ran = true
-		if err := printAblations(h, *ablation); err != nil {
-			fail(err)
-		}
-	}
-	if *all || *whatif {
-		ran = true
-		if err := printWhatIf(h); err != nil {
-			fail(err)
-		}
-	}
-	if *all || *benchOpt {
+	if *benchOpt {
 		ran = true
 		if err := runOptimizerBench(h, *benchOut, *benchGuard, *size, *seed); err != nil {
 			fail(err)
@@ -175,98 +154,80 @@ func main() {
 	}
 }
 
-// ablationWorkloads is the subset used by the structural ablations: one
-// vertically-dominated workflow (IR), the horizontally-dominated one (BR),
-// and the largest mixed one (BA).
-var ablationWorkloads = []string{"IR", "BR", "BA"}
-
-func printAblations(h *bench.Harness, which string) error {
-	if which == "ordering" || which == "all" {
-		runs, err := h.AblationOrdering(ablationWorkloads)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: phase ordering (Section 4 argues Vertical before Horizontal)")
-		printAblationTable(runs)
-	}
-	if which == "search" || which == "all" {
-		runs, err := h.AblationSearch(ablationWorkloads)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: configuration search strategy (Section 4.2 chooses RRS)")
-		printAblationTable(runs)
-	}
-	if which == "units" || which == "all" {
-		runs, err := h.AblationUnitScope(ablationWorkloads)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: dynamic optimization units vs one global unit (Section 4.1)")
-		printAblationTable(runs)
-	}
-	if which == "profile" || which == "all" {
-		rows, err := h.AblationProfileFraction("IR", []float64{0.05, 0.1, 0.25, 0.5, 1.0})
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: profile sampling fraction (IR), estimate accuracy and plan quality")
-		var cells [][]string
-		for _, r := range rows {
-			cells = append(cells, []string{
-				fmt.Sprintf("%.2f", r.Fraction),
-				fmt.Sprintf("%.1f s", r.Estimated),
-				fmt.Sprintf("%.1f s", r.Actual),
-				fmt.Sprintf("%.1f%%", r.RelError*100),
-				fmt.Sprintf("%.2fx", r.Speedup),
-			})
-		}
-		fmt.Println(bench.FormatTable(
-			[]string{"Fraction", "Estimated", "Actual", "Rel. error", "Speedup vs unopt"}, cells))
-	}
-	return nil
+// figure is one selectable result: a driver of its own for the three that are
+// not grid-shaped, the grid renderer for each bench.Figures declaration.
+type figure struct {
+	id    string
+	print func(*bench.Harness) error
 }
 
-func printAblationTable(runs map[string][]bench.AblationRun) {
-	var cells [][]string
-	for _, abbr := range ablationWorkloads {
-		for _, r := range runs[abbr] {
-			cells = append(cells, []string{
-				r.Workload, r.Variant,
-				fmt.Sprintf("%d", r.Jobs),
-				fmt.Sprintf("%.1f s", r.Makespan),
-				fmt.Sprintf("%.2fx", r.Speedup),
-				fmt.Sprintf("%.0f ms", r.OptimizeMS),
-			})
-		}
+// figures lists every figure in -all's order.
+func figures() []figure {
+	out := []figure{{"table1", printTable1}, {"5", printFig5}, {"14", printFig14}}
+	for _, f := range bench.Figures {
+		out = append(out, figure{f.ID, func(h *bench.Harness) error { return h.WriteFigure(os.Stdout, f) }})
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Workflow", "Variant", "Jobs", "Makespan", "vs default", "Opt time"}, cells))
+	return out
 }
 
-func printWhatIf(h *bench.Harness) error {
-	rows, err := h.WhatIfCounts()
+// runLedger assembles the paper ledger (running whatever the figures printed
+// so far have not), prints its invariants, and writes and guards it.
+func runLedger(h *bench.Harness, out, guard string) error {
+	l, err := h.Ledger()
 	if err != nil {
 		return err
 	}
-	fmt.Println("What-if call counts per workload: estimate cache off vs on, then a cached repeat")
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Workload,
-			fmt.Sprintf("%d", r.UncachedCalls),
-			fmt.Sprintf("%d", r.UncachedComputed),
-			fmt.Sprintf("%d", r.CachedRequests),
-			fmt.Sprintf("%d", r.CachedComputed),
-			fmt.Sprintf("%.1f%%", r.HitRatePct),
-			fmt.Sprintf("%d", r.RepeatComputed),
-			fmt.Sprintf("%v", r.PlansIdentical),
-		})
+	tw := table("Invariants: the evaluation's claims over the ledger's cells, failing workloads beneath",
+		"Invariant", "Verdict", "Workflow", "Margin", "Detail")
+	verdict := map[bool]string{true: "pass", false: "FAIL"}
+	for _, inv := range l.Invariants {
+		fmt.Fprintf(tw, "%s\t%s\t\t\t%s\n", inv.Name, verdict[inv.Pass], inv.Claim)
+		for _, v := range inv.Verdicts {
+			if !v.Pass {
+				fmt.Fprintf(tw, "\t\t%s\t%+.1f%%\t%s\n", v.Workload, 100*v.Margin, v.Detail)
+			}
+		}
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Workflow", "Uncached req", "Uncached comp", "Cached req", "Cached comp",
-			"Absorbed", "Repeat", "Identical plans"}, cells))
+	flush(tw)
+	optimizeMS := func(l bench.Ledger) (ms float64) {
+		for _, c := range l.Cells {
+			ms += c.OptimizeMS
+		}
+		return ms
+	}
+	fmt.Printf("%d cells, %.0f ms of optimization\n", len(l.Cells), optimizeMS(l))
+	if out != "" {
+		if err := bench.WriteJSON(out, l); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", out)
+	}
+	if guard != "" {
+		var baseline bench.Ledger
+		if err := bench.ReadJSON(guard, &baseline); err != nil {
+			return err
+		}
+		if err := bench.GuardLedger(l, baseline); err != nil {
+			return err
+		}
+		fmt.Printf("ledger guard passed against %s: %d cells, %d Figure 14 points and %d invariants equal; optimization %.0f ms, baseline %.0f ms (not guarded)\n",
+			guard, len(l.Cells), len(l.Figure14), len(l.Invariants), optimizeMS(l), optimizeMS(baseline))
+	}
 	return nil
+}
+
+// table prints a title and starts an aligned table on stdout: the caller
+// writes tab-separated rows to it and hands it to flush.
+func table(title string, header ...string) *tabwriter.Writer {
+	fmt.Println(title)
+	tw := tabwriter.NewWriter(os.Stdout, 0, 8, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(header, "\t"))
+	return tw
+}
+
+func flush(tw *tabwriter.Writer) {
+	tw.Flush()
+	fmt.Println()
 }
 
 // runOptimizerBench measures the incremental estimator against the
@@ -278,82 +239,53 @@ func runOptimizerBench(h *bench.Harness, out, guard string, size float64, seed i
 	if err != nil {
 		return err
 	}
-	fmt.Println("Optimizer hot path: incremental vs monolithic what-if estimation (plans are byte-identical)")
-	var cells [][]string
+	tw := table("Optimizer hot path: incremental vs monolithic what-if estimation (plans are byte-identical)",
+		"Workflow", "Jobs", "Monolithic", "Incremental", "Speedup", "Cards (mono)", "Cards (inc)", "Card ratio", "Identical")
 	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Workload,
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%.0f ms", r.MonolithicMS),
-			fmt.Sprintf("%.0f ms", r.IncrementalMS),
-			fmt.Sprintf("%.2fx", r.WallSpeedup),
-			fmt.Sprintf("%d", r.MonolithicFlowCards),
-			fmt.Sprintf("%d", r.IncrementalFlowCards),
-			fmt.Sprintf("%.2fx", r.FlowCardRatio),
-			fmt.Sprintf("%v", r.PlansIdentical),
-		})
+		fmt.Fprintf(tw, "%s\t%d\t%.0f ms\t%.0f ms\t%.2fx\t%d\t%d\t%.2fx\t%v\n", r.Workload, r.Jobs,
+			r.MonolithicMS, r.IncrementalMS, r.WallSpeedup,
+			r.MonolithicFlowCards, r.IncrementalFlowCards, r.FlowCardRatio, r.PlansIdentical)
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Workflow", "Jobs", "Monolithic", "Incremental", "Speedup",
-			"Cards (mono)", "Cards (inc)", "Card ratio", "Identical"}, cells))
+	flush(tw)
 	report := bench.OptimizerBenchReport(rows, size, seed)
 	fmt.Printf("multi-job (>=%d jobs): wall %.2fx, flow cards %.2fx\n",
 		bench.MultiJobThreshold, report.MultiJob.WallSpeedup, report.MultiJob.FlowCardRatio)
 
-	robRows, err := h.RobustnessBench(abbrs)
+	report.Robustness, err = h.RobustnessBench(abbrs)
 	if err != nil {
 		return err
 	}
-	report.Robustness = robRows
-	fmt.Printf("Plan robustness under the standard fault profile (%d perturbation samples, seed %d)\n",
-		bench.RobustnessBenchSamples, bench.RobustnessBenchSeed)
-	cells = nil
-	for _, r := range robRows {
-		cells = append(cells, []string{
-			r.Workload,
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%.1f s", r.NominalSec),
-			fmt.Sprintf("%.1f s", r.MeanSec),
-			fmt.Sprintf("%.1f s", r.P95Sec),
-			fmt.Sprintf("%.1f s", r.P99Sec),
-			fmt.Sprintf("%d", r.FailedOut),
-		})
+	tw = table(fmt.Sprintf("Plan robustness under the standard fault profile (%d perturbation samples, seed %d)",
+		bench.RobustnessBenchSamples, bench.RobustnessBenchSeed),
+		"Workflow", "Jobs", "Nominal", "Mean", "p95", "p99", "Failed out")
+	for _, r := range report.Robustness {
+		fmt.Fprintf(tw, "%s\t%d\t%.1f s\t%.1f s\t%.1f s\t%.1f s\t%d\n",
+			r.Workload, r.Jobs, r.NominalSec, r.MeanSec, r.P95Sec, r.P99Sec, r.FailedOut)
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Workflow", "Jobs", "Nominal", "Mean", "p95", "p99", "Failed out"}, cells))
+	flush(tw)
 
-	reuseRows, err := h.ReuseBench(nil)
+	report.Reuse, err = h.ReuseBench(nil)
 	if err != nil {
 		return err
 	}
-	report.Reuse = reuseRows
-	fmt.Printf("Cross-workflow sub-plan reuse on overlapping families (%d members per seed, member 0 publishes)\n",
-		bench.ReuseBenchMembers)
-	cells = nil
-	for _, r := range reuseRows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.FamilySeed),
-			fmt.Sprintf("%d", r.Member),
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%d", r.PlanJobs),
-			fmt.Sprintf("%d", r.ReusedSubplans),
-			fmt.Sprintf("%d/%d", r.CatalogHits, r.CatalogHits+r.CatalogMisses),
-			fmt.Sprintf("%.2f", r.HitRatio),
-			fmt.Sprintf("%.2fx", r.CostRatio),
-		})
+	tw = table(fmt.Sprintf("Cross-workflow sub-plan reuse on overlapping families (%d members per seed, member 0 publishes)",
+		bench.ReuseBenchMembers),
+		"Family", "Member", "Jobs", "Plan jobs", "Reused", "Hits", "Hit ratio", "Cost")
+	for _, r := range report.Reuse {
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d/%d\t%.2f\t%.2fx\n", r.FamilySeed, r.Member, r.Jobs, r.PlanJobs,
+			r.ReusedSubplans, r.CatalogHits, r.CatalogHits+r.CatalogMisses, r.HitRatio, r.CostRatio)
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Family", "Member", "Jobs", "Plan jobs", "Reused", "Hits", "Hit ratio", "Cost"}, cells))
+	flush(tw)
 
 	if out != "" {
-		if err := bench.WriteOptimizerBenchJSON(out, report); err != nil {
+		if err := bench.WriteJSON(out, report); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", out)
 	}
 	if guard != "" {
-		baseline, err := bench.ReadOptimizerBenchJSON(guard)
-		if err != nil {
+		var baseline bench.OptBenchReport
+		if err := bench.ReadJSON(guard, &baseline); err != nil {
 			return err
 		}
 		if err := bench.GuardOptimizerBench(report, baseline); err != nil {
@@ -383,21 +315,13 @@ func runGenCheck(h *bench.Harness, seed int64, count int, withDesc bool) (bool, 
 			fmt.Println(d)
 		}
 	}
-	fmt.Printf("Generated-workflow equivalence: seeds %d..%d, every registered planner\n", seed, seed+int64(count)-1)
-	var cells [][]string
+	tw := table(fmt.Sprintf("Generated-workflow equivalence: seeds %d..%d, every registered planner", seed, seed+int64(count)-1),
+		"Seed", "Planner", "Jobs in", "Jobs out", "Est. cost", "Equivalent", "Opt time")
 	for _, r := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.Seed),
-			r.Planner,
-			fmt.Sprintf("%d", r.Jobs),
-			fmt.Sprintf("%d", r.PlanJobs),
-			fmt.Sprintf("%.1f s", r.EstCost),
-			fmt.Sprintf("%v", r.Equivalent),
-			fmt.Sprintf("%.0f ms", r.OptimizeMS),
-		})
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%.1f s\t%v\t%.0f ms\n",
+			r.Seed, r.Planner, r.Jobs, r.PlanJobs, r.EstCost, r.Equivalent, r.OptimizeMS)
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Seed", "Planner", "Jobs in", "Jobs out", "Est. cost", "Equivalent", "Opt time"}, cells))
+	flush(tw)
 	for _, f := range failures {
 		fmt.Println("FAILURE:", f)
 	}
@@ -414,19 +338,12 @@ func printTable1(h *bench.Harness) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Table 1: MapReduce workflows and corresponding data sizes")
-	var cells [][]string
+	tw := table("Table 1: MapReduce workflows and corresponding data sizes",
+		"Abbr", "Workflow", "Paper size", "Simulated size", "Records", "Jobs")
 	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Abbr, r.Title,
-			fmt.Sprintf("%.0f GB", r.PaperGB),
-			fmt.Sprintf("%.0f GB", r.VirtualGB),
-			fmt.Sprintf("%d", r.Records),
-			fmt.Sprintf("%d", r.Jobs),
-		})
+		fmt.Fprintf(tw, "%s\t%s\t%.0f GB\t%.0f GB\t%d\t%d\n", r.Abbr, r.Title, r.PaperGB, r.VirtualGB, r.Records, r.Jobs)
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Abbr", "Workflow", "Paper size", "Simulated size", "Records", "Jobs"}, cells))
+	flush(tw)
 	return nil
 }
 
@@ -435,71 +352,12 @@ func printFig5(h *bench.Harness) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 5: performance degradation and improvement caused by packing")
-	var cells [][]string
+	tw := table("Figure 5: performance degradation and improvement caused by packing",
+		"Transformation", "Case", "No packing", "With packing", "Speedup")
 	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Transformation, r.Case,
-			fmt.Sprintf("%.1f s", r.Unpacked),
-			fmt.Sprintf("%.1f s", r.Packed),
-			fmt.Sprintf("%.2fx", r.Speedup),
-		})
+		fmt.Fprintf(tw, "%s\t%s\t%.1f s\t%.1f s\t%.2fx\n", r.Transformation, r.Case, r.Unpacked, r.Packed, r.Speedup)
 	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Transformation", "Case", "No packing", "With packing", "Speedup"}, cells))
-	return nil
-}
-
-func printFigSpeedups(h *bench.Harness, fig int) error {
-	var runs map[string][]bench.PlannerRun
-	var err error
-	var title string
-	if fig == 11 {
-		title = "Figure 11: speedup over Baseline by Stubby, Vertical, and Horizontal"
-		runs, err = h.Figure11()
-	} else {
-		title = "Figure 12: speedup over Baseline by Stubby, Starfish, YSmart, and MRShare"
-		runs, err = h.Figure12()
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Println(title)
-	header := []string{"Workflow"}
-	if len(runs[workloads.Abbrs()[0]]) > 0 {
-		for _, r := range runs[workloads.Abbrs()[0]] {
-			header = append(header, r.Planner)
-		}
-	}
-	var cells [][]string
-	for _, abbr := range workloads.Abbrs() {
-		row := []string{abbr}
-		for _, r := range runs[abbr] {
-			row = append(row, fmt.Sprintf("%.2fx (%dj)", r.Speedup, r.Jobs))
-		}
-		cells = append(cells, row)
-	}
-	fmt.Println(bench.FormatTable(header, cells))
-	return nil
-}
-
-func printFig13(h *bench.Harness) error {
-	rows, err := h.Figure13()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Figure 13: optimization overhead")
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Workload,
-			fmt.Sprintf("%.0f ms", r.OptimizeMS),
-			fmt.Sprintf("%.0f s", r.WorkflowSec),
-			fmt.Sprintf("%.3f%%", r.OverheadPct),
-		})
-	}
-	fmt.Println(bench.FormatTable(
-		[]string{"Workflow", "Optimization time", "Workflow runtime (sim)", "Overhead"}, cells))
+	flush(tw)
 	return nil
 }
 
@@ -508,15 +366,10 @@ func printFig14(h *bench.Harness) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 14: actual vs estimated normalized cost, first unit of IR")
-	var cells [][]string
+	tw := table("Figure 14: actual vs estimated normalized cost, first unit of IR", "Estimated", "Actual", "Subplan")
 	for _, p := range points {
-		cells = append(cells, []string{
-			fmt.Sprintf("%.3f", p.EstimatedNorm),
-			fmt.Sprintf("%.3f", p.ActualNorm),
-			p.Description,
-		})
+		fmt.Fprintf(tw, "%.3f\t%.3f\t%s\n", p.EstimatedNorm, p.ActualNorm, p.Description)
 	}
-	fmt.Println(bench.FormatTable([]string{"Estimated", "Actual", "Subplan"}, cells))
+	flush(tw)
 	return nil
 }

@@ -1,18 +1,24 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (Section 7). Each driver returns the
-// rows/series the paper reports; the cmd/stubby-bench binary and the
-// repository's testing.B benchmarks print them.
+// Package bench is the experiment harness behind the paper's evaluation
+// (Section 7). The grid-shaped results — Figures 11, 12 and 13, the design
+// ablations and the estimate-cache table — are views of one memoized
+// (workload × variant) table of Run cells (grid.go), declared once in
+// Figures, printed by one renderer and committed with the evaluation's
+// claims as BENCH_paper.json (ledger.go). Table 1, Figure 5 and Figure 14 are
+// not grid-shaped and keep their own drivers (figures.go); the optimizer
+// hot-path benchmark behind BENCH_optimizer.json lives in optbench.go and
+// reusebench.go, and the generated-workflow oracle's CLI face in genbench.go.
+// cmd/stubby-bench and the repository's testing.B benchmarks drive it.
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
-	"strings"
-	"time"
+	"os"
 
-	"github.com/stubby-mr/stubby/internal/baselines"
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/wf"
+	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
@@ -37,36 +43,71 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// prepared caches a built and profiled workload.
-type prepared struct {
-	wl *workloads.Workload
+// ProfilerSeed is the seed the harness profiles workloads under. It is not
+// the seed Session.Profile uses (Seed itself), so the CLI and the figures see
+// different samples of the same data; a Variant with SessionSeed set measures
+// a cell under the session's spelling, and the ledger header records both.
+func (c Config) ProfilerSeed() int64 { return c.Seed + 17 }
+
+// sample identifies one profiled instance of a workload.
+type sample struct {
+	abbr     string
+	fraction float64
+	seed     int64
 }
 
-// Harness runs the experiments.
+// Harness runs the experiments. It is not safe for concurrent use.
 type Harness struct {
-	cfg   Config
-	cache map[string]*prepared
+	cfg       Config
+	workloads map[sample]*workloads.Workload
+	runs      map[[2]string]Run
+	// estimates is the cache the Cached variants share, as an OptimizeAll
+	// fan-out shares a session's. It is sized so the whole sweep stays
+	// resident; the default capacity targets long-running services, where
+	// bounding memory matters more than a perfect replay.
+	estimates *whatif.Cache
+	fig14     []Fig14Point
+	// onSearch, when set, is told of every search the harness actually
+	// runs: each memo miss of Run, and Figure 14's own.
+	onSearch func(abbr, variant string)
 }
 
 // New builds a harness.
 func New(cfg Config) *Harness {
-	return &Harness{cfg: cfg.withDefaults(), cache: make(map[string]*prepared)}
+	return &Harness{
+		cfg:       cfg.withDefaults(),
+		workloads: make(map[sample]*workloads.Workload),
+		runs:      make(map[[2]string]Run),
+		estimates: whatif.NewCache(1 << 18),
+	}
 }
 
-// workload returns a built, profiled workload (cached).
+// workload returns a workload, paper or deep pipeline, built and profiled
+// under the harness's own sample (cached).
 func (h *Harness) workload(abbr string) (*workloads.Workload, error) {
-	if p, ok := h.cache[abbr]; ok {
-		return p.wl, nil
+	return h.profiled(sample{abbr, h.cfg.ProfileFraction, h.cfg.ProfilerSeed()})
+}
+
+// profiled returns the workload built and profiled under the given sample
+// (cached).
+func (h *Harness) profiled(s sample) (*workloads.Workload, error) {
+	if wl, ok := h.workloads[s]; ok {
+		return wl, nil
 	}
-	wl, err := workloads.Build(abbr, workloads.Options{SizeFactor: h.cfg.SizeFactor, Seed: h.cfg.Seed})
+	var wl *workloads.Workload
+	var err error
+	if stages, deep := deepPipelineStages(s.abbr); deep {
+		wl, err = buildDeepPipeline(stages, h.cfg.SizeFactor, h.cfg.Seed)
+	} else {
+		wl, err = workloads.Build(s.abbr, workloads.Options{SizeFactor: h.cfg.SizeFactor, Seed: h.cfg.Seed})
+	}
 	if err != nil {
 		return nil, err
 	}
-	prof := profile.NewProfiler(wl.Cluster, h.cfg.ProfileFraction, h.cfg.Seed+17)
-	if err := prof.Annotate(wl.Workflow, wl.DFS); err != nil {
-		return nil, err
+	if err := profile.NewProfiler(wl.Cluster, s.fraction, s.seed).Annotate(wl.Workflow, wl.DFS); err != nil {
+		return nil, fmt.Errorf("profile %s at %.2f: %w", s.abbr, s.fraction, err)
 	}
-	h.cache[abbr] = &prepared{wl: wl}
+	h.workloads[s] = wl
 	return wl, nil
 }
 
@@ -80,113 +121,24 @@ func runPlan(wl *workloads.Workload, plan *wf.Workflow) (float64, error) {
 	return rep.Makespan, nil
 }
 
-// PlannerRun is one (planner, workload) measurement.
-type PlannerRun struct {
-	Planner  string
-	Workload string
-	// Jobs is the optimized plan's job count.
-	Jobs int
-	// Makespan is the simulated running time of the optimized plan.
-	Makespan float64
-	// Speedup is Baseline makespan over this makespan.
-	Speedup float64
-	// OptimizeMS is the planner's own (real) running time.
-	OptimizeMS float64
+// WriteJSON writes a report (OptBenchReport, Ledger), indented, to path.
+func WriteJSON(path string, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// planners resolves the comparator set for a figure through the shared
-// planner registry (names are case-insensitive).
-func (h *Harness) planners(wl *workloads.Workload, which []string) ([]baselines.Planner, error) {
-	reg := baselines.DefaultRegistry()
-	out := make([]baselines.Planner, 0, len(which))
-	for _, name := range which {
-		p, err := reg.New(name, wl.Cluster, h.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// ComparePlanners measures the given planners on one workload, reporting
-// speedups over the Baseline planner.
-func (h *Harness) ComparePlanners(abbr string, names []string) ([]PlannerRun, error) {
-	wl, err := h.workload(abbr)
+// ReadJSON reads a report previously written by WriteJSON (a committed
+// BENCH_*.json baseline) into report.
+func ReadJSON(path string, report any) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	base := baselines.Baseline{Cluster: wl.Cluster}
-	basePlan, err := base.Plan(wl.Workflow)
-	if err != nil {
-		return nil, err
+	if err := json.Unmarshal(data, report); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	baseTime, err := runPlan(wl, basePlan)
-	if err != nil {
-		return nil, fmt.Errorf("baseline run on %s: %w", abbr, err)
-	}
-	planners, err := h.planners(wl, names)
-	if err != nil {
-		return nil, err
-	}
-	var out []PlannerRun
-	for _, p := range planners {
-		t0 := time.Now()
-		plan, err := p.Plan(wl.Workflow)
-		optMS := float64(time.Since(t0).Microseconds()) / 1000
-		if err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", p.Name(), abbr, err)
-		}
-		makespan, err := runPlan(wl, plan)
-		if err != nil {
-			return nil, fmt.Errorf("%s plan on %s failed to run: %w", p.Name(), abbr, err)
-		}
-		out = append(out, PlannerRun{
-			Planner:    p.Name(),
-			Workload:   abbr,
-			Jobs:       len(plan.Jobs),
-			Makespan:   makespan,
-			Speedup:    baseTime / makespan,
-			OptimizeMS: optMS,
-		})
-	}
-	return out, nil
-}
-
-// FormatTable renders rows as an aligned text table.
-func FormatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			for p := len(c); p < widths[i]; p++ {
-				b.WriteByte(' ')
-			}
-		}
-		b.WriteByte('\n')
-	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range rows {
-		line(r)
-	}
-	return b.String()
+	return nil
 }

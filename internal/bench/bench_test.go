@@ -65,19 +65,12 @@ func TestComparePlannersOnPJ(t *testing.T) {
 	// The Post-processing Jobs decision (Section 7.2): rule-based packing
 	// (Baseline/YSmart) loses to cost-based refusal to pack.
 	h := testHarness()
-	runs, err := h.ComparePlanners("PJ", []string{"Stubby", "YSmart"})
+	cells, anchors, err := h.Eval(Figure{Workloads: []string{"PJ"}, Variants: []Variant{Stubby, YSmart}, Anchor: Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stubbySpeed, ysmartSpeed float64
-	for _, r := range runs {
-		switch r.Planner {
-		case "Stubby":
-			stubbySpeed = r.Speedup
-		case "YSmart":
-			ysmartSpeed = r.Speedup
-		}
-	}
+	stubbySpeed := anchors[0].SimSec / cells[0].SimSec
+	ysmartSpeed := anchors[1].SimSec / cells[1].SimSec
 	if stubbySpeed < 1 {
 		t.Errorf("Stubby slower than Baseline on PJ: %.2fx", stubbySpeed)
 	}
@@ -86,20 +79,28 @@ func TestComparePlannersOnPJ(t *testing.T) {
 	}
 }
 
-func TestFigure13Overhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment driver; skipped in -short")
+// figure returns the declared figure with the given ID.
+func figure(t *testing.T, id string) Figure {
+	t.Helper()
+	for _, f := range Figures {
+		if f.ID == id {
+			return f
+		}
 	}
-	h := testHarness()
-	rows, err := h.Figure13()
+	t.Fatalf("no figure %q declared", id)
+	return Figure{}
+}
+
+func TestFigure13Overhead(t *testing.T) {
+	cells, anchors, err := sharedHarness(t).Eval(figure(t, "13"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("%d rows, want 8", len(rows))
+	if len(cells) != 8 {
+		t.Fatalf("%d rows, want 8", len(cells))
 	}
-	for _, r := range rows {
-		if r.OptimizeMS <= 0 || r.WorkflowSec <= 0 {
+	for i, r := range cells {
+		if r.OptimizeMS <= 0 || anchors[i].SimSec <= 0 {
 			t.Errorf("%s: empty measurements", r.Workload)
 		}
 	}
@@ -147,20 +148,6 @@ func TestFigure14Scatter(t *testing.T) {
 	}
 }
 
-func TestFormatTable(t *testing.T) {
-	out := FormatTable([]string{"a", "bb"}, [][]string{{"x", "y"}, {"long", "z"}})
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "a") || !strings.Contains(lines[0], "bb") {
-		t.Error("header malformed")
-	}
-	if !strings.Contains(lines[1], "-") {
-		t.Error("separator missing")
-	}
-}
-
 func TestHarnessCachesWorkloads(t *testing.T) {
 	h := testHarness()
 	a, err := h.workload("PJ")
@@ -184,35 +171,34 @@ func TestHarnessCachesWorkloads(t *testing.T) {
 // the same requests but computes measurably fewer estimates, while choosing
 // byte-identical plans.
 func TestWhatIfCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment driver; skipped in -short")
-	}
-	h := testHarness()
-	rows, err := h.WhatIfCounts()
+	cells, _, err := sharedHarness(t).Eval(figure(t, "whatif"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("%d rows, want 8", len(rows))
+	if len(cells) != 3*8 {
+		t.Fatalf("%d cells, want 8 rows of 3", len(cells))
 	}
 	var uncached, computed uint64
-	for _, r := range rows {
-		if !r.PlansIdentical {
-			t.Errorf("%s: cached and uncached searches chose different plans", r.Workload)
+	for i := 0; i < len(cells); i += 3 {
+		off, on, repeat := cells[i], cells[i+1], cells[i+2]
+		for _, r := range []Run{on, repeat} {
+			if r.Plan != off.Plan || r.EstimateSec != off.EstimateSec {
+				t.Errorf("%s: %s and uncached searches chose different plans", off.Workload, r.Variant)
+			}
 		}
-		if r.CachedRequests != r.UncachedCalls {
+		if on.WhatIfCalls != off.WhatIfCalls {
 			t.Errorf("%s: cached search issued %d requests, uncached issued %d — the search itself changed",
-				r.Workload, r.CachedRequests, r.UncachedCalls)
+				off.Workload, on.WhatIfCalls, off.WhatIfCalls)
 		}
-		if r.CachedComputed >= r.UncachedComputed {
+		if on.WhatIfComputed >= off.WhatIfComputed {
 			t.Errorf("%s: cache absorbed nothing (%d computed of %d)",
-				r.Workload, r.CachedComputed, r.UncachedComputed)
+				off.Workload, on.WhatIfComputed, off.WhatIfComputed)
 		}
-		if r.RepeatComputed != 0 {
-			t.Errorf("%s: repeat optimization recomputed %d estimates, want 0", r.Workload, r.RepeatComputed)
+		if repeat.WhatIfComputed != 0 {
+			t.Errorf("%s: repeat optimization recomputed %d estimates, want 0", off.Workload, repeat.WhatIfComputed)
 		}
-		uncached += r.UncachedComputed
-		computed += r.CachedComputed
+		uncached += off.WhatIfComputed
+		computed += on.WhatIfComputed
 	}
 	if computed >= uncached {
 		t.Fatalf("no aggregate saving: %d computed of %d uncached", computed, uncached)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
-	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
@@ -120,26 +119,4 @@ func buildDeepPipeline(stages int, sizeFactor float64, seed int64) (*workloads.W
 		DFS:      dfs,
 		Cluster:  cluster,
 	}, nil
-}
-
-// deepWorkload returns a built, profiled deep pipeline (cached alongside
-// the paper workloads).
-func (h *Harness) deepWorkload(abbr string) (*workloads.Workload, error) {
-	if p, ok := h.cache[abbr]; ok {
-		return p.wl, nil
-	}
-	stages, ok := deepPipelineStages(abbr)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown deep pipeline %q", abbr)
-	}
-	wl, err := buildDeepPipeline(stages, h.cfg.SizeFactor, h.cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	prof := profile.NewProfiler(wl.Cluster, h.cfg.ProfileFraction, h.cfg.Seed+17)
-	if err := prof.Annotate(wl.Workflow, wl.DFS); err != nil {
-		return nil, err
-	}
-	h.cache[abbr] = &prepared{wl: wl}
-	return wl, nil
 }

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
-	"github.com/stubby-mr/stubby/internal/baselines"
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/optimizer"
@@ -71,47 +69,35 @@ type Fig5Row struct {
 // packing each shown in a regime where they help and one where they hurt
 // (Section 3.1/3.3, Figure 5).
 func (h *Harness) Figure5() ([]Fig5Row, error) {
+	cases := []struct {
+		transformation, name string
+		run                  func() (unpacked, packed float64, err error)
+	}{
+		// Intra-job vertical packing on a none-to-one subgraph. The input
+		// layout satisfies the consumer's grouping either way; packing
+		// eliminates the shuffle but pins map-side parallelism to the input
+		// partition count.
+		// Improvement: plenty of pre-sorted partitions -> aligned map tasks
+		// still fill the cluster and the whole shuffle disappears.
+		{"intra-vertical", "improvement", func() (float64, float64, error) { return h.fig5Vertical(120, 0.5e-6) }},
+		// Degradation: few coarse partitions -> the packed plan concentrates
+		// all compute on a handful of aligned map tasks while the unpacked
+		// plan fans out over the whole cluster.
+		{"intra-vertical", "degradation", func() (float64, float64, error) { return h.fig5Vertical(16, 0.5e-6) }},
+		// Horizontal packing of two same-input aggregates.
+		// Improvement: a very large scan-bound input is read once not twice.
+		{"horizontal", "improvement", func() (float64, float64, error) { return h.fig5Horizontal(60000, 0.3e-6, 500) }},
+		// Degradation: small compute-bound jobs the cluster could have run
+		// concurrently (the Post-processing Jobs situation).
+		{"horizontal", "degradation", func() (float64, float64, error) { return h.fig5Horizontal(8000, 30e-6, 4) }},
+	}
 	var out []Fig5Row
-	// Intra-job vertical packing on a none-to-one subgraph. The input
-	// layout satisfies the consumer's grouping either way; packing
-	// eliminates the shuffle but pins map-side parallelism to the input
-	// partition count.
-	vert := func(caseName string, parts int, cpu float64) error {
-		un, packed, err := h.fig5Vertical(parts, cpu)
+	for _, c := range cases {
+		un, packed, err := c.run()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = append(out, Fig5Row{"intra-vertical", caseName, un, packed, un / packed})
-		return nil
-	}
-	// Improvement: plenty of pre-sorted partitions -> aligned map tasks
-	// still fill the cluster and the whole shuffle disappears.
-	if err := vert("improvement", 120, 0.5e-6); err != nil {
-		return nil, err
-	}
-	// Degradation: few coarse partitions -> the packed plan concentrates
-	// all compute on a handful of aligned map tasks while the unpacked
-	// plan fans out over the whole cluster.
-	if err := vert("degradation", 16, 0.5e-6); err != nil {
-		return nil, err
-	}
-	// Horizontal packing of two same-input aggregates.
-	horiz := func(caseName string, records int, cpu float64, gb float64) error {
-		un, packed, err := h.fig5Horizontal(records, cpu, gb)
-		if err != nil {
-			return err
-		}
-		out = append(out, Fig5Row{"horizontal", caseName, un, packed, un / packed})
-		return nil
-	}
-	// Improvement: a very large scan-bound input is read once not twice.
-	if err := horiz("improvement", 60000, 0.3e-6, 500); err != nil {
-		return nil, err
-	}
-	// Degradation: small compute-bound jobs the cluster could have run
-	// concurrently (the Post-processing Jobs situation).
-	if err := horiz("degradation", 8000, 30e-6, 4); err != nil {
-		return nil, err
+		out = append(out, Fig5Row{c.transformation, c.name, un, packed, un / packed})
 	}
 	return out, nil
 }
@@ -133,14 +119,13 @@ func (h *Harness) fig5Vertical(parts int, cpu float64) (unpacked, packed float64
 	for i := range pairs {
 		pairs[i] = keyval.Pair{Key: keyval.T(int64(rng.Intn(n / 4))), Value: keyval.T(rng.Float64())}
 	}
-	mkDFS := func() (*mrsim.DFS, error) {
-		dfs := mrsim.NewDFS()
-		err := dfs.Ingest("base", pairs, mrsim.IngestSpec{
-			NumPartitions: parts,
-			KeyFields:     []string{"k"},
-			Layout:        wf.Layout{PartType: keyval.HashPartition, PartFields: []string{"k"}, SortFields: []string{"k"}},
-		})
-		return dfs, err
+	dfs := mrsim.NewDFS()
+	if err := dfs.Ingest("base", pairs, mrsim.IngestSpec{
+		NumPartitions: parts,
+		KeyFields:     []string{"k"},
+		Layout:        wf.Layout{PartType: keyval.HashPartition, PartFields: []string{"k"}, SortFields: []string{"k"}},
+	}); err != nil {
+		return 0, 0, err
 	}
 	sum := wf.ReduceStage("R", func(k keyval.Tuple, vs []keyval.Tuple, emit wf.Emit) {
 		var s float64
@@ -173,31 +158,26 @@ func (h *Harness) fig5Vertical(parts int, cpu float64) (unpacked, packed float64
 			{ID: "out"},
 		},
 	}
-	dfs, err := mkDFS()
-	if err != nil {
-		return 0, 0, err
-	}
 	cluster := fig5Cluster(100, float64(keyval.PairsSize(pairs)))
 	// Tune the unpacked plan's reducer count to a sensible production
 	// setting so the comparison is fair.
 	w.Job("J").Config.NumReduceTasks = cluster.TotalReduceSlots() * 9 / 10
-	repA, err := mrsim.NewEngine(cluster, dfs).RunWorkflow(w)
-	if err != nil {
-		return 0, 0, err
-	}
 	packedPlan, err := trans.IntraVertical(w, "J")
 	if err != nil {
 		return 0, 0, err
 	}
-	dfs2, err := mkDFS()
-	if err != nil {
+	return runBoth(cluster, dfs, w, packedPlan)
+}
+
+// runBoth times a plan and its packed rewrite, each over its own copy of the
+// data.
+func runBoth(cluster *mrsim.Cluster, dfs *mrsim.DFS, plan, packedPlan *wf.Workflow) (unpacked, packed float64, err error) {
+	wl := &workloads.Workload{Cluster: cluster, DFS: dfs}
+	if unpacked, err = runPlan(wl, plan); err != nil {
 		return 0, 0, err
 	}
-	repB, err := mrsim.NewEngine(cluster, dfs2).RunWorkflow(packedPlan)
-	if err != nil {
-		return 0, 0, err
-	}
-	return repA.Makespan, repB.Makespan, nil
+	packed, err = runPlan(wl, packedPlan)
+	return unpacked, packed, err
 }
 
 // fig5Horizontal builds base -> {A, B} (two filter+group aggregates) and
@@ -208,14 +188,13 @@ func (h *Harness) fig5Horizontal(records int, cpu float64, gb float64) (unpacked
 	for i := range pairs {
 		pairs[i] = keyval.Pair{Key: keyval.T(int64(rng.Intn(500))), Value: keyval.T(rng.Float64(), rng.Float64())}
 	}
-	mkDFS := func() (*mrsim.DFS, error) {
-		dfs := mrsim.NewDFS()
-		err := dfs.Ingest("base", pairs, mrsim.IngestSpec{
-			NumPartitions: 12,
-			KeyFields:     []string{"k"},
-			Layout:        wf.Layout{PartType: keyval.HashPartition, PartFields: []string{"k"}},
-		})
-		return dfs, err
+	dfs := mrsim.NewDFS()
+	if err := dfs.Ingest("base", pairs, mrsim.IngestSpec{
+		NumPartitions: 12,
+		KeyFields:     []string{"k"},
+		Layout:        wf.Layout{PartType: keyval.HashPartition, PartFields: []string{"k"}},
+	}); err != nil {
+		return 0, 0, err
 	}
 	agg := func(id, out string, idx int) *wf.Job {
 		// Filtering consumers (the paper's "filtering, grouping, and
@@ -261,14 +240,6 @@ func (h *Harness) fig5Horizontal(records int, cpu float64, gb float64) (unpacked
 	for _, j := range w.Jobs {
 		j.Config.NumReduceTasks = cluster.TotalReduceSlots() / 4
 	}
-	dfs, err := mkDFS()
-	if err != nil {
-		return 0, 0, err
-	}
-	repA, err := mrsim.NewEngine(cluster, dfs).RunWorkflow(w)
-	if err != nil {
-		return 0, 0, err
-	}
 	packedPlan, err := trans.Horizontal(w, []string{"A", "B"}, true)
 	if err != nil {
 		return 0, 0, err
@@ -276,108 +247,36 @@ func (h *Harness) fig5Horizontal(records int, cpu float64, gb float64) (unpacked
 	// Give the packed job the combined reducer budget so the comparison
 	// isolates the packing decision, not a reducer-count artifact.
 	packedPlan.Jobs[0].Config.NumReduceTasks = cluster.TotalReduceSlots() / 2
-	dfs2, err := mkDFS()
-	if err != nil {
-		return 0, 0, err
-	}
-	repB, err := mrsim.NewEngine(cluster, dfs2).RunWorkflow(packedPlan)
-	if err != nil {
-		return 0, 0, err
-	}
-	return repA.Makespan, repB.Makespan, nil
-}
-
-// --------------------------------------------------------- Figures 11 & 12 --
-
-// Figure11 measures Stubby and its transformation groups in isolation
-// against the Baseline on all eight workflows.
-func (h *Harness) Figure11() (map[string][]PlannerRun, error) {
-	return h.compareAll([]string{"Stubby", "Vertical", "Horizontal"})
-}
-
-// Figure12 measures Stubby against the state-of-the-art comparators.
-func (h *Harness) Figure12() (map[string][]PlannerRun, error) {
-	return h.compareAll([]string{"Stubby", "Starfish", "YSmart", "MRShare"})
-}
-
-func (h *Harness) compareAll(names []string) (map[string][]PlannerRun, error) {
-	out := make(map[string][]PlannerRun)
-	for _, abbr := range workloads.Abbrs() {
-		runs, err := h.ComparePlanners(abbr, names)
-		if err != nil {
-			return nil, err
-		}
-		out[abbr] = runs
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------- Figure 13 --
-
-// Fig13Row is one workload's optimization overhead.
-type Fig13Row struct {
-	Workload string
-	// OptimizeMS is Stubby's real optimization time in milliseconds.
-	OptimizeMS float64
-	// WorkflowSec is the Baseline plan's simulated running time.
-	WorkflowSec float64
-	// OverheadPct is OptimizeMS/1000 over WorkflowSec, in percent. (The
-	// optimizer runs on the host clock while workflows run on the
-	// simulated clock; the paper's "small relative overhead" shape is
-	// preserved.)
-	OverheadPct float64
-}
-
-// Figure13 measures Stubby's optimization efficiency on all workflows.
-func (h *Harness) Figure13() ([]Fig13Row, error) {
-	var out []Fig13Row
-	for _, abbr := range workloads.Abbrs() {
-		wl, err := h.workload(abbr)
-		if err != nil {
-			return nil, err
-		}
-		base, err := baselines.Baseline{Cluster: wl.Cluster}.Plan(wl.Workflow)
-		if err != nil {
-			return nil, err
-		}
-		baseTime, err := runPlan(wl, base)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		if _, err := optimizer.New(wl.Cluster, optimizer.Options{Seed: h.cfg.Seed}).Optimize(wl.Workflow); err != nil {
-			return nil, err
-		}
-		ms := float64(time.Since(t0).Microseconds()) / 1000
-		out = append(out, Fig13Row{
-			Workload:    abbr,
-			OptimizeMS:  ms,
-			WorkflowSec: baseTime,
-			OverheadPct: ms / 1000 / baseTime * 100,
-		})
-	}
-	return out, nil
+	return runBoth(cluster, dfs, w, packedPlan)
 }
 
 // ---------------------------------------------------------------- Figure 14 --
 
 // Fig14Point is one subplan of the deep-dive optimization unit.
 type Fig14Point struct {
-	Description   string
-	EstimatedCost float64
-	ActualCost    float64
+	Description   string  `json:"subplan"`
+	EstimatedCost float64 `json:"estimate_sec"`
+	ActualCost    float64 `json:"sim_sec"`
 	// EstimatedNorm/ActualNorm are normalized to the unit's worst subplan.
-	EstimatedNorm, ActualNorm float64
+	EstimatedNorm float64 `json:"estimate_norm"`
+	ActualNorm    float64 `json:"sim_norm"`
 }
 
 // Figure14 drills into the first optimization unit of the Information
 // Retrieval workflow: every enumerated subplan is configured by RRS, costed
 // by the What-if engine, and then actually executed, yielding the
-// estimated-versus-actual scatter.
+// estimated-versus-actual scatter. The search retains every subplan, so it
+// is its own run rather than a grid cell; the points are kept for the ledger.
 func (h *Harness) Figure14() ([]Fig14Point, error) {
+	if h.fig14 != nil {
+		return h.fig14, nil
+	}
 	wl, err := h.workload("IR")
 	if err != nil {
 		return nil, err
+	}
+	if h.onSearch != nil {
+		h.onSearch("IR", "Stubby+KeepSubplans")
 	}
 	res, err := optimizer.New(wl.Cluster, optimizer.Options{
 		Seed: h.cfg.Seed, KeepSubplans: true,
@@ -416,5 +315,6 @@ func (h *Harness) Figure14() ([]Fig14Point, error) {
 			out[i].ActualNorm = out[i].ActualCost / maxAct
 		}
 	}
+	h.fig14 = out
 	return out, nil
 }

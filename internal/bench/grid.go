@@ -1,0 +1,299 @@
+package bench
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"math"
+	"text/tabwriter"
+	"time"
+
+	"github.com/stubby-mr/stubby/internal/baselines"
+	"github.com/stubby-mr/stubby/internal/optimizer"
+	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/wf"
+	"github.com/stubby-mr/stubby/internal/whatif"
+	"github.com/stubby-mr/stubby/internal/workloads"
+)
+
+// Variant is one way of planning a workload: a registry planner, the base
+// options handed to its search, and the profile sample it plans from. Name
+// is the cell's identity in the memo table and the ledger, so two figures
+// that list the same variant share its runs.
+type Variant struct {
+	Name string
+	// Planner is the registry name; empty means "stubby".
+	Planner string
+	// Options is the base baselines.CostBased.Search lays the planner's
+	// selection over (rule-based planners ignore it).
+	Options optimizer.Options
+	// Cached searches against the harness's shared estimate cache. Such a
+	// cell reports the cache's state when it ran: a figure lists CacheOn
+	// before CacheRepeat and Eval runs cells in declared order.
+	Cached bool
+	// Fraction overrides Config.ProfileFraction (0 keeps it); SessionSeed
+	// profiles under Session.Profile's seed instead of Config.ProfilerSeed.
+	Fraction    float64
+	SessionSeed bool
+}
+
+func planner(name string) Variant { return Variant{Name: name, Planner: name} }
+
+func fraction(f float64) Variant {
+	return Variant{Name: fmt.Sprintf("Stubby@%.2f", f), Fraction: f}
+}
+
+// fractions is the profile figure's sweep; its row at the default fraction is
+// the Stubby cell.
+var fractions = []Variant{fraction(0.05), fraction(0.10), fraction(0.25), Stubby, fraction(1)}
+
+// The declared variants. Stubby is the default search on the harness's own
+// sample: the cell Figures 11, 12 and 13, every ablation's default row, the
+// estimate-cache table's cache-off row and the profile figure's row at
+// Config.ProfileFraction all read.
+var (
+	Baseline    = planner("Baseline")
+	Stubby      = planner("Stubby")
+	Vertical    = planner("Vertical")
+	Horizontal  = planner("Horizontal")
+	Starfish    = planner("Starfish")
+	YSmart      = planner("YSmart")
+	MRShare     = planner("MRShare")
+	HThenV      = Variant{Name: "H-then-V", Options: optimizer.Options{HorizontalFirst: true}}
+	Random      = Variant{Name: "Random", Options: optimizer.Options{ConfigSearch: optimizer.SearchRandom}}
+	NoSearch    = Variant{Name: "NoSearch", Options: optimizer.Options{DisableConfigSearch: true}}
+	GlobalUnit  = Variant{Name: "GlobalUnit", Options: optimizer.Options{GlobalUnit: true, MaxSubplans: 256}}
+	CacheOn     = Variant{Name: "cache-on", Cached: true}
+	CacheRepeat = Variant{Name: "cache-repeat", Cached: true}
+	SessionSeed = Variant{Name: "Stubby/session-seed", SessionSeed: true}
+)
+
+// Figure declares one grid-shaped result: the cells of Workloads × Variants,
+// each read against the Anchor variant's cell on the same workload.
+type Figure struct {
+	ID, Title string
+	// Workloads lists abbreviations; nil means every paper workload.
+	Workloads []string
+	Variants  []Variant
+	Anchor    Variant
+}
+
+// ablationWorkloads is the subset the structural ablations run on: one
+// vertically-dominated workflow (IR), the horizontally-dominated one (BR),
+// and the largest mixed one (BA).
+var ablationWorkloads = []string{"IR", "BR", "BA"}
+
+// Figures is the evaluation's grid: every figure, ablation and table that is
+// a set of (workload, variant) cells.
+var Figures = []Figure{
+	{ID: "11", Title: "Figure 11: speedup over Baseline by Stubby, Vertical, and Horizontal",
+		Variants: []Variant{Stubby, Vertical, Horizontal}, Anchor: Baseline},
+	{ID: "12", Title: "Figure 12: speedup over Baseline by Stubby, Starfish, YSmart, and MRShare",
+		Variants: []Variant{Stubby, Starfish, YSmart, MRShare}, Anchor: Baseline},
+	// The optimizer runs on the host clock and workflows on the simulated
+	// one; the paper's "small relative overhead" shape is what carries over.
+	{ID: "13", Title: "Figure 13: optimization overhead (optimization time over the Baseline plan's simulated runtime)",
+		Variants: []Variant{Stubby}, Anchor: Baseline},
+	// Section 4: horizontal packing first builds combined map-output keys
+	// that block later vertical packing, so reversing the order should never
+	// win and should lose on vertically-packable workflows.
+	{ID: "ordering", Title: "Ablation: phase ordering (Section 4 argues Vertical before Horizontal)",
+		Workloads: ablationWorkloads, Variants: []Variant{Stubby, HThenV}, Anchor: Stubby},
+	// RRS (the paper's choice), uniform random sampling under the same
+	// evaluation budget, and configurations as submitted.
+	{ID: "search", Title: "Ablation: configuration search strategy (Section 4.2 chooses RRS)",
+		Workloads: ablationWorkloads, Variants: []Variant{Stubby, Random, NoSearch}, Anchor: Stubby},
+	// The global unit searches a strictly larger joint space per invocation
+	// at an optimization-time cost that grows with workflow size — the
+	// divide-and-conquer argument of Section 4.1.
+	{ID: "units", Title: "Ablation: dynamic optimization units vs one global unit (Section 4.1)",
+		Workloads: ablationWorkloads, Variants: []Variant{Stubby, GlobalUnit}, Anchor: Stubby},
+	// The information-spectrum trade-off between profiling cost and
+	// optimization fidelity (Sections 2.2 and 5).
+	{ID: "profile", Title: "Ablation: profile sampling fraction (IR), estimate accuracy and plan quality",
+		Workloads: []string{"IR"}, Variants: fractions, Anchor: Baseline},
+	{ID: "seed", Title: "Profiler seed (IR): the harness's sample against Session.Profile's",
+		Workloads: []string{"IR"}, Variants: []Variant{Stubby, SessionSeed}, Anchor: Baseline},
+	{ID: "whatif", Title: "What-if activity per workload: estimate cache off, on, then a cached repeat",
+		Variants: []Variant{Stubby, CacheOn, CacheRepeat}, Anchor: Stubby},
+}
+
+func (f Figure) workloads() []string {
+	if f.Workloads == nil {
+		return workloads.Abbrs()
+	}
+	return f.Workloads
+}
+
+// Run is one cell of the grid: a workload planned under a variant, the plan
+// costed by the What-if engine and executed on the simulated cluster.
+type Run struct {
+	Workload string `json:"workload"`
+	Variant  string `json:"variant"`
+	// Jobs is the plan's job count; Plan the first 16 hex digits of the
+	// SHA-256 of its planio encoding, so equal plans read as equal.
+	Jobs int    `json:"jobs"`
+	Plan string `json:"plan_sha256"`
+	// EstimateSec is the What-if makespan of the plan (the search's own
+	// final estimate for a cost-based planner) and SimSec its simulated one.
+	EstimateSec float64 `json:"estimate_sec"`
+	SimSec      float64 `json:"sim_sec"`
+	// OptimizeMS is the planner's real running time: the one column that is
+	// not a pure function of (size, seed).
+	OptimizeMS float64 `json:"optimize_ms"`
+	// WhatIfCalls, WhatIfComputed, FlowCards and Yield are the search's
+	// counters, zero for a rule-based planner. Yield sums
+	// optimizer.UnitReport.Yield per structural phase, rows that proposed
+	// nothing left out.
+	WhatIfCalls    uint64       `json:"whatif_calls"`
+	WhatIfComputed uint64       `json:"whatif_computed"`
+	FlowCards      uint64       `json:"flow_cards"`
+	Yield          []PhaseYield `json:"yield,omitempty"`
+}
+
+// PhaseYield is one transformation's optimizer.Yield within one phase.
+type PhaseYield struct {
+	Phase          string `json:"phase"`
+	Transformation string `json:"transformation"`
+	Proposed       int    `json:"proposed"`
+	Kept           int    `json:"kept"`
+	Chosen         int    `json:"chosen"`
+}
+
+// Run plans abbr under v, estimates and simulates the plan, and memoizes the
+// cell: however many figures list a (workload, variant), it is searched and
+// simulated once per harness.
+func (h *Harness) Run(abbr string, v Variant) (Run, error) {
+	key := [2]string{abbr, v.Name}
+	if r, ok := h.runs[key]; ok {
+		return r, nil
+	}
+	s := sample{abbr, h.cfg.ProfileFraction, h.cfg.ProfilerSeed()}
+	if v.Fraction > 0 {
+		s.fraction = v.Fraction
+	}
+	if v.SessionSeed {
+		s.seed = h.cfg.Seed
+	}
+	wl, err := h.profiled(s)
+	if err != nil {
+		return Run{}, err
+	}
+	name := v.Planner
+	if name == "" {
+		name = Stubby.Planner
+	}
+	p, err := baselines.DefaultRegistry().New(name, wl.Cluster, h.cfg.Seed)
+	if err != nil {
+		return Run{}, err
+	}
+	if h.onSearch != nil {
+		h.onSearch(abbr, v.Name)
+	}
+	r := Run{Workload: abbr, Variant: v.Name}
+	var plan *wf.Workflow
+	var res *optimizer.Result
+	cb, costBased := p.(baselines.CostBased)
+	t0 := time.Now()
+	if costBased {
+		opt := v.Options
+		if v.Cached {
+			opt.EstimateCache = h.estimates
+		}
+		if res, err = cb.Search(context.Background(), wl.Workflow, opt); err == nil {
+			plan = res.Plan
+		}
+	} else {
+		plan, err = p.Plan(wl.Workflow)
+	}
+	r.OptimizeMS = float64(time.Since(t0).Microseconds()) / 1000
+	if err != nil {
+		return Run{}, fmt.Errorf("%s on %s: %w", v.Name, abbr, err)
+	}
+	if costBased {
+		r.EstimateSec = res.EstimatedCost
+		r.WhatIfCalls, r.WhatIfComputed, r.FlowCards = res.WhatIfCalls, res.WhatIfComputed, res.FlowCards
+		r.Yield = yieldByPhase(res.Units)
+	} else {
+		est, err := whatif.New(wl.Cluster).Estimate(plan)
+		if err != nil {
+			return Run{}, fmt.Errorf("%s plan on %s: %w", v.Name, abbr, err)
+		}
+		r.EstimateSec = est.Makespan
+	}
+	r.Jobs = len(plan.Jobs)
+	if r.Plan, err = planDigest(plan); err != nil {
+		return Run{}, err
+	}
+	if r.SimSec, err = runPlan(wl, plan); err != nil {
+		return Run{}, fmt.Errorf("%s plan on %s failed to run: %w", v.Name, abbr, err)
+	}
+	h.runs[key] = r
+	return r, nil
+}
+
+// planDigest is the first 16 hex digits of the SHA-256 of a plan's planio
+// encoding: equal for byte-identical plans.
+func planDigest(plan *wf.Workflow) (string, error) {
+	doc, err := planio.Encode(plan)
+	return fmt.Sprintf("%x", sha256.Sum256(doc))[:16], err
+}
+
+// yieldByPhase sums the units' yields within each structural phase.
+func yieldByPhase(units []optimizer.UnitReport) []PhaseYield {
+	var out []PhaseYield
+	for _, phase := range []string{"vertical", "horizontal"} {
+		var of optimizer.Result
+		for _, u := range units {
+			if u.Phase == phase {
+				of.Units = append(of.Units, u)
+			}
+		}
+		for _, y := range of.Yield() {
+			if y.Proposed > 0 {
+				out = append(out, PhaseYield{phase, y.Transformation, y.Proposed, y.Kept, y.Chosen})
+			}
+		}
+	}
+	return out
+}
+
+// Eval runs (or recalls) every cell of a figure, workloads outermost and
+// variants in declared order, and returns beside each cell the anchor's cell
+// on the same workload.
+func (h *Harness) Eval(f Figure) (cells, anchors []Run, err error) {
+	for _, abbr := range f.workloads() {
+		anchor, err := h.Run(abbr, f.Anchor)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, v := range f.Variants {
+			r, err := h.Run(abbr, v)
+			if err != nil {
+				return nil, nil, err
+			}
+			cells, anchors = append(cells, r), append(anchors, anchor)
+		}
+	}
+	return cells, anchors, nil
+}
+
+// WriteFigure evaluates a figure and prints it, one row per cell.
+func (h *Harness) WriteFigure(w io.Writer, f Figure) error {
+	cells, anchors, err := h.Eval(f)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, f.Title)
+	tw := tabwriter.NewWriter(w, 0, 8, 2, ' ', 0)
+	fmt.Fprintf(tw, "Workflow\tVariant\tJobs\tEstimate\tSimulated\tEst. error\tvs %s\tOpt time\tOverhead\tWhat-if req\tComputed\n", f.Anchor.Name)
+	for i, r := range cells {
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f s\t%.1f s\t%.1f%%\t%.2fx\t%.0f ms\t%.3f%%\t%d\t%d\n",
+			r.Workload, r.Variant, r.Jobs, r.EstimateSec, r.SimSec,
+			100*math.Abs(r.EstimateSec-r.SimSec)/r.SimSec, anchors[i].SimSec/r.SimSec,
+			r.OptimizeMS, r.OptimizeMS/1000/anchors[i].SimSec*100, r.WhatIfCalls, r.WhatIfComputed)
+	}
+	fmt.Fprintln(tw)
+	return tw.Flush()
+}

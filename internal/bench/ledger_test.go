@@ -1,0 +1,224 @@
+package bench
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// shared is one harness at the test size whose whole ledger is computed once
+// for the tests that read grid cells, with every search it ran counted.
+var shared struct {
+	once     sync.Once
+	h        *Harness
+	searches map[[2]string]int
+	ledger   Ledger
+	err      error
+}
+
+func sharedHarness(t *testing.T) *Harness {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("experiment driver; skipped in -short")
+	}
+	shared.once.Do(func() {
+		shared.h, shared.searches = testHarness(), map[[2]string]int{}
+		shared.h.onSearch = func(abbr, variant string) { shared.searches[[2]string{abbr, variant}]++ }
+		shared.ledger, shared.err = shared.h.Ledger()
+	})
+	if shared.err != nil {
+		t.Fatal(shared.err)
+	}
+	return shared.h
+}
+
+// TestRunMemoized: each distinct (workload, variant) is searched and
+// simulated once per harness however many figures and ledgers ask for it —
+// the default Stubby search 9 times (8 workloads plus Figure 14's
+// KeepSubplans run) and Baseline 8, where the per-figure drivers ran them 43
+// and 24 times.
+func TestRunMemoized(t *testing.T) {
+	h := sharedHarness(t)
+	for _, f := range Figures {
+		if _, _, err := h.Eval(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.Figure14(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := h.Ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := GuardLedger(again, shared.ledger); err != nil {
+		t.Errorf("second ledger of one harness differs: %v", err)
+	}
+	perVariant := map[string]int{}
+	for key, n := range shared.searches {
+		if n != 1 {
+			t.Errorf("%s/%s ran %d times, want 1", key[0], key[1], n)
+		}
+		perVariant[key[1]]++
+	}
+	if len(shared.searches) != len(shared.ledger.Cells)+1 {
+		t.Errorf("%d searches for %d cells and Figure 14", len(shared.searches), len(shared.ledger.Cells))
+	}
+	if got := perVariant[Stubby.Name] + perVariant["Stubby+KeepSubplans"]; got != 9 {
+		t.Errorf("default Stubby search ran %d times, want 9", got)
+	}
+	if got := perVariant[Baseline.Name]; got != 8 {
+		t.Errorf("Baseline planned and simulated %d times, want 8", got)
+	}
+}
+
+// zeroTimes clears the one column that is not a pure function of the header.
+func zeroTimes(l Ledger) Ledger {
+	l.Cells = append([]Run(nil), l.Cells...)
+	for i := range l.Cells {
+		l.Cells[i].OptimizeMS = 0
+	}
+	return l
+}
+
+// TestLedgerDeterministic: a second harness produces the same ledger byte
+// for byte once optimize_ms is zeroed, and its direct run of a cell equals
+// the first harness's memoized one as a figure reads it.
+func TestLedgerDeterministic(t *testing.T) {
+	h := sharedHarness(t)
+	fresh := testHarness()
+	direct, err := fresh.Run("PJ", Stubby)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, _, err := h.Eval(Figure{Workloads: []string{"PJ"}, Variants: []Variant{Stubby}, Anchor: Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct.OptimizeMS, cells[0].OptimizeMS = 0, 0
+	if got, want := mustJSON(t, cells[0]), mustJSON(t, direct); !bytes.Equal(got, want) {
+		t.Errorf("memoized cell differs from a fresh harness's direct run:\n%s\n%s", got, want)
+	}
+	second, err := fresh.Ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := mustJSON(t, zeroTimes(shared.ledger)), mustJSON(t, zeroTimes(second)); !bytes.Equal(a, b) {
+		t.Errorf("two harnesses produced different ledgers: %v", GuardLedger(second, shared.ledger))
+	}
+}
+
+// near compares margins, which are quotients.
+func near(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// row builds a hand-made cell: estimate and simulated seconds only.
+func row(abbr string, v Variant, est, sim float64) Run {
+	return Run{Workload: abbr, Variant: v.Name, Jobs: 2, Plan: "p-" + v.Name, EstimateSec: est, SimSec: sim}
+}
+
+func guardLedger() Ledger {
+	cells := []Run{
+		row("IR", Baseline, 120, 100), row("IR", Stubby, 80, 70), row("IR", Vertical, 80, 70),
+		row("IR", Horizontal, 90, 95), row("IR", Starfish, 85, 90), row("IR", MRShare, 110, 100),
+	}
+	cells[1].WhatIfCalls, cells[1].OptimizeMS = 4894, 200
+	return Ledger{SizeFactor: 0.25, Seed: 1, ProfileFraction: 0.5, ProfilerSeed: 18, SessionProfilerSeed: 1,
+		Cells: cells, Figure14: []Fig14Point{{Description: "no structural change", EstimatedCost: 10, ActualCost: 12}},
+		Invariants: Invariants(cells)}
+}
+
+func TestGuardLedger(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Ledger)
+		want   string // substring of the error; empty means the guard passes
+	}{
+		{"identical", func(l *Ledger) {}, ""},
+		{"optimize_ms", func(l *Ledger) { l.Cells[1].OptimizeMS = 9000 }, ""},
+		{"simulated second", func(l *Ledger) { l.Cells[1].SimSec += 0.1 }, "cell IR/Stubby"},
+		{"job count", func(l *Ledger) { l.Cells[3].Jobs++ }, "cell IR/Horizontal"},
+		{"what-if count", func(l *Ledger) { l.Cells[1].WhatIfCalls++ }, "cell IR/Stubby"},
+		{"invariant verdict", func(l *Ledger) { l.Invariants[2].Pass = !l.Invariants[2].Pass }, "invariant no-harm"},
+		{"margin", func(l *Ledger) { l.Invariants[0].Verdicts[0].Margin += 0.01 }, "invariant dominance-whatif"},
+		{"missing cell", func(l *Ledger) { l.Cells = l.Cells[:5] }, "number of cells: got 5, baseline 6"},
+		{"extra cell", func(l *Ledger) { l.Cells = append(l.Cells, row("IR", YSmart, 1, 1)) }, "number of cells: got 7, baseline 6"},
+		{"figure 14", func(l *Ledger) { l.Figure14[0].ActualCost = 13 }, "figure14"},
+		{"header", func(l *Ledger) { l.Seed = 2 }, "header"},
+	}
+	for _, c := range cases {
+		fresh := guardLedger()
+		c.mutate(&fresh)
+		err := GuardLedger(fresh, guardLedger())
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: want an error naming %q, got %v", c.name, c.want, err)
+		}
+	}
+}
+
+// TestInvariants evaluates the claims over hand-built rows.
+func TestInvariants(t *testing.T) {
+	find := func(invs []Invariant, name string) Invariant {
+		t.Helper()
+		for _, inv := range invs {
+			if inv.Name == name {
+				return inv
+			}
+		}
+		t.Fatalf("no invariant %q in %+v", name, invs)
+		return Invariant{}
+	}
+	// A: everything holds, and Stubby beats both groups. B: Starfish's plan is
+	// cheaper than Stubby's by estimate and by simulation, Horizontal's runs
+	// slower than Baseline's, and Stubby only ties Vertical.
+	cells := []Run{
+		row("A", Baseline, 120, 100), row("A", Stubby, 70, 60), row("A", Vertical, 80, 70),
+		row("A", Horizontal, 90, 95), row("A", Starfish, 85, 90), row("A", MRShare, 110, 100),
+		row("B", Baseline, 120, 100), row("B", Stubby, 80, 70), row("B", Vertical, 80, 70),
+		row("B", Horizontal, 90, 125), row("B", Starfish, 64, 56), row("B", MRShare, 110, 100),
+	}
+	invs := Invariants(cells)
+	if len(invs) != 4 {
+		t.Errorf("%d invariants over Figure 11/12 cells alone, want the 4 they decide: %+v", len(invs), invs)
+	}
+	for _, name := range []string{"dominance-whatif", "dominance-simulated"} {
+		inv := find(invs, name)
+		a, b := inv.Verdicts[0], inv.Verdicts[1]
+		if inv.Pass || !a.Pass || b.Pass || b.Workload != "B" {
+			t.Errorf("%s: want A to pass and B to fail: %+v", name, inv)
+		}
+		if !near(b.Margin, -0.2) || !strings.Contains(b.Detail, "Starfish") || strings.Contains(b.Detail, "Vertical") {
+			t.Errorf("%s on B: want margin -0.2 naming Starfish alone, got %+v", name, b)
+		}
+	}
+	harm := find(invs, "no-harm")
+	if b := harm.Verdicts[1]; harm.Pass || !harm.Verdicts[0].Pass || b.Pass || !near(b.Margin, -0.2) || !strings.Contains(b.Detail, "Horizontal 125.0 s vs Baseline 100.0 s") {
+		t.Errorf("no-harm: want B to fail on Horizontal by -0.2: %+v", harm)
+	}
+	if comp := find(invs, "composition"); !comp.Pass || !comp.Verdicts[0].Pass || comp.Verdicts[1].Pass {
+		t.Errorf("composition: want 1 of 2 (A) and so a pass: %+v", comp)
+	}
+	// Composition 0 of N: Stubby ties a group on every workload.
+	if comp := find(Invariants(cells[6:]), "composition"); comp.Pass || len(comp.Verdicts) != 1 {
+		t.Errorf("composition: want 0 of 1 and so a failure: %+v", comp)
+	}
+	// The ablation claims carry their tolerance.
+	abl := Invariants([]Run{row("A", Stubby, 0, 101), row("A", HThenV, 0, 100), row("A", GlobalUnit, 0, 98), row("A", NoSearch, 0, 90)})
+	if !find(abl, "ordering").Pass || find(abl, "unit-scope").Pass || !find(abl, "no-search").Pass {
+		t.Errorf("want ordering (1%% < 2%%) and no-search (12%% < 15%%) to pass and unit-scope (3%% > 2%%) to fail: %+v", abl)
+	}
+}

@@ -1,18 +1,13 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/optimizer"
-	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/whatif"
-	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
 // OptimizerBenchRow measures the incremental What-if estimator's effect on
@@ -53,20 +48,11 @@ type OptimizerBenchRow struct {
 const OptimizerBenchRuns = 3
 
 // OptimizerBench runs the incremental-vs-monolithic comparison over the
-// given workloads (nil means every paper workload).
+// given workloads.
 func (h *Harness) OptimizerBench(abbrs []string) ([]OptimizerBenchRow, error) {
-	if abbrs == nil {
-		abbrs = workloads.Abbrs()
-	}
 	var out []OptimizerBenchRow
 	for _, abbr := range abbrs {
-		var wl *workloads.Workload
-		var err error
-		if _, deep := deepPipelineStages(abbr); deep {
-			wl, err = h.deepWorkload(abbr)
-		} else {
-			wl, err = h.workload(abbr)
-		}
+		wl, err := h.workload(abbr)
 		if err != nil {
 			return nil, err
 		}
@@ -98,11 +84,11 @@ func (h *Harness) OptimizerBench(abbrs []string) ([]OptimizerBenchRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("incremental %s: %w", abbr, err)
 		}
-		mb, err := planio.Encode(mono.Plan)
+		monoPlan, err := planDigest(mono.Plan)
 		if err != nil {
 			return nil, err
 		}
-		ib, err := planio.Encode(inc.Plan)
+		incPlan, err := planDigest(inc.Plan)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +103,7 @@ func (h *Harness) OptimizerBench(abbrs []string) ([]OptimizerBenchRow, error) {
 			IncrementalCalls:     inc.WhatIfCalls,
 			IncrementalComputed:  inc.WhatIfComputed,
 			IncrementalFlowCards: inc.FlowCards,
-			PlansIdentical: bytes.Equal(mb, ib) &&
+			PlansIdentical: monoPlan == incPlan &&
 				mono.EstimatedCost == inc.EstimatedCost,
 		}
 		if incMS > 0 {
@@ -161,18 +147,9 @@ const (
 // attached (standard fault profile) and reports the chosen plan's makespan
 // distribution. Workloads in the fallback estimation regime produce no row.
 func (h *Harness) RobustnessBench(abbrs []string) ([]RobustnessRow, error) {
-	if abbrs == nil {
-		abbrs = workloads.Abbrs()
-	}
 	var out []RobustnessRow
 	for _, abbr := range abbrs {
-		var wl *workloads.Workload
-		var err error
-		if _, deep := deepPipelineStages(abbr); deep {
-			wl, err = h.deepWorkload(abbr)
-		} else {
-			wl, err = h.workload(abbr)
-		}
+		wl, err := h.workload(abbr)
 		if err != nil {
 			return nil, err
 		}
@@ -280,29 +257,6 @@ func OptimizerBenchReport(rows []OptimizerBenchRow, sizeFactor float64, seed int
 	}
 	rep.MultiJob = aggregate(multi)
 	return rep
-}
-
-// WriteOptimizerBenchJSON writes the report, indented, to path.
-func WriteOptimizerBenchJSON(path string, rep OptBenchReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadOptimizerBenchJSON reads a report previously written by
-// WriteOptimizerBenchJSON (the committed BENCH_optimizer.json baseline).
-func ReadOptimizerBenchJSON(path string) (OptBenchReport, error) {
-	var rep OptBenchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }
 
 // GuardWallSlack is the regression tolerance GuardOptimizerBench allows on
