@@ -141,43 +141,6 @@ func optimizeWorkloadsBench(b *testing.B, cache *stubby.EstimateCache) float64 {
 	return computed
 }
 
-// BenchmarkOptimizeIncrementalVsMonolithic is the incremental estimator's
-// regression gate: the full Stubby search runs over the paper workloads and
-// the deep synthetic pipelines with incremental estimation forced off and
-// on, verifying byte-identical plans and reporting the hot-path savings.
-// Flow-card counts are deterministic, so the multi-job reduction factor is
-// asserted outright; wall-clock speedup is reported as a metric (and
-// recorded durably by `stubby-bench -bench-optimizer` in
-// BENCH_optimizer.json) rather than asserted, since CI machines vary.
-func BenchmarkOptimizeIncrementalVsMonolithic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := bench.New(benchConfig)
-		abbrs := append(append([]string{}, workloads.Abbrs()...), bench.DeepPipelineAbbrs()...)
-		rows, err := h.OptimizerBench(abbrs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := bench.OptimizerBenchReport(rows, benchConfig.SizeFactor, benchConfig.Seed)
-		if i == 0 {
-			fmt.Println("\n=== Optimizer hot path: incremental vs monolithic estimation ===")
-			for _, r := range rows {
-				fmt.Printf("%-4s %2dj mono=%7.0fms inc=%7.0fms wall=%.2fx cards %8d -> %8d (%.2fx) identical=%v\n",
-					r.Workload, r.Jobs, r.MonolithicMS, r.IncrementalMS, r.WallSpeedup,
-					r.MonolithicFlowCards, r.IncrementalFlowCards, r.FlowCardRatio, r.PlansIdentical)
-			}
-		}
-		if !rep.All.PlansIdentical {
-			b.Fatal("incremental estimation changed a chosen plan or cost")
-		}
-		if rep.MultiJob.FlowCardRatio < 2 {
-			b.Errorf("multi-job flow-card reduction regressed: %.2fx < 2x", rep.MultiJob.FlowCardRatio)
-		}
-		b.ReportMetric(rep.MultiJob.FlowCardRatio, "multijob-flowcard-ratio")
-		b.ReportMetric(rep.MultiJob.WallSpeedup, "multijob-wall-speedup")
-		b.ReportMetric(rep.All.WallSpeedup, "all-wall-speedup")
-	}
-}
-
 func BenchmarkOptimizeWorkloadsCacheOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		computed := optimizeWorkloadsBench(b, nil)

@@ -6,10 +6,10 @@
 //	stubby-bench -all                      # every declared figure and ablation
 //	stubby-bench -fig table1,5,11,12,13,14
 //	stubby-bench -fig ordering,search,units,profile,seed,whatif
+//	stubby-bench -fig incremental,robustness,reuse
 //	stubby-bench -fig 11 -size 0.5 -seed 7
 //	stubby-bench -all -ledger BENCH_paper.json
 //	stubby-bench -all -ledger /tmp/paper.json -ledger-guard BENCH_paper.json
-//	stubby-bench -bench-optimizer -bench-out BENCH_optimizer.json
 //	stubby-bench -fig 12 -cpuprofile cpu.prof -memprofile mem.prof
 //	stubby-bench -list-optimizers
 //	stubby-bench -gen -seed 42            # reproduce one generated case
@@ -29,7 +29,6 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/baselines"
 	"github.com/stubby-mr/stubby/internal/bench"
-	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
 func main() {
@@ -43,9 +42,6 @@ func main() {
 		all        = flag.Bool("all", false, "regenerate every declared figure and ablation")
 		ledger     = flag.String("ledger", "", "write the paper ledger (every grid cell, Figure 14, the evaluation's claims as pass/fail invariants) to this file")
 		ledgerGrd  = flag.String("ledger-guard", "", "baseline ledger (BENCH_paper.json) a fresh one must equal in everything but optimize_ms")
-		benchOpt   = flag.Bool("bench-optimizer", false, "benchmark the optimizer hot path: incremental vs monolithic what-if estimation")
-		benchOut   = flag.String("bench-out", "BENCH_optimizer.json", "where -bench-optimizer writes its JSON report")
-		benchGuard = flag.String("bench-guard", "", "CI smoke for -bench-optimizer: baseline JSON to guard against — robustness rows must be emitted and nil-model wall time must not regress >5%")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 		listOpts   = flag.Bool("list-optimizers", false, "list registered optimizers and exit")
@@ -116,25 +112,22 @@ func main() {
 	if !*all {
 		selected = strings.FieldsFunc(*fig, func(r rune) bool { return r == ',' })
 	}
+	// Every id is checked before the first figure runs: a typo must not
+	// cost the tens of seconds the figures before it take.
 	for _, id := range selected {
-		ran = true
-		i := slices.Index(ids, id)
-		if i < 0 {
+		if !slices.Contains(ids, id) {
 			fail(fmt.Errorf("unknown figure %q (have %s)", id, strings.Join(ids, ", ")))
 		}
-		if err := figs[i].print(h); err != nil {
+	}
+	for _, id := range selected {
+		ran = true
+		if err := figs[slices.Index(ids, id)].print(h); err != nil {
 			fail(err)
 		}
 	}
 	if *ledger != "" || *ledgerGrd != "" {
 		ran = true
 		if err := runLedger(h, *ledger, *ledgerGrd); err != nil {
-			fail(err)
-		}
-	}
-	if *benchOpt {
-		ran = true
-		if err := runOptimizerBench(h, *benchOut, *benchGuard, *size, *seed); err != nil {
 			fail(err)
 		}
 	}
@@ -228,73 +221,6 @@ func table(title string, header ...string) *tabwriter.Writer {
 func flush(tw *tabwriter.Writer) {
 	tw.Flush()
 	fmt.Println()
-}
-
-// runOptimizerBench measures the incremental estimator against the
-// monolithic path over the paper workloads plus the deep synthetic
-// pipelines, prints the table, and writes the JSON perf trajectory.
-func runOptimizerBench(h *bench.Harness, out, guard string, size float64, seed int64) error {
-	abbrs := append(append([]string{}, workloads.Abbrs()...), bench.DeepPipelineAbbrs()...)
-	rows, err := h.OptimizerBench(abbrs)
-	if err != nil {
-		return err
-	}
-	tw := table("Optimizer hot path: incremental vs monolithic what-if estimation (plans are byte-identical)",
-		"Workflow", "Jobs", "Monolithic", "Incremental", "Speedup", "Cards (mono)", "Cards (inc)", "Card ratio", "Identical")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.0f ms\t%.0f ms\t%.2fx\t%d\t%d\t%.2fx\t%v\n", r.Workload, r.Jobs,
-			r.MonolithicMS, r.IncrementalMS, r.WallSpeedup,
-			r.MonolithicFlowCards, r.IncrementalFlowCards, r.FlowCardRatio, r.PlansIdentical)
-	}
-	flush(tw)
-	report := bench.OptimizerBenchReport(rows, size, seed)
-	fmt.Printf("multi-job (>=%d jobs): wall %.2fx, flow cards %.2fx\n",
-		bench.MultiJobThreshold, report.MultiJob.WallSpeedup, report.MultiJob.FlowCardRatio)
-
-	report.Robustness, err = h.RobustnessBench(abbrs)
-	if err != nil {
-		return err
-	}
-	tw = table(fmt.Sprintf("Plan robustness under the standard fault profile (%d perturbation samples, seed %d)",
-		bench.RobustnessBenchSamples, bench.RobustnessBenchSeed),
-		"Workflow", "Jobs", "Nominal", "Mean", "p95", "p99", "Failed out")
-	for _, r := range report.Robustness {
-		fmt.Fprintf(tw, "%s\t%d\t%.1f s\t%.1f s\t%.1f s\t%.1f s\t%d\n",
-			r.Workload, r.Jobs, r.NominalSec, r.MeanSec, r.P95Sec, r.P99Sec, r.FailedOut)
-	}
-	flush(tw)
-
-	report.Reuse, err = h.ReuseBench(nil)
-	if err != nil {
-		return err
-	}
-	tw = table(fmt.Sprintf("Cross-workflow sub-plan reuse on overlapping families (%d members per seed, member 0 publishes)",
-		bench.ReuseBenchMembers),
-		"Family", "Member", "Jobs", "Plan jobs", "Reused", "Hits", "Hit ratio", "Cost")
-	for _, r := range report.Reuse {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d/%d\t%.2f\t%.2fx\n", r.FamilySeed, r.Member, r.Jobs, r.PlanJobs,
-			r.ReusedSubplans, r.CatalogHits, r.CatalogHits+r.CatalogMisses, r.HitRatio, r.CostRatio)
-	}
-	flush(tw)
-
-	if out != "" {
-		if err := bench.WriteJSON(out, report); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	if guard != "" {
-		var baseline bench.OptBenchReport
-		if err := bench.ReadJSON(guard, &baseline); err != nil {
-			return err
-		}
-		if err := bench.GuardOptimizerBench(report, baseline); err != nil {
-			return err
-		}
-		fmt.Printf("bench guard passed against %s: %d robustness rows, nil-model wall within %.0f%%\n",
-			guard, len(report.Robustness), (bench.GuardWallSlack-1)*100)
-	}
-	return nil
 }
 
 // runGenCheck is the reproduction entry point for the generated-workflow

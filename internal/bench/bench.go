@@ -3,11 +3,13 @@
 // ablations and the estimate-cache table — are views of one memoized
 // (workload × variant) table of Run cells (grid.go), declared once in
 // Figures, printed by one renderer and committed with the evaluation's
-// claims as BENCH_paper.json (ledger.go). Table 1, Figure 5 and Figure 14 are
-// not grid-shaped and keep their own drivers (figures.go); the optimizer
-// hot-path benchmark behind BENCH_optimizer.json lives in optbench.go and
-// reusebench.go, and the generated-workflow oracle's CLI face in genbench.go.
-// cmd/stubby-bench and the repository's testing.B benchmarks drive it.
+// claims as BENCH_paper.json (ledger.go). The optimizer's hot path is three
+// of those figures: incremental against monolithic estimation and plan
+// robustness, on the paper workloads and the deep pipelines of deep.go, and
+// sub-plan reuse on the generated families of reusebench.go. Table 1, Figure 5
+// and Figure 14 are not grid-shaped and keep their own drivers (figures.go);
+// the generated-workflow oracle's CLI face is genbench.go. cmd/stubby-bench
+// and the repository's testing.B benchmarks drive it.
 package bench
 
 import (
@@ -56,11 +58,33 @@ type sample struct {
 	seed     int64
 }
 
+// sample is the harness's own sample of a workload. A family member is
+// profiled under its family's seed: siblings share their prefix byte for
+// byte, so one sampling seed gives the prefix the same annotations in every
+// member, which is what makes their rooted fingerprints collide.
+func (h *Harness) sample(abbr string) sample {
+	s := sample{abbr, h.cfg.ProfileFraction, h.cfg.ProfilerSeed()}
+	if seed, _, ok := familyMember(abbr); ok {
+		s.seed = seed
+	}
+	return s
+}
+
+// simKey identifies one simulation: a plan, by digest, over a sample's data.
+type simKey struct {
+	sample
+	plan string
+}
+
 // Harness runs the experiments. It is not safe for concurrent use.
 type Harness struct {
 	cfg       Config
 	workloads map[sample]*workloads.Workload
 	runs      map[[2]string]Run
+	// sims memoizes Run's simulations: sim_sec is a pure function of the
+	// key, and Vertical's cells, the cached repeats and every Monolithic
+	// cell re-choose a plan some other variant has already run.
+	sims map[simKey]float64
 	// estimates is the cache the Cached variants share, as an OptimizeAll
 	// fan-out shares a session's. It is sized so the whole sweep stays
 	// resident; the default capacity targets long-running services, where
@@ -78,14 +102,15 @@ func New(cfg Config) *Harness {
 		cfg:       cfg.withDefaults(),
 		workloads: make(map[sample]*workloads.Workload),
 		runs:      make(map[[2]string]Run),
+		sims:      make(map[simKey]float64),
 		estimates: whatif.NewCache(1 << 18),
 	}
 }
 
-// workload returns a workload, paper or deep pipeline, built and profiled
-// under the harness's own sample (cached).
+// workload returns a workload — paper, deep pipeline or family member —
+// built and profiled under the harness's own sample (cached).
 func (h *Harness) workload(abbr string) (*workloads.Workload, error) {
-	return h.profiled(sample{abbr, h.cfg.ProfileFraction, h.cfg.ProfilerSeed()})
+	return h.profiled(h.sample(abbr))
 }
 
 // profiled returns the workload built and profiled under the given sample
@@ -98,6 +123,8 @@ func (h *Harness) profiled(s sample) (*workloads.Workload, error) {
 	var err error
 	if stages, deep := deepPipelineStages(s.abbr); deep {
 		wl, err = buildDeepPipeline(stages, h.cfg.SizeFactor, h.cfg.Seed)
+	} else if seed, member, ok := familyMember(s.abbr); ok {
+		wl = buildFamilyMember(seed, member)
 	} else {
 		wl, err = workloads.Build(s.abbr, workloads.Options{SizeFactor: h.cfg.SizeFactor, Seed: h.cfg.Seed})
 	}
@@ -121,7 +148,7 @@ func runPlan(wl *workloads.Workload, plan *wf.Workflow) (float64, error) {
 	return rep.Makespan, nil
 }
 
-// WriteJSON writes a report (OptBenchReport, Ledger), indented, to path.
+// WriteJSON writes a report (a Ledger), indented, to path.
 func WriteJSON(path string, report any) error {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

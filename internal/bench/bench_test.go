@@ -206,3 +206,40 @@ func TestWhatIfCounts(t *testing.T) {
 	t.Logf("what-if computations: %d uncached -> %d cached (%.1f%% absorbed)",
 		uncached, computed, 100*float64(uncached-computed)/float64(uncached))
 }
+
+// TestReuseBench: on the overlapping families, every consumer member's search
+// hits the catalog member 0 populated and replaces at least one sub-DAG with
+// a scan, so its plan has fewer jobs than the workflow it was given (and ran
+// on the simulated cluster over the stored results, or there would be no
+// cell).
+func TestReuseBench(t *testing.T) {
+	h := sharedHarness(t)
+	cells, anchors, err := h.Eval(figure(t, "reuse"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 10 {
+		t.Fatalf("%d cells, want the 2 consumers of each of 5 families", len(cells))
+	}
+	for i, r := range cells {
+		wl, err := h.workload(r.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.CatalogHits == 0 {
+			t.Errorf("%s: no catalog hits: %+v", r.Workload, r)
+		}
+		if r.ReusedSubplans < 1 {
+			t.Errorf("%s: reused %d sub-plans, want >= 1", r.Workload, r.ReusedSubplans)
+		}
+		if r.Jobs >= len(wl.Workflow.Jobs) {
+			t.Errorf("%s: reuse plan did not shrink (%d -> %d jobs)", r.Workload, len(wl.Workflow.Jobs), r.Jobs)
+		}
+		if r.EstimateSec <= 0 || anchors[i].EstimateSec <= 0 {
+			t.Errorf("%s: missing cost estimates: %+v", r.Workload, r)
+		}
+		if a := anchors[i]; a.ReusedSubplans != 0 || a.CatalogHits+a.CatalogMisses != 0 {
+			t.Errorf("%s: the cell planned without a catalog reports catalog activity: %+v", r.Workload, a)
+		}
+	}
+}

@@ -19,9 +19,9 @@ import (
 // bench harness materializes synthetic N-stage aggregation chains to
 // measure that regime alongside the paper workloads.
 
-// DeepPipelineAbbrs lists the synthetic deep-pipeline workloads the
-// optimizer benchmark measures in addition to the paper's Table 1 set.
-func DeepPipelineAbbrs() []string { return []string{"DP08", "DP12", "DP16"} }
+// deepPipelines lists the synthetic deep-pipeline workloads the incremental
+// and robustness figures measure in addition to the paper's Table 1 set.
+var deepPipelines = []string{"DP08", "DP12", "DP16"}
 
 // deepPipelineStages maps a DPnn abbreviation to its stage count.
 func deepPipelineStages(abbr string) (int, bool) {

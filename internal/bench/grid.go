@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"text/tabwriter"
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/baselines"
+	"github.com/stubby-mr/stubby/internal/catalog"
+	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/wf"
@@ -32,6 +35,10 @@ type Variant struct {
 	// cell reports the cache's state when it ran: a figure lists CacheOn
 	// before CacheRepeat and Eval runs cells in declared order.
 	Cached bool
+	// Reuse plans a generated family member against the catalog its
+	// family's member 0 published (reusebench.go), attached for this one
+	// search as Cached attaches the estimate cache.
+	Reuse bool
 	// Fraction overrides Config.ProfileFraction (0 keeps it); SessionSeed
 	// profiles under Session.Profile's seed instead of Config.ProfilerSeed.
 	Fraction    float64
@@ -67,6 +74,17 @@ var (
 	CacheOn     = Variant{Name: "cache-on", Cached: true}
 	CacheRepeat = Variant{Name: "cache-repeat", Cached: true}
 	SessionSeed = Variant{Name: "Stubby/session-seed", SessionSeed: true}
+	// Monolithic re-estimates the whole workflow on every configuration
+	// probe instead of only the cone the probe affects.
+	Monolithic = Variant{Name: "Monolithic", Options: optimizer.Options{DisableIncremental: true}}
+	// Robust scores the chosen plan's scheduling layer under the standard
+	// fault profile; seed and sample count are fixed so cells repeat.
+	Robust = Variant{Name: "Robust", Options: optimizer.Options{Robustness: &whatif.RobustnessOptions{
+		Model: mrsim.StandardFaultProfile(42), Samples: 32}}}
+	// The reuse figure's pair caps the configuration search so its cells
+	// measure the reuse pre-pass, not RRS.
+	NoReuse = Variant{Name: "NoReuse", Options: optimizer.Options{RRSEvals: 40}}
+	Reuse   = Variant{Name: "Reuse", Options: NoReuse.Options, Reuse: true}
 )
 
 // Figure declares one grid-shaped result: the cells of Workloads × Variants,
@@ -83,6 +101,10 @@ type Figure struct {
 // vertically-dominated workflow (IR), the horizontally-dominated one (BR),
 // and the largest mixed one (BA).
 var ablationWorkloads = []string{"IR", "BR", "BA"}
+
+// hotPathWorkloads adds the deep pipelines to the paper's set: the regime
+// where an optimization unit is a small window of the plan.
+var hotPathWorkloads = slices.Concat(workloads.Abbrs(), deepPipelines)
 
 // Figures is the evaluation's grid: every figure, ablation and table that is
 // a set of (workload, variant) cells.
@@ -117,6 +139,15 @@ var Figures = []Figure{
 		Workloads: []string{"IR"}, Variants: []Variant{Stubby, SessionSeed}, Anchor: Baseline},
 	{ID: "whatif", Title: "What-if activity per workload: estimate cache off, on, then a cached repeat",
 		Variants: []Variant{Stubby, CacheOn, CacheRepeat}, Anchor: Stubby},
+	// Incremental estimation is bit-transparent: both searches issue the
+	// same requests and choose the same plan, and the default one computes
+	// fewer flow cards in less optimization time.
+	{ID: "incremental", Title: "Optimizer hot path: incremental (Stubby) vs monolithic What-if estimation",
+		Workloads: hotPathWorkloads, Variants: []Variant{Stubby, Monolithic}, Anchor: Monolithic},
+	{ID: "robustness", Title: "Plan robustness: the chosen plan's makespan under the standard fault profile (32 perturbation samples, seed 42)",
+		Workloads: hotPathWorkloads, Variants: []Variant{Robust}, Anchor: Stubby},
+	{ID: "reuse", Title: "Cross-workflow sub-plan reuse on overlapping families (member 0 runs and publishes, members 1 and 2 plan against its catalog)",
+		Workloads: familyConsumers, Variants: []Variant{Reuse}, Anchor: NoReuse},
 }
 
 func (f Figure) workloads() []string {
@@ -150,6 +181,20 @@ type Run struct {
 	WhatIfComputed uint64       `json:"whatif_computed"`
 	FlowCards      uint64       `json:"flow_cards"`
 	Yield          []PhaseYield `json:"yield,omitempty"`
+	// MeanSec, P95Sec, P99Sec and FailedOut are the plan's makespan
+	// distribution under the variant's fault model (EstimateSec is the
+	// fault-free nominal), FailedOut the samples in which some task
+	// exhausted its retries: a Robust cell's columns.
+	MeanSec   float64 `json:"robust_mean_sec,omitempty"`
+	P95Sec    float64 `json:"robust_p95_sec,omitempty"`
+	P99Sec    float64 `json:"robust_p99_sec,omitempty"`
+	FailedOut int     `json:"robust_failed_out,omitempty"`
+	// ReusedSubplans counts the rooted sub-DAGs the pre-pass replaced with
+	// scans of stored results, CatalogHits and CatalogMisses the search's
+	// catalog lookups: a Reuse cell's columns.
+	ReusedSubplans int    `json:"reused_subplans,omitempty"`
+	CatalogHits    uint64 `json:"catalog_hits,omitempty"`
+	CatalogMisses  uint64 `json:"catalog_misses,omitempty"`
 }
 
 // PhaseYield is one transformation's optimizer.Yield within one phase.
@@ -169,7 +214,7 @@ func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 	if r, ok := h.runs[key]; ok {
 		return r, nil
 	}
-	s := sample{abbr, h.cfg.ProfileFraction, h.cfg.ProfilerSeed()}
+	s := h.sample(abbr)
 	if v.Fraction > 0 {
 		s.fraction = v.Fraction
 	}
@@ -195,12 +240,22 @@ func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 	var plan *wf.Workflow
 	var res *optimizer.Result
 	cb, costBased := p.(baselines.CostBased)
+	opt := v.Options
+	if v.Cached {
+		opt.EstimateCache = h.estimates
+	}
+	var cat *catalog.Store
+	if v.Reuse {
+		var done func()
+		stored := *wl
+		if cat, stored.DFS, done, err = h.publishFamily(abbr); err != nil {
+			return Run{}, err
+		}
+		defer done()
+		opt.ReuseCatalog, wl = cat, &stored
+	}
 	t0 := time.Now()
 	if costBased {
-		opt := v.Options
-		if v.Cached {
-			opt.EstimateCache = h.estimates
-		}
 		if res, err = cb.Search(context.Background(), wl.Workflow, opt); err == nil {
 			plan = res.Plan
 		}
@@ -215,6 +270,13 @@ func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 		r.EstimateSec = res.EstimatedCost
 		r.WhatIfCalls, r.WhatIfComputed, r.FlowCards = res.WhatIfCalls, res.WhatIfComputed, res.FlowCards
 		r.Yield = yieldByPhase(res.Units)
+		if rob := res.Robustness; rob != nil {
+			r.MeanSec, r.P95Sec, r.P99Sec, r.FailedOut = rob.Mean, rob.P95, rob.P99, rob.FailedOut
+		}
+		if cat != nil {
+			st := cat.Stats()
+			r.ReusedSubplans, r.CatalogHits, r.CatalogMisses = res.ReusedSubplans, st.Hits, st.Misses
+		}
 	} else {
 		est, err := whatif.New(wl.Cluster).Estimate(plan)
 		if err != nil {
@@ -226,9 +288,13 @@ func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 	if r.Plan, err = planDigest(plan); err != nil {
 		return Run{}, err
 	}
-	if r.SimSec, err = runPlan(wl, plan); err != nil {
-		return Run{}, fmt.Errorf("%s plan on %s failed to run: %w", v.Name, abbr, err)
+	sim := simKey{s, r.Plan}
+	if _, ran := h.sims[sim]; !ran {
+		if h.sims[sim], err = runPlan(wl, plan); err != nil {
+			return Run{}, fmt.Errorf("%s plan on %s failed to run: %w", v.Name, abbr, err)
+		}
 	}
+	r.SimSec = h.sims[sim]
 	h.runs[key] = r
 	return r, nil
 }
@@ -279,20 +345,40 @@ func (h *Harness) Eval(f Figure) (cells, anchors []Run, err error) {
 	return cells, anchors, nil
 }
 
-// WriteFigure evaluates a figure and prints it, one row per cell.
+// WriteFigure evaluates a figure and prints it, one row per cell; the
+// robustness and reuse columns appear when some cell of the figure has them.
 func (h *Harness) WriteFigure(w io.Writer, f Figure) error {
 	cells, anchors, err := h.Eval(f)
 	if err != nil {
 		return err
 	}
+	robust, reuse := false, false
+	for _, r := range cells {
+		robust = robust || r.P99Sec > 0
+		reuse = reuse || r.CatalogHits+r.CatalogMisses > 0
+	}
 	fmt.Fprintln(w, f.Title)
 	tw := tabwriter.NewWriter(w, 0, 8, 2, ' ', 0)
-	fmt.Fprintf(tw, "Workflow\tVariant\tJobs\tEstimate\tSimulated\tEst. error\tvs %s\tOpt time\tOverhead\tWhat-if req\tComputed\n", f.Anchor.Name)
+	fmt.Fprintf(tw, "Workflow\tVariant\tJobs\tEstimate\tSimulated\tEst. error\tvs %s\tOpt time\tOverhead\tWhat-if req\tComputed\tFlow cards", f.Anchor.Name)
+	if robust {
+		fmt.Fprint(tw, "\tMean\tp95\tp99\tFailed out")
+	}
+	if reuse {
+		fmt.Fprint(tw, "\tReused\tCatalog hits")
+	}
+	fmt.Fprintln(tw)
 	for i, r := range cells {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f s\t%.1f s\t%.1f%%\t%.2fx\t%.0f ms\t%.3f%%\t%d\t%d\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f s\t%.1f s\t%.1f%%\t%.2fx\t%.0f ms\t%.3f%%\t%d\t%d\t%d",
 			r.Workload, r.Variant, r.Jobs, r.EstimateSec, r.SimSec,
 			100*math.Abs(r.EstimateSec-r.SimSec)/r.SimSec, anchors[i].SimSec/r.SimSec,
-			r.OptimizeMS, r.OptimizeMS/1000/anchors[i].SimSec*100, r.WhatIfCalls, r.WhatIfComputed)
+			r.OptimizeMS, r.OptimizeMS/1000/anchors[i].SimSec*100, r.WhatIfCalls, r.WhatIfComputed, r.FlowCards)
+		if robust {
+			fmt.Fprintf(tw, "\t%.1f s\t%.1f s\t%.1f s\t%d", r.MeanSec, r.P95Sec, r.P99Sec, r.FailedOut)
+		}
+		if reuse {
+			fmt.Fprintf(tw, "\t%d\t%d/%d", r.ReusedSubplans, r.CatalogHits, r.CatalogHits+r.CatalogMisses)
+		}
+		fmt.Fprintln(tw)
 	}
 	fmt.Fprintln(tw)
 	return tw.Flush()

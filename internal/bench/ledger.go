@@ -55,6 +55,7 @@ func (h *Harness) Ledger() (Ledger, error) {
 		Notes: []string{
 			"speedups are anchor sim_sec over cell sim_sec; the profile figure anchors on Baseline's plan like Figures 11 and 12 (before this ledger it anchored on the unconfigured input workflow, 62-88x on IR)",
 			"optimize_ms is host wall time: reported, not guarded",
+			"DPnn is an nn-stage synthetic aggregation chain; FsMm is member m of gen.Family(s), profiled under seed s, its Reuse cell planned against the catalog member 0's run published and simulated over that run's DFS",
 		},
 	}
 	listed := map[[2]string]bool{}
@@ -81,19 +82,34 @@ func (h *Harness) Ledger() (Ledger, error) {
 }
 
 // check is one claim, evaluated per workload: every subject cell's metric is
-// at most (1+tol) times every rival cell's.
+// at most (1+tol) times every rival cell's. A variant listed on both sides is
+// not compared with itself, so listing two variants on both sides claims
+// their metrics are equal.
 type check struct {
 	name, claim      string
-	metric           func(Run) float64
+	metric           metric
 	tol              float64
 	subjects, rivals []Variant
 	// strict asks for a strictly smaller metric; any makes the claim hold
 	// when some workload passes, not all.
 	strict, any bool
+	// deepTol, when set, replaces tol on the deep pipelines.
+	deepTol float64
+	// samePlan also asks that subject and rival chose byte-identical plans.
+	samePlan bool
 }
 
-func estimate(r Run) float64  { return r.EstimateSec }
-func simulated(r Run) float64 { return r.SimSec }
+// metric is a column of Run and how a verdict's detail prints it.
+type metric struct {
+	of     func(Run) float64
+	format string
+}
+
+var (
+	estimate  = metric{func(r Run) float64 { return r.EstimateSec }, "%.1f s"}
+	simulated = metric{func(r Run) float64 { return r.SimSec }, "%.1f s"}
+	flowCards = metric{func(r Run) float64 { return float64(r.FlowCards) }, "%.0f flow cards"}
+)
 
 var (
 	subspaces = []Variant{Vertical, Horizontal, Starfish}
@@ -121,12 +137,24 @@ var checks = []check{
 		metric: simulated, subjects: fractions, rivals: []Variant{Baseline}},
 	{name: "profiler-seed", claim: "planned from Session.Profile's sample, Stubby's plan is no slower than Baseline's",
 		metric: simulated, subjects: []Variant{SessionSeed}, rivals: []Variant{Baseline}},
+	{name: "incremental-transparent", claim: "incremental estimation changes nothing but the work done: the default and the monolithic search choose byte-identical plans at equal What-if cost",
+		metric: estimate, subjects: []Variant{Stubby, Monolithic}, rivals: []Variant{Stubby, Monolithic}, samePlan: true},
+	{name: "incremental-saves", claim: "the default search computes strictly fewer flow cards than the monolithic one, and at most half as many on the deep pipelines",
+		metric: flowCards, subjects: []Variant{Stubby}, rivals: []Variant{Monolithic}, strict: true, deepTol: -0.5},
+	// The optimizer's contract (ROADMAP item 4): a feature switched on never
+	// returns a plan costlier than the one returned with it off.
+	{name: "reuse-monotone", claim: "planned against its family's catalog, a workflow's plan costs no more by What-if estimate than planned without it",
+		metric: estimate, subjects: []Variant{Reuse}, rivals: []Variant{NoReuse}},
 }
 
 // verdict evaluates the claim on one workload, whose cells it reads through
 // cell; ok is false when the workload lacks one of the claim's cells.
-func (c check) verdict(cell func(Variant) (Run, bool)) (v Verdict, ok bool) {
-	v.Margin = math.Inf(1)
+func (c check) verdict(abbr string, cell func(Variant) (Run, bool)) (v Verdict, ok bool) {
+	tol := c.tol
+	if _, deep := deepPipelineStages(abbr); deep && c.deepTol != 0 {
+		tol = c.deepTol
+	}
+	v.Workload, v.Margin = abbr, math.Inf(1)
 	var tightest string
 	var broken []string
 	for _, sv := range c.subjects {
@@ -136,12 +164,19 @@ func (c check) verdict(cell func(Variant) (Run, bool)) (v Verdict, ok bool) {
 			if !okS || !okR {
 				return Verdict{}, false
 			}
-			margin := c.metric(r)*(1+c.tol)/c.metric(s) - 1
-			pair := fmt.Sprintf("%s %.1f s vs %s %.1f s", sv.Name, c.metric(s), rv.Name, c.metric(r))
+			if sv.Name == rv.Name {
+				continue
+			}
+			margin := c.metric.of(r)*(1+tol)/c.metric.of(s) - 1
+			pair := fmt.Sprintf("%s "+c.metric.format+" vs %s "+c.metric.format, sv.Name, c.metric.of(s), rv.Name, c.metric.of(r))
+			plansDiffer := c.samePlan && s.Plan != r.Plan
+			if plansDiffer {
+				pair += " (plans differ)"
+			}
 			if margin < v.Margin {
 				v.Margin, tightest = margin, pair
 			}
-			if margin < 0 || c.strict && margin == 0 {
+			if margin < 0 || c.strict && margin == 0 || plansDiffer {
 				broken = append(broken, pair)
 			}
 		}
@@ -169,14 +204,13 @@ func Invariants(cells []Run) []Invariant {
 	for _, c := range checks {
 		inv := Invariant{Name: c.name, Claim: c.claim, Pass: !c.any}
 		for _, abbr := range abbrs {
-			v, ok := c.verdict(func(v Variant) (Run, bool) {
+			v, ok := c.verdict(abbr, func(v Variant) (Run, bool) {
 				r, ok := byKey[[2]string{abbr, v.Name}]
 				return r, ok
 			})
 			if !ok {
 				continue
 			}
-			v.Workload = abbr
 			inv.Verdicts = append(inv.Verdicts, v)
 			// One passing workload settles an any-claim, one failing
 			// workload every other.

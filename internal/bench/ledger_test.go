@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,9 +38,10 @@ func sharedHarness(t *testing.T) *Harness {
 
 // TestRunMemoized: each distinct (workload, variant) is searched and
 // simulated once per harness however many figures and ledgers ask for it —
-// the default Stubby search 9 times (8 workloads plus Figure 14's
-// KeepSubplans run) and Baseline 8, where the per-figure drivers ran them 43
-// and 24 times.
+// the default Stubby search 12 times (8 workloads, 3 deep pipelines and Figure
+// 14's KeepSubplans run) and Baseline 8, where the per-figure drivers ran
+// them 43 and 24 times and the optimizer bench the 11 three times more. A
+// plan is simulated once per sample too, however many variants choose it.
 func TestRunMemoized(t *testing.T) {
 	h := sharedHarness(t)
 	for _, f := range Figures {
@@ -67,12 +69,19 @@ func TestRunMemoized(t *testing.T) {
 	if len(shared.searches) != len(shared.ledger.Cells)+1 {
 		t.Errorf("%d searches for %d cells and Figure 14", len(shared.searches), len(shared.ledger.Cells))
 	}
-	if got := perVariant[Stubby.Name] + perVariant["Stubby+KeepSubplans"]; got != 9 {
-		t.Errorf("default Stubby search ran %d times, want 9", got)
+	if got := perVariant[Stubby.Name] + perVariant["Stubby+KeepSubplans"]; got != 12 {
+		t.Errorf("default Stubby search ran %d times, want 12", got)
 	}
 	if got := perVariant[Baseline.Name]; got != 8 {
 		t.Errorf("Baseline planned and simulated %d times, want 8", got)
 	}
+	// Every Monolithic cell repeats its workload's Stubby plan, so at least
+	// those 11 cells cost no simulation.
+	cells := len(shared.ledger.Cells)
+	if len(h.sims) > cells-len(hotPathWorkloads) {
+		t.Errorf("%d simulations for %d cells: repeated plans were run again", len(h.sims), cells)
+	}
+	t.Logf("%d cells, %d simulations", cells, len(h.sims))
 }
 
 // zeroTimes clears the one column that is not a pure function of the header.
@@ -86,21 +95,29 @@ func zeroTimes(l Ledger) Ledger {
 
 // TestLedgerDeterministic: a second harness produces the same ledger byte
 // for byte once optimize_ms is zeroed, and its direct run of a cell equals
-// the first harness's memoized one as a figure reads it.
+// the first harness's memoized one as a figure reads it. The reuse cell is
+// the first thing the second harness runs and among the last the first one
+// did: its catalog counters and plan must not depend on what ran before, nor
+// on the temporary directory the catalog lived in.
 func TestLedgerDeterministic(t *testing.T) {
 	h := sharedHarness(t)
 	fresh := testHarness()
-	direct, err := fresh.Run("PJ", Stubby)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, _, err := h.Eval(Figure{Workloads: []string{"PJ"}, Variants: []Variant{Stubby}, Anchor: Baseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.OptimizeMS, cells[0].OptimizeMS = 0, 0
-	if got, want := mustJSON(t, cells[0]), mustJSON(t, direct); !bytes.Equal(got, want) {
-		t.Errorf("memoized cell differs from a fresh harness's direct run:\n%s\n%s", got, want)
+	for _, c := range []struct {
+		abbr string
+		v    Variant
+	}{{"F2M2", Reuse}, {"PJ", Stubby}} {
+		direct, err := fresh.Run(c.abbr, c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, _, err := h.Eval(Figure{Workloads: []string{c.abbr}, Variants: []Variant{c.v}, Anchor: c.v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct.OptimizeMS, cells[0].OptimizeMS = 0, 0
+		if got, want := mustJSON(t, cells[0]), mustJSON(t, direct); !bytes.Equal(got, want) {
+			t.Errorf("memoized cell differs from a fresh harness's direct run:\n%s\n%s", got, want)
+		}
 	}
 	second, err := fresh.Ledger()
 	if err != nil {
@@ -220,5 +237,50 @@ func TestInvariants(t *testing.T) {
 	abl := Invariants([]Run{row("A", Stubby, 0, 101), row("A", HThenV, 0, 100), row("A", GlobalUnit, 0, 98), row("A", NoSearch, 0, 90)})
 	if !find(abl, "ordering").Pass || find(abl, "unit-scope").Pass || !find(abl, "no-search").Pass {
 		t.Errorf("want ordering (1%% < 2%%) and no-search (12%% < 15%%) to pass and unit-scope (3%% > 2%%) to fail: %+v", abl)
+	}
+	// The hot-path claims. A: same plan and estimate, fewer flow cards. B:
+	// another plan, and the flow cards only tie. C: the estimates differ.
+	// DP08 computes 40% of the monolithic flow cards, DP12 60%.
+	hot := func(abbr string, v Variant, plan string, est float64, cards uint64) Run {
+		return Run{Workload: abbr, Variant: v.Name, Plan: plan, EstimateSec: est, FlowCards: cards}
+	}
+	invs = Invariants([]Run{
+		hot("A", Stubby, "p", 80, 90), hot("A", Monolithic, "p", 80, 100),
+		hot("B", Stubby, "p", 80, 100), hot("B", Monolithic, "q", 80, 100),
+		hot("C", Stubby, "p", 80, 90), hot("C", Monolithic, "p", 81, 100),
+		hot("DP08", Stubby, "p", 80, 40), hot("DP08", Monolithic, "p", 80, 100),
+		hot("DP12", Stubby, "p", 80, 60), hot("DP12", Monolithic, "p", 80, 100),
+	})
+	verdicts := func(inv Invariant) (pass []bool, margin []float64) {
+		for _, v := range inv.Verdicts {
+			pass, margin = append(pass, v.Pass), append(margin, v.Margin)
+		}
+		return pass, margin
+	}
+	// Equality is the inequality both ways: the larger estimate on either
+	// side breaks it, by the same negative margin.
+	same := find(invs, "incremental-transparent")
+	pass, margin := verdicts(same)
+	if same.Pass || !slices.Equal(pass, []bool{true, false, false, true, true}) ||
+		margin[0] != 0 || margin[1] != 0 || !near(margin[2], 80.0/81-1) ||
+		!strings.Contains(same.Verdicts[1].Detail, "plans differ") || strings.Contains(same.Verdicts[2].Detail, "plans differ") {
+		t.Errorf("incremental-transparent: want B to fail on its plan and C on its estimate by -1.2%%: %+v", same)
+	}
+	saves := find(invs, "incremental-saves")
+	pass, margin = verdicts(saves)
+	if saves.Pass || !slices.Equal(pass, []bool{true, false, true, true, false}) ||
+		!near(margin[0], 100.0/90-1) || margin[1] != 0 || !near(margin[3], 50.0/40-1) || !near(margin[4], 50.0/60-1) ||
+		!strings.Contains(saves.Verdicts[4].Detail, "Stubby 60 flow cards vs Monolithic 100 flow cards") {
+		t.Errorf("incremental-saves: want the tie (B) and more than half on a deep pipeline (DP12, -16.7%%) to fail: %+v", saves)
+	}
+	// Reuse must be monotone; the second member's plan is 1.2% costlier with
+	// the catalog than without.
+	mono := find(Invariants([]Run{
+		row("F2M1", NoReuse, 520.5, 0), row("F2M1", Reuse, 517.8, 0),
+		row("F2M2", NoReuse, 517.92, 0), row("F2M2", Reuse, 524.01, 0),
+	}), "reuse-monotone")
+	if b := mono.Verdicts[1]; mono.Pass || !mono.Verdicts[0].Pass || b.Pass || b.Workload != "F2M2" ||
+		!near(b.Margin, 517.92/524.01-1) || b.Margin > -0.011 || !strings.Contains(b.Detail, "Reuse 524.0 s vs NoReuse 517.9 s") {
+		t.Errorf("reuse-monotone: want F2M2 alone to fail by -1.2%%: %+v", mono)
 	}
 }
