@@ -32,19 +32,10 @@ func WithCatalogTTL(ttl time.Duration) ReuseCatalogOption {
 	return catalog.WithTTL(ttl)
 }
 
-// WithCatalogLocationCheck evicts, at (re)open, catalog entries whose
-// stored dataset location no longer exists: check(dataset) returning false
-// drops the entry, counted in ReuseCatalogStats.Vanished. A reuse hit
-// against a vanished dataset would optimize the plan around a scan of
-// nothing, so eviction at open is strictly safer.
-func WithCatalogLocationCheck(check func(dataset string) bool) ReuseCatalogOption {
-	return catalog.WithLocationCheck(check)
-}
-
 // NewReuseCatalog opens (creating if needed) a reuse catalog rooted at
 // dir. Reopening recovers crash-safely — torn record tails are truncated,
 // stale duplicates are compacted away (along with entries evicted by
-// WithCatalogTTL / WithCatalogLocationCheck), and every surviving entry
+// WithCatalogTTL), and every surviving entry
 // stays CRC-verified on read. One live writer per directory is enforced
 // with a lock file; close the catalog when done.
 func NewReuseCatalog(dir string, opts ...ReuseCatalogOption) (*ReuseCatalog, error) {

@@ -83,9 +83,6 @@ func (f *DFS) Get(id string) (*Stored, bool) {
 	return s, ok
 }
 
-// Delete removes a dataset.
-func (f *DFS) Delete(id string) { delete(f.data, id) }
-
 // IDs lists stored dataset IDs in sorted order.
 func (f *DFS) IDs() []string {
 	out := make([]string, 0, len(f.data))

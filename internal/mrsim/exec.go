@@ -146,15 +146,6 @@ func (r *RunReport) Job(id string) *JobReport {
 	return nil
 }
 
-// TotalTaskSeconds sums all task work across the run.
-func (r *RunReport) TotalTaskSeconds() float64 {
-	var t float64
-	for _, j := range r.Jobs {
-		t += j.MapTaskSeconds + j.ReduceTaskSeconds
-	}
-	return t
-}
-
 // RunWorkflow validates and executes the workflow, materializing every
 // job's outputs on the DFS and returning simulated timings.
 func (e *Engine) RunWorkflow(w *wf.Workflow) (*RunReport, error) {

@@ -206,9 +206,10 @@ func TestDFSCloneIndependence(t *testing.T) {
 	dfs := NewDFS()
 	ingest(t, dfs, "d", genPairs(100, 10, 2), 2)
 	clone := dfs.Clone()
-	clone.Delete("d")
-	if _, ok := dfs.Get("d"); !ok {
-		t.Error("delete on clone affected original")
+	ingest(t, clone, "e", genPairs(10, 10, 3), 1)
+	clone.Put("d", nil, wf.Layout{})
+	if s, ok := dfs.Get("d"); !ok || len(s.Parts) != 2 {
+		t.Error("replacing a dataset on the clone affected the original")
 	}
 	if len(dfs.IDs()) != 1 || dfs.IDs()[0] != "d" {
 		t.Errorf("IDs = %v", dfs.IDs())
@@ -882,9 +883,6 @@ func TestReportHelpers(t *testing.T) {
 	}}
 	if rep.Job("a") == nil || rep.Job("c") != nil {
 		t.Error("Job lookup wrong")
-	}
-	if rep.TotalTaskSeconds() != 10 {
-		t.Errorf("TotalTaskSeconds = %v", rep.TotalTaskSeconds())
 	}
 	if rep.Jobs[0].Span() != 10 {
 		t.Error("Span wrong")

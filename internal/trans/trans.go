@@ -15,7 +15,6 @@ package trans
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
@@ -294,11 +293,4 @@ func singleGroup(j *wf.Job) (*wf.ReduceGroup, error) {
 		return nil, fmt.Errorf("job %s has %d reduce groups; vertical packing requires one", j.ID, len(j.ReduceGroups))
 	}
 	return &j.ReduceGroups[0], nil
-}
-
-// sortedIDs returns a sorted copy.
-func sortedIDs(ids []string) []string {
-	out := append([]string(nil), ids...)
-	sort.Strings(out)
-	return out
 }

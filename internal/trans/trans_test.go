@@ -840,6 +840,13 @@ func TestProfileAdjustedThroughPacking(t *testing.T) {
 	}
 }
 
+// sortedIDs returns a sorted copy.
+func sortedIDs(ids []string) []string {
+	out := append([]string(nil), ids...)
+	sort.Strings(out)
+	return out
+}
+
 func TestMergeHelpers(t *testing.T) {
 	if got := mergeIDs("a", "b", "c"); got != "a+b+c" {
 		t.Errorf("mergeIDs = %s", got)

@@ -2,12 +2,13 @@ package whatif
 
 import (
 	"container/list"
+	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/stats"
@@ -18,10 +19,12 @@ import (
 // fingerprints (package wf), so a search that revisits a cost-equivalent
 // plan — the same structure, configurations, profiles, and layouts,
 // regardless of job-ID renaming — reuses the earlier answer instead of
-// re-running the estimator. The cache is sharded and concurrent-safe, bounds
-// memory with per-shard LRU eviction, deduplicates concurrent computations
-// of the same plan with a single-flight guard, and counts hits, misses, and
-// evictions for observability.
+// re-running the estimator. The cache is concurrent-safe, bounds memory with
+// LRU eviction, deduplicates concurrent computations of the same plan with a
+// single-flight guard, and counts hits, misses, and evictions for
+// observability. Only whole-plan estimates come here — tens to a hundred or
+// so per optimization, under half a percent of its What-if requests — so one
+// mutex guards all of it.
 //
 // Cached *Estimate values are shared between callers and MUST be treated as
 // immutable; every consumer in this repository only reads them.
@@ -30,8 +33,6 @@ import (
 // small (per-job aggregates, not per-task data), so thousands of entries
 // cost a few MB at most.
 const DefaultCacheCapacity = 8192
-
-const numShards = 16 // power of two; key[0] low bits select the shard
 
 // CacheKey identifies one (workflow, cluster) estimation question.
 type CacheKey struct {
@@ -51,154 +52,129 @@ type entry struct {
 	est    *Estimate
 }
 
-// flight tracks one in-progress computation other callers can wait on.
+// flight tracks one in-progress computation other callers can wait on. ent
+// and err are written before done is closed and read only after.
 type flight struct {
 	done chan struct{}
 	ent  *entry
 	err  error
 }
 
-type shard struct {
+// Cache is an LRU-bounded, single-flight memo of What-if estimates. It is
+// safe for concurrent use and may be shared across estimators, optimizers,
+// and sessions (that is the point: an OptimizeAll fan-out over workflows
+// sharing plans amortizes estimates through one shared cache).
+type Cache struct {
+	capacity int
+
 	mu      sync.Mutex
 	entries map[CacheKey]*list.Element // of *entry
 	lru     *list.List                 // front = most recently used
 	flights map[CacheKey]*flight
-	// The counters are atomics (size mirrors lru.Len()) so Stats can
-	// snapshot them without taking shard locks — a /statsz poll never
-	// contends with the optimizer's hot lookup path.
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	evicted atomic.Uint64
-	size    atomic.Int64
+	hits    uint64
+	misses  uint64
+	evicted uint64
 }
 
-// Cache is a sharded, LRU-bounded, single-flight memo of What-if estimates.
-// It is safe for concurrent use and may be shared across estimators,
-// optimizers, and sessions (that is the point: an OptimizeAll fan-out over
-// workflows sharing plans amortizes estimates through one shared cache).
-type Cache struct {
-	shards      [numShards]*shard
-	capPerShard int
-}
-
-// NewCache builds a cache bounded to roughly capacity entries (<= 0 uses
-// DefaultCacheCapacity). The bound is enforced per shard, so the effective
-// capacity is capacity rounded up to a multiple of the shard count.
+// NewCache builds a cache bounded to capacity entries (<= 0 uses
+// DefaultCacheCapacity).
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	per := (capacity + numShards - 1) / numShards
-	if per < 1 {
-		per = 1
+	return &Cache{
+		capacity: capacity,
+		entries:  make(map[CacheKey]*list.Element),
+		lru:      list.New(),
+		flights:  make(map[CacheKey]*flight),
 	}
-	c := &Cache{capPerShard: per}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			entries: make(map[CacheKey]*list.Element),
-			lru:     list.New(),
-			flights: make(map[CacheKey]*flight),
-		}
-	}
-	return c
-}
-
-// Capacity returns the total entry bound.
-func (c *Cache) Capacity() int { return c.capPerShard * numShards }
-
-func (c *Cache) shard(k CacheKey) *shard {
-	return c.shards[k.Plan[0]&(numShards-1)]
 }
 
 // GetOrCompute returns the estimate for key, running compute on a miss.
 // Concurrent callers with the same key share one computation (single
-// flight); errors are returned to every waiter and never cached. jobIDs is
-// the calling workflow's job-ID vector in Jobs slice order: on a hit whose
-// cached vector differs (fingerprint-equal workflow with renamed jobs), the
-// returned estimate is re-keyed position-for-position, which the
-// fingerprint's job-order sensitivity makes sound.
-func (c *Cache) GetOrCompute(key CacheKey, jobIDs []string,
+// flight); errors are returned to every waiter and never cached. A waiter
+// stops waiting with ctx.Err() when its own ctx ends. When the computation it
+// waited on ended with that caller's cancellation or deadline while ctx is
+// still live, it starts over — another caller's cancellation must not poison
+// this one, and the failed flight is gone, so the retry finds the estimate or
+// a newer flight, or computes. jobIDs is the calling workflow's job-ID vector
+// in Jobs slice order: on a hit whose cached vector differs
+// (fingerprint-equal workflow with renamed jobs), the returned estimate is
+// re-keyed position-for-position, which the fingerprint's job-order
+// sensitivity makes sound.
+func (c *Cache) GetOrCompute(ctx context.Context, key CacheKey, jobIDs []string,
 	compute func() (*Estimate, error)) (*Estimate, error) {
 
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		sh.lru.MoveToFront(el)
-		sh.hits.Add(1)
-		ent := el.Value.(*entry)
-		sh.mu.Unlock()
-		return remap(ent, jobIDs), nil
-	}
-	if fl, ok := sh.flights[key]; ok {
-		sh.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			// The flight's owner failed. Other waiters surface the same
-			// error; nothing was cached.
+	c.mu.Lock()
+	for {
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			c.hits++
+			c.mu.Unlock()
+			return remap(el.Value.(*entry), jobIDs), nil
+		}
+		fl, ok := c.flights[key]
+		if !ok {
+			break
+		}
+		c.mu.Unlock()
+		select {
+		case <-fl.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		c.mu.Lock()
+		if fl.err == nil {
+			c.hits++
+			c.mu.Unlock()
+			return remap(fl.ent, jobIDs), nil
+		}
+		ownerGaveUp := errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)
+		if !ownerGaveUp || ctx.Err() != nil {
+			c.mu.Unlock()
 			return nil, fl.err
 		}
-		sh.hits.Add(1)
-		return remap(fl.ent, jobIDs), nil
 	}
 	fl := &flight{done: make(chan struct{})}
-	sh.flights[key] = fl
-	sh.misses.Add(1)
-	sh.mu.Unlock()
+	c.flights[key] = fl
+	c.misses++
+	c.mu.Unlock()
 
 	est, err := compute()
-	sh.mu.Lock()
-	delete(sh.flights, key)
-	if err != nil {
-		sh.mu.Unlock()
-		fl.err = err
-		close(fl.done)
-		return nil, err
+	c.mu.Lock()
+	delete(c.flights, key)
+	if err == nil {
+		fl.ent = &entry{key: key, jobIDs: append([]string(nil), jobIDs...), est: est}
+		c.entries[key] = c.lru.PushFront(fl.ent)
+		for c.lru.Len() > c.capacity {
+			old := c.lru.Remove(c.lru.Back()).(*entry)
+			delete(c.entries, old.key)
+			c.evicted++
+		}
 	}
-	ent := &entry{key: key, jobIDs: append([]string(nil), jobIDs...), est: est}
-	el := sh.lru.PushFront(ent)
-	sh.entries[key] = el
-	sh.size.Add(1)
-	for sh.lru.Len() > c.capPerShard {
-		old := sh.lru.Back()
-		sh.lru.Remove(old)
-		delete(sh.entries, old.Value.(*entry).key)
-		sh.evicted.Add(1)
-		sh.size.Add(-1)
-	}
-	sh.mu.Unlock()
-	fl.ent = ent
+	c.mu.Unlock()
+	fl.err = err
 	close(fl.done)
-	return est, nil
+	return est, err
 }
 
-// Stats snapshots the cache counters (declared in internal/stats), summed
-// across shards. The counters are atomics, so the snapshot takes no locks
-// and never contends with concurrent lookups (each individual counter is
-// exact; the sum is a consistent-enough point-in-time view for monitoring).
+// Stats snapshots the cache counters (declared in internal/stats) under the
+// cache's lock, so the four numbers describe one moment.
 func (c *Cache) Stats() stats.Cache {
-	out := stats.Cache{Capacity: c.Capacity()}
-	for _, sh := range c.shards {
-		out.Hits += sh.hits.Load()
-		out.Misses += sh.misses.Load()
-		out.Evictions += sh.evicted.Load()
-		out.Entries += int(sh.size.Load())
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return stats.Cache{Hits: c.hits, Misses: c.misses, Evictions: c.evicted,
+		Entries: c.lru.Len(), Capacity: c.capacity}
 }
 
 // Reset drops every entry and zeroes the counters. In-flight computations
 // complete but their results land in the cleared maps as usual.
 func (c *Cache) Reset() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.entries = make(map[CacheKey]*list.Element)
-		sh.lru = list.New()
-		sh.hits.Store(0)
-		sh.misses.Store(0)
-		sh.evicted.Store(0)
-		sh.size.Store(0)
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = make(map[CacheKey]*list.Element)
+	c.lru = list.New()
+	c.hits, c.misses, c.evicted = 0, 0, 0
 }
 
 // remap returns the cached estimate re-keyed to the caller's job IDs. When

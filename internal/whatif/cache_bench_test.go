@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"context"
 	"testing"
 
 	"github.com/stubby-mr/stubby/internal/profile"
@@ -54,19 +55,19 @@ func BenchmarkCacheHit(b *testing.B) {
 	key := CacheKey{Plan: wf.FingerprintWorkflow(w), Cluster: ClusterFingerprint(wl.Cluster)}
 	jobIDs := jobIDsOf(w)
 	compute := func() (*Estimate, error) { return New(wl.Cluster).Estimate(w) }
-	if _, err := c.GetOrCompute(key, jobIDs, compute); err != nil {
+	if _, err := c.GetOrCompute(context.Background(), key, jobIDs, compute); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.GetOrCompute(key, jobIDs, compute); err != nil {
+		if _, err := c.GetOrCompute(context.Background(), key, jobIDs, compute); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCacheStats measures the atomic stats snapshot /statsz polls.
+// BenchmarkCacheStats measures the stats snapshot /statsz polls.
 func BenchmarkCacheStats(b *testing.B) {
 	c := NewCache(0)
 	b.ReportAllocs()
@@ -76,9 +77,11 @@ func BenchmarkCacheStats(b *testing.B) {
 	}
 }
 
-// TestCacheHitZeroAllocs pins the hit path's allocation count at zero: the
-// optimizer consults the cache millions of times per search, so a single
-// allocation here shows up directly in optimization throughput.
+// TestCacheHitZeroAllocs pins the hit path's allocation count at zero. The
+// cache is not hot — BENCH_paper.json counts 19–121 whole-plan estimates per
+// optimization against 4,894–49,721 What-if requests (the rest are delta
+// estimates that bypass it), of which cache-on answers 5–13 — so the pin is
+// about a hit staying a lookup: lock, LRU touch, job-ID comparison.
 func TestCacheHitZeroAllocs(t *testing.T) {
 	wl, err := workloads.Build("BA", workloads.Options{SizeFactor: 0.1, Seed: 1})
 	if err != nil {
@@ -91,11 +94,11 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 	key := CacheKey{Plan: wf.FingerprintWorkflow(wl.Workflow), Cluster: ClusterFingerprint(wl.Cluster)}
 	jobIDs := jobIDsOf(wl.Workflow)
 	compute := func() (*Estimate, error) { return New(wl.Cluster).Estimate(wl.Workflow) }
-	if _, err := c.GetOrCompute(key, jobIDs, compute); err != nil {
+	if _, err := c.GetOrCompute(context.Background(), key, jobIDs, compute); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.GetOrCompute(key, jobIDs, compute); err != nil {
+		if _, err := c.GetOrCompute(context.Background(), key, jobIDs, compute); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -114,7 +117,7 @@ func jobIDsOf(w *wf.Workflow) []string {
 }
 
 // BenchmarkEstimateCacheHit measures the full cached path on a hit:
-// fingerprint + sharded lookup.
+// fingerprint + lookup.
 func BenchmarkEstimateCacheHit(b *testing.B) {
 	w, wl := benchWorkflow(b)
 	est := NewCached(wl.Cluster, NewCache(0))

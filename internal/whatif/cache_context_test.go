@@ -5,8 +5,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/stubby-mr/stubby/internal/profile"
+	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
 
@@ -86,5 +88,49 @@ func TestEstimateContextCancelDoesNotPoisonWaiters(t *testing.T) {
 		if liveErr != nil {
 			t.Fatalf("round %d: live caller failed with %v", round, liveErr)
 		}
+	}
+}
+
+// TestCacheWaiterHonoursOwnContext: a caller waiting on another estimator's
+// in-flight estimate of the same plan stops waiting when its own context
+// ends, however long the owner takes. The owner is held inside compute until
+// the waiter has returned.
+func TestCacheWaiterHonoursOwnContext(t *testing.T) {
+	wl := contextWorkload(t)
+	cache := NewCache(0)
+	key := CacheKey{Plan: wf.FingerprintWorkflow(wl.Workflow), Cluster: ClusterFingerprint(wl.Cluster)}
+	computing, release := make(chan struct{}), make(chan struct{})
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, err := cache.GetOrCompute(context.Background(), key, jobIDsOf(wl.Workflow), func() (*Estimate, error) {
+			close(computing)
+			<-release
+			return New(wl.Cluster).Estimate(wl.Workflow)
+		})
+		ownerDone <- err
+	}()
+	<-computing // the flight is registered: the next caller on this key waits
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, err := NewCached(wl.Cluster, cache).EstimateContext(canceled, wl.Workflow)
+		waiterDone <- err
+	}()
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled waiter returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("canceled waiter still blocked on the owner's flight")
+	}
+	close(release)
+	if err := <-ownerDone; err != nil {
+		t.Fatalf("owner: %v", err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want the owner's 1 miss and 1 entry, no hit", st)
 	}
 }

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -30,7 +31,7 @@ func TestCacheGetOrCompute(t *testing.T) {
 	c := NewCache(64)
 	computes := 0
 	get := func() (*Estimate, error) {
-		est, err := c.GetOrCompute(key(1), []string{"j1"}, func() (*Estimate, error) {
+		est, err := c.GetOrCompute(context.Background(), key(1), []string{"j1"}, func() (*Estimate, error) {
 			computes++
 			return estimate(42), nil
 		})
@@ -56,13 +57,13 @@ func TestCacheGetOrCompute(t *testing.T) {
 func TestCacheErrorsNotCached(t *testing.T) {
 	c := NewCache(64)
 	boom := errors.New("boom")
-	if _, err := c.GetOrCompute(key(2), nil, func() (*Estimate, error) {
+	if _, err := c.GetOrCompute(context.Background(), key(2), nil, func() (*Estimate, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure must not poison the key: the next call recomputes.
-	est, err := c.GetOrCompute(key(2), nil, func() (*Estimate, error) {
+	est, err := c.GetOrCompute(context.Background(), key(2), nil, func() (*Estimate, error) {
 		return estimate(7), nil
 	})
 	if err != nil || est.Makespan != 7 {
@@ -73,37 +74,37 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheLRUEviction: the capacity is exact and eviction follows recency
+// of use across the whole cache, not insertion order.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(numShards) // one entry per shard
-	// Fill one shard (fixed low bits select the shard) beyond capacity.
-	k1, k2 := key(16), key(32) // same shard: low bits zero
-	if c.shard(k1) != c.shard(k2) {
-		t.Fatal("test keys landed in different shards")
+	c := NewCache(2)
+	computes := 0
+	get := func(k CacheKey) {
+		t.Helper()
+		if _, err := c.GetOrCompute(context.Background(), k, nil, func() (*Estimate, error) {
+			computes++
+			return estimate(1), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i, k := range []CacheKey{k1, k2} {
-		c.GetOrCompute(k, nil, func() (*Estimate, error) {
-			return estimate(float64(i)), nil
-		})
+	k1, k2, k3 := key(1), key(2), key(3)
+	get(k1)
+	get(k2)
+	get(k1) // a hit: k2 is now the least recently used
+	get(k3) // the third entry evicts it
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Capacity != 2 {
+		t.Fatalf("stats = %+v, want 1 eviction, 2 entries, capacity 2", st)
 	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	computes = 0
+	get(k1)
+	get(k3)
+	if computes != 0 {
+		t.Fatal("a recently used entry was evicted")
 	}
-	// k2 survives (hit, no recompute); k1 was evicted (recomputes).
-	recomputed := false
-	c.GetOrCompute(k2, nil, func() (*Estimate, error) {
-		recomputed = true
-		return estimate(9), nil
-	})
-	if recomputed {
-		t.Fatal("most recent entry evicted")
-	}
-	c.GetOrCompute(k1, nil, func() (*Estimate, error) {
-		recomputed = true
-		return estimate(9), nil
-	})
-	if !recomputed {
-		t.Fatal("oldest entry not evicted")
+	get(k2)
+	if computes != 1 {
+		t.Fatal("the least recently used entry was not evicted")
 	}
 }
 
@@ -118,7 +119,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			est, err := c.GetOrCompute(key(3), nil, func() (*Estimate, error) {
+			est, err := c.GetOrCompute(context.Background(), key(3), nil, func() (*Estimate, error) {
 				computes.Add(1)
 				<-release
 				return estimate(9), nil
@@ -155,7 +156,7 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := key(uint64(i % 50))
 				want := float64(i % 50)
-				est, err := c.GetOrCompute(k, nil, func() (*Estimate, error) {
+				est, err := c.GetOrCompute(context.Background(), k, nil, func() (*Estimate, error) {
 					return estimate(want), nil
 				})
 				if err != nil {
@@ -174,7 +175,7 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 
 func TestCacheReset(t *testing.T) {
 	c := NewCache(64)
-	c.GetOrCompute(key(5), nil, func() (*Estimate, error) { return estimate(1), nil })
+	c.GetOrCompute(context.Background(), key(5), nil, func() (*Estimate, error) { return estimate(1), nil })
 	c.Reset()
 	st := c.Stats()
 	if st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {

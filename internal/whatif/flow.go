@@ -34,55 +34,14 @@ type jobCard struct {
 	shuffleWire float64
 	// inputs snapshots the input dataset estimates the card was computed
 	// from, in job input order — Prepared's invalidation check.
-	inputs []cardInput
+	inputs []cardDataset
 	// outputs are the job's output dataset estimates, in tag order.
-	outputs []cardOutput
+	outputs []cardDataset
 }
 
-type cardInput struct {
+type cardDataset struct {
 	id  string
 	est DatasetEstimate
-}
-
-type cardOutput struct {
-	id  string
-	est DatasetEstimate
-}
-
-// jobEstimate assembles the public per-job estimate from the card and the
-// scheduling layer's start/end times.
-func (cd *jobCard) jobEstimate(start, end float64) *JobEstimate {
-	je := &JobEstimate{}
-	cd.fillJobEstimate(je, start, end)
-	return je
-}
-
-// fillJobEstimate is jobEstimate into a caller-owned value (the probe path
-// reuses one JobEstimate per job across estimates).
-func (cd *jobCard) fillJobEstimate(je *JobEstimate, start, end float64) {
-	*je = JobEstimate{
-		MapTasks:      cd.mapTasks,
-		ReduceTasks:   cd.reduceTasks,
-		AvgMapTaskSec: cd.avgMapDur,
-		Start:         start,
-		End:           end,
-	}
-	if cd.hasReduce {
-		je.AvgReduceTaskSec = cd.avgRedDur
-		je.MaxReduceTaskSec = cd.maxRedDur
-		je.ShuffleBytesVirtual = cd.shuffleWire
-	}
-}
-
-// applyOutputs publishes the card's output dataset estimates as fresh
-// value copies. Scalar fields are therefore caller-independent; the Layout
-// slice fields still alias the card's (layouts are treated as immutable
-// throughout the estimator).
-func (cd *jobCard) applyOutputs(datasets map[string]*DatasetEstimate) {
-	for i := range cd.outputs {
-		de := cd.outputs[i].est
-		datasets[cd.outputs[i].id] = &de
-	}
 }
 
 // inputsMatch reports whether the card's captured input estimates equal the
@@ -155,14 +114,14 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 		if !ok {
 			return nil, fmt.Errorf("no estimate for input %q", in)
 		}
-		card.inputs = append(card.inputs, cardInput{id: in, est: *de})
+		card.inputs = append(card.inputs, cardDataset{id: in, est: *de})
 		frac := 1.0
 		if !job.AlignMapToInput {
 			frac = e.pruneKeepFraction(job, in, de.Layout)
 		}
-		parts := maxInt(de.Partitions, 1)
+		parts := max(de.Partitions, 1)
 		if frac < 1 {
-			parts = maxInt(1, int(frac*float64(parts)+0.5))
+			parts = max(1, int(frac*float64(parts)+0.5))
 		}
 		share := de.MaxPartShare
 		if share <= 0 {
@@ -342,7 +301,7 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 		de := DatasetEstimate{Records: te.outRecords, Bytes: te.outBytes}
 		if g.MapOnly() {
 			de.Partitions = numMapTasks
-			de.MaxPartShare = 1 / float64(maxInt(numMapTasks, 1))
+			de.MaxPartShare = 1 / float64(max(numMapTasks, 1))
 			var inLayout wf.Layout
 			for bi := range job.MapBranches {
 				if job.MapBranches[bi].Tag == tag {
@@ -360,7 +319,7 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 			de.MaxPartShare = te.maxShare
 			de.Layout = wf.DeriveGroupOutputLayout(*g, cfg)
 		}
-		card.outputs = append(card.outputs, cardOutput{id: g.Output, est: de})
+		card.outputs = append(card.outputs, cardDataset{id: g.Output, est: de})
 	}
 	return card, nil
 }
@@ -457,7 +416,7 @@ func (e *Estimator) reduceDurations(job *wf.Job, tags map[int]*tagEst, tagOrder 
 // values (the limited-parallelism degradation of Section 3.1).
 func (e *Estimator) skewShare(job *wf.Job, tag int, te *tagEst) float64 {
 	mp := job.Profile.MapSide[tag]
-	uniform := 1.0 / float64(maxInt(te.numParts, 1))
+	uniform := 1.0 / float64(max(te.numParts, 1))
 	if mp == nil || len(mp.KeySample) == 0 || te.numParts <= 1 {
 		return uniform
 	}

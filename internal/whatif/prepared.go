@@ -1,10 +1,10 @@
 package whatif
 
 import (
-	"fmt"
+	"context"
+	"maps"
 
 	"github.com/stubby-mr/stubby/internal/mrsim"
-	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
 
@@ -30,59 +30,33 @@ type Prepared struct {
 	est  *Estimator
 	plan *wf.Workflow
 
-	fallback bool
-
-	// Prefix snapshot: per-job estimates, dataset estimates, dataset-ready
-	// times, and partial makespan for the jobs before suffix, plus the slot
+	// Prefix snapshot: the estimate of the jobs before suffix — per-job and
+	// dataset estimates and the partial makespan (a fallback estimate when
+	// the plan lacks annotations) — with its dataset-ready times and the slot
 	// pools' exact state after scheduling the prefix.
-	prefixJobs     []prefixJob
-	prefixDatasets []prefixDataset
-	prefixReady    map[string]float64
-	prefixMakespan float64
-	mapPool        *mrsim.SlotPool
-	redPool        *mrsim.SlotPool
-	mapSnap        mrsim.PoolSnapshot
-	redSnap        mrsim.PoolSnapshot
-
-	// memo holds flow cards for suffix jobs, keyed per job by the exact
-	// configuration they were computed under; a card is reused when the
-	// job's configuration recurs and its input dataset estimates match the
-	// card's (flow is a pure function of job, configuration, and inputs).
-	// Unchanged jobs have a constant configuration, so their bucket holds
-	// one card that survives while upstream probes leave their inputs
-	// alone; changed jobs accumulate one card per visited configuration,
-	// which the clustered probes of RRS's exploit phase revisit heavily.
-	memo map[string]map[wf.Config]*jobCard
+	prefix      *Estimate
+	prefixReady map[string]float64
+	mapPool     *mrsim.SlotPool
+	redPool     *mrsim.SlotPool
+	mapSnap     mrsim.PoolSnapshot
+	redSnap     mrsim.PoolSnapshot
 
 	// suffix is every job from the first changeable one on, in topological
-	// order, with its distinct input/output dataset IDs precomputed:
-	// job.Inputs/Outputs allocate per call, and probes run hundreds of
-	// times per subplan. suffix[:window] ends at the last changeable job —
+	// order. suffix[:window] ends at the last changeable job —
 	// EstimateChanged's stop.
-	suffix []suffixJob
+	suffix []walkJob
 	window int
 
-	// cur* are EstimateChanged's reusable buffers: one Estimate skeleton
-	// whose prefix entries are seeded once and whose suffix entries are
+	// memo and place are every probe's card source and scheduler (on
+	// mapPool/redPool).
+	memo  cardMemo
+	place placer
+
+	// cur is EstimateChanged's reusable walk: one Estimate skeleton whose
+	// prefix entries are seeded once and whose suffix entries are
 	// overwritten in place per call, so a probe allocates nothing
 	// proportional to the plan.
-	cur      *Estimate
-	curReady map[string]float64
-}
-
-type suffixJob struct {
-	job       *wf.Job
-	ins, outs []string
-}
-
-type prefixJob struct {
-	id string
-	je JobEstimate
-}
-
-type prefixDataset struct {
-	id string
-	de DatasetEstimate
+	cur *walkState
 }
 
 // Prepare builds an incremental estimator for w, declaring that subsequent
@@ -93,69 +67,42 @@ type prefixDataset struct {
 // re-derive than to fingerprint — but they share the estimator's
 // memoization and are counted in Counts.
 func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, error) {
-	order, err := w.TopoSort()
+	jobs, est, err := open(w)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{
-		est:  e,
-		plan: w,
-		memo: make(map[string]map[wf.Config]*jobCard),
-	}
-	if !profile.HasFullProfiles(w) || !hasBaseSizes(w) {
+	p := &Prepared{est: e, plan: w, prefix: est, memo: make(cardMemo)}
+	if est == nil {
 		// Fallback costing ignores configurations entirely; every Estimate
 		// reproduces the monolithic #jobs answer.
-		p.fallback = true
+		p.prefix = fallbackEstimate(w)
 		return p, nil
 	}
 	changed := make(map[string]bool, len(changedJobIDs))
 	for _, id := range changedJobIDs {
 		changed[id] = true
 	}
-	split := len(order) // topo index of the first changeable job
-	for i, job := range order {
-		if changed[job.ID] {
-			split = i
-			break
+	split := len(jobs) // topo index of the first changeable job
+	for i := range jobs {
+		if changed[jobs[i].job.ID] {
+			if i < split {
+				split = i
+			}
+			p.window = i + 1 - split
 		}
 	}
 
-	// Run flow + scheduling for the prefix once. This mirrors the
-	// monolithic loop exactly, so the pools' state at the split point is
-	// the state a full estimate would have reached.
-	datasets := make(map[string]*DatasetEstimate, len(w.Datasets))
-	seedBaseDatasets(w, datasets)
-	p.mapPool = mrsim.NewSlotPool(e.Cluster.TotalMapSlots())
-	p.redPool = mrsim.NewSlotPool(e.Cluster.TotalReduceSlots())
+	// Walk the prefix once, on the pools the probes rewind: their state at
+	// the split point is the state a full estimate would have reached.
+	p.mapPool, p.redPool, p.place = e.nominalPools()
 	p.prefixReady = make(map[string]float64)
-	for _, job := range order[:split] {
-		jobReady := readyTime(job, p.prefixReady)
-		card, err := e.flowJob(job, datasets)
-		if err != nil {
-			return nil, fmt.Errorf("whatif: job %s: %w", job.ID, err)
-		}
-		end := scheduleJob(card, jobReady, p.mapPool, p.redPool)
-		je := card.jobEstimate(jobReady, end)
-		card.applyOutputs(datasets)
-		p.prefixJobs = append(p.prefixJobs, prefixJob{id: job.ID, je: *je})
-		for _, out := range job.Outputs() {
-			p.prefixReady[out] = je.End
-		}
-		if je.End > p.prefixMakespan {
-			p.prefixMakespan = je.End
-		}
-	}
-	for id, de := range datasets {
-		p.prefixDatasets = append(p.prefixDatasets, prefixDataset{id: id, de: *de})
+	wk := walkState{workflow: w.Name, est: est, ready: p.prefixReady, place: p.place}
+	if err := e.walk(context.Background(), &wk, jobs[:split]); err != nil {
+		return nil, err
 	}
 	p.mapSnap = p.mapPool.Snapshot()
 	p.redSnap = p.redPool.Snapshot()
-	for _, job := range order[split:] {
-		p.suffix = append(p.suffix, suffixJob{job: job, ins: job.Inputs(), outs: job.Outputs()})
-		if changed[job.ID] {
-			p.window = len(p.suffix)
-		}
-	}
+	p.suffix = jobs[split:]
 	return p, nil
 }
 
@@ -168,8 +115,7 @@ func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, 
 // entries alias the prepared snapshot, its Layout slice fields plan/card
 // state.
 func (p *Prepared) Estimate() (*Estimate, error) {
-	est, ready := p.newBuffers()
-	return p.replay(est, ready, p.suffix)
+	return p.replay(p.newWalk(), p.suffix)
 }
 
 // EstimateChanged is the configuration search's probe path: Estimate
@@ -185,106 +131,42 @@ func (p *Prepared) Estimate() (*Estimate, error) {
 // returns fresh allocations and has no such restriction.)
 func (p *Prepared) EstimateChanged() (*Estimate, error) {
 	if p.cur == nil {
-		p.cur, p.curReady = p.newBuffers()
+		p.cur = p.newWalk()
 	}
-	return p.replay(p.cur, p.curReady, p.suffix[:p.window])
+	return p.replay(p.cur, p.suffix[:p.window])
 }
 
-// newBuffers builds an Estimate skeleton and dataset-ready map seeded with
-// the prefix snapshot. The entries point into the snapshot itself: replay
-// writes suffix entries only, so the prefix stays immutable.
-func (p *Prepared) newBuffers() (*Estimate, map[string]float64) {
-	est := &Estimate{
-		Jobs:     make(map[string]*JobEstimate, len(p.plan.Jobs)),
-		Datasets: make(map[string]*DatasetEstimate, len(p.plan.Datasets)),
+// newWalk builds a walk whose Estimate skeleton and dataset-ready map are
+// seeded with the prefix snapshot. The entries point into the snapshot
+// itself: replay writes suffix entries only, so the prefix stays immutable.
+func (p *Prepared) newWalk() *walkState {
+	wk := &walkState{workflow: p.plan.Name, memo: p.memo, place: p.place,
+		est: &Estimate{
+			Jobs:     make(map[string]*JobEstimate, len(p.plan.Jobs)),
+			Datasets: make(map[string]*DatasetEstimate, len(p.plan.Datasets)),
+		},
+		ready: make(map[string]float64, len(p.prefixReady)),
 	}
-	for i := range p.prefixJobs {
-		est.Jobs[p.prefixJobs[i].id] = &p.prefixJobs[i].je
-	}
-	for i := range p.prefixDatasets {
-		est.Datasets[p.prefixDatasets[i].id] = &p.prefixDatasets[i].de
-	}
-	ready := make(map[string]float64, len(p.prefixReady))
-	for id, t := range p.prefixReady {
-		ready[id] = t
-	}
-	return est, ready
+	maps.Copy(wk.est.Jobs, p.prefix.Jobs)
+	maps.Copy(wk.est.Datasets, p.prefix.Datasets)
+	maps.Copy(wk.ready, p.prefixReady)
+	return wk
 }
 
-// replay is the one delta-estimate loop: it restores the slot pools to the
-// prefix snapshot and schedules jobs (a leading run of p.suffix) into est
-// and ready, which newBuffers seeded — freshly for Estimate, once per
-// Prepared for EstimateChanged. Suffix entries are overwritten in place
-// where a previous replay into the same buffers left them, and allocated
-// otherwise.
-func (p *Prepared) replay(est *Estimate, ready map[string]float64, jobs []suffixJob) (*Estimate, error) {
-	p.est.deltaCalls++
-	if p.fallback {
+// replay is the one delta estimate: it rewinds the slot pools and the
+// makespan to the prefix snapshot and walks jobs (a leading run of p.suffix)
+// into wk, which newWalk seeded — freshly for Estimate, once per Prepared
+// for EstimateChanged.
+func (p *Prepared) replay(wk *walkState, jobs []walkJob) (*Estimate, error) {
+	p.est.requests++
+	if p.prefix.Fallback {
 		return fallbackEstimate(p.plan), nil
 	}
-	est.Makespan = p.prefixMakespan
+	wk.est.Makespan = p.prefix.Makespan
 	p.mapPool.Restore(p.mapSnap)
 	p.redPool.Restore(p.redSnap)
-	for i := range jobs {
-		w := &jobs[i]
-		// Stale suffix entries from the previous probe are safe: topological
-		// order guarantees every entry a job reads was refreshed this probe
-		// (prefix entries are immutable; suffix inputs come from suffix jobs
-		// already processed above).
-		jobReady := 0.0
-		for _, in := range w.ins {
-			if t := ready[in]; t > jobReady {
-				jobReady = t
-			}
-		}
-		card, err := p.probeCard(w.job, est.Datasets)
-		if err != nil {
-			return nil, err
-		}
-		end := scheduleJob(card, jobReady, p.mapPool, p.redPool)
-		je := est.Jobs[w.job.ID]
-		if je == nil {
-			je = &JobEstimate{}
-			est.Jobs[w.job.ID] = je
-		}
-		card.fillJobEstimate(je, jobReady, end)
-		for i := range card.outputs {
-			if de := est.Datasets[card.outputs[i].id]; de != nil {
-				*de = card.outputs[i].est
-			} else {
-				v := card.outputs[i].est
-				est.Datasets[card.outputs[i].id] = &v
-			}
-		}
-		for _, out := range w.outs {
-			ready[out] = je.End
-		}
-		if je.End > est.Makespan {
-			est.Makespan = je.End
-		}
+	if err := p.est.walk(context.Background(), wk, jobs); err != nil {
+		return nil, err
 	}
-	return est, nil
+	return wk.est, nil
 }
-
-// probeCard returns the job's flow card for its current configuration and
-// input estimates, recomputing on a memo miss.
-func (p *Prepared) probeCard(job *wf.Job, datasets map[string]*DatasetEstimate) (*jobCard, error) {
-	bucket := p.memo[job.ID]
-	if bucket == nil {
-		bucket = make(map[wf.Config]*jobCard)
-		p.memo[job.ID] = bucket
-	}
-	card := bucket[job.Config]
-	if card == nil || !card.inputsMatch(datasets) {
-		var err error
-		card, err = p.est.flowJob(job, datasets)
-		if err != nil {
-			return nil, fmt.Errorf("whatif: job %s: %w", job.ID, err)
-		}
-		bucket[job.Config] = card
-	}
-	return card, nil
-}
-
-// Plan returns the workflow this Prepared is bound to.
-func (p *Prepared) Plan() *wf.Workflow { return p.plan }

@@ -1,11 +1,13 @@
 package whatif
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/stubby-mr/stubby/internal/profile"
+	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
@@ -253,5 +255,110 @@ func TestPreparedCountsFlowCards(t *testing.T) {
 	}
 	if c.FlowCards == 0 {
 		t.Error("flow cards never counted")
+	}
+}
+
+// TestEstimateChangedAllocs pins the allocation count of the configuration
+// search's probe — a lib-search job issues 15.6 k of them, most at a
+// configuration RRS's exploit phase has visited before — at the values
+// measured before the estimate loops became one walk. When only the last job
+// changes, every card comes from the memo and every estimate entry is
+// overwritten in place: the walk allocates nothing, and the two allocations
+// left are mrsim.SlotPool.ScheduleUniform's scratch slices. When the first
+// job changes too, its output estimates alternate, so the unchanged jobs
+// downstream of it miss their one-card buckets and recompute flow: the rest
+// are flowJob's.
+func TestEstimateChangedAllocs(t *testing.T) {
+	wl := equivWorkloads(t)["BR"]
+	for _, tc := range []struct {
+		name      string
+		withFirst bool
+		want      float64
+	}{
+		{"last job changes", false, 2},
+		{"first and last job change", true, 56},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := wl.Workflow.Clone()
+			order, err := plan.TopoSort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := []*wf.Job{order[len(order)-1]}
+			if tc.withFirst {
+				changed = append(changed, order[0])
+			}
+			var ids []string
+			for _, j := range changed {
+				ids = append(ids, j.ID)
+			}
+			prep, err := New(wl.Cluster).Prepare(plan, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			points := make([][]wf.Config, 2)
+			for i := range points {
+				for _, j := range changed {
+					c := j.Config
+					randomizeConfig(rng, &c)
+					points[i] = append(points[i], c)
+				}
+			}
+			n := 0
+			probe := func() {
+				for k, j := range changed {
+					j.Config = points[n%2][k]
+				}
+				n++
+				if _, err := prep.EstimateChanged(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			probe() // visit both points once: the pin is the recurring probe's count
+			probe()
+			if allocs := testing.AllocsPerRun(100, probe); allocs != tc.want {
+				t.Fatalf("a recurring EstimateChanged probe allocates %.1f times, want %.0f", allocs, tc.want)
+			}
+		})
+	}
+}
+
+// TestFlowErrorParity: a flow error is the same structured error through
+// every entry point. J2 is profiled, so estimation is cost-based, but its
+// profile lacks its one map branch's tag: flow fails at J2 ("missing map
+// profile for tag"), reached by Estimate's full walk, by Prepare's prefix
+// walk when J2 is not changeable, and by both probe paths when it is.
+func TestFlowErrorParity(t *testing.T) {
+	w, _, cl := buildAnnotated(t, 500)
+	j2 := w.Job("J2")
+	j2.Profile.MapSide = nil
+	j2.Profile.MapSideByInput = nil
+	prepared := func(t *testing.T) *Prepared {
+		p, err := New(cl).Prepare(w, []string{"J2"})
+		if err != nil {
+			t.Fatalf("Prepare with J2 in the suffix: %v", err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		call func(t *testing.T) error
+	}{
+		{"Estimate", func(t *testing.T) error { _, err := New(cl).Estimate(w); return err }},
+		{"Prepare", func(t *testing.T) error { _, err := New(cl).Prepare(w, nil); return err }},
+		{"Prepared.Estimate", func(t *testing.T) error { _, err := prepared(t).Estimate(); return err }},
+		{"Prepared.EstimateChanged", func(t *testing.T) error { _, err := prepared(t).EstimateChanged(); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.call(t)
+			var se *stubbyerr.Error
+			if !errors.As(err, &se) {
+				t.Fatalf("error %v (%T) is not a *stubbyerr.Error", err, err)
+			}
+			if se.Kind != stubbyerr.KindInvalid || se.Op != "whatif" || se.Workflow != "chain" || se.Job != "J2" {
+				t.Fatalf("error = %+v, want Kind invalid, Op whatif, Workflow chain, Job J2", *se)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/stubby-mr/stubby/internal/mrsim"
-	"github.com/stubby-mr/stubby/internal/profile"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
@@ -90,74 +89,37 @@ func (e *Estimator) Robustness(ctx context.Context, w *wf.Workflow, opt Robustne
 	if samples <= 0 {
 		samples = DefaultRobustnessSamples
 	}
-	order, err := w.TopoSort()
-	if err != nil {
+	jobs, est, err := open(w)
+	if err != nil || est == nil {
 		return nil, err
 	}
-	if !profile.HasFullProfiles(w) || !hasBaseSizes(w) {
-		return nil, nil
-	}
 
-	// Flow layer, once: the same evolving-dataset pass Estimate runs.
-	type jobPlay struct {
-		id      string
-		card    *jobCard
-		inputs  []string
-		outputs []string
-	}
-	datasets := make(map[string]*DatasetEstimate, len(w.Datasets))
-	seedBaseDatasets(w, datasets)
-	plays := make([]jobPlay, 0, len(order))
-	for _, job := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		card, err := e.flowJob(job, datasets)
-		if err != nil {
-			return nil, &stubbyerr.Error{Kind: stubbyerr.KindInvalid, Op: "whatif.robustness",
-				Workflow: w.Name, Job: job.ID, Err: err}
-		}
-		card.applyOutputs(datasets)
-		plays = append(plays, jobPlay{id: job.ID, card: card,
-			inputs: job.Inputs(), outputs: job.Outputs()})
-	}
-
-	// Scheduling layer, N times.
+	// One walk per fault seed. The memo makes the first walk the flow layer's
+	// only run: configurations never change and every walk publishes the same
+	// dataset estimates, so each later one finds every card.
 	mapPool := mrsim.NewFaultyPool(opt.Model.SlotSpeeds(e.Cluster, false))
 	redPool := mrsim.NewFaultyPool(opt.Model.SlotSpeeds(e.Cluster, true))
 	mapSnap, redSnap := mapPool.Snapshot(), redPool.Snapshot()
 	rep := &Robustness{Samples: samples, Makespans: make([]float64, 0, samples)}
-	ready := make(map[string]float64, len(w.Datasets))
+	var fm *mrsim.FaultModel // the sample's reseeded model
+	var failed bool          // whether a task of the sample failed out
+	wk := walkState{workflow: w.Name, est: est, memo: make(cardMemo),
+		ready: make(map[string]float64, len(w.Datasets)),
+		place: func(card *jobCard, jobID string, jobReady float64) float64 {
+			return replayJob(fm, card, jobID, jobReady, mapPool, redPool, &failed)
+		}}
 	for i := 0; i < samples; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fm := opt.Model.Reseed(mrsim.PerturbSeed(opt.Model.Seed, i))
+		fm = opt.Model.Reseed(mrsim.PerturbSeed(opt.Model.Seed, i))
 		mapPool.Restore(mapSnap)
 		redPool.Restore(redSnap)
-		for k := range ready {
-			delete(ready, k)
-		}
-		makespan, failed := 0.0, false
-		for _, p := range plays {
-			jobReady := 0.0
-			for _, in := range p.inputs {
-				if t := ready[in]; t > jobReady {
-					jobReady = t
-				}
-			}
-			end := replayJob(fm, p.card, p.id, jobReady, mapPool, redPool, &failed)
-			for _, out := range p.outputs {
-				ready[out] = end
-			}
-			if end > makespan {
-				makespan = end
-			}
+		est.Makespan, failed = 0, false
+		if err := e.walk(ctx, &wk, jobs); err != nil {
+			return nil, err
 		}
 		if failed {
 			rep.FailedOut++
 		}
-		rep.Makespans = append(rep.Makespans, makespan)
+		rep.Makespans = append(rep.Makespans, est.Makespan)
 	}
 
 	var sum float64

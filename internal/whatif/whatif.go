@@ -12,23 +12,27 @@
 //
 // # Architecture
 //
-// Estimation is split into two layers. The flow layer (flow.go) is the pure
-// per-job computation — input pruning, tag flow, the combiner model, skew,
-// task counts, average and straggler task durations, and output dataset
-// estimates — producing an immutable per-job duration card. The scheduling
-// layer (schedule.go) replays cards against the workflow's shared map and
-// reduce slot pools, which is cheap arithmetic. Estimate composes the two;
-// Prepare (prepared.go) exploits the split to answer configuration-search
-// probes incrementally, recomputing flow only for jobs a probe actually
-// affects while replaying scheduling from a slot-pool snapshot. An estimator
-// built with NewCached additionally answers whole-workflow estimates from a
-// shared, concurrent-safe Cache (cache.go) keyed by canonical workflow
+// Estimation is one walk over the workflow's jobs in topological order
+// (Estimator.walk, below), and every entry point is that walk. Per job it
+// takes the ready time from the input datasets, the job's flow card — the
+// pure per-job computation of flow.go: input pruning, tag flow, the combiner
+// model, skew, task counts, average and straggler task durations, output
+// dataset estimates — the job's place on the workflow's shared map and
+// reduce slot pools (schedule.go, cheap arithmetic), and publishes the
+// JobEstimate and the output DatasetEstimates the jobs downstream read.
+// Estimate walks every job with fresh cards. Prepare (prepared.go) walks the
+// jobs before the first one a configuration search may change, once, and
+// snapshots the pools; each probe then walks only the rest, taking cards from
+// a memo and recomputing flow only for jobs the probe actually affects.
+// Robustness (robust.go) walks the plan once per fault seed on perturbed
+// pools with one memo, so flow runs once. An estimator built with NewCached
+// additionally answers whole-workflow estimates from a shared Cache
+// (cache.go) — one mutex over one LRU, keyed by canonical workflow
 // fingerprint; delta estimates and robustness replays never consult it.
 package whatif
 
 import (
 	"context"
-	"errors"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
@@ -122,9 +126,8 @@ type Estimator struct {
 	// different sample, resurrecting stale skew entries nondeterministically
 	// with GC timing.)
 	sampleHashes map[*keyval.Tuple]uint64
-	requests     uint64 // EstimateContext calls
-	computed     uint64 // runs of the monolithic loop (all of requests without a cache)
-	deltaCalls   uint64
+	requests     uint64 // EstimateContext calls plus Prepared's delta estimates
+	computed     uint64 // runs of the monolithic walk (every EstimateContext call without a cache)
 	flowCards    uint64
 }
 
@@ -175,7 +178,7 @@ func (e *Estimator) sampleHash(sample []keyval.Tuple) uint64 {
 // through Prepare, and per-job flow computations.
 func (e *Estimator) Counts() Counts {
 	return Counts{
-		Requests:  e.requests + e.deltaCalls,
+		Requests:  e.requests,
 		Computed:  e.computed,
 		FlowCards: e.flowCards,
 	}
@@ -195,7 +198,9 @@ func (e *Estimator) Estimate(w *wf.Workflow) (*Estimate, error) {
 // EstimateContext is Estimate under a context: a cache hit returns
 // immediately; a computation checks cancellation between per-job flow
 // computations, so estimates of long workflows stop promptly with
-// ctx.Err(), and a canceled computation is never cached.
+// ctx.Err(), and a canceled computation is never cached. Waiting on another
+// estimator's computation of the same plan ends with ctx too, and that
+// estimator's cancellation is never this caller's error (Cache.GetOrCompute).
 func (e *Estimator) EstimateContext(ctx context.Context, w *wf.Workflow) (*Estimate, error) {
 	e.requests++
 	if e.cache == nil {
@@ -206,63 +211,27 @@ func (e *Estimator) EstimateContext(ctx context.Context, w *wf.Workflow) (*Estim
 	for i, j := range w.Jobs {
 		jobIDs[i] = j.ID
 	}
-	for {
-		est, err := e.cache.GetOrCompute(key, jobIDs, func() (*Estimate, error) {
-			return e.compute(ctx, w)
-		})
-		// The single flight returns the owner's error to every waiter. A
-		// ctx-derived error with OUR ctx still live means a fingerprint-
-		// equal caller was canceled mid-computation — their cancellation
-		// must not poison this caller, so recompute (the failed flight was
-		// removed, so the retry starts fresh).
-		if err != nil && ctx.Err() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			continue
-		}
-		return est, err
-	}
+	return e.cache.GetOrCompute(ctx, key, jobIDs, func() (*Estimate, error) {
+		return e.compute(ctx, w)
+	})
 }
 
-// compute is the monolithic estimate: flow and scheduling for every job in
-// topological order. It is the reference the incremental path (prepared.go)
-// is tested against.
+// compute is the monolithic estimate: the walk over every job with nothing
+// prepared and no memo. It is the reference the incremental path
+// (prepared.go) is tested against.
 func (e *Estimator) compute(ctx context.Context, w *wf.Workflow) (*Estimate, error) {
 	e.computed++
-	order, err := w.TopoSort()
+	jobs, est, err := open(w)
 	if err != nil {
 		return nil, err
 	}
-	if !profile.HasFullProfiles(w) || !hasBaseSizes(w) {
+	if est == nil {
 		return fallbackEstimate(w), nil
 	}
-	est := &Estimate{
-		Jobs:     make(map[string]*JobEstimate, len(w.Jobs)),
-		Datasets: make(map[string]*DatasetEstimate, len(w.Datasets)),
-	}
-	seedBaseDatasets(w, est.Datasets)
-	mapPool := mrsim.NewSlotPool(e.Cluster.TotalMapSlots())
-	redPool := mrsim.NewSlotPool(e.Cluster.TotalReduceSlots())
-	ready := make(map[string]float64)
-	for _, job := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		jobReady := readyTime(job, ready)
-		card, err := e.flowJob(job, est.Datasets)
-		if err != nil {
-			return nil, &stubbyerr.Error{Kind: stubbyerr.KindInvalid, Op: "whatif",
-				Workflow: w.Name, Job: job.ID, Err: err}
-		}
-		end := scheduleJob(card, jobReady, mapPool, redPool)
-		je := card.jobEstimate(jobReady, end)
-		est.Jobs[job.ID] = je
-		card.applyOutputs(est.Datasets)
-		for _, out := range job.Outputs() {
-			ready[out] = je.End
-		}
-		if je.End > est.Makespan {
-			est.Makespan = je.End
-		}
+	_, _, place := e.nominalPools()
+	wk := walkState{workflow: w.Name, est: est, ready: make(map[string]float64), place: place}
+	if err := e.walk(ctx, &wk, jobs); err != nil {
+		return nil, err
 	}
 	return est, nil
 }
@@ -274,40 +243,164 @@ func fallbackEstimate(w *wf.Workflow) *Estimate {
 		Jobs: map[string]*JobEstimate{}, Datasets: map[string]*DatasetEstimate{}}
 }
 
-// seedBaseDatasets fills dst with estimates for the workflow's base inputs.
-func seedBaseDatasets(w *wf.Workflow, dst map[string]*DatasetEstimate) {
+// walkJob is one job of a walk with its distinct input and output dataset
+// IDs resolved once: job.Inputs/Outputs allocate per call, and a Prepared
+// walks the same jobs hundreds of times per subplan.
+type walkJob struct {
+	job       *wf.Job
+	ins, outs []string
+}
+
+// open starts an estimate of w: its jobs in topological order and an Estimate
+// holding the base datasets. A nil Estimate without an error means the
+// annotations — a profile on every job, a size on every base dataset — are
+// insufficient for cost-based estimation.
+func open(w *wf.Workflow) ([]walkJob, *Estimate, error) {
+	order, err := w.TopoSort()
+	if err != nil {
+		return nil, nil, err
+	}
+	if !profile.HasFullProfiles(w) {
+		return nil, nil, nil
+	}
+	est := &Estimate{
+		Jobs:     make(map[string]*JobEstimate, len(w.Jobs)),
+		Datasets: make(map[string]*DatasetEstimate, len(w.Datasets)),
+	}
 	for _, d := range w.Datasets {
-		if d.Base {
-			parts := maxInt(d.EstPartitions, 1)
-			dst[d.ID] = &DatasetEstimate{
-				Records:      d.EstRecords,
-				Bytes:        d.EstBytes,
-				Partitions:   parts,
-				Layout:       d.Layout.Clone(),
-				MaxPartShare: 1 / float64(parts),
+		if !d.Base {
+			continue
+		}
+		if d.EstRecords <= 0 || d.EstBytes <= 0 {
+			return nil, nil, nil
+		}
+		parts := max(d.EstPartitions, 1)
+		est.Datasets[d.ID] = &DatasetEstimate{
+			Records:      d.EstRecords,
+			Bytes:        d.EstBytes,
+			Partitions:   parts,
+			Layout:       d.Layout.Clone(),
+			MaxPartShare: 1 / float64(parts),
+		}
+	}
+	jobs := make([]walkJob, len(order))
+	for i, job := range order {
+		jobs[i] = walkJob{job: job, ins: job.Inputs(), outs: job.Outputs()}
+	}
+	return jobs, est, nil
+}
+
+// walkState is one estimate in progress: what the jobs walked so far
+// published, and where the next job's card and slots come from.
+type walkState struct {
+	workflow string // named in errors
+	est      *Estimate
+	// ready is when each dataset written so far is materialized (base
+	// datasets, absent, are ready at time zero).
+	ready map[string]float64
+	// memo, when non-nil, answers cards computed before for the same job,
+	// configuration and input estimates; nil computes every card.
+	memo cardMemo
+	// place schedules a card's tasks: scheduleJob on the nominal slot pools,
+	// or Robustness's replayJob on perturbed ones.
+	place placer
+}
+
+// cardMemo holds flow cards keyed per job by the exact configuration they
+// were computed under; a card is reused when the job's configuration recurs
+// and its input dataset estimates match the card's (flow is a pure function
+// of job, configuration, and inputs). Unchanged jobs have a constant
+// configuration, so their bucket holds one card that survives while upstream
+// probes leave their inputs alone; changed jobs accumulate one card per
+// visited configuration, which the clustered probes of RRS's exploit phase
+// revisit heavily.
+type cardMemo map[string]map[wf.Config]*jobCard
+
+// walk is the estimator's one loop, shared by every entry point so that no
+// float ever takes a different path. For each job, in the order given: the
+// ready time is the latest of its input datasets', the flow card comes from
+// the memo or flowJob, place puts its tasks on the slots, and the JobEstimate
+// and output DatasetEstimates are published for the jobs downstream. Entries
+// already present in wk.est (a Prepared's reused probe buffers) are
+// overwritten in place and allocated otherwise. Stale entries from an earlier
+// walk into the same buffers are safe: topological order guarantees every
+// entry a job reads was refreshed by this walk or belongs to jobs before it.
+// Published DatasetEstimates are value copies of the card's, so scalar fields
+// are caller-independent; the Layout slice fields still alias the card's
+// (layouts are treated as immutable throughout the estimator).
+func (e *Estimator) walk(ctx context.Context, wk *walkState, jobs []walkJob) error {
+	est := wk.est
+	for i := range jobs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		j := &jobs[i]
+		jobReady := 0.0
+		for _, in := range j.ins {
+			if t := wk.ready[in]; t > jobReady {
+				jobReady = t
 			}
 		}
-	}
-}
-
-// readyTime is the earliest time every input of the job is materialized.
-func readyTime(job *wf.Job, ready map[string]float64) float64 {
-	jobReady := 0.0
-	for _, in := range job.Inputs() {
-		if t := ready[in]; t > jobReady {
-			jobReady = t
+		card, err := e.card(j.job, est.Datasets, wk.memo)
+		if err != nil {
+			return &stubbyerr.Error{Kind: stubbyerr.KindInvalid, Op: "whatif",
+				Workflow: wk.workflow, Job: j.job.ID, Err: err}
+		}
+		end := wk.place(card, j.job.ID, jobReady)
+		je := est.Jobs[j.job.ID]
+		if je == nil {
+			je = &JobEstimate{}
+			est.Jobs[j.job.ID] = je
+		}
+		*je = JobEstimate{
+			MapTasks:      card.mapTasks,
+			ReduceTasks:   card.reduceTasks,
+			AvgMapTaskSec: card.avgMapDur,
+			Start:         jobReady,
+			End:           end,
+		}
+		if card.hasReduce {
+			je.AvgReduceTaskSec = card.avgRedDur
+			je.MaxReduceTaskSec = card.maxRedDur
+			je.ShuffleBytesVirtual = card.shuffleWire
+		}
+		for k := range card.outputs {
+			out := &card.outputs[k]
+			if de := est.Datasets[out.id]; de != nil {
+				*de = out.est
+			} else {
+				v := out.est
+				est.Datasets[out.id] = &v
+			}
+		}
+		for _, out := range j.outs {
+			wk.ready[out] = end
+		}
+		if end > est.Makespan {
+			est.Makespan = end
 		}
 	}
-	return jobReady
+	return nil
 }
 
-func hasBaseSizes(w *wf.Workflow) bool {
-	for _, d := range w.Datasets {
-		if d.Base && (d.EstRecords <= 0 || d.EstBytes <= 0) {
-			return false
+// card returns the job's flow card for its current configuration and input
+// estimates, computing it unless the memo holds one.
+func (e *Estimator) card(job *wf.Job, datasets map[string]*DatasetEstimate, memo cardMemo) (*jobCard, error) {
+	var bucket map[wf.Config]*jobCard
+	if memo != nil {
+		if bucket = memo[job.ID]; bucket == nil {
+			bucket = make(map[wf.Config]*jobCard)
+			memo[job.ID] = bucket
+		}
+		if card := bucket[job.Config]; card != nil && card.inputsMatch(datasets) {
+			return card, nil
 		}
 	}
-	return true
+	card, err := e.flowJob(job, datasets)
+	if err == nil && bucket != nil {
+		bucket[job.Config] = card
+	}
+	return card, err
 }
 
 func ceilDiv(a, b float64) float64 {
@@ -322,11 +415,4 @@ func ceilDiv(a, b float64) float64 {
 		return 1
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

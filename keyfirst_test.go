@@ -600,9 +600,6 @@ func TestJournalRestartSkipsBornFinished(t *testing.T) {
 // fingerprinting a plan or journaling a record would each cost a multiple
 // of it.
 func TestStoreHitAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation budget over BR skipped in -short")
-	}
 	ctx := context.Background()
 	f := newStoreServer(t, t.TempDir())
 	wl := differentialWorkloads(t)["BR"]

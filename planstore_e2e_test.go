@@ -33,9 +33,6 @@ func storeSession(t *testing.T, wl *stubby.Workload, ps *stubby.PlanStore) *stub
 // plan, equal cost, FromStore set, zero What-if activity, zero optimizer
 // units run.
 func TestPlanStoreRestartHit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("optimizes all paper workloads twice")
-	}
 	ctx := context.Background()
 	dir := t.TempDir()
 
@@ -224,9 +221,6 @@ func TestPlanStoreSubmitSingleFlight(t *testing.T) {
 // replica B must produce byte-identical plans, with B answering from the
 // store — total optimizations stay at 8, half the submission count.
 func TestTwoReplicaSharedStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("optimizes all paper workloads")
-	}
 	ctx := context.Background()
 	dir := t.TempDir()
 
