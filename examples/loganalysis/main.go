@@ -41,7 +41,11 @@ func main() {
 
 	// Reference point: the production Baseline (Pig rules + rule-of-thumb
 	// configuration), as in the paper's evaluation.
-	basePlan, err := stubby.NewBaseline(wl.Cluster).Plan(wl.Workflow)
+	baseline, err := sess.Planner("baseline")
+	if err != nil {
+		log.Fatal(err)
+	}
+	basePlan, err := baseline.Plan(wl.Workflow)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,11 @@ func main() {
 		}
 	}
 
-	basePlan, err := stubby.NewBaseline(wl.Cluster).Plan(wl.Workflow)
+	baseline, err := sess.Planner("baseline")
+	if err != nil {
+		log.Fatal(err)
+	}
+	basePlan, err := baseline.Plan(wl.Workflow)
 	if err != nil {
 		log.Fatal(err)
 	}

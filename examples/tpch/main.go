@@ -28,15 +28,12 @@ func main() {
 	if err := sess.Profile(ctx, wl.Workflow, wl.DFS); err != nil {
 		log.Fatal(err)
 	}
-	planners := []stubby.Planner{
-		stubby.NewBaseline(wl.Cluster),
-		stubby.NewStarfish(wl.Cluster, 3),
-		stubby.NewYSmart(wl.Cluster),
-		stubby.NewMRShare(wl.Cluster, 3),
-		stubby.NewStubbyPlanner(wl.Cluster, stubby.GroupAll, 3, "Stubby"),
-	}
 	var baseline float64
-	for _, p := range planners {
+	for _, name := range []string{"baseline", "starfish", "ysmart", "mrshare", "stubby"} {
+		p, err := sess.Planner(name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		t0 := time.Now()
 		plan, err := p.Plan(wl.Workflow)
 		if err != nil {

@@ -52,19 +52,10 @@ func RuleConfig(w *wf.Workflow, c *mrsim.Cluster) {
 		j.Config.SplitSizeMB = 128
 		j.Config.SortBufferMB = 200
 		j.Config.IOSortFactor = 25
-		j.Config.UseCombiner = hasCombiner(j)
+		j.Config.UseCombiner = j.HasCombiner()
 		j.Config.CompressMapOutput = false
 		j.Config.CompressOutput = false
 	}
-}
-
-func hasCombiner(j *wf.Job) bool {
-	for _, g := range j.ReduceGroups {
-		if !g.MapOnly() && g.Combiner != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // packAllSameInput repeatedly horizontally packs every set of jobs sharing

@@ -17,6 +17,14 @@ import (
 // plan, so configuration effects on downstream consumers (e.g. output
 // compression) are priced in.
 
+// hysteresis guards incumbents against estimator noise: a tuned
+// configuration, or a structural change over the unit's incumbent
+// structure, must predict a cost below hysteresis × the incumbent's to
+// displace it. Chasing smaller predicted gains only trades one noise
+// optimum for another, and would let a later traversal phase churn what an
+// earlier phase settled.
+const hysteresis = 0.97
+
 // configDim maps one RRS dimension onto a configuration field of one or
 // more jobs (several when a many-to-one packing tied their reduce counts).
 type configDim struct {
@@ -32,9 +40,8 @@ type configDim struct {
 // the unit's completion time within the whole-plan estimate (Section 4.2:
 // the subplan minimizing "the total running time of the MapReduce jobs in
 // U(i)"), so effects on in-unit consumers are priced while unrelated
-// downstream noise is not. The estimator is passed in (rather than read
-// from s.est) so parallel subplan searches can use private memoization.
-// Cancellation is checked between RRS evaluations.
+// downstream noise is not. The estimator is the calling tuning worker's
+// own. Cancellation is checked between RRS evaluations.
 func (s *Stubby) tuneConfigs(ctx context.Context, est *whatif.Estimator, plan *wf.Workflow, unitOrigins map[string]bool, seed int64) (*wf.Workflow, float64, bool, error) {
 	dims := s.configSpace(plan, unitOrigins)
 	unitJobs := jobsWithinOrigins(plan, unitOrigins)
@@ -145,13 +152,8 @@ func (s *Stubby) tuneConfigs(ctx context.Context, est *whatif.Estimator, plan *w
 	if err := ctx.Err(); err != nil {
 		return nil, 0, false, err
 	}
-	// Hysteresis: keep the incumbent configuration unless the search
-	// predicts a meaningful gain. Chasing sub-percent predicted
-	// improvements only trades one estimator-noise optimum for another
-	// (and would let a later traversal phase churn configurations the
-	// earlier phase already settled).
 	incumbent := unitCost(baseEst)
-	if res.Value > incumbent*0.97 {
+	if res.Value > incumbent*hysteresis {
 		return plan, incumbent, false, nil
 	}
 	tuned := plan.Clone()
@@ -217,7 +219,7 @@ func (s *Stubby) configSpace(plan *wf.Workflow, unitOrigins map[string]bool) []c
 				apply: func(c *wf.Config, v float64) { c.CompressMapOutput = v >= 0.5 },
 				read:  func(c wf.Config) float64 { return boolToF(c.CompressMapOutput) },
 			})
-			if hasCombiner(j) {
+			if j.HasCombiner() {
 				dims = append(dims, configDim{
 					param: rrs.Param{Name: name + ".combiner", Min: 0, Max: 1, Integer: true},
 					jobs:  []string{id},
@@ -275,15 +277,6 @@ func allGroupsRangePinned(j *wf.Job) bool {
 		}
 	}
 	return any
-}
-
-func hasCombiner(j *wf.Job) bool {
-	for _, g := range j.ReduceGroups {
-		if !g.MapOnly() && g.Combiner != nil {
-			return true
-		}
-	}
-	return false
 }
 
 func boolToF(b bool) float64 {

@@ -116,9 +116,9 @@ func (brokenTransformation) Apply(plan *wf.Workflow, unitJobs []string) []Propos
 	return []Proposal{{Plan: nil}, {Plan: bad, Desc: "invalid"}}
 }
 
-func customFixture(t *testing.T) (*wf.Workflow, *mrsim.DFS, *mrsim.Cluster) {
+// customFixture profiles w over a 600-record src.
+func customFixture(t *testing.T, w *wf.Workflow) (*wf.Workflow, *mrsim.DFS, *mrsim.Cluster) {
 	t.Helper()
-	w := copyChain()
 	var pairs []keyval.Pair
 	for i := 0; i < 600; i++ {
 		pairs = append(pairs, keyval.Pair{
@@ -146,7 +146,7 @@ func customFixture(t *testing.T) (*wf.Workflow, *mrsim.DFS, *mrsim.Cluster) {
 // remove the copy job) a registered custom transformation is enumerated,
 // chosen on cost, traced, and preserves results.
 func TestCustomTransformationExtendsSearch(t *testing.T) {
-	w, dfs, cl := customFixture(t)
+	w, dfs, cl := customFixture(t, copyChain())
 
 	run := func(plan *wf.Workflow) []keyval.Pair {
 		d := dfs.Clone()
@@ -210,7 +210,7 @@ func TestCustomTransformationExtendsSearch(t *testing.T) {
 }
 
 func TestCustomTransformationInvalidProposalsDiscarded(t *testing.T) {
-	w, _, cl := customFixture(t)
+	w, _, cl := customFixture(t, copyChain())
 	res, err := New(cl, Options{Seed: 1, Custom: []Transformation{brokenTransformation{}}}).Optimize(w)
 	if err != nil {
 		t.Fatalf("broken custom transformation aborted the search: %v", err)
@@ -256,7 +256,7 @@ func (workDoubler) Apply(plan *wf.Workflow, unitJobs []string) []Proposal {
 }
 
 func TestCustomTransformationCostRejected(t *testing.T) {
-	w, _, cl := customFixture(t)
+	w, _, cl := customFixture(t, copyChain())
 	res, err := New(cl, Options{Seed: 1, Custom: []Transformation{workDoubler{}}}).Optimize(w)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)

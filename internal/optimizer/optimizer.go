@@ -88,10 +88,11 @@ type Options struct {
 	// search loop — in enumeration order even when subplan tuning runs in
 	// parallel — so it should return quickly.
 	Progress func(event.Event)
-	// Parallelism bounds concurrent configuration searches over a unit's
-	// enumerated subplans (<=1 searches serially). Results are identical
-	// at any parallelism: per-subplan seeds derive from structure, and
-	// selection replays in enumeration order.
+	// Parallelism is the number of workers that tune a unit's enumerated
+	// subplans, each with its own estimator (<=1: one worker, which tunes
+	// them in enumeration order). Results are identical at any
+	// parallelism: per-subplan seeds derive from structure, and selection
+	// replays in enumeration order.
 	Parallelism int
 	// EstimateCache, when non-nil, memoizes What-if estimates under
 	// canonical workflow fingerprints: revisited cost-equivalent plans
@@ -178,17 +179,14 @@ func (o Options) withDefaults() Options {
 // Stubby is the transformation-based workflow optimizer.
 type Stubby struct {
 	cluster *mrsim.Cluster
-	est     *whatif.Estimator
-	// estPool hands one private estimator to each concurrent subplan
-	// search (nil when Parallelism <= 1). Pool lifetime spans the whole
-	// search, so per-estimator memoization (skew, fingerprints) persists
-	// across units and phases just as the serial path's single estimator
-	// does. With Options.EstimateCache the pool estimators additionally
-	// share the concurrent-safe estimate cache.
-	estPool chan *whatif.Estimator
-	// allEsts lists every estimator ever handed out, for counter sums.
-	allEsts []*whatif.Estimator
-	opt     Options
+	// ests holds one private (not concurrent-safe) estimator per tuning
+	// worker, max(1, Parallelism) of them, each answering from the shared
+	// estimate cache when one is configured. They live as long as the
+	// optimizer, so per-estimator memoization (skew, fingerprints) persists
+	// across units and phases. ests[0] also serves the work outside tuning:
+	// the reuse pre-pass, robustness tie-breaks and the final estimate.
+	ests []*whatif.Estimator
+	opt  Options
 	// table holds the structural transformations this search enumerates.
 	table []row
 }
@@ -197,29 +195,18 @@ type Stubby struct {
 func New(cluster *mrsim.Cluster, opt Options) *Stubby {
 	s := &Stubby{cluster: cluster, opt: opt.withDefaults()}
 	s.table = newTable(cluster, s.opt)
-	s.est = s.newEstimator()
-	if s.opt.Parallelism > 1 {
-		s.estPool = make(chan *whatif.Estimator, s.opt.Parallelism)
-		for i := 0; i < s.opt.Parallelism; i++ {
-			s.estPool <- s.newEstimator()
-		}
+	s.ests = make([]*whatif.Estimator, max(1, s.opt.Parallelism))
+	for i := range s.ests {
+		s.ests[i] = whatif.NewCached(cluster, s.opt.EstimateCache)
 	}
 	return s
-}
-
-// newEstimator builds one private (not concurrent-safe) estimator, answering
-// from the shared estimate cache when one is configured.
-func (s *Stubby) newEstimator() *whatif.Estimator {
-	est := whatif.NewCached(s.cluster, s.opt.EstimateCache)
-	s.allEsts = append(s.allEsts, est)
-	return est
 }
 
 // whatIfCounts sums what-if activity across every estimator of the search.
 // Only call while no search goroutines are running (between optimizations).
 func (s *Stubby) whatIfCounts() whatif.Counts {
 	var total whatif.Counts
-	for _, e := range s.allEsts {
+	for _, e := range s.ests {
 		total.Add(e.Counts())
 	}
 	return total
@@ -352,14 +339,14 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 			return nil, err
 		}
 	}
-	est, err := s.est.Estimate(plan)
+	est, err := s.ests[0].Estimate(plan)
 	if err != nil {
 		return nil, err
 	}
 	res.Plan = plan
 	res.EstimatedCost = est.Makespan
 	if s.opt.Robustness != nil && !est.Fallback {
-		rob, rerr := s.est.Robustness(ctx, plan, *s.opt.Robustness)
+		rob, rerr := s.ests[0].Robustness(ctx, plan, *s.opt.Robustness)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -396,7 +383,12 @@ func (s *Stubby) traverse(ctx context.Context, plan *wf.Workflow, ph phaseSpec, 
 			frontier = append(frontier, j.ID)
 		}
 	}
-	for iter := 0; len(frontier) > 0 && iter <= len(plan.Jobs)+len(res.Units)+4; iter++ {
+	// Each unit advances the frontier by at least one level of the plan, so
+	// a phase needs at most one unit per job. The bound, fixed before the
+	// walk, ends a phase whose frontier cycles instead — which a custom
+	// transformation breaking the Origin contract can cause.
+	maxUnits := len(plan.Jobs) + 4
+	for iter := 0; len(frontier) > 0 && iter < maxUnits; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -52,9 +52,7 @@ func (s *Stubby) applyReuse(ctx context.Context, plan *wf.Workflow) (*wf.Workflo
 			if !ok {
 				continue
 			}
-			if trans.CanReuse(plan, d.ID, stored) != nil {
-				continue
-			}
+			// ApplyReuse checks its own precondition (trans.CanReuse).
 			rewritten, err := trans.ApplyReuse(plan, d.ID, stored)
 			if err != nil {
 				continue
@@ -64,14 +62,14 @@ func (s *Stubby) applyReuse(ctx context.Context, plan *wf.Workflow) (*wf.Workflo
 		if len(rewrites) == 0 {
 			return plan, reused, nil
 		}
-		base, err := s.est.Estimate(plan)
+		base, err := s.ests[0].Estimate(plan)
 		if err != nil {
 			return nil, 0, err
 		}
 		var bestPlan *wf.Workflow
 		var bestEst *whatif.Estimate
 		for _, rewritten := range rewrites {
-			est, err := s.est.Estimate(rewritten)
+			est, err := s.ests[0].Estimate(rewritten)
 			if err != nil {
 				continue
 			}

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -15,11 +14,6 @@ import (
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
-
-// errSearchAborted marks subplan slots whose configuration search was
-// skipped because a sibling already failed; the sibling's error is the one
-// reported.
-var errSearchAborted = errors.New("optimizer: subplan search aborted after earlier failure")
 
 // subplan is one structural alternative for a unit.
 type subplan struct {
@@ -38,9 +32,9 @@ type tunedSubplan struct {
 
 // optimizeUnit enumerates all structural subplans for the unit (Figure 10),
 // searches configurations for each with RRS, and returns the plan with the
-// lowest estimated cost. Under Options.Parallelism the per-subplan searches
-// run concurrently; selection and progress events still replay in
-// enumeration order, so the chosen plan is identical to a serial search.
+// lowest estimated cost. The per-subplan searches run on the optimizer's
+// tuning workers; selection and progress events replay in enumeration
+// order, so the chosen plan does not depend on the number of workers.
 func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []string, ph phaseSpec, unitIdx int) (*wf.Workflow, *UnitReport, error) {
 	unitOrigins := map[string]bool{}
 	for _, id := range unit {
@@ -55,11 +49,8 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 	}
 	subplans, yield := s.enumerate(plan, unitOrigins, ph)
 	tuned := s.tuneSubplans(ctx, subplans, unitOrigins, unitIdx)
-	// Surface the search failure that caused any abort, never the abort
-	// sentinel itself (slot order is unrelated to failure order; a
-	// sentinel is only ever written after its cause's real error).
 	for _, tn := range tuned {
-		if tn.err != nil && !errors.Is(tn.err, errSearchAborted) {
+		if tn.err != nil {
 			return nil, nil, tn.err
 		}
 	}
@@ -97,7 +88,7 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 		// to displace it.
 		threshold := bestCost
 		if bestIdx == 0 {
-			threshold = bestCost * 0.97
+			threshold = bestCost * hysteresis
 		}
 		if bestIdx == -1 || tn.cost < threshold {
 			bestIdx, bestCost, bestPlan = i, tn.cost, tn.plan
@@ -136,7 +127,7 @@ const robustnessTieBand = 1.03
 // best estimated cost, the lowest p99 wins (enumeration order breaks p99
 // ties, and the incumbent keeps winning exact ties — so re-ranking is
 // deterministic and a non-perturbing model can never flip a choice). The
-// replay runs serially on the search's own estimator, so parallelism
+// replay runs serially on the first worker's estimator, so parallelism
 // cannot change the outcome.
 func (s *Stubby) robustTieBreak(ctx context.Context, tuned []tunedSubplan, baselineFallback bool, bestIdx int, bestCost float64) (int, *wf.Workflow, error) {
 	band := bestCost * robustnessTieBand
@@ -154,7 +145,7 @@ func (s *Stubby) robustTieBreak(ctx context.Context, tuned []tunedSubplan, basel
 	}
 	p99 := make(map[int]float64, len(ties))
 	for _, i := range ties {
-		rob, err := s.est.Robustness(ctx, tuned[i].plan, *s.opt.Robustness)
+		rob, err := s.ests[0].Robustness(ctx, tuned[i].plan, *s.opt.Robustness)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -174,52 +165,35 @@ func (s *Stubby) robustTieBreak(ctx context.Context, tuned []tunedSubplan, basel
 	return winIdx, tuned[winIdx].plan, nil
 }
 
-// tuneSubplans runs the configuration search for every enumerated subplan,
-// serially or on a bounded worker pool. Per-subplan seeds derive from the
-// subplan's structure (not enumeration order), so results are identical at
-// any parallelism; parallel workers get private estimators because the
-// What-if engine's memoization is not concurrent-safe.
+// tuneSubplans runs the configuration search for every enumerated subplan:
+// one worker per estimator (at most one per subplan) takes the next subplan
+// in enumeration order until none are left or a search has failed. A
+// subplan no worker reached keeps a zero slot; since subplans are taken in
+// order, every subplan before a failed one was tuned to completion, so the
+// first error in slot order is the same at any number of workers.
+// Per-subplan seeds derive from the subplan's structure, not from the
+// worker, so results are too.
 func (s *Stubby) tuneSubplans(ctx context.Context, subplans []subplan, unitOrigins map[string]bool, unitIdx int) []tunedSubplan {
 	out := make([]tunedSubplan, len(subplans))
-	if s.estPool == nil || len(subplans) <= 1 {
-		for i, sp := range subplans {
-			plan, cost, fallback, err := s.tuneConfigs(ctx, s.est, sp.plan, unitOrigins, subplanSeed(unitIdx, sp.plan))
-			out[i] = tunedSubplan{plan: plan, cost: cost, fallback: fallback, err: err}
-			if err != nil {
-				break
-			}
-		}
-		return out
-	}
-	var wg sync.WaitGroup
+	var next atomic.Int64
 	var failed atomic.Bool
-	// The search-lifetime estimator pool doubles as the concurrency
-	// bound: one private estimator per in-flight search, no cache shared
-	// between goroutines.
-	ests := s.estPool
-	for i, sp := range subplans {
+	var wg sync.WaitGroup
+	for _, est := range s.ests[:min(len(s.ests), len(subplans))] {
 		wg.Add(1)
-		go func(i int, sp subplan) {
+		go func() {
 			defer wg.Done()
-			est := <-ests
-			defer func() { ests <- est }()
-			// Early stop, mirroring the serial break: once any search
-			// fails, skip the remaining budgets instead of burning them.
-			if failed.Load() {
-				out[i] = tunedSubplan{err: errSearchAborted}
-				return
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(subplans) {
+					return
+				}
+				plan, cost, fallback, err := s.tuneConfigs(ctx, est, subplans[i].plan, unitOrigins, subplanSeed(unitIdx, subplans[i].plan))
+				out[i] = tunedSubplan{plan: plan, cost: cost, fallback: fallback, err: err}
+				if err != nil {
+					failed.Store(true)
+				}
 			}
-			if err := ctx.Err(); err != nil {
-				failed.Store(true)
-				out[i] = tunedSubplan{err: err}
-				return
-			}
-			plan, cost, fallback, err := s.tuneConfigs(ctx, est, sp.plan, unitOrigins, subplanSeed(unitIdx, sp.plan))
-			if err != nil {
-				failed.Store(true)
-			}
-			out[i] = tunedSubplan{plan: plan, cost: cost, fallback: fallback, err: err}
-		}(i, sp)
+		}()
 	}
 	wg.Wait()
 	return out

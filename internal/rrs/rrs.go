@@ -53,50 +53,32 @@ type Point []float64
 // Objective evaluates a point; lower is better.
 type Objective func(Point) float64
 
+// The search's shape. No caller tunes it, so it is fixed; radii are in
+// normalized [0,1] coordinates.
+const (
+	// confidence p and percentile r size the exploration phase:
+	// n = ln(1-p)/ln(1-r) samples (44); percentile is also the initial
+	// exploit radius.
+	confidence = 0.99
+	percentile = 0.1
+	// shrinkFactor contracts the exploit neighborhood after exploitSamples
+	// failed samples at one radius; minRadius ends exploitation.
+	shrinkFactor   = 0.5
+	minRadius      = 0.01
+	exploitSamples = 5
+)
+
 // Options tunes the search.
 type Options struct {
 	// MaxEvals bounds objective evaluations (default 100).
 	MaxEvals int
 	// Seed makes the search deterministic.
 	Seed int64
-	// Confidence p and Percentile r size the exploration phase:
-	// n = ln(1-p)/ln(1-r) samples (defaults 0.99 and 0.1 -> 44).
-	Confidence float64
-	Percentile float64
-	// ShrinkFactor contracts the exploit neighborhood on failed samples
-	// (default 0.5); MinRadius ends exploitation (default 0.01). Radii are
-	// in normalized [0,1] coordinates.
-	ShrinkFactor float64
-	MinRadius    float64
-	// ExploitSamples per radius level before shrinking (default 5).
-	ExploitSamples int
 	// ExploreOnly disables the recursive exploitation phase, degrading
 	// the search to pure uniform random sampling under the same
 	// evaluation budget — the ablation baseline isolating the value of
 	// RRS's recursion (Section 4.2).
 	ExploreOnly bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxEvals <= 0 {
-		o.MaxEvals = 100
-	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.99
-	}
-	if o.Percentile <= 0 || o.Percentile >= 1 {
-		o.Percentile = 0.1
-	}
-	if o.ShrinkFactor <= 0 || o.ShrinkFactor >= 1 {
-		o.ShrinkFactor = 0.5
-	}
-	if o.MinRadius <= 0 {
-		o.MinRadius = 0.01
-	}
-	if o.ExploitSamples <= 0 {
-		o.ExploitSamples = 5
-	}
-	return o
 }
 
 // Result reports the best point found and search statistics.
@@ -118,8 +100,11 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 			return Result{}, fmt.Errorf("rrs: param %q has Min > Max", p.Name)
 		}
 	}
-	o := opt.withDefaults()
-	rng := rand.New(rand.NewSource(o.Seed))
+	maxEvals := opt.MaxEvals
+	if maxEvals <= 0 {
+		maxEvals = 100
+	}
+	rng := rand.New(rand.NewSource(opt.Seed))
 
 	evals := 0
 	best := Result{Value: math.Inf(1)}
@@ -140,10 +125,7 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 		eval(pt)
 	}
 
-	exploreN := int(math.Ceil(math.Log(1-o.Confidence) / math.Log(1-o.Percentile)))
-	if exploreN < 2 {
-		exploreN = 2
-	}
+	exploreN := int(math.Ceil(math.Log(1-confidence) / math.Log(1-percentile)))
 
 	uniform := func() Point {
 		pt := make(Point, len(params))
@@ -162,19 +144,19 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 		return pt
 	}
 
-	if o.ExploreOnly {
-		for evals < o.MaxEvals {
+	if opt.ExploreOnly {
+		for evals < maxEvals {
 			eval(uniform())
 		}
 		best.Evals = evals
 		return best, nil
 	}
 
-	for evals < o.MaxEvals {
+	for evals < maxEvals {
 		// EXPLORE: uniform sampling to find a promising region.
 		regionCenter := uniform()
 		regionValue := eval(regionCenter)
-		for i := 1; i < exploreN && evals < o.MaxEvals; i++ {
+		for i := 1; i < exploreN && evals < maxEvals; i++ {
 			pt := uniform()
 			if v := eval(pt); v < regionValue {
 				regionValue = v
@@ -182,11 +164,11 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 			}
 		}
 		// EXPLOIT: recursive shrink-and-recenter around the region.
-		radius := o.Percentile // initial neighborhood size
+		radius := percentile // initial neighborhood size
 		center, centerVal := regionCenter, regionValue
-		for radius > o.MinRadius && evals < o.MaxEvals {
+		for radius > minRadius && evals < maxEvals {
 			improved := false
-			for s := 0; s < o.ExploitSamples && evals < o.MaxEvals; s++ {
+			for s := 0; s < exploitSamples && evals < maxEvals; s++ {
 				pt := neighbor(center, radius)
 				if v := eval(pt); v < centerVal {
 					center, centerVal = pt, v
@@ -195,7 +177,7 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 				}
 			}
 			if !improved {
-				radius *= o.ShrinkFactor
+				radius *= shrinkFactor
 			}
 		}
 	}

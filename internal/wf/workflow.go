@@ -50,6 +50,17 @@ func (j *Job) MapOnly() bool {
 	return true
 }
 
+// HasCombiner reports whether any shuffling group of the job defines a
+// combiner.
+func (j *Job) HasCombiner() bool {
+	for _, g := range j.ReduceGroups {
+		if !g.MapOnly() && g.Combiner != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // Inputs returns the distinct dataset IDs the job reads, in first-use order.
 func (j *Job) Inputs() []string {
 	var out []string

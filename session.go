@@ -192,10 +192,11 @@ func WithPlanner(name string) SessionOption {
 }
 
 // WithParallelism bounds the session's concurrency: the OptimizeAll worker
-// pool, and concurrent per-subplan configuration searches inside the
-// cost-based planners (stubby, vertical, horizontal, starfish, mrshare).
-// n <= 0 restores the default (GOMAXPROCS); n == 1 is fully serial. Plans
-// are identical at any parallelism.
+// pool, and the workers that tune each optimization unit's subplans inside
+// the cost-based planners (stubby, vertical, horizontal, starfish, mrshare),
+// one What-if estimator each. n <= 0 restores the default (GOMAXPROCS);
+// n == 1 tunes subplans one after another. Plans, costs, search traces and
+// What-if counters are identical at any parallelism.
 func WithParallelism(n int) SessionOption {
 	return func(s *Session) error {
 		s.parallelism = n

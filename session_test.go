@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,30 +46,51 @@ func exportBytes(t *testing.T, w *stubby.Workflow) []byte {
 	return buf.Bytes()
 }
 
+// TestSessionOptimizeMatchesSerial: the optimizer tunes a unit's subplans
+// on one worker per estimator, and the number of workers changes nothing —
+// not the plan, its cost, any unit's trace or yields, nor the What-if
+// counters — over the eight paper workloads. Under -short (the race tier) a
+// small RRS budget keeps the 24 searches quick; the worker loop is the same
+// at any budget.
 func TestSessionOptimizeMatchesSerial(t *testing.T) {
-	wl := profiledWorkload(t, "IR", 0.15, 2)
-	serial, err := stubby.NewSession(
-		stubby.WithCluster(wl.Cluster), stubby.WithSeed(2), stubby.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := stubby.NewSession(
-		stubby.WithCluster(wl.Cluster), stubby.WithSeed(2), stubby.WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	a, err := serial.Optimize(ctx, wl.Workflow)
-	if err != nil {
-		t.Fatal(err)
+	var opts stubby.Options
+	if testing.Short() {
+		opts.RRSEvals = 24
 	}
-	b, err := parallel.Optimize(ctx, wl.Workflow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Plan.Jobs) != len(b.Plan.Jobs) || a.EstimatedCost != b.EstimatedCost {
-		t.Fatalf("parallel search diverged from serial: %d jobs / %.3f vs %d jobs / %.3f",
-			len(a.Plan.Jobs), a.EstimatedCost, len(b.Plan.Jobs), b.EstimatedCost)
+	for _, abbr := range stubby.Workloads() {
+		wl := profiledWorkload(t, abbr, 0.1, 2)
+		var serial *stubby.Result
+		for _, p := range []int{1, 2, 8} {
+			sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(2),
+				stubby.WithParallelism(p), stubby.WithOptimizerOptions(opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Optimize(ctx, wl.Workflow)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", abbr, p, err)
+			}
+			if serial == nil {
+				serial = res
+				continue
+			}
+			if !bytes.Equal(exportBytes(t, serial.Plan), exportBytes(t, res.Plan)) {
+				t.Errorf("%s P=%d: plan differs from P=1's", abbr, p)
+			}
+			if res.EstimatedCost != serial.EstimatedCost {
+				t.Errorf("%s P=%d: cost %v, P=1 %v", abbr, p, res.EstimatedCost, serial.EstimatedCost)
+			}
+			if !reflect.DeepEqual(res.Units, serial.Units) {
+				t.Errorf("%s P=%d: unit reports differ from P=1's", abbr, p)
+			}
+			if res.WhatIfCalls != serial.WhatIfCalls || res.WhatIfComputed != serial.WhatIfComputed ||
+				res.FlowCards != serial.FlowCards {
+				t.Errorf("%s P=%d: what-if counters %d/%d/%d, P=1 %d/%d/%d", abbr, p,
+					res.WhatIfCalls, res.WhatIfComputed, res.FlowCards,
+					serial.WhatIfCalls, serial.WhatIfComputed, serial.FlowCards)
+			}
+		}
 	}
 }
 

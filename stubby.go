@@ -50,7 +50,6 @@ import (
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planio"
-	"github.com/stubby-mr/stubby/internal/rrs"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/whatif"
 	"github.com/stubby-mr/stubby/internal/workloads"
@@ -138,9 +137,6 @@ type (
 	// WorkloadOptions controls workload construction.
 	WorkloadOptions = workloads.Options
 
-	// RRSOptions tunes Recursive Random Search directly.
-	RRSOptions = rrs.Options
-
 	// PlanRegistry rebinds black-box stage functions when importing plans.
 	PlanRegistry = planio.Registry
 )
@@ -204,26 +200,6 @@ func BuildWorkload(abbr string, opt WorkloadOptions) (*Workload, error) {
 
 // Workloads lists the evaluation workflow abbreviations in Table 1 order.
 func Workloads() []string { return workloads.Abbrs() }
-
-// Comparator planners from the paper's evaluation (Section 7.3).
-
-// NewBaseline returns the production Baseline planner (Pig rules).
-func NewBaseline(c *Cluster) Planner { return baselines.Baseline{Cluster: c} }
-
-// NewStarfish returns the cost-based configuration-only planner.
-func NewStarfish(c *Cluster, seed int64) Planner { return baselines.Starfish(c, seed) }
-
-// NewYSmart returns the rule-based packing planner.
-func NewYSmart(c *Cluster) Planner { return baselines.YSmart{Cluster: c} }
-
-// NewMRShare returns the cost-based horizontal-packing planner.
-func NewMRShare(c *Cluster, seed int64) Planner { return baselines.MRShare(c, seed) }
-
-// NewStubbyPlanner adapts the Stubby optimizer (full or restricted to one
-// transformation group) to the Planner interface.
-func NewStubbyPlanner(c *Cluster, groups Groups, seed int64, label string) Planner {
-	return baselines.CostBased{Cluster: c, Seed: seed, Label: label, Groups: groups}
-}
 
 // Plan import/export (the paper's Section 6 feature for moving annotated
 // workflows between workflow generators and Stubby).

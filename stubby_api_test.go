@@ -106,17 +106,15 @@ func TestPublicAPIBuildWorkflowByHand(t *testing.T) {
 
 func TestPublicAPIPlanners(t *testing.T) {
 	wl := profiledWorkload(t, "PJ", 0.2, 4)
-	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster))
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []stubby.Planner{
-		stubby.NewBaseline(wl.Cluster),
-		stubby.NewStarfish(wl.Cluster, 4),
-		stubby.NewYSmart(wl.Cluster),
-		stubby.NewMRShare(wl.Cluster, 4),
-		stubby.NewStubbyPlanner(wl.Cluster, stubby.GroupAll, 4, ""),
-	} {
+	for _, name := range []string{"baseline", "starfish", "ysmart", "mrshare", "stubby"} {
+		p, err := sess.Planner(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		plan, err := p.Plan(wl.Workflow)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)

@@ -80,19 +80,20 @@ func TestYieldAccounting(t *testing.T) {
 func TestCostBasedSessionParity(t *testing.T) {
 	wl := profiledWorkload(t, "PJ", 0.1, 5)
 	ctx := context.Background()
-	for name, p := range map[string]stubby.Planner{
-		"starfish": stubby.NewStarfish(wl.Cluster, 5),
-		"mrshare":  stubby.NewMRShare(wl.Cluster, 5),
-	} {
-		direct, err := p.Plan(wl.Workflow)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, name := range []string{"starfish", "mrshare"} {
 		obs := &sequenceObserver{}
 		sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(5),
 			stubby.WithPlanner(name), stubby.WithObserver(obs))
 		if err != nil {
 			t.Fatal(err)
+		}
+		p, err := sess.Planner(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := p.Plan(wl.Workflow)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		res, err := sess.Optimize(ctx, wl.Workflow)
 		if err != nil {
