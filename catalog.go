@@ -47,8 +47,10 @@ func NewReuseCatalog(dir string, opts ...ReuseCatalogOption) (*ReuseCatalog, err
 // producing sub-DAG's fingerprint, and Optimize/Submit add a pre-pass
 // that replaces catalog-matched sub-DAGs with scans of the stored
 // results — but only when the What-if estimate says the scan is strictly
-// cheaper, so reuse can never worsen a plan. Result.ReusedSubplans
-// reports how many sub-DAGs each optimization replaced. The caller
+// cheaper. The rewritten plan is searched too, and kept only when it ends
+// strictly cheaper than the plan searched without the catalog, so reuse
+// can never worsen a plan. Result.ReusedSubplans counts the replacements
+// in the returned plan. The caller
 // retains ownership: Close the catalog after the session is done with it.
 //
 // Reuse preserves results exactly: a sub-DAG is matched only when its

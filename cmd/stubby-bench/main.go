@@ -12,8 +12,6 @@
 //	stubby-bench -all -ledger /tmp/paper.json -ledger-guard BENCH_paper.json
 //	stubby-bench -fig 12 -cpuprofile cpu.prof -memprofile mem.prof
 //	stubby-bench -list-optimizers
-//	stubby-bench -gen -seed 42            # reproduce one generated case
-//	stubby-bench -gen -seed 1 -gen-count 20 -gen-desc
 package main
 
 import (
@@ -40,14 +38,11 @@ func main() {
 	var (
 		fig        = flag.String("fig", "", "comma-separated figures to regenerate: "+strings.Join(ids, ", "))
 		all        = flag.Bool("all", false, "regenerate every declared figure and ablation")
-		ledger     = flag.String("ledger", "", "write the paper ledger (every grid cell, Figure 14, the evaluation's claims as pass/fail invariants) to this file")
+		ledger     = flag.String("ledger", "", "write the paper ledger (every grid cell and the evaluation's claims as pass/fail invariants) to this file")
 		ledgerGrd  = flag.String("ledger-guard", "", "baseline ledger (BENCH_paper.json) a fresh one must equal in everything but optimize_ms")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 		listOpts   = flag.Bool("list-optimizers", false, "list registered optimizers and exit")
-		genMode    = flag.Bool("gen", false, "generate random workflow(s) from -seed and verify every registered planner against the semantic-equivalence oracle")
-		genCount   = flag.Int("gen-count", 1, "how many consecutive seeds -gen checks")
-		genDesc    = flag.Bool("gen-desc", false, "with -gen, print each generated case's full descriptor")
 		size       = flag.Float64("size", 0.25, "workload size factor (records scale)")
 		seed       = flag.Int64("seed", 1, "random seed")
 	)
@@ -131,23 +126,13 @@ func main() {
 			fail(err)
 		}
 	}
-	if *genMode {
-		ran = true
-		ok, err := runGenCheck(h, *seed, *genCount, *genDesc)
-		if err != nil {
-			fail(err)
-		}
-		if !ok {
-			exit(1)
-		}
-	}
 	if !ran {
 		flag.Usage()
 		exit(2)
 	}
 }
 
-// figure is one selectable result: a driver of its own for the three that are
+// figure is one selectable result: a driver of its own for the two that are
 // not grid-shaped, the grid renderer for each bench.Figures declaration.
 type figure struct {
 	id    string
@@ -156,7 +141,7 @@ type figure struct {
 
 // figures lists every figure in -all's order.
 func figures() []figure {
-	out := []figure{{"table1", printTable1}, {"5", printFig5}, {"14", printFig14}}
+	out := []figure{{"table1", printTable1}, {"5", printFig5}}
 	for _, f := range bench.Figures {
 		out = append(out, figure{f.ID, func(h *bench.Harness) error { return h.WriteFigure(os.Stdout, f) }})
 	}
@@ -203,8 +188,8 @@ func runLedger(h *bench.Harness, out, guard string) error {
 		if err := bench.GuardLedger(l, baseline); err != nil {
 			return err
 		}
-		fmt.Printf("ledger guard passed against %s: %d cells, %d Figure 14 points and %d invariants equal; optimization %.0f ms, baseline %.0f ms (not guarded)\n",
-			guard, len(l.Cells), len(l.Figure14), len(l.Invariants), optimizeMS(l), optimizeMS(baseline))
+		fmt.Printf("ledger guard passed against %s: %d cells and %d invariants equal; optimization %.0f ms, baseline %.0f ms (not guarded)\n",
+			guard, len(l.Cells), len(l.Invariants), optimizeMS(l), optimizeMS(baseline))
 	}
 	return nil
 }
@@ -221,42 +206,6 @@ func table(title string, header ...string) *tabwriter.Writer {
 func flush(tw *tabwriter.Writer) {
 	tw.Flush()
 	fmt.Println()
-}
-
-// runGenCheck is the reproduction entry point for the generated-workflow
-// equivalence suites: it regenerates the case(s) for the given seed(s),
-// runs every registered planner, and prints the oracle's verdicts —
-// including, on failure, the reproducing seed and the offending plan's
-// DOT exactly as the test suites report them.
-func runGenCheck(h *bench.Harness, seed int64, count int, withDesc bool) (bool, error) {
-	if count < 1 {
-		count = 1
-	}
-	rows, failures, descriptors, err := h.GenCheck(seed, count)
-	if err != nil {
-		return false, err
-	}
-	if withDesc {
-		for _, d := range descriptors {
-			fmt.Println(d)
-		}
-	}
-	tw := table(fmt.Sprintf("Generated-workflow equivalence: seeds %d..%d, every registered planner", seed, seed+int64(count)-1),
-		"Seed", "Planner", "Jobs in", "Jobs out", "Est. cost", "Equivalent", "Opt time")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%.1f s\t%v\t%.0f ms\n",
-			r.Seed, r.Planner, r.Jobs, r.PlanJobs, r.EstCost, r.Equivalent, r.OptimizeMS)
-	}
-	flush(tw)
-	for _, f := range failures {
-		fmt.Println("FAILURE:", f)
-	}
-	if len(failures) > 0 {
-		fmt.Printf("%d failures\n", len(failures))
-		return false, nil
-	}
-	fmt.Println("all plans semantically equivalent to their unoptimized workflows")
-	return true, nil
 }
 
 func printTable1(h *bench.Harness) error {
@@ -282,19 +231,6 @@ func printFig5(h *bench.Harness) error {
 		"Transformation", "Case", "No packing", "With packing", "Speedup")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%.1f s\t%.1f s\t%.2fx\n", r.Transformation, r.Case, r.Unpacked, r.Packed, r.Speedup)
-	}
-	flush(tw)
-	return nil
-}
-
-func printFig14(h *bench.Harness) error {
-	points, err := h.Figure14()
-	if err != nil {
-		return err
-	}
-	tw := table("Figure 14: actual vs estimated normalized cost, first unit of IR", "Estimated", "Actual", "Subplan")
-	for _, p := range points {
-		fmt.Fprintf(tw, "%.3f\t%.3f\t%s\n", p.EstimatedNorm, p.ActualNorm, p.Description)
 	}
 	flush(tw)
 	return nil

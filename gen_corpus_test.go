@@ -17,8 +17,9 @@ import (
 //	go test -run TestGenCorpusDescriptors -update .
 //
 // Updating is forbidden in CI (like the plan snapshots), so generator
-// drift is always an explicit diff. Reproduce any corpus case with
-// `stubby-bench -gen -seed=N -gen-desc`.
+// drift is always an explicit diff. Reproduce any corpus case against every
+// planner with
+// `go test -run 'TestGeneratedPlannerEquivalenceAndDominance/seedN$' -v ./internal/baselines`.
 func TestGenCorpusDescriptors(t *testing.T) {
 	if *update && os.Getenv("CI") != "" {
 		t.Fatal("-update is forbidden in CI: regenerate the corpus locally and commit the diff")

@@ -97,7 +97,7 @@ func TestGeneratedPlannerEquivalenceAndDominance(t *testing.T) {
 					continue
 				}
 				if stubby > other*dominanceSlack {
-					t.Errorf("seed %d: cost dominance violated: stubby %.3fs > %s %.3fs (x%.3f)\nreproduce with: stubby-bench -gen -seed=%d",
+					t.Errorf("seed %d: cost dominance violated: stubby %.3fs > %s %.3fs (x%.3f)\nreproduce with: go test -run 'TestGeneratedPlannerEquivalenceAndDominance/seed%d$' -v ./internal/baselines",
 						seed, stubby, name, other, stubby/other, seed)
 				}
 			}

@@ -1,15 +1,16 @@
 // Package bench is the experiment harness behind the paper's evaluation
-// (Section 7). The grid-shaped results — Figures 11, 12 and 13, the design
-// ablations and the estimate-cache table — are views of one memoized
+// (Section 7). The grid-shaped results — Figures 11, 12, 13 and 14, the
+// design ablations and the estimate-cache table — are views of one memoized
 // (workload × variant) table of Run cells (grid.go), declared once in
 // Figures, printed by one renderer and committed with the evaluation's
-// claims as BENCH_paper.json (ledger.go). The optimizer's hot path is three
-// of those figures: incremental against monolithic estimation and plan
-// robustness, on the paper workloads and the deep pipelines of deep.go, and
-// sub-plan reuse on the generated families of reusebench.go. Table 1, Figure 5
-// and Figure 14 are not grid-shaped and keep their own drivers (figures.go);
-// the generated-workflow oracle's CLI face is genbench.go. cmd/stubby-bench
-// and the repository's testing.B benchmarks drive it.
+// claims as BENCH_paper.json (ledger.go). Figure 14 is the one cell that
+// keeps its first unit's subplans, each estimated and simulated. The
+// optimizer's hot path is three of those figures: incremental against
+// monolithic estimation and plan robustness, on the paper workloads and the
+// deep pipelines of deep.go, and sub-plan reuse on the generated families of
+// reusebench.go. Table 1 and Figure 5 are not grid-shaped and keep their own
+// drivers (figures.go). cmd/stubby-bench and the repository's testing.B
+// benchmarks drive it.
 package bench
 
 import (
@@ -81,18 +82,17 @@ type Harness struct {
 	cfg       Config
 	workloads map[sample]*workloads.Workload
 	runs      map[[2]string]Run
-	// sims memoizes Run's simulations: sim_sec is a pure function of the
-	// key, and Vertical's cells, the cached repeats and every Monolithic
-	// cell re-choose a plan some other variant has already run.
-	sims map[simKey]float64
+	// sims memoizes Run's simulations: a run is a pure function of the key,
+	// and Vertical's cells, the cached repeats and every Monolithic cell
+	// re-choose a plan some other variant has already run.
+	sims map[simKey]*mrsim.RunReport
 	// estimates is the cache the Cached variants share, as an OptimizeAll
 	// fan-out shares a session's. It is sized so the whole sweep stays
 	// resident; the default capacity targets long-running services, where
 	// bounding memory matters more than a perfect replay.
 	estimates *whatif.Cache
-	fig14     []Fig14Point
 	// onSearch, when set, is told of every search the harness actually
-	// runs: each memo miss of Run, and Figure 14's own.
+	// runs: each memo miss of Run.
 	onSearch func(abbr, variant string)
 }
 
@@ -102,7 +102,7 @@ func New(cfg Config) *Harness {
 		cfg:       cfg.withDefaults(),
 		workloads: make(map[sample]*workloads.Workload),
 		runs:      make(map[[2]string]Run),
-		sims:      make(map[simKey]float64),
+		sims:      make(map[simKey]*mrsim.RunReport),
 		estimates: whatif.NewCache(1 << 18),
 	}
 }
@@ -138,14 +138,29 @@ func (h *Harness) profiled(s sample) (*workloads.Workload, error) {
 	return wl, nil
 }
 
-// runPlan executes a plan over a fresh copy of the workload's data and
-// returns the simulated makespan.
-func runPlan(wl *workloads.Workload, plan *wf.Workflow) (float64, error) {
-	rep, err := mrsim.NewEngine(wl.Cluster, wl.DFS.Clone()).RunWorkflow(plan)
+// runPlan executes a plan over a fresh copy of the workload's data.
+func runPlan(wl *workloads.Workload, plan *wf.Workflow) (*mrsim.RunReport, error) {
+	return mrsim.NewEngine(wl.Cluster, wl.DFS.Clone()).RunWorkflow(plan)
+}
+
+// simulate runs a plan over the workload built under sample s, once per
+// (sample, plan) however many cells and subplans choose it, and returns the
+// plan's digest with the run.
+func (h *Harness) simulate(s sample, wl *workloads.Workload, plan *wf.Workflow) (string, *mrsim.RunReport, error) {
+	digest, err := planDigest(plan)
 	if err != nil {
-		return 0, err
+		return "", nil, err
 	}
-	return rep.Makespan, nil
+	key := simKey{s, digest}
+	if rep, ok := h.sims[key]; ok {
+		return digest, rep, nil
+	}
+	rep, err := runPlan(wl, plan)
+	if err != nil {
+		return "", nil, fmt.Errorf("plan %s failed to run: %w", digest, err)
+	}
+	h.sims[key] = rep
+	return digest, rep, nil
 }
 
 // WriteJSON writes a report (a Ledger), indented, to path.

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
-	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/trans"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/workloads"
@@ -173,11 +171,15 @@ func (h *Harness) fig5Vertical(parts int, cpu float64) (unpacked, packed float64
 // data.
 func runBoth(cluster *mrsim.Cluster, dfs *mrsim.DFS, plan, packedPlan *wf.Workflow) (unpacked, packed float64, err error) {
 	wl := &workloads.Workload{Cluster: cluster, DFS: dfs}
-	if unpacked, err = runPlan(wl, plan); err != nil {
+	un, err := runPlan(wl, plan)
+	if err != nil {
 		return 0, 0, err
 	}
-	packed, err = runPlan(wl, packedPlan)
-	return unpacked, packed, err
+	pk, err := runPlan(wl, packedPlan)
+	if err != nil {
+		return 0, 0, err
+	}
+	return un.Makespan, pk.Makespan, nil
 }
 
 // fig5Horizontal builds base -> {A, B} (two filter+group aggregates) and
@@ -248,73 +250,4 @@ func (h *Harness) fig5Horizontal(records int, cpu float64, gb float64) (unpacked
 	// isolates the packing decision, not a reducer-count artifact.
 	packedPlan.Jobs[0].Config.NumReduceTasks = cluster.TotalReduceSlots() / 2
 	return runBoth(cluster, dfs, w, packedPlan)
-}
-
-// ---------------------------------------------------------------- Figure 14 --
-
-// Fig14Point is one subplan of the deep-dive optimization unit.
-type Fig14Point struct {
-	Description   string  `json:"subplan"`
-	EstimatedCost float64 `json:"estimate_sec"`
-	ActualCost    float64 `json:"sim_sec"`
-	// EstimatedNorm/ActualNorm are normalized to the unit's worst subplan.
-	EstimatedNorm float64 `json:"estimate_norm"`
-	ActualNorm    float64 `json:"sim_norm"`
-}
-
-// Figure14 drills into the first optimization unit of the Information
-// Retrieval workflow: every enumerated subplan is configured by RRS, costed
-// by the What-if engine, and then actually executed, yielding the
-// estimated-versus-actual scatter. The search retains every subplan, so it
-// is its own run rather than a grid cell; the points are kept for the ledger.
-func (h *Harness) Figure14() ([]Fig14Point, error) {
-	if h.fig14 != nil {
-		return h.fig14, nil
-	}
-	wl, err := h.workload("IR")
-	if err != nil {
-		return nil, err
-	}
-	if h.onSearch != nil {
-		h.onSearch("IR", "Stubby+KeepSubplans")
-	}
-	res, err := optimizer.New(wl.Cluster, optimizer.Options{
-		Seed: h.cfg.Seed, KeepSubplans: true,
-	}).Optimize(wl.Workflow)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Units) == 0 {
-		return nil, fmt.Errorf("bench: no optimization units recorded")
-	}
-	unit := res.Units[0]
-	var out []Fig14Point
-	maxEst, maxAct := 0.0, 0.0
-	for _, sp := range unit.Subplans {
-		if sp.Plan == nil {
-			continue
-		}
-		actual, err := runPlan(wl, sp.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("bench: subplan %q failed: %w", sp.Description, err)
-		}
-		p := Fig14Point{Description: sp.Description, EstimatedCost: sp.Cost, ActualCost: actual}
-		out = append(out, p)
-		if sp.Cost > maxEst {
-			maxEst = sp.Cost
-		}
-		if actual > maxAct {
-			maxAct = actual
-		}
-	}
-	for i := range out {
-		if maxEst > 0 {
-			out[i].EstimatedNorm = out[i].EstimatedCost / maxEst
-		}
-		if maxAct > 0 {
-			out[i].ActualNorm = out[i].ActualCost / maxAct
-		}
-	}
-	h.fig14 = out
-	return out, nil
 }

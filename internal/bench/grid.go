@@ -85,6 +85,9 @@ var (
 	// measure the reuse pre-pass, not RRS.
 	NoReuse = Variant{Name: "NoReuse", Options: optimizer.Options{RRSEvals: 40}}
 	Reuse   = Variant{Name: "Reuse", Options: NoReuse.Options, Reuse: true}
+	// Subplans is the default search keeping its first unit's subplans, each
+	// of which the cell then simulates: Figure 14's scatter.
+	Subplans = Variant{Name: "Stubby/subplans", Options: optimizer.Options{KeepSubplans: true}}
 )
 
 // Figure declares one grid-shaped result: the cells of Workloads × Variants,
@@ -148,6 +151,10 @@ var Figures = []Figure{
 		Workloads: hotPathWorkloads, Variants: []Variant{Robust}, Anchor: Stubby},
 	{ID: "reuse", Title: "Cross-workflow sub-plan reuse on overlapping families (member 0 runs and publishes, members 1 and 2 plan against its catalog)",
 		Workloads: familyConsumers, Variants: []Variant{Reuse}, Anchor: NoReuse},
+	// Section 7: the estimator need not be exact, only rank a unit's
+	// subplans the way the engine runs them.
+	{ID: "14", Title: "Figure 14: estimated vs simulated cost of every subplan of IR's first optimization unit",
+		Workloads: []string{"IR"}, Variants: []Variant{Subplans}, Anchor: Stubby},
 }
 
 func (f Figure) workloads() []string {
@@ -195,6 +202,19 @@ type Run struct {
 	ReusedSubplans int    `json:"reused_subplans,omitempty"`
 	CatalogHits    uint64 `json:"catalog_hits,omitempty"`
 	CatalogMisses  uint64 `json:"catalog_misses,omitempty"`
+	// Subplans is a Subplans cell's column: its first unit's subplans in
+	// enumeration order.
+	Subplans []SubplanCost `json:"subplans,omitempty"`
+}
+
+// SubplanCost is one subplan of an optimization unit: the unit's span by
+// What-if estimate after configuration search (the cost the search ranked
+// it by) and in the simulator. Both spans run over the subplan's jobs made
+// only of the unit's original jobs, from the first start to the last end.
+type SubplanCost struct {
+	Description string  `json:"subplan"`
+	EstimateSec float64 `json:"estimate_sec"`
+	SimSec      float64 `json:"sim_sec"`
 }
 
 // PhaseYield is one transformation's optimizer.Yield within one phase.
@@ -285,18 +305,51 @@ func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 		r.EstimateSec = est.Makespan
 	}
 	r.Jobs = len(plan.Jobs)
-	if r.Plan, err = planDigest(plan); err != nil {
-		return Run{}, err
+	var rep *mrsim.RunReport
+	if r.Plan, rep, err = h.simulate(s, wl, plan); err != nil {
+		return Run{}, fmt.Errorf("%s on %s: %w", v.Name, abbr, err)
 	}
-	sim := simKey{s, r.Plan}
-	if _, ran := h.sims[sim]; !ran {
-		if h.sims[sim], err = runPlan(wl, plan); err != nil {
-			return Run{}, fmt.Errorf("%s plan on %s failed to run: %w", v.Name, abbr, err)
+	r.SimSec = rep.Makespan
+	if opt.KeepSubplans && len(res.Units) > 0 {
+		if r.Subplans, err = h.unitSubplans(s, wl, res.Units[0]); err != nil {
+			return Run{}, fmt.Errorf("%s on %s: %w", v.Name, abbr, err)
 		}
 	}
-	r.SimSec = h.sims[sim]
 	h.runs[key] = r
 	return r, nil
+}
+
+// unitSubplans simulates each kept subplan of the search's first unit and
+// reads from the run what the search's unit cost reads from the estimate.
+// The first unit is planned on the input workflow, so its producers and
+// consumers are the workflow's own jobs.
+func (h *Harness) unitSubplans(s sample, wl *workloads.Workload, u optimizer.UnitReport) ([]SubplanCost, error) {
+	unit := map[string]bool{}
+	for _, id := range slices.Concat(u.Producers, u.Consumers) {
+		for _, o := range wl.Workflow.Job(id).Origin {
+			unit[o] = true
+		}
+	}
+	var out []SubplanCost
+	for _, sp := range u.Subplans {
+		_, rep, err := h.simulate(s, wl, sp.Plan)
+		if err != nil {
+			return nil, fmt.Errorf("subplan %q: %w", sp.Description, err)
+		}
+		first, last := math.Inf(1), 0.0
+		for _, j := range sp.Plan.Jobs {
+			within := len(j.Origin) > 0
+			for _, o := range j.Origin {
+				within = within && unit[o]
+			}
+			if within {
+				jr := rep.Job(j.ID)
+				first, last = min(first, jr.Start), max(last, jr.End)
+			}
+		}
+		out = append(out, SubplanCost{sp.Description, sp.Cost, last - first})
+	}
+	return out, nil
 }
 
 // planDigest is the first 16 hex digits of the SHA-256 of a plan's planio
@@ -346,7 +399,8 @@ func (h *Harness) Eval(f Figure) (cells, anchors []Run, err error) {
 }
 
 // WriteFigure evaluates a figure and prints it, one row per cell; the
-// robustness and reuse columns appear when some cell of the figure has them.
+// robustness and reuse columns appear when some cell of the figure has them,
+// and a cell's subplans follow the rows.
 func (h *Harness) WriteFigure(w io.Writer, f Figure) error {
 	cells, anchors, err := h.Eval(f)
 	if err != nil {
@@ -379,6 +433,14 @@ func (h *Harness) WriteFigure(w io.Writer, f Figure) error {
 			fmt.Fprintf(tw, "\t%d\t%d/%d", r.ReusedSubplans, r.CatalogHits, r.CatalogHits+r.CatalogMisses)
 		}
 		fmt.Fprintln(tw)
+	}
+	for _, r := range cells {
+		if len(r.Subplans) > 0 {
+			fmt.Fprintf(tw, "\n%s/%s, first unit's subplans (the unit's span)\nEstimate\tSimulated\tSubplan\n", r.Workload, r.Variant)
+		}
+		for _, sp := range r.Subplans {
+			fmt.Fprintf(tw, "%.1f s\t%.1f s\t%s\n", sp.EstimateSec, sp.SimSec, sp.Description)
+		}
 	}
 	fmt.Fprintln(tw)
 	return tw.Flush()

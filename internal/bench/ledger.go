@@ -9,9 +9,9 @@ import (
 )
 
 // Ledger is the JSON document stubby-bench -ledger emits (BENCH_paper.json):
-// the memo table behind every grid figure, Figure 14's scatter, and the
-// evaluation's claims evaluated over them. Everything but Run.OptimizeMS is
-// a pure function of the header, so GuardLedger compares it exactly.
+// the memo table behind every grid figure and the evaluation's claims
+// evaluated over it. Everything but Run.OptimizeMS is a pure function of the
+// header, so GuardLedger compares it exactly.
 type Ledger struct {
 	SizeFactor      float64 `json:"size_factor"`
 	Seed            int64   `json:"seed"`
@@ -19,12 +19,11 @@ type Ledger struct {
 	// ProfilerSeed is the harness's spelling of the profiler seed (seed+17)
 	// and SessionProfilerSeed Session.Profile's (seed); the cell
 	// IR/"Stubby/session-seed" is planned from the latter's sample.
-	ProfilerSeed        int64        `json:"profiler_seed"`
-	SessionProfilerSeed int64        `json:"session_profiler_seed"`
-	Notes               []string     `json:"notes"`
-	Cells               []Run        `json:"cells"`
-	Figure14            []Fig14Point `json:"figure14"`
-	Invariants          []Invariant  `json:"invariants"`
+	ProfilerSeed        int64       `json:"profiler_seed"`
+	SessionProfilerSeed int64       `json:"session_profiler_seed"`
+	Notes               []string    `json:"notes"`
+	Cells               []Run       `json:"cells"`
+	Invariants          []Invariant `json:"invariants"`
 }
 
 // Invariant is one claim of the evaluation with its verdict per workload. A
@@ -46,8 +45,8 @@ type Verdict struct {
 	Detail   string  `json:"detail"`
 }
 
-// Ledger evaluates every declared figure and Figure 14 (recalling what has
-// already run) and assembles the document, cells in declared order.
+// Ledger evaluates every declared figure (recalling what has already run)
+// and assembles the document, cells in declared order.
 func (h *Harness) Ledger() (Ledger, error) {
 	l := Ledger{
 		SizeFactor: h.cfg.SizeFactor, Seed: h.cfg.Seed, ProfileFraction: h.cfg.ProfileFraction,
@@ -72,10 +71,6 @@ func (h *Harness) Ledger() (Ledger, error) {
 				}
 			}
 		}
-	}
-	var err error
-	if l.Figure14, err = h.Figure14(); err != nil {
-		return Ledger{}, err
 	}
 	l.Invariants = Invariants(l.Cells)
 	return l, nil
@@ -226,8 +221,8 @@ func Invariants(cells []Run) []Invariant {
 }
 
 // GuardLedger is the CI check of a fresh ledger against the committed one:
-// header, cells (but for optimize_ms), Figure 14 and every invariant's
-// verdicts must be equal. The error names each cell or invariant that is not.
+// header, cells (but for optimize_ms) and every invariant's verdicts must be
+// equal. The error names each cell or invariant that is not.
 func GuardLedger(fresh, baseline Ledger) error {
 	var diffs []string
 	differ := func(what string, got, want any) {
@@ -247,9 +242,8 @@ func GuardLedger(fresh, baseline Ledger) error {
 			differ("invariant "+baseline.Invariants[i].Name, inv, baseline.Invariants[i])
 		}
 	}
-	differ("figure14", fresh.Figure14, baseline.Figure14)
-	fresh.Cells, fresh.Figure14, fresh.Invariants = nil, nil, nil
-	baseline.Cells, baseline.Figure14, baseline.Invariants = nil, nil, nil
+	fresh.Cells, fresh.Invariants = nil, nil
+	baseline.Cells, baseline.Invariants = nil, nil
 	differ("header", fresh, baseline)
 	if len(diffs) > 0 {
 		return fmt.Errorf("ledger guard: %d differences from baseline:\n  %s", len(diffs), strings.Join(diffs, "\n  "))

@@ -38,19 +38,17 @@ func sharedHarness(t *testing.T) *Harness {
 
 // TestRunMemoized: each distinct (workload, variant) is searched and
 // simulated once per harness however many figures and ledgers ask for it —
-// the default Stubby search 12 times (8 workloads, 3 deep pipelines and Figure
-// 14's KeepSubplans run) and Baseline 8, where the per-figure drivers ran
-// them 43 and 24 times and the optimizer bench the 11 three times more. A
-// plan is simulated once per sample too, however many variants choose it.
+// the default Stubby search 11 times (8 workloads and 3 deep pipelines), its
+// subplan-keeping twin once (Figure 14) and Baseline 8, where the per-figure
+// drivers ran them 43 and 24 times and the optimizer bench the 11 three times
+// more. A plan is simulated once per sample too, however many variants and
+// subplans choose it.
 func TestRunMemoized(t *testing.T) {
 	h := sharedHarness(t)
 	for _, f := range Figures {
 		if _, _, err := h.Eval(f); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := h.Figure14(); err != nil {
-		t.Fatal(err)
 	}
 	again, err := h.Ledger()
 	if err != nil {
@@ -66,19 +64,24 @@ func TestRunMemoized(t *testing.T) {
 		}
 		perVariant[key[1]]++
 	}
-	if len(shared.searches) != len(shared.ledger.Cells)+1 {
-		t.Errorf("%d searches for %d cells and Figure 14", len(shared.searches), len(shared.ledger.Cells))
+	if len(shared.searches) != len(shared.ledger.Cells) {
+		t.Errorf("%d searches for %d cells", len(shared.searches), len(shared.ledger.Cells))
 	}
-	if got := perVariant[Stubby.Name] + perVariant["Stubby+KeepSubplans"]; got != 12 {
-		t.Errorf("default Stubby search ran %d times, want 12", got)
+	if got := perVariant[Stubby.Name]; got != 11 {
+		t.Errorf("default Stubby search ran %d times, want 11", got)
+	}
+	if got := perVariant[Subplans.Name]; got != 1 {
+		t.Errorf("the subplan-keeping search ran %d times, want 1", got)
 	}
 	if got := perVariant[Baseline.Name]; got != 8 {
 		t.Errorf("Baseline planned and simulated %d times, want 8", got)
 	}
 	// Every Monolithic cell repeats its workload's Stubby plan, so at least
-	// those 11 cells cost no simulation.
+	// those 11 cells cost no simulation; Figure 14's subplans may cost one
+	// each.
 	cells := len(shared.ledger.Cells)
-	if len(h.sims) > cells-len(hotPathWorkloads) {
+	subplans := len(h.runs[[2]string{"IR", Subplans.Name}].Subplans)
+	if len(h.sims) > cells-len(hotPathWorkloads)+subplans {
 		t.Errorf("%d simulations for %d cells: repeated plans were run again", len(h.sims), cells)
 	}
 	t.Logf("%d cells, %d simulations", cells, len(h.sims))
@@ -149,11 +152,12 @@ func guardLedger() Ledger {
 	cells := []Run{
 		row("IR", Baseline, 120, 100), row("IR", Stubby, 80, 70), row("IR", Vertical, 80, 70),
 		row("IR", Horizontal, 90, 95), row("IR", Starfish, 85, 90), row("IR", MRShare, 110, 100),
+		row("IR", Subplans, 80, 70),
 	}
 	cells[1].WhatIfCalls, cells[1].OptimizeMS = 4894, 200
+	cells[6].Subplans = []SubplanCost{{Description: "no structural change", EstimateSec: 10, SimSec: 12}}
 	return Ledger{SizeFactor: 0.25, Seed: 1, ProfileFraction: 0.5, ProfilerSeed: 18, SessionProfilerSeed: 1,
-		Cells: cells, Figure14: []Fig14Point{{Description: "no structural change", EstimatedCost: 10, ActualCost: 12}},
-		Invariants: Invariants(cells)}
+		Cells: cells, Invariants: Invariants(cells)}
 }
 
 func TestGuardLedger(t *testing.T) {
@@ -169,9 +173,9 @@ func TestGuardLedger(t *testing.T) {
 		{"what-if count", func(l *Ledger) { l.Cells[1].WhatIfCalls++ }, "cell IR/Stubby"},
 		{"invariant verdict", func(l *Ledger) { l.Invariants[2].Pass = !l.Invariants[2].Pass }, "invariant no-harm"},
 		{"margin", func(l *Ledger) { l.Invariants[0].Verdicts[0].Margin += 0.01 }, "invariant dominance-whatif"},
-		{"missing cell", func(l *Ledger) { l.Cells = l.Cells[:5] }, "number of cells: got 5, baseline 6"},
-		{"extra cell", func(l *Ledger) { l.Cells = append(l.Cells, row("IR", YSmart, 1, 1)) }, "number of cells: got 7, baseline 6"},
-		{"figure 14", func(l *Ledger) { l.Figure14[0].ActualCost = 13 }, "figure14"},
+		{"missing cell", func(l *Ledger) { l.Cells = l.Cells[:5] }, "number of cells: got 5, baseline 7"},
+		{"extra cell", func(l *Ledger) { l.Cells = append(l.Cells, row("IR", YSmart, 1, 1)) }, "number of cells: got 8, baseline 7"},
+		{"subplans", func(l *Ledger) { l.Cells[6].Subplans[0].SimSec = 13 }, "cell IR/Stubby/subplans"},
 		{"header", func(l *Ledger) { l.Seed = 2 }, "header"},
 	}
 	for _, c := range cases {

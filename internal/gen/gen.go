@@ -12,7 +12,9 @@
 //
 // Generation is a pure function of the seed: the same seed always yields
 // byte-identical workflows, data, and descriptors, so any failure is
-// reproducible with `stubby-bench -gen -seed=N`.
+// reproducible from the seed the oracle prints. The planner equivalence
+// suite's seeds (1–30) rerun against every planner with
+// `go test -run 'TestGeneratedPlannerEquivalenceAndDominance/seedN$' -v ./internal/baselines`.
 package gen
 
 import (

@@ -9,7 +9,7 @@ import (
 
 // TestGenerateDeterministic: the same seed must yield byte-identical
 // descriptors (structure, data, annotations) — the property the committed
-// corpus and every "reproduce with -seed=N" message depend on.
+// corpus and every seed an oracle failure prints depend on.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		a := Generate(seed, Options{})

@@ -16,8 +16,9 @@ import (
 type Subject struct {
 	// Name labels the subject in failure messages.
 	Name string
-	// Seed, when non-zero, is printed in failure messages as the
-	// reproduction handle (stubby-bench -gen -seed=N).
+	// Seed, when non-zero, is printed in failure messages: Generate(Seed,
+	// opts) with the caller's options rebuilds the case, and go test's
+	// failing subtest name reruns it.
 	Seed int64
 	// Workflow is the reference (identity) plan defining the semantics.
 	Workflow *wf.Workflow
@@ -125,7 +126,7 @@ func (s *Subject) fail(desc string, plan *wf.Workflow, msg string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "gen: %s: plan %q: %s\n", s.Name, desc, msg)
 	if s.Seed != 0 {
-		fmt.Fprintf(&b, "reproduce with: stubby-bench -gen -seed=%d\n", s.Seed)
+		fmt.Fprintf(&b, "seed %d\n", s.Seed)
 	}
 	if s.Fault != nil {
 		fmt.Fprintf(&b, "fault model active: fault seed=%d failProb=%g retries=%d stragglerProb=%g sigma=%g speculative=%v classes=%d\n",

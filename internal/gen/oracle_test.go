@@ -55,7 +55,7 @@ func TestOracleCatchesCorruptedPlan(t *testing.T) {
 		t.Fatalf("oracle accepted a plan with a corrupted map stage in %s", jobID)
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "-seed=3") {
+	if !strings.Contains(msg, "seed 3\n") {
 		t.Errorf("failure message lacks the reproducing seed: %s", msg)
 	}
 	if !strings.Contains(msg, "digraph") {

@@ -86,7 +86,10 @@ type Options struct {
 	// reporting): event.UnitStarted, SubplanEnumerated and BestCostImproved,
 	// stamped with the workflow's name. It is called synchronously from the
 	// search loop — in enumeration order even when subplan tuning runs in
-	// parallel — so it should return quickly.
+	// parallel — so it should return quickly. When ReuseCatalog rewrites the
+	// plan, the search from the rewritten plan follows the search from the
+	// bare plan and numbers its units from 0 again; Result.Units traces
+	// whichever of the two searches produced the returned plan.
 	Progress func(event.Event)
 	// Parallelism is the number of workers that tune a unit's enumerated
 	// subplans, each with its own estimator (<=1: one worker, which tunes
@@ -118,11 +121,14 @@ type Options struct {
 	// measure the incremental path against; plans and costs are identical.
 	DisableIncremental bool
 	// ReuseCatalog, when non-nil, enables the ReStore-style sub-plan reuse
-	// pre-pass: before the structural phases, rooted sub-DAGs whose
-	// fingerprints match a previously materialized result are replaced with
-	// scans of the stored output — but only when the What-if estimate says
-	// scanning beats recomputing. With a nil catalog (the default) the
-	// pre-pass never runs and plans are byte-identical to earlier releases.
+	// pre-pass: rooted sub-DAGs whose fingerprints match a previously
+	// materialized result are replaced with scans of the stored output —
+	// but only when the What-if estimate says scanning beats recomputing.
+	// When the pre-pass rewrites anything, the phases run a second time from
+	// the rewritten plan, and its result is kept only when it ends strictly
+	// cheaper than the search without the catalog, so reuse is never worse
+	// than no reuse. With a nil catalog (the default), or no catalog match,
+	// plans are byte-identical to a search without one.
 	ReuseCatalog ReuseSource
 }
 
@@ -279,9 +285,10 @@ type Result struct {
 	// the stored plan and cost but no search trace, and their What-if
 	// counters are zero — no optimizer units ran.
 	FromStore bool
-	// ReusedSubplans counts rooted sub-DAGs the reuse pre-pass replaced
-	// with scans of catalog-stored results (zero without
-	// Options.ReuseCatalog).
+	// ReusedSubplans counts the rooted sub-DAGs that Plan scans from
+	// catalog-stored results instead of recomputing: zero without
+	// Options.ReuseCatalog, and zero when the plan searched without the
+	// rewrites was no costlier.
 	ReusedSubplans int
 }
 
@@ -317,36 +324,31 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 		return nil, &stubbyerr.Error{Kind: stubbyerr.KindInvalid, Op: "optimize",
 			Workflow: w.Name, Err: err}
 	}
-	plan := w.Clone()
-	res := &Result{}
-	var err error
-	if s.opt.ReuseCatalog != nil {
-		plan, res.ReusedSubplans, err = s.applyReuse(ctx, plan)
-		if err != nil {
-			return nil, err
-		}
-	}
-	phases := []phaseSpec{{"vertical", GroupVertical}, {"horizontal", GroupHorizontal}, {"config", GroupConfigOnly}}
-	if s.opt.HorizontalFirst {
-		phases[0], phases[1] = phases[1], phases[0]
-	}
-	for _, ph := range phases {
-		if ph.groups&s.opt.Groups == 0 {
-			continue
-		}
-		plan, err = s.traverse(ctx, plan, ph, res)
-		if err != nil {
-			return nil, err
-		}
-	}
-	est, err := s.ests[0].Estimate(plan)
+	res, est, err := s.search(ctx, w.Clone())
 	if err != nil {
 		return nil, err
 	}
-	res.Plan = plan
-	res.EstimatedCost = est.Makespan
+	// Reuse is never worse than no reuse: the bare search above is the search
+	// without a catalog, and a rewritten plan replaces its result only when
+	// its own search ends strictly cheaper in the same costing regime.
+	if s.opt.ReuseCatalog != nil {
+		rewritten, reused, err := s.applyReuse(ctx, w.Clone())
+		if err != nil {
+			return nil, err
+		}
+		if reused > 0 {
+			rres, rest, err := s.search(ctx, rewritten)
+			if err != nil {
+				return nil, err
+			}
+			if rest.Fallback == est.Fallback && rest.Makespan < est.Makespan {
+				res, est = rres, rest
+				res.ReusedSubplans = reused
+			}
+		}
+	}
 	if s.opt.Robustness != nil && !est.Fallback {
-		rob, rerr := s.ests[0].Robustness(ctx, plan, *s.opt.Robustness)
+		rob, rerr := s.ests[0].Robustness(ctx, res.Plan, *s.opt.Robustness)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -358,6 +360,33 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 	res.WhatIfComputed = counts1.Computed - counts0.Computed
 	res.FlowCards = counts1.FlowCards - counts0.FlowCards
 	return res, nil
+}
+
+// search runs the structural and configuration phases over plan, which it
+// owns, and estimates the final plan. Its units are numbered from 0, so the
+// per-subplan seeds, and with them the plan, do not depend on any search
+// that ran before it.
+func (s *Stubby) search(ctx context.Context, plan *wf.Workflow) (*Result, *whatif.Estimate, error) {
+	res := &Result{}
+	phases := []phaseSpec{{"vertical", GroupVertical}, {"horizontal", GroupHorizontal}, {"config", GroupConfigOnly}}
+	if s.opt.HorizontalFirst {
+		phases[0], phases[1] = phases[1], phases[0]
+	}
+	var err error
+	for _, ph := range phases {
+		if ph.groups&s.opt.Groups == 0 {
+			continue
+		}
+		if plan, err = s.traverse(ctx, plan, ph, res); err != nil {
+			return nil, nil, err
+		}
+	}
+	est, err := s.ests[0].Estimate(plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Plan, res.EstimatedCost = plan, est.Makespan
+	return res, est, nil
 }
 
 // phaseSpec is one traversal pass: it applies the table rows of its groups.

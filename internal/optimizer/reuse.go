@@ -16,8 +16,8 @@ type ReuseSource interface {
 	Lookup(fp wf.Fingerprint) (trans.StoredResult, bool)
 }
 
-// applyReuse is the ReStore-style pre-pass, run before the structural
-// phases when Options.ReuseCatalog is set: greedily replace catalog-matched
+// applyReuse is the ReStore-style pre-pass, run on the input plan when
+// Options.ReuseCatalog is set: greedily replace catalog-matched
 // rooted sub-DAGs with scans of their stored results, adopting a rewrite
 // only when the What-if estimate says scanning beats recomputing. Each
 // round fingerprints every candidate intermediate dataset, applies the

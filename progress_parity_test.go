@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/stubby-mr/stubby"
+	"github.com/stubby-mr/stubby/internal/gen"
 )
 
 // searchLine renders one search event; other event types render as "".
@@ -36,6 +38,15 @@ func (o *sequenceObserver) add(ev stubby.Event) {
 	o.mu.Lock()
 	o.search = append(o.search, searchLine(ev))
 	o.mu.Unlock()
+}
+
+// take returns the search events recorded so far and forgets them.
+func (o *sequenceObserver) take() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := o.search
+	o.search = nil
+	return out
 }
 
 func (o *sequenceObserver) UnitStarted(w, phase string, unit int, jobs []string) {
@@ -139,5 +150,72 @@ func TestProgressChannelParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(queued.cache, streamCache) {
 		t.Errorf("Submit's observer got cache reports %+v, the handle published %+v", queued.cache, streamCache)
+	}
+}
+
+// traceLines renders a result's unit trace as the UnitStarted and
+// SubplanEnumerated events its search emitted, units numbered from 0.
+func traceLines(name string, res *stubby.Result) []string {
+	var out []string
+	for i, u := range res.Units {
+		jobs := append(append([]string{}, u.Producers...), u.Consumers...)
+		out = append(out, searchLine(stubby.UnitStartedEvent{Workflow: name, Phase: u.Phase, Unit: i, Jobs: jobs}))
+		for _, sp := range u.Subplans {
+			out = append(out, searchLine(stubby.SubplanEnumeratedEvent{Workflow: name, Unit: i, Desc: sp.Description, Cost: sp.Cost}))
+		}
+	}
+	return out
+}
+
+// TestReuseProgressStream pins what the progress channel shows under a reuse
+// catalog. The search from the bare plan comes first, event for event the
+// search without the catalog. When the reuse pre-pass rewrote the plan, the
+// search from the rewritten plan follows, its units numbered from 0 again.
+// Result.Units is that second search when the result reuses a sub-plan, and
+// the first search otherwise. The whole sweep must show both outcomes of a
+// second search: adopted (family 1) and declined because it ended costlier
+// (F2M2).
+func TestReuseProgressStream(t *testing.T) {
+	obs := &sequenceObserver{}
+	members, adopted, declined := 0, 0, 0
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("family%d", seed), func(t *testing.T) {
+			optimizeFamily(t, seed, func(t *testing.T, c *gen.Case, _ *stubby.DFS, with, without *stubby.Result) {
+				members++
+				var stream []string
+				for _, line := range obs.take() {
+					if !strings.HasPrefix(line, "best ") {
+						stream = append(stream, line)
+					}
+				}
+				name := c.Workflow.Name
+				bare := traceLines(name, without)
+				if len(stream) < len(bare) || !reflect.DeepEqual(stream[:len(bare)], bare) {
+					t.Fatalf("the stream does not open with the catalog-less search (%d events, want %d first)",
+						len(stream), len(bare))
+				}
+				second := stream[len(bare):]
+				if with.ReusedSubplans > 0 {
+					adopted++
+					if got := traceLines(name, with); !reflect.DeepEqual(second, got) {
+						t.Errorf("the second search streamed %d events, Result.Units traces %d, or they differ",
+							len(second), len(got))
+					}
+					return
+				}
+				if !reflect.DeepEqual(traceLines(name, with), bare) {
+					t.Error("reused nothing, yet Result.Units is not the bare search's trace")
+				}
+				if len(second) > 0 {
+					declined++
+					if !strings.HasPrefix(second[0], fmt.Sprintf("unit %s vertical 0 ", name)) {
+						t.Errorf("the second search does not start at unit 0: %s", second[0])
+					}
+				}
+			}, stubby.WithObserver(obs))
+		})
+	}
+	if members == 4 && (adopted == 0 || declined == 0) {
+		t.Errorf("%d adopted and %d declined second searches, want both", adopted, declined)
 	}
 }
