@@ -46,7 +46,9 @@ type PartitionSpec struct {
 	// SplitPoints are the range boundaries (projections onto KeyFields),
 	// in ascending order, for RangePartition. n split points define n+1
 	// partitions; a key k goes to the first partition whose upper split
-	// point is > k (the last partition is unbounded above).
+	// point is > k (the last partition is unbounded above). Split points
+	// are shared between a spec and the layouts derived from it, and are
+	// never written in place; Clone is the way to get an independent copy.
 	SplitPoints []Tuple
 }
 

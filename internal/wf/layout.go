@@ -2,6 +2,11 @@ package wf
 
 import "github.com/stubby-mr/stubby/internal/keyval"
 
+// The What-if engine derives an output layout for every flow card, so these
+// functions allocate only the name lists they return: split points are
+// shared with the spec or input layout they come from (see
+// Layout.SplitPoints).
+
 // DeriveGroupOutputLayout infers the physical layout of the dataset a
 // reduce group writes, from the group's partition spec, schema annotations,
 // and the job configuration. The inference is annotation-sound: partition
@@ -15,28 +20,54 @@ func DeriveGroupOutputLayout(g ReduceGroup, cfg Config) Layout {
 	}
 	// Partition fields: the K2 names the spec partitions on, kept only if
 	// they all survive into K3.
-	partNames := keyval.Project(namesToTuple(g.KeyIn), g.Part.EffectiveKeyFields(len(g.KeyIn)))
-	pf := tupleToNames(partNames)
-	if len(pf) > 0 && FieldsSubset(pf, g.KeyOut) {
+	if pf := survivingKeyIn(g.KeyIn, g.KeyOut, g.Part.KeyFields, true); pf != nil {
 		layout.PartFields = pf
 		if g.Part.Type == keyval.RangePartition {
-			layout.SplitPoints = make([]keyval.Tuple, len(g.Part.SplitPoints))
-			for i, sp := range g.Part.SplitPoints {
-				layout.SplitPoints[i] = keyval.Clone(sp)
-			}
+			layout.SplitPoints = g.Part.SplitPoints
 		}
 	}
 	// Sort fields: reduce tasks emit groups in per-partition sort order, so
 	// the output is clustered on the longest prefix of the sort names that
 	// survives into K3.
-	sortNames := keyval.Project(namesToTuple(g.KeyIn), g.Part.EffectiveSortFields(len(g.KeyIn)))
-	for _, f := range tupleToNames(sortNames) {
-		if FieldIndex(g.KeyOut, f) < 0 {
-			break
-		}
-		layout.SortFields = append(layout.SortFields, f)
-	}
+	layout.SortFields = survivingKeyIn(g.KeyIn, g.KeyOut, g.Part.SortFields, false)
 	return layout
+}
+
+// survivingKeyIn returns the longest prefix of the K2 names a spec field
+// list selects (nil selects every field, in order) whose names survive into
+// K3; with whole set, all of them or nothing. It returns nil for an empty
+// prefix, and when an index is past the end of K2.
+func survivingKeyIn(keyIn, keyOut []string, fields []int, whole bool) []string {
+	n := len(fields)
+	if fields == nil {
+		n = len(keyIn)
+	}
+	k := n
+	for j := 0; j < n; j++ {
+		i := fieldAt(fields, j)
+		if i >= len(keyIn) {
+			return nil
+		}
+		if k == n && FieldIndex(keyOut, keyIn[i]) < 0 {
+			k = j
+		}
+	}
+	if k == 0 || whole && k < n {
+		return nil
+	}
+	out := make([]string, k)
+	for j := range out {
+		out[j] = keyIn[fieldAt(fields, j)]
+	}
+	return out
+}
+
+// fieldAt is the j-th index of a spec field list, nil meaning the identity.
+func fieldAt(fields []int, j int) int {
+	if fields == nil {
+		return j
+	}
+	return fields[j]
 }
 
 // DeriveMapOnlyOutputLayout infers the layout of a map-only group's output
@@ -54,10 +85,7 @@ func DeriveMapOnlyOutputLayout(in Layout, g ReduceGroup, aligned bool, cfg Confi
 		layout.PartType = in.PartType
 		layout.PartFields = cloneStrings(in.PartFields)
 		if in.PartType == keyval.RangePartition {
-			layout.SplitPoints = make([]keyval.Tuple, len(in.SplitPoints))
-			for i, sp := range in.SplitPoints {
-				layout.SplitPoints[i] = keyval.Clone(sp)
-			}
+			layout.SplitPoints = in.SplitPoints
 		}
 	}
 	for _, f := range in.SortFields {
@@ -67,24 +95,4 @@ func DeriveMapOnlyOutputLayout(in Layout, g ReduceGroup, aligned bool, cfg Confi
 		layout.SortFields = append(layout.SortFields, f)
 	}
 	return layout
-}
-
-func namesToTuple(names []string) keyval.Tuple {
-	t := make(keyval.Tuple, len(names))
-	for i, n := range names {
-		t[i] = n
-	}
-	return t
-}
-
-func tupleToNames(t keyval.Tuple) []string {
-	out := make([]string, 0, len(t))
-	for _, f := range t {
-		s, ok := f.(string)
-		if !ok {
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
 }

@@ -130,7 +130,11 @@ type Layout struct {
 	// SortFields are the per-partition sort field names; nil means unknown
 	// or unsorted.
 	SortFields []string
-	// SplitPoints are range boundaries for range-partitioned data.
+	// SplitPoints are range boundaries for range-partitioned data. A
+	// derived layout shares them with the partition spec or input layout it
+	// came from, so they are never written in place: replace the slice, or
+	// take an independent copy with Clone (keyval.PartitionSpec.Clone for a
+	// spec's).
 	SplitPoints []keyval.Tuple
 	// Compressed marks on-disk compression.
 	Compressed bool

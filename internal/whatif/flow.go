@@ -518,9 +518,18 @@ func (e *Estimator) pruneKeepFraction(job *wf.Job, dsID string, layout wf.Layout
 	if len(filters) == 0 {
 		return 1
 	}
-	bounds := keyval.RangeBounds(layout.SplitPoints)
+	// Partition i covers [SplitPoints[i-1], SplitPoints[i]), as in
+	// keyval.RangeBounds, walked without materializing the bounds.
+	sp := layout.SplitPoints
 	kept := 0
-	for _, pb := range bounds {
+	for i := 0; i <= len(sp); i++ {
+		var pb keyval.PartitionBounds
+		if i > 0 {
+			pb.Lo = sp[i-1]
+		}
+		if i < len(sp) {
+			pb.Hi = sp[i]
+		}
 		needed := false
 		for _, f := range filters {
 			if pb.FieldRangeOverlaps(f) {
@@ -532,5 +541,5 @@ func (e *Estimator) pruneKeepFraction(job *wf.Job, dsID string, layout wf.Layout
 			kept++
 		}
 	}
-	return float64(kept) / float64(len(bounds))
+	return float64(kept) / float64(len(sp)+1)
 }

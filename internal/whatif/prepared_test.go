@@ -260,14 +260,14 @@ func TestPreparedCountsFlowCards(t *testing.T) {
 
 // TestEstimateChangedAllocs pins the allocation count of the configuration
 // search's probe — a lib-search job issues 15.6 k of them, most at a
-// configuration RRS's exploit phase has visited before — at the values
-// measured before the estimate loops became one walk. When only the last job
-// changes, every card comes from the memo and every estimate entry is
-// overwritten in place: the walk allocates nothing, and the two allocations
-// left are mrsim.SlotPool.ScheduleUniform's scratch slices. When the first
-// job changes too, its output estimates alternate, so the unchanged jobs
-// downstream of it miss their one-card buckets and recompute flow: the rest
-// are flowJob's.
+// configuration RRS's exploit phase has visited before. When only the last
+// job changes, every card comes from the memo, every estimate entry is
+// overwritten in place and the slot pools reuse their own scratch: the probe
+// allocates nothing. When the first job changes too, its output estimates
+// alternate, so the unchanged jobs downstream of it miss their one-card
+// buckets and recompute flow: every allocation left is flowJob's — its
+// per-card maps and lists and the output layouts' name lists. Split points
+// are shared with the partition spec, not copied.
 func TestEstimateChangedAllocs(t *testing.T) {
 	wl := equivWorkloads(t)["BR"]
 	for _, tc := range []struct {
@@ -275,8 +275,8 @@ func TestEstimateChangedAllocs(t *testing.T) {
 		withFirst bool
 		want      float64
 	}{
-		{"last job changes", false, 2},
-		{"first and last job change", true, 56},
+		{"last job changes", false, 0},
+		{"first and last job change", true, 18},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := wl.Workflow.Clone()
