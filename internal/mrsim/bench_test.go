@@ -36,6 +36,7 @@ func BenchmarkExecuteGroupSum(b *testing.B) {
 // BenchmarkSlotPoolSchedule measures the event scheduler.
 func BenchmarkSlotPoolSchedule(b *testing.B) {
 	pool := NewSlotPool(150)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool.Schedule(0, 1)
@@ -43,16 +44,39 @@ func BenchmarkSlotPoolSchedule(b *testing.B) {
 }
 
 // BenchmarkScheduleUniform measures the batched scheduler the What-if
-// engine uses for thousands of uniform tasks, on a pool rewound from a
-// snapshot the way the incremental estimator replays it.
+// engine prices every job's tasks with, on a 150-slot pool rewound from a
+// snapshot the way the incremental estimator replays it. The sub-benchmarks
+// are the shapes a CPU profile of the eight paper optimizations found:
+// about 95 tasks on the per-task path, and the water-level path with one
+// distinct slot start (most calls) or three (nearly all the rest).
 func BenchmarkScheduleUniform(b *testing.B) {
-	pool := NewSlotPool(150)
-	snap := pool.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Restore(snap)
-		pool.ScheduleUniform(0, 3.5, 5000)
+	fresh := NewSlotPool(150)
+	staggered := NewSlotPool(150)
+	for _, d := range []float64{1, 3, 5} {
+		staggered.Schedule(0, d)
+	}
+	for _, bc := range []struct {
+		name  string
+		pool  *SlotPool
+		ready float64
+		count int
+	}{
+		{"tasks", fresh, 0, 95},
+		{"water-1start", fresh, 0, 5000},
+		// Ready at 1, the idle slots and the one busy until 1 share the
+		// first start; the other two start at 3 and 5.
+		{"water-3starts", staggered, 1, 5000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool, snap := NewSlotPool(150), bc.pool.Snapshot()
+			pool.ScheduleUniform(bc.ready, 3.5, bc.count) // grow the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.Restore(snap)
+				pool.ScheduleUniform(bc.ready, 3.5, bc.count)
+			}
+		})
 	}
 }
 

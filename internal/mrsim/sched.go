@@ -1,6 +1,6 @@
 package mrsim
 
-import "container/heap"
+import "slices"
 
 // SlotPool models a fixed set of task slots (map or reduce) shared by all
 // jobs of a workflow run. Tasks are assigned greedily to the earliest-free
@@ -13,9 +13,10 @@ import "container/heap"
 // warmed pool allocates nothing. A SlotPool is not safe for concurrent use.
 type SlotPool struct {
 	free timeHeap
-	// Per-slot scratch of ScheduleUniform's water-level path, grown on
-	// demand. It is not pool state: Snapshot and Restore ignore it, and
-	// every use overwrites all n entries it reads.
+	// Scratch of ScheduleUniform's water-level path, grown on demand:
+	// first the sorted distinct slot starts and their multiplicities, then
+	// the per-slot task counts. It is not pool state: Snapshot and Restore
+	// ignore it, and every use overwrites every entry it reads.
 	starts []float64
 	counts []int
 }
@@ -25,9 +26,8 @@ func NewSlotPool(n int) *SlotPool {
 	if n < 1 {
 		n = 1
 	}
-	p := &SlotPool{free: make(timeHeap, n)}
-	heap.Init(&p.free)
-	return p
+	// All-zero free times are already a heap.
+	return &SlotPool{free: make(timeHeap, n)}
 }
 
 // Schedule places a task that becomes ready at `ready` and runs for `dur`
@@ -40,7 +40,7 @@ func (p *SlotPool) Schedule(ready, dur float64) (start, end float64) {
 	}
 	end = start + dur
 	p.free[0] = end
-	heap.Fix(&p.free, 0)
+	p.free.down(0)
 	return start, end
 }
 
@@ -74,10 +74,16 @@ func (p *SlotPool) Restore(s PoolSnapshot) {
 }
 
 // ScheduleUniform places count equal-duration tasks, all ready at `ready`,
-// with greedy earliest-slot assignment, and returns the time the last task
-// ends. It is equivalent to calling Schedule count times but costs
-// O(slots log slots) instead of O(count log slots) — the What-if engine
-// uses it to price jobs with thousands of uniform tasks cheaply.
+// on the pool and returns the time the last task ends — the end that
+// calling Schedule count times would return. Up to 2 × slots tasks it does
+// call Schedule per task. Beyond that it finds the water level analytically,
+// gives each slot the tasks that end by it, and trims the surplus in slice
+// order rather than from the slots whose last task ends latest, so the
+// slots' free times afterwards can differ from the greedy ones even though
+// the end does not. That path costs one O(slots log slots) sort of the slot
+// starts plus at most 60 × (distinct starts) for the water-level search, not
+// O(count log slots): the What-if engine prices jobs of thousands of uniform
+// tasks through it.
 func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 	if count <= 0 {
 		return ready
@@ -104,33 +110,44 @@ func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 		p.starts = make([]float64, n)
 		p.counts = make([]int, n)
 	}
-	// Effective start per slot.
-	starts, counts := p.starts[:n], p.counts[:n]
-	lo, hi := 0.0, 0.0
-	for i, f := range p.free {
-		s := f
+	startOf := func(i int) float64 {
+		s := p.free[i]
 		if s < ready {
 			s = ready
 		}
-		starts[i] = s
-		if i == 0 || s < lo {
-			lo = s
+		return s
+	}
+	// Effective start per slot, sorted and run-length encoded: starts[k]
+	// is the k-th distinct start and counts[k] its number of slots.
+	starts, counts := p.starts[:n], p.counts[:n]
+	for i := range starts {
+		starts[i] = startOf(i)
+	}
+	slices.Sort(starts)
+	d := 0
+	for _, s := range starts {
+		if d > 0 && s == starts[d-1] {
+			counts[d-1]++
+			continue
 		}
-		if s > hi {
-			hi = s
-		}
+		starts[d], counts[d] = s, 1
+		d++
+	}
+	distinct, mult := starts[:d], counts[:d]
+	lo, hi := distinct[0], 0.0
+	if s := distinct[d-1]; s > hi {
+		hi = s
 	}
 	// Binary search the water level L: the smallest time by which `count`
-	// tasks can have completed under greedy assignment.
+	// tasks can have completed under greedy assignment. Each slot's term is
+	// int((L-s)/dur), so the grouped sum is the per-slot sum exactly.
 	fits := func(L float64) int {
 		total := 0
-		for _, s := range starts {
-			if L > s {
-				total += int((L - s) / dur)
+		for k, s := range distinct {
+			if s >= L {
+				break
 			}
-			if total >= count {
-				return total
-			}
+			total += mult[k] * int((L-s)/dur)
 		}
 		return total
 	}
@@ -149,9 +166,9 @@ func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 	}
 	// Assign per-slot task counts at the found level, trimming surplus.
 	total := 0
-	for i, s := range starts {
+	for i := range counts {
 		counts[i] = 0
-		if hiL > s {
+		if s := startOf(i); hiL > s {
 			counts[i] = int((hiL - s) / dur)
 			total += counts[i]
 		}
@@ -163,30 +180,46 @@ func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 		}
 	}
 	end := ready
-	for i := range starts {
-		if counts[i] == 0 {
+	for i, c := range counts {
+		if c == 0 {
 			continue
 		}
-		e := starts[i] + float64(counts[i])*dur
+		e := startOf(i) + float64(c)*dur
 		p.free[i] = e
 		if e > end {
 			end = e
 		}
 	}
-	heap.Init(&p.free)
+	for i := n/2 - 1; i >= 0; i-- {
+		p.free.down(i)
+	}
 	return end
 }
 
+// timeHeap is a binary min-heap of slot free times. Its layout is the one
+// container/heap would produce: ScheduleUniform's trim and Snapshot both
+// depend on it.
 type timeHeap []float64
 
-func (h timeHeap) Len() int            { return len(h) }
-func (h timeHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h timeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *timeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// down sifts h[i] toward the leaves with container/heap's comparisons —
+// the right child only when strictly smaller than the left, and a stop as
+// soon as the smaller child is not below the sifted value — but moves the
+// value through a hole instead of swapping at every level.
+func (h timeHeap) down(i int) {
+	x := h[i]
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j2 := j + 1; j2 < len(h) && h[j2] < h[j] {
+			j = j2
+		}
+		if !(h[j] < x) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
 }

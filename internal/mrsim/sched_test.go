@@ -113,6 +113,39 @@ func TestScheduleUniformAllocsZero(t *testing.T) {
 	}
 }
 
+// TestScheduleUniformEndMatchesGreedy pins the half of ScheduleUniform's
+// contract that holds on the water-level path (count > 2 × slots): the end
+// it returns is the end of count greedy Schedule calls on the same pool.
+// Durations and free times are dyadic, so both sides compute exactly. The
+// free times afterwards are not compared: the surplus trim in slice order
+// makes them differ from the greedy ones, as the doc comment says.
+func TestScheduleUniformEndMatchesGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + rng.Intn(20)
+		pool := NewSlotPool(n)
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			pool.Schedule(float64(rng.Intn(40))/2, float64(1+rng.Intn(12))/2)
+		}
+		snap := pool.Snapshot()
+		ready := float64(rng.Intn(30)) / 2
+		dur := float64(1+rng.Intn(12)) / 2
+		count := 2*n + 1 + rng.Intn(10*n)
+
+		end := pool.ScheduleUniform(ready, dur, count)
+		pool.Restore(snap)
+		greedy := ready
+		for i := 0; i < count; i++ {
+			if _, e := pool.Schedule(ready, dur); e > greedy {
+				greedy = e
+			}
+		}
+		if end != greedy {
+			t.Fatalf("trial %d: %d slots, ScheduleUniform(%v, %v, %d) = %v, greedy end %v", trial, n, ready, dur, count, end, greedy)
+		}
+	}
+}
+
 // TestSlotPoolSnapshotIsolated: mutating the pool after Snapshot must not
 // corrupt the snapshot (and Restore must not alias it either).
 func TestSlotPoolSnapshotIsolated(t *testing.T) {

@@ -101,7 +101,7 @@ func (s *Stubby) tuneConfigs(ctx context.Context, est *whatif.Estimator, plan *w
 	// The RRS objective mutates only the dims' jobs' configurations, so an
 	// incremental (prepared) estimator can delta-estimate each probe: the
 	// plan is split at the first changeable job, the prefix is estimated
-	// once, and per-probe work shrinks to the affected cone plus a cheap
+	// once, and per-probe work shrinks to the affected cone plus a
 	// scheduling replay. Estimates are bit-identical to the monolithic
 	// path, so the search trajectory — and therefore the chosen plan — is
 	// unchanged.

@@ -13,8 +13,8 @@ import (
 // reconfigure, Prepare pays the full cost of everything scheduled before
 // the first such job once, and each subsequent Estimate recomputes flow
 // only for the affected cone — the changed jobs plus any job whose input
-// dataset estimates actually changed — while replaying scheduling (cheap
-// slot-pool arithmetic) from a snapshot.
+// dataset estimates actually changed — while replaying scheduling on the
+// slot pools from a snapshot.
 //
 // Equivalence contract: Prepared.Estimate returns estimates bit-identical
 // to Estimator.Estimate on the same plan. Per-job flow arithmetic, the

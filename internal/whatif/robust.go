@@ -28,7 +28,7 @@ type RobustnessOptions struct {
 
 // Robustness is a plan's makespan distribution under perturbation: the
 // flow layer runs once and the scheduling layer is replayed across N
-// fault seeds, so the whole report costs N cheap schedule replays, not N
+// fault seeds, so the whole report costs N schedule replays, not N
 // estimates.
 type Robustness struct {
 	// Samples is the number of perturbation seeds evaluated.

@@ -18,7 +18,7 @@
 // pure per-job computation of flow.go: input pruning, tag flow, the combiner
 // model, skew, task counts, average and straggler task durations, output
 // dataset estimates — the job's place on the workflow's shared map and
-// reduce slot pools (schedule.go, cheap arithmetic), and publishes the
+// reduce slot pools (schedule.go), and publishes the
 // JobEstimate and the output DatasetEstimates the jobs downstream read.
 // Estimate walks every job with fresh cards. Prepare (prepared.go) walks the
 // jobs before the first one a configuration search may change, once, and
