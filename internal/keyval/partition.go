@@ -47,8 +47,9 @@ type PartitionSpec struct {
 	// in ascending order, for RangePartition. n split points define n+1
 	// partitions; a key k goes to the first partition whose upper split
 	// point is > k (the last partition is unbounded above). Split points
-	// are shared between a spec and the layouts derived from it, and are
-	// never written in place; Clone is the way to get an independent copy.
+	// are shared by specs, the layouts derived from them and plan clones
+	// (wf.ReduceGroup.Clone, wf.Layout.Clone), and are never written in
+	// place; PartitionSpec.Clone is the one independent copy.
 	SplitPoints []Tuple
 }
 
@@ -160,7 +161,7 @@ func fmtFields(idx []int) string {
 	return b.String()
 }
 
-// Clone deep-copies the spec.
+// Clone deep-copies the spec, split points included.
 func (s PartitionSpec) Clone() PartitionSpec {
 	out := s
 	// Nil means "all key fields" while empty means "none": preserve

@@ -42,7 +42,7 @@ func newTable(cluster *mrsim.Cluster, opt Options) []row {
 	// Partition function transformations belong to both structural groups
 	// (Section 4).
 	if !opt.DisablePartition {
-		rows = append(rows, row{partition{cluster}, GroupAll})
+		rows = append(rows, row{partition{cluster, trans.NewSplitMemo()}, GroupAll})
 	}
 	for _, tr := range opt.Custom {
 		rows = append(rows, row{custom{tr}, GroupAll})
@@ -100,15 +100,19 @@ func pairs(_ *wf.Workflow, unitJobs []string) (out [][]string) {
 }
 
 // partition proposes every enumerated partition spec of every reduce group in
-// the unit, sized for the cluster's reduce slots.
-type partition struct{ cluster *mrsim.Cluster }
+// the unit, sized for the cluster's reduce slots. The row is built once per
+// optimizer, so its split-point memo lives exactly as long as one search.
+type partition struct {
+	cluster *mrsim.Cluster
+	splits  *trans.SplitMemo
+}
 
 func (partition) Name() string { return "partition" }
 
 func (t partition) Apply(plan *wf.Workflow, unitJobs []string) (out []Proposal) {
 	for _, id := range unitJobs {
 		for _, g := range plan.Job(id).ReduceGroups {
-			for _, spec := range trans.EnumeratePartitionSpecs(plan, id, g.Tag, t.cluster.TotalReduceSlots()) {
+			for _, spec := range t.splits.EnumeratePartitionSpecs(plan, id, g.Tag, t.cluster.TotalReduceSlots()) {
 				if p, err := trans.ApplyPartitionSpec(plan, id, g.Tag, spec); err == nil {
 					out = append(out, Proposal{Plan: p, Desc: fmt.Sprintf("partition(%s#%d:%s)", id, g.Tag, spec.Type)})
 				}

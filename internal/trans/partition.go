@@ -69,6 +69,58 @@ func ApplyPartitionSpec(w *wf.Workflow, jobID string, tag int, spec keyval.Parti
 // parallelism, typically the cluster's reduce slots); zero falls back to
 // the job's configured reducer count.
 func EnumeratePartitionSpecs(w *wf.Workflow, jobID string, tag int, targetParts int) []keyval.PartitionSpec {
+	var fresh *SplitMemo
+	return fresh.EnumeratePartitionSpecs(w, jobID, tag, targetParts)
+}
+
+// SplitMemo memoizes equi-depth split points across the partition
+// enumerations of one search, which ask for the same (sample, fields, n)
+// triple for every subplan they are applied to. Key samples are write-once
+// and shared by plan clones and profile composition (wf.PipelineProfile), so
+// a sample is identified by the address of its first tuple; the pointer map
+// key pins the backing array, so the address cannot be reused by another
+// sample while the memo lives. The memoized split points are shared by every
+// spec built from them and are never written or sorted in place. A nil
+// *SplitMemo computes every list fresh. It is not safe for concurrent use.
+type SplitMemo struct {
+	points map[splitKey][]keyval.Tuple
+}
+
+// splitKey identifies one equi-depth computation: the sample (address and
+// length), the projected fields (hashed, as the skew cache does) and the
+// partition count.
+type splitKey struct {
+	sample *keyval.Tuple
+	size   int
+	fields uint64
+	n      int
+}
+
+// NewSplitMemo returns an empty memo.
+func NewSplitMemo() *SplitMemo {
+	return &SplitMemo{points: make(map[splitKey][]keyval.Tuple)}
+}
+
+// equiDepth returns keyval.EquiDepthSplitPoints(sample, fields, n), from the
+// memo when there is one. Callers pass effective key fields, never nil, so
+// hashing them cannot confuse nil ("all fields") with empty.
+func (m *SplitMemo) equiDepth(sample []keyval.Tuple, fields []int, n int) []keyval.Tuple {
+	if m == nil || len(sample) == 0 {
+		return keyval.EquiDepthSplitPoints(sample, fields, n)
+	}
+	k := splitKey{sample: &sample[0], size: len(sample), fields: keyval.HashInts(fields), n: n}
+	points, ok := m.points[k]
+	if !ok {
+		points = keyval.EquiDepthSplitPoints(sample, fields, n)
+		m.points[k] = points
+	}
+	return points
+}
+
+// EnumeratePartitionSpecs is the package function of the same name with its
+// equi-depth split points taken from the memo. The returned specs may share
+// split points with other calls' specs; ApplyPartitionSpec stores a copy.
+func (m *SplitMemo) EnumeratePartitionSpecs(w *wf.Workflow, jobID string, tag int, targetParts int) []keyval.PartitionSpec {
 	j := w.Job(jobID)
 	if j == nil {
 		return nil
@@ -119,7 +171,7 @@ func EnumeratePartitionSpecs(w *wf.Workflow, jobID string, tag int, targetParts 
 
 	// 1. Equi-depth range partitioning on the current partition fields.
 	if len(sample) > 0 {
-		points := keyval.EquiDepthSplitPoints(sample, curKey, n)
+		points := m.equiDepth(sample, curKey, n)
 		tryAdd(keyval.PartitionSpec{
 			Type:        keyval.RangePartition,
 			KeyFields:   append([]int(nil), curKey...),
@@ -137,12 +189,14 @@ func EnumeratePartitionSpecs(w *wf.Workflow, jobID string, tag int, targetParts 
 		if idx < 0 || wf.FieldIndex(g.KeyOut, field) < 0 {
 			continue
 		}
+		// A fresh slice: sortDedupPoints sorts in place, and the
+		// equi-depth points may be the memo's.
 		var points []keyval.Tuple
 		for _, b := range consumerFilterBounds(w, g.Output, field) {
 			points = append(points, keyval.T(b))
 		}
 		if len(sample) > 0 {
-			points = append(points, keyval.EquiDepthSplitPoints(sample, []int{idx}, n)...)
+			points = append(points, m.equiDepth(sample, []int{idx}, n)...)
 		}
 		points = sortDedupPoints(points)
 		// Sort order must start with the partition field to keep range

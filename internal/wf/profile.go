@@ -14,8 +14,8 @@ import "github.com/stubby-mr/stubby/internal/keyval"
 // JobProfile.Clone relies on that to share pipeline profiles across plan
 // clones — configuration search clones plans thousands of times, and
 // copying key-sample reservoirs each time would dominate its allocation
-// profile — and pointer-keyed memoizers (sample digests, fingerprint
-// hashers) rely on it to hit across clones.
+// profile — and pointer-keyed memoizers (sample digests, equi-depth split
+// points, fingerprint hashers) rely on it to hit across clones.
 type PipelineProfile struct {
 	// Selectivity is output records per input record for the whole
 	// pipeline (the paper's "record selectivity").

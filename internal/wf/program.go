@@ -10,6 +10,7 @@ package wf
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 )
@@ -214,7 +215,11 @@ type ReduceGroup struct {
 // grouped pipeline at all or runs it map-side after vertical packing.
 func (g ReduceGroup) MapOnly() bool { return len(g.Stages) == 0 || g.RunsMapSide }
 
-// Clone deep-copies the group.
+// Clone copies the group for an independent edit: stages, combiner,
+// constraints, name lists and the partition spec's field lists are copied,
+// while the spec's split points are shared — they are never written in
+// place (keyval.PartitionSpec.SplitPoints), and configuration search clones
+// plans thousands of times.
 func (g ReduceGroup) Clone() ReduceGroup {
 	out := g
 	out.Stages = cloneStages(g.Stages)
@@ -222,7 +227,9 @@ func (g ReduceGroup) Clone() ReduceGroup {
 		c := g.Combiner.Clone()
 		out.Combiner = &c
 	}
-	out.Part = g.Part.Clone()
+	// slices.Clone keeps nil ("all key fields") and empty distinct.
+	out.Part.KeyFields = slices.Clone(g.Part.KeyFields)
+	out.Part.SortFields = slices.Clone(g.Part.SortFields)
 	if g.Constraints != nil {
 		out.Constraints = make([]PartitionConstraint, len(g.Constraints))
 		for i, c := range g.Constraints {

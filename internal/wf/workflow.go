@@ -97,7 +97,10 @@ func (j *Job) Group(tag int) *ReduceGroup {
 	return nil
 }
 
-// Clone deep-copies the job.
+// Clone copies the job for an independent edit: branches, groups,
+// configuration, profile maps and origins are copied. Two write-once parts
+// are shared: the pipeline profiles (see PipelineProfile) and the groups'
+// range split points (see ReduceGroup.Clone).
 func (j *Job) Clone() *Job {
 	out := &Job{
 		ID:               j.ID,
@@ -132,25 +135,20 @@ type Layout struct {
 	SortFields []string
 	// SplitPoints are range boundaries for range-partitioned data. A
 	// derived layout shares them with the partition spec or input layout it
-	// came from, so they are never written in place: replace the slice, or
-	// take an independent copy with Clone (keyval.PartitionSpec.Clone for a
-	// spec's).
+	// came from, and Clone shares them too, so they are never written in
+	// place: replace the slice (keyval.PartitionSpec.Clone is the one
+	// independent copy of a spec's).
 	SplitPoints []keyval.Tuple
 	// Compressed marks on-disk compression.
 	Compressed bool
 }
 
-// Clone deep-copies the layout.
+// Clone copies the layout's field name lists and shares its split points,
+// which are never written in place.
 func (l Layout) Clone() Layout {
 	out := l
 	out.PartFields = cloneStrings(l.PartFields)
 	out.SortFields = cloneStrings(l.SortFields)
-	if l.SplitPoints != nil {
-		out.SplitPoints = make([]keyval.Tuple, len(l.SplitPoints))
-		for i, sp := range l.SplitPoints {
-			out.SplitPoints[i] = keyval.Clone(sp)
-		}
-	}
 	return out
 }
 
@@ -194,7 +192,8 @@ type Dataset struct {
 	EstPartitions int
 }
 
-// Clone deep-copies the dataset.
+// Clone copies the dataset, its layout (see Layout.Clone: split points are
+// shared) and its schema name lists.
 func (d *Dataset) Clone() *Dataset {
 	out := *d
 	out.Layout = d.Layout.Clone()
@@ -429,7 +428,9 @@ func validateStage(s Stage) error {
 	return nil
 }
 
-// Clone deep-copies the workflow.
+// Clone copies the workflow for an independent edit: every job and dataset
+// is copied (Job.Clone, Dataset.Clone). Only the write-once parts are
+// shared with the original: pipeline profiles and range split points.
 func (w *Workflow) Clone() *Workflow {
 	out := &Workflow{Name: w.Name}
 	out.Jobs = make([]*Job, len(w.Jobs))

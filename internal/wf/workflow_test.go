@@ -170,7 +170,29 @@ func TestCloneIsDeep(t *testing.T) {
 	w.Jobs[0].Profile = &JobProfile{}
 	w.Jobs[0].Profile.SetMapProfile(0, "base", &PipelineProfile{Selectivity: 1, KeySample: []keyval.Tuple{keyval.T(1)}})
 	w.Jobs[0].ReduceGroups[0].Constraints = []PartitionConstraint{{CoGroup: []string{"O"}}}
+	w.Jobs[0].ReduceGroups[0].Part = keyval.PartitionSpec{Type: keyval.RangePartition,
+		KeyFields: []int{0}, SortFields: []int{0}, SplitPoints: []keyval.Tuple{keyval.T(5)}}
+	w.Datasets[1].Layout = Layout{PartType: keyval.RangePartition, PartFields: []string{"k"},
+		SortFields: []string{"k"}, SplitPoints: []keyval.Tuple{keyval.T(5)}}
 	c := w.Clone()
+	// Split points are never written in place, so clones share them (the
+	// skew estimate digests each list once); the field lists are copied.
+	if &c.Jobs[0].ReduceGroups[0].Part.SplitPoints[0] != &w.Jobs[0].ReduceGroups[0].Part.SplitPoints[0] {
+		t.Error("clone should share the group's split points")
+	}
+	if &c.Datasets[1].Layout.SplitPoints[0] != &w.Datasets[1].Layout.SplitPoints[0] {
+		t.Error("clone should share the layout's split points")
+	}
+	c.Jobs[0].ReduceGroups[0].Part.KeyFields[0] = 9
+	c.Jobs[0].ReduceGroups[0].Part.SortFields[0] = 9
+	c.Datasets[1].Layout.PartFields[0] = "mutated"
+	c.Datasets[1].Layout.SortFields[0] = "mutated"
+	if p := w.Jobs[0].ReduceGroups[0].Part; p.KeyFields[0] != 0 || p.SortFields[0] != 0 {
+		t.Error("clone aliases partition field lists")
+	}
+	if l := w.Datasets[1].Layout; l.PartFields[0] != "k" || l.SortFields[0] != "k" {
+		t.Error("clone aliases layout field lists")
+	}
 	c.Jobs[0].ID = "Jx"
 	c.Jobs[1].MapBranches[0].Input = "mutated"
 	c.Datasets[0].KeyFields = []string{"mutated"}

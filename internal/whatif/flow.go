@@ -423,16 +423,18 @@ func (e *Estimator) skewShare(job *wf.Job, tag int, te *tagEst) float64 {
 	var share float64
 	if te.group.Part.Type == keyval.RangePartition {
 		// Split points are fixed, so counting sampled keys per partition
-		// is an unbiased load estimate. Keys are content-based (sample
-		// digest, not identity), so equal samples hit across plan clones.
-		// Partition projects the key through the spec's key fields before
-		// comparing to split points, so the fields are part of the identity.
+		// is an unbiased load estimate. Keys are content-based (sample and
+		// split-point digests, not identity), so equal samples hit across
+		// plan clones; the digests are memoized by address, which clones
+		// share. Partition projects the key through the spec's key fields
+		// before comparing to split points, so the fields are part of the
+		// identity. numParts > 1 here, so the split points are non-empty.
 		key := skewKey{
 			ranged:   true,
 			numParts: te.numParts,
 			fields:   specFieldsHash(te.group.Part, len(mp.KeySample[0])),
-			splits:   keyval.HashTuples(te.group.Part.SplitPoints),
-			sample:   e.sampleHash(mp.KeySample),
+			splits:   e.digest(te.group.Part.SplitPoints),
+			sample:   e.digest(mp.KeySample),
 		}
 		if v, ok := e.skewCache[key]; ok {
 			share = v
@@ -457,7 +459,7 @@ func (e *Estimator) skewShare(job *wf.Job, tag int, te *tagEst) float64 {
 		// count, so cacheable across configuration search.
 		key := skewKey{
 			fields: specFieldsHash(te.group.Part, len(mp.KeySample[0])),
-			sample: e.sampleHash(mp.KeySample),
+			sample: e.digest(mp.KeySample),
 		}
 		if v, ok := e.skewCache[key]; ok {
 			share = v

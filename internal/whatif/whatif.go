@@ -118,17 +118,25 @@ type Estimator struct {
 	hasher    *wf.Hasher
 	clusterFP uint64
 	skewCache map[skewKey]float64
-	// sampleHashes memoizes key-sample content digests by the address of
-	// the sample's first tuple. The pointer map key pins the backing array,
-	// so an address uniquely identifies one sample for the estimator's
-	// lifetime. (A formatted "%p" inside a string key — the previous
-	// scheme — pins nothing: a freed sample's address could be reused by a
-	// different sample, resurrecting stale skew entries nondeterministically
-	// with GC timing.)
-	sampleHashes map[*keyval.Tuple]uint64
-	requests     uint64 // EstimateContext calls plus Prepared's delta estimates
-	computed     uint64 // runs of the monolithic walk (every EstimateContext call without a cache)
-	flowCards    uint64
+	// digests memoizes the content digests of write-once tuple lists — key
+	// samples and range split points, which plan clones share rather than
+	// copy — by the list's first-tuple address and length. The pointer map
+	// key pins the backing array, so an address uniquely identifies one list
+	// for the estimator's lifetime. (A formatted "%p" inside a string key —
+	// an earlier scheme — pins nothing: a freed sample's address could be
+	// reused by a different sample, resurrecting stale skew entries
+	// nondeterministically with GC timing.)
+	digests   map[tuplesRef]uint64
+	requests  uint64 // EstimateContext calls plus Prepared's delta estimates
+	computed  uint64 // runs of the monolithic walk (every EstimateContext call without a cache)
+	flowCards uint64
+}
+
+// tuplesRef identifies a non-empty tuple list by the address of its first
+// tuple and its length.
+type tuplesRef struct {
+	first *keyval.Tuple
+	n     int
 }
 
 // skewKey identifies one skew-cache entry without allocating: the partition
@@ -151,10 +159,10 @@ func New(c *mrsim.Cluster) *Estimator { return NewCached(c, nil) }
 // computed).
 func NewCached(c *mrsim.Cluster, cache *Cache) *Estimator {
 	e := &Estimator{
-		Cluster:      c,
-		cache:        cache,
-		skewCache:    make(map[skewKey]float64),
-		sampleHashes: make(map[*keyval.Tuple]uint64),
+		Cluster:   c,
+		cache:     cache,
+		skewCache: make(map[skewKey]float64),
+		digests:   make(map[tuplesRef]uint64),
 	}
 	if cache != nil {
 		e.hasher = wf.NewHasher()
@@ -163,14 +171,15 @@ func NewCached(c *mrsim.Cluster, cache *Cache) *Estimator {
 	return e
 }
 
-// sampleHash digests a key sample's contents, memoized by (pinned) address.
-func (e *Estimator) sampleHash(sample []keyval.Tuple) uint64 {
-	p := &sample[0]
-	if h, ok := e.sampleHashes[p]; ok {
+// digest returns keyval.HashTuples of a non-empty write-once tuple list,
+// memoized by its (pinned) address.
+func (e *Estimator) digest(ts []keyval.Tuple) uint64 {
+	k := tuplesRef{&ts[0], len(ts)}
+	if h, ok := e.digests[k]; ok {
 		return h
 	}
-	h := keyval.HashTuples(sample)
-	e.sampleHashes[p] = h
+	h := keyval.HashTuples(ts)
+	e.digests[k] = h
 	return h
 }
 

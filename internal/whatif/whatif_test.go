@@ -222,6 +222,38 @@ func TestSkewEstimatedFromKeySample(t *testing.T) {
 	}
 }
 
+// TestSplitPointDigestShared: plan clones share split points, so estimating
+// 50 clones of one range-partitioned plan adds exactly one digest entry, for
+// their split points, and the memoized digest gives the skew share a fresh
+// estimator computes.
+func TestSplitPointDigestShared(t *testing.T) {
+	w, _, cl := buildAnnotated(t, 500)
+	e := New(cl)
+	if _, err := e.Estimate(w); err != nil {
+		t.Fatal(err)
+	}
+	before := len(e.digests) // the two jobs' key samples
+	ranged := w.Clone()
+	j1 := ranged.Job("J1")
+	j1.ReduceGroups[0].Part = keyval.PartitionSpec{Type: keyval.RangePartition, KeyFields: []int{0},
+		SplitPoints: keyval.EquiDepthSplitPoints(j1.Profile.MapSide[0].KeySample, []int{0}, 8)}
+	parts := len(j1.ReduceGroups[0].Part.SplitPoints) + 1
+	for i := 0; i < 50; i++ {
+		c := ranged.Clone()
+		if _, err := e.Estimate(c); err != nil {
+			t.Fatal(err)
+		}
+		job := c.Job("J1")
+		te := &tagEst{group: &job.ReduceGroups[0], numParts: parts, maxShare: 1}
+		if got, want := e.skewShare(job, 0, te), New(cl).skewShare(job, 0, te); got != want {
+			t.Fatalf("clone %d: skew share %v, a fresh estimator's %v", i, got, want)
+		}
+	}
+	if added := len(e.digests) - before; added != 1 {
+		t.Errorf("50 clones added %d digest entries, want 1 for their shared split points", added)
+	}
+}
+
 func TestPruneKeepFraction(t *testing.T) {
 	layout := wf.Layout{
 		PartType:    keyval.RangePartition,
