@@ -18,7 +18,7 @@ func claimKey(n uint64) Key {
 
 // TestClaimCrossProcessSingleFlight opens several stores over one directory
 // (the in-process stand-in for separate replicas) and races identical
-// GetOrComputeCtx calls through all of them: exactly one compute must run
+// GetOrCompute calls through all of them: exactly one compute must run
 // cluster-wide, every caller must get the same bytes, and the claim file
 // must be gone afterwards.
 func TestClaimCrossProcessSingleFlight(t *testing.T) {
@@ -45,7 +45,7 @@ func TestClaimCrossProcessSingleFlight(t *testing.T) {
 			wg.Add(1)
 			go func(ri, c int, s *Store) {
 				defer wg.Done()
-				doc, _, err := s.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
+				doc, _, err := s.GetOrCompute(context.Background(), key, func() ([]byte, error) {
 					computes.Add(1)
 					time.Sleep(30 * time.Millisecond) // widen the race window
 					return want, nil
@@ -109,12 +109,12 @@ func TestClaimFailedComputeReleases(t *testing.T) {
 	defer b.Close()
 	key := claimKey(202)
 	boom := fmt.Errorf("synthetic optimizer failure")
-	if _, _, err := a.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
+	if _, _, err := a.GetOrCompute(context.Background(), key, func() ([]byte, error) {
 		return nil, boom
 	}); err != boom {
 		t.Fatalf("replica a error = %v, want %v", err, boom)
 	}
-	doc, hit, err := b.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
+	doc, hit, err := b.GetOrCompute(context.Background(), key, func() ([]byte, error) {
 		return []byte(`{"plan":"recovered"}`), nil
 	})
 	if err != nil || hit {
@@ -144,7 +144,7 @@ func TestClaimStaleFileSuperseded(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		doc, hit, err := s.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
+		doc, hit, err := s.GetOrCompute(context.Background(), key, func() ([]byte, error) {
 			return []byte(`{"plan":"takeover"}`), nil
 		})
 		if err != nil || hit || string(doc) != `{"plan":"takeover"}` {
@@ -184,7 +184,7 @@ func TestClaimWaiterCancellation(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err = b.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
+	_, _, err = b.GetOrCompute(ctx, key, func() ([]byte, error) {
 		t.Error("compute ran while the claim was held elsewhere")
 		return nil, nil
 	})
@@ -221,7 +221,7 @@ func TestClaimWaiterServedByPublish(t *testing.T) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		doc, hit, err := b.GetOrComputeCtx(context.Background(), key, func() ([]byte, error) {
+		doc, hit, err := b.GetOrCompute(context.Background(), key, func() ([]byte, error) {
 			return []byte(`{"plan":"wrong-owner"}`), nil
 		})
 		ch <- res{doc, hit, err}

@@ -9,11 +9,12 @@
 //
 // # On-disk layout
 //
-// A store directory holds append-only segment files plus a snapshot index:
+// A store directory holds append-only segment files and nothing else that
+// records what the store holds; the segments are its only state:
 //
 //	dir/
 //	  segments/seg-000001.log   one per writer lifetime, framelog records
-//	  index.json                atomic-rename snapshot of address → location
+//	  claims/                   cross-process single-flight (claims.go)
 //
 // Each writer appends to its own segment, created with O_EXCL and held
 // under an exclusive flock for the writer's lifetime. No two processes ever
@@ -21,7 +22,8 @@
 // coordination beyond the per-fingerprint single-flight inside each
 // process; the read path is lock-free (records are immutable once their
 // CRC validates). Replicas see each other's publishes by rescanning
-// segments past their remembered high-water marks on a read miss.
+// segments past their remembered high-water marks on a read miss. An index
+// snapshot that older builds kept next to segments/ is ignored.
 //
 // # Durability and crash safety
 //
@@ -29,11 +31,9 @@
 // whose package comment states the discipline once: a record is one write
 // plus one fsync, and a failed append is truncated away (or, when even that
 // fails, the store rotates to a fresh segment) so it never hides later
-// ones. The index snapshot is published with the classic
-// write-temp-then-rename dance. Reopening a directory is crash-safe: a
-// valid index accelerates the load, a missing or corrupt one degrades to a
-// full segment scan. Tails of segments whose writer is provably gone (their
-// flock is free) are physically truncated to the last valid record; a live
+// ones. Open reads every segment once. A segment whose writer is provably
+// gone (its flock is free) is immutable: Open indexes its records and
+// physically truncates a torn tail to the last valid record. A live
 // writer's short tail is left alone and simply ignored until the record
 // completes, and a provably corrupt region freezes its segment.
 package planstore
@@ -42,7 +42,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -118,23 +117,9 @@ type flight struct {
 	err  error
 }
 
-// Option configures a Store under construction.
-type Option func(*Store)
-
-// WithMemoryEntries bounds the in-memory document cache (default 256
-// entries; <= 0 keeps the default). Disk entries are unbounded.
-func WithMemoryEntries(n int) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.memCap = n
-		}
-	}
-}
-
-// indexPublishEvery is how many Puts elapse between index snapshots. The
-// index is purely an accelerator — reopen falls back to a segment scan —
-// so publishing lazily costs nothing but reopen time.
-const indexPublishEvery = 16
+// memEntries bounds the in-memory document cache. Disk entries are
+// unbounded.
+const memEntries = 256
 
 // Store is a durable content-addressed document store with an in-memory
 // LRU front and a per-address single-flight. It is safe for concurrent use
@@ -145,15 +130,14 @@ type Store struct {
 	segDir string
 	memCap int
 
-	mu               sync.Mutex
-	index            map[Address]recLoc        // disk records (this store has seen)
-	mem              map[Address]*list.Element // of *memEntry
-	lru              *list.List                // front = most recently used
-	seg              *segmentWriter            // own segment; nil after Close
-	marks            map[string]int64          // segment name → scanned high-water offset
-	frozen           map[string]bool           // segments with a detected corrupt region
-	putsSincePublish int
-	closed           bool
+	mu     sync.Mutex
+	index  map[Address]recLoc        // disk records (this store has seen)
+	mem    map[Address]*list.Element // of *memEntry
+	lru    *list.List                // front = most recently used
+	seg    *segmentWriter            // own segment; nil after Close
+	marks  map[string]int64          // segment name → scanned high-water offset
+	frozen map[string]bool           // segments with a detected corrupt region
+	closed bool
 
 	flMu    sync.Mutex
 	flights map[Address]*flight
@@ -164,15 +148,15 @@ type Store struct {
 	claims, claimWaits, claimHits     atomic.Uint64
 }
 
-// Open opens (creating if needed) the store directory: it loads the index
-// snapshot when one is present and valid, scans segments for records past
-// the snapshot, truncates torn tails of writer-less segments, and claims a
-// fresh segment file for this store's own appends.
-func Open(dir string, opts ...Option) (*Store, error) {
+// Open opens (creating if needed) the store directory: it reads every
+// segment once — indexing the records of writer-less segments and
+// truncating their torn tails, then scanning live writers' segments — and
+// claims a fresh segment file for this store's own appends.
+func Open(dir string) (*Store, error) {
 	s := &Store{
 		dir:     dir,
 		segDir:  filepath.Join(dir, "segments"),
-		memCap:  256,
+		memCap:  memEntries,
 		index:   make(map[Address]recLoc),
 		mem:     make(map[Address]*list.Element),
 		lru:     list.New(),
@@ -180,16 +164,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		frozen:  make(map[string]bool),
 		flights: make(map[Address]*flight),
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
 	if err := os.MkdirAll(s.segDir, 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "claims"), 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
-	s.loadIndex() // best effort; a corrupt index degrades to a full scan
 	s.mu.Lock()
 	s.recoverSegmentsLocked()
 	if err := s.refreshLocked(); err != nil {
@@ -283,8 +263,7 @@ func (s *Store) cacheLocked(addr Address, doc []byte) {
 }
 
 // Put publishes doc under key: append to the owned segment (one write,
-// one fsync), index it, cache it, and occasionally snapshot
-// the index. Publishing the same address twice is harmless — the store is
+// one fsync), index it and cache it. Publishing the same address twice is harmless — the store is
 // content-addressed, so duplicates carry identical bytes and the
 // last-indexed location wins.
 func (s *Store) Put(key Key, doc []byte) error {
@@ -314,10 +293,6 @@ func (s *Store) putLocked(addr Address, doc []byte) error {
 	s.cacheLocked(addr, doc)
 	s.puts.Add(1)
 	s.bytesWritten.Add(uint64(len(doc)))
-	s.putsSincePublish++
-	if s.putsSincePublish >= indexPublishEvery {
-		s.publishIndexLocked()
-	}
 	return nil
 }
 
@@ -338,14 +313,6 @@ func (s *Store) rotateSegmentLocked() error {
 }
 
 // GetOrCompute returns the document for key, running compute on a miss.
-// Concurrent callers with the same key share one computation. See
-// GetOrComputeCtx for the full semantics; GetOrCompute waits without a
-// cancellation context.
-func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) (doc []byte, hit bool, err error) {
-	return s.GetOrComputeCtx(context.Background(), key, compute)
-}
-
-// GetOrComputeCtx returns the document for key, running compute on a miss.
 // Single-flight holds at two levels: concurrent callers within the process
 // share one computation through an in-process flight, and concurrent
 // callers across processes sharing the directory share one through a
@@ -358,7 +325,7 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) (doc []byt
 // are returned to every in-process waiter and never stored; a replica
 // whose claimed compute fails releases the claim, so the next waiter takes
 // the computation over rather than inheriting the failure.
-func (s *Store) GetOrComputeCtx(ctx context.Context, key Key, compute func() ([]byte, error)) (doc []byte, hit bool, err error) {
+func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() ([]byte, error)) (doc []byte, hit bool, err error) {
 	addr := key.Address()
 	for {
 		if doc, ok, err := s.Get(key); err != nil {
@@ -455,9 +422,10 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close publishes a final index snapshot and releases the owned segment
-// (truncating it away entirely if this writer never published a record).
-// Close is idempotent; Get keeps working on a closed store, Put fails.
+// Close releases the owned segment (removing it entirely if this writer
+// never published a record); every record it did publish is already
+// durable. Close is idempotent; Get keeps working on a closed store, Put
+// fails.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,119 +433,20 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.publishIndexLocked()
 	return s.seg.close(s.segDir)
-}
-
-// --- index snapshot ----------------------------------------------------------
-
-const (
-	indexFormat  = "stubby-planstore-index"
-	indexVersion = 1
-)
-
-type indexEntryDoc struct {
-	Addr string `json:"addr"`
-	Seg  string `json:"seg"`
-	Off  int64  `json:"off"`
-	Len  int    `json:"len"`
-}
-
-type indexDoc struct {
-	Format   string           `json:"format"`
-	Version  int              `json:"version"`
-	Segments map[string]int64 `json:"segments"` // validated prefix sizes
-	Entries  []indexEntryDoc  `json:"entries"`
-}
-
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
-
-// publishIndexLocked snapshots the index via write-temp-then-rename. A
-// failure only costs reopen speed, so it is counted, not returned. Callers
-// hold s.mu.
-func (s *Store) publishIndexLocked() {
-	s.putsSincePublish = 0
-	doc := indexDoc{Format: indexFormat, Version: indexVersion, Segments: make(map[string]int64, len(s.marks))}
-	for name, off := range s.marks {
-		doc.Segments[name] = off
-	}
-	doc.Entries = make([]indexEntryDoc, 0, len(s.index))
-	for addr, loc := range s.index {
-		doc.Entries = append(doc.Entries, indexEntryDoc{Addr: addr.String(), Seg: loc.seg, Off: loc.off, Len: loc.n})
-	}
-	sort.Slice(doc.Entries, func(i, j int) bool { return doc.Entries[i].Addr < doc.Entries[j].Addr })
-	data, err := json.MarshalIndent(&doc, "", " ")
-	if err != nil {
-		s.errCount.Add(1)
-		return
-	}
-	tmp := s.indexPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		s.errCount.Add(1)
-		return
-	}
-	if err := os.Rename(tmp, s.indexPath()); err != nil {
-		s.errCount.Add(1)
-		_ = os.Remove(tmp)
-	}
-}
-
-// loadIndex loads the snapshot if present and structurally valid. Every
-// claim the snapshot makes is re-verified lazily: locations are CRC-checked
-// on first read, and high-water marks only seed the scan start (a mark
-// beyond a segment's real size rescans from zero). Corruption therefore
-// costs a scan, never a wrong answer.
-func (s *Store) loadIndex() {
-	data, err := os.ReadFile(s.indexPath())
-	if err != nil {
-		return
-	}
-	var doc indexDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return
-	}
-	if doc.Format != indexFormat || doc.Version != indexVersion {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, off := range doc.Segments {
-		if fi, err := os.Stat(filepath.Join(s.segDir, name)); err != nil || off > fi.Size() || off < 0 {
-			continue // stale claim; scan this segment from zero
-		}
-		s.marks[name] = off
-	}
-	for _, e := range doc.Entries {
-		addr, ok := parseAddress(e.Addr)
-		if !ok || e.Off < 0 || e.Len < 0 {
-			continue
-		}
-		if _, tracked := s.marks[e.Seg]; !tracked {
-			continue
-		}
-		s.index[addr] = recLoc{seg: e.Seg, off: e.Off, n: e.Len}
-	}
-}
-
-func parseAddress(v string) (Address, bool) {
-	if len(v) != 32 {
-		return Address{}, false
-	}
-	var a Address
-	if _, err := fmt.Sscanf(v, "%016x%016x", &a[0], &a[1]); err != nil {
-		return Address{}, false
-	}
-	return a, true
 }
 
 // --- segment discovery and scanning ------------------------------------------
 
-// recoverSegmentsLocked truncates torn tails of segments with no live
-// writer. A segment's writer holds an exclusive flock for its lifetime, so
-// a successfully acquired lock proves the writer is gone and the file is
-// immutable — safe to scan to the last valid record and physically truncate
-// the rest. Segments whose lock is held are left to refreshLocked, which
-// ignores incomplete tails until they finish. Callers hold s.mu.
+// recoverSegmentsLocked indexes the records of segments with no live writer
+// and truncates their torn tails. A segment's writer holds an exclusive
+// flock for its lifetime, so a successfully acquired lock proves the writer
+// is gone and the file is immutable — safe to scan to the last valid
+// record, index what it holds, and physically truncate the rest. The
+// segment's mark is set to its valid size, so refreshLocked, which resumes
+// at the mark, finds nothing left to read there.
+// Segments whose lock is held are left to refreshLocked, which ignores
+// incomplete tails until they finish. Callers hold s.mu.
 func (s *Store) recoverSegmentsLocked() {
 	for _, name := range s.listSegments() {
 		path := filepath.Join(s.segDir, name)
@@ -590,7 +459,8 @@ func (s *Store) recoverSegmentsLocked() {
 			continue
 		}
 		if fi, err := f.Stat(); err == nil {
-			valid, verdict := recFormat.Scan(f, 0, fi.Size(), nil)
+			valid, verdict := recFormat.Scan(f, 0, fi.Size(), s.indexFrame(name))
+			s.marks[name] = valid
 			if verdict == framelog.Corrupt {
 				s.errCount.Add(1)
 			}
@@ -649,10 +519,7 @@ func (s *Store) refreshLocked() error {
 			s.errCount.Add(1)
 			continue
 		}
-		newMark, verdict := recFormat.Scan(f, mark, fi.Size(), func(fr framelog.Frame) bool {
-			s.index[addressOf(fr.Key)] = recLoc{seg: name, off: fr.Off, n: len(fr.Payload)}
-			return true
-		})
+		newMark, verdict := recFormat.Scan(f, mark, fi.Size(), s.indexFrame(name))
 		f.Close()
 		s.marks[name] = newMark
 		if verdict == framelog.Corrupt {
@@ -661,4 +528,13 @@ func (s *Store) refreshLocked() error {
 		}
 	}
 	return nil
+}
+
+// indexFrame returns the scan callback that indexes each record of segment
+// name. Callers hold s.mu.
+func (s *Store) indexFrame(name string) func(framelog.Frame) bool {
+	return func(fr framelog.Frame) bool {
+		s.index[addressOf(fr.Key)] = recLoc{seg: name, off: fr.Off, n: len(fr.Payload)}
+		return true
+	}
 }

@@ -2,7 +2,9 @@ package planstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,9 +21,9 @@ func testDoc(i int) []byte {
 	return []byte(fmt.Sprintf(`{"plan":"document-%d","padding":"%032d"}`, i, i))
 }
 
-func mustOpen(t *testing.T, dir string, opts ...Option) *Store {
+func mustOpen(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, opts...)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestAddressDistinguishesKeyFields(t *testing.T) {
 func TestPutGetAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	const n = 24 // spans an index publish boundary
+	const n = 24
 	for i := 0; i < n; i++ {
 		if err := s.Put(testKey(i), testDoc(i)); err != nil {
 			t.Fatal(err)
@@ -74,7 +76,7 @@ func TestPutGetAcrossReopen(t *testing.T) {
 	}
 
 	// Reopen (a "restart"): every document must come back from disk,
-	// byte-identical, via the published index.
+	// byte-identical, via the one scan of the segments Open makes.
 	r := mustOpen(t, dir)
 	for i := 0; i < n; i++ {
 		doc, ok, err := r.Get(testKey(i))
@@ -90,29 +92,71 @@ func TestPutGetAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestReopenWithoutIndexScansSegments(t *testing.T) {
+// TestLeftoverIndexIgnored reopens a directory holding an index.json of
+// random bytes, as an older build could leave behind: the segments alone
+// decide what the store holds, and the leftover file costs no error.
+func TestLeftoverIndexIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	for i := 0; i < 5; i++ {
+	const n = 20
+	for i := 0; i < n; i++ {
 		if err := s.Put(testKey(i), testDoc(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Close()
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	junk := make([]byte, 4096)
+	rand.New(rand.NewSource(7)).Read(junk)
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	r := mustOpen(t, dir)
-	for i := 0; i < 5; i++ {
+	if st := r.Stats(); st.Entries != n || st.Errors != 0 {
+		t.Fatalf("reopened stats = %+v, want %d entries and no errors", st, n)
+	}
+	for i := 0; i < n; i++ {
 		doc, ok, err := r.Get(testKey(i))
 		if err != nil || !ok || !bytes.Equal(doc, testDoc(i)) {
-			t.Fatalf("get %d after index removal: ok=%v err=%v", i, ok, err)
+			t.Fatalf("get %d beside a leftover index: ok=%v err=%v", i, ok, err)
 		}
+	}
+	if st := r.Stats(); st.Errors != 0 {
+		t.Fatalf("errors = %d after reads, want 0", st.Errors)
+	}
+}
+
+// TestSegmentsAreTheOnlyState checks that a closed store leaves nothing in
+// its directory but the segments and the claims directory.
+func TestSegmentsAreTheOnlyState(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	for i := 0; i < 40; i++ {
+		if err := s.Put(testKey(i), testDoc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if fmt.Sprint(names) != "[claims segments]" {
+		t.Fatalf("store directory holds %v, want only [claims segments]", names)
 	}
 }
 
 func TestMemoryLRUBoundsAndEvicts(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), WithMemoryEntries(4))
+	s := mustOpen(t, t.TempDir())
+	s.memCap = 4
 	for i := 0; i < 10; i++ {
 		if err := s.Put(testKey(i), testDoc(i)); err != nil {
 			t.Fatal(err)
@@ -145,7 +189,7 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			doc, _, err := s.GetOrCompute(key, func() ([]byte, error) {
+			doc, _, err := s.GetOrCompute(context.Background(), key, func() ([]byte, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
@@ -177,14 +221,14 @@ func TestGetOrComputeErrorNotStored(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := testKey(0)
 	wantErr := fmt.Errorf("optimization failed")
-	if _, _, err := s.GetOrCompute(key, func() ([]byte, error) { return nil, wantErr }); err != wantErr {
+	if _, _, err := s.GetOrCompute(context.Background(), key, func() ([]byte, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
 	if _, ok, _ := s.Get(key); ok {
 		t.Fatal("a failed computation was stored")
 	}
 	// The next compute must run (the flight was not poisoned).
-	doc, hit, err := s.GetOrCompute(key, func() ([]byte, error) { return testDoc(0), nil })
+	doc, hit, err := s.GetOrCompute(context.Background(), key, func() ([]byte, error) { return testDoc(0), nil })
 	if err != nil || hit || !bytes.Equal(doc, testDoc(0)) {
 		t.Fatalf("retry after error: hit=%v err=%v", hit, err)
 	}
@@ -215,7 +259,7 @@ func TestTwoStoresShareDirectoryLive(t *testing.T) {
 		t.Fatalf("segments = %d, want >= 2 (one per writer)", st.Segments)
 	}
 	// GetOrCompute on B must hit A's entry, not recompute.
-	_, hit, err := b.GetOrCompute(testKey(1), func() ([]byte, error) {
+	_, hit, err := b.GetOrCompute(context.Background(), testKey(1), func() ([]byte, error) {
 		t.Error("recomputed an entry another replica already published")
 		return testDoc(1), nil
 	})

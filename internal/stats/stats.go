@@ -57,8 +57,9 @@ type Store struct {
 	// BytesWritten / BytesRead count record payload traffic to/from disk.
 	BytesWritten uint64 `json:"bytesWritten"`
 	BytesRead    uint64 `json:"bytesRead"`
-	// Errors counts background persistence failures (a failed append or
-	// index publish); reads and computes still succeed when it rises.
+	// Errors counts persistence failures (a failed append, or a damaged
+	// record a scan or read skipped); reads and computes still succeed
+	// when it rises.
 	Errors uint64 `json:"errors"`
 	// Entries is the number of distinct addresses known (memory + disk).
 	Entries int `json:"entries"`

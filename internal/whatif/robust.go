@@ -42,14 +42,8 @@ type Robustness struct {
 	Makespans []float64
 }
 
-// Percentile returns the q-quantile (0 < q <= 1) of the sampled makespans
-// using the nearest-rank method.
-func (r *Robustness) Percentile(q float64) float64 {
-	sorted := append([]float64(nil), r.Makespans...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, q)
-}
-
+// percentileSorted returns the q-quantile (0 < q <= 1) of the ascending
+// makespans in sorted, using the nearest-rank method.
 func percentileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0

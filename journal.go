@@ -51,17 +51,6 @@ func OpenJournal(dir string) (*Journal, error) {
 // Stats snapshots the journal's counters.
 func (j *Journal) Stats() JournalStats { return j.j.Stats() }
 
-// SetCompactionThresholds tunes the journal's live compaction: the log is
-// rewritten to just the in-flight submit records once terminalEvery jobs
-// reached a terminal state since the last compaction, or once it exceeds
-// maxBytes with droppable records in it. terminalEvery <= 0 restores the
-// default (256); maxBytes <= 0 disables the byte trigger. Without tuning,
-// both defaults apply — a long-lived server's journal stays proportional
-// to its in-flight set instead of its history.
-func (j *Journal) SetCompactionThresholds(terminalEvery int, maxBytes int64) {
-	j.j.SetCompactionThresholds(terminalEvery, maxBytes)
-}
-
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.j.Dir() }
 

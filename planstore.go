@@ -148,7 +148,7 @@ func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, key planstore.
 	}
 	for {
 		var computed *Result
-		doc, hit, err := s.planStore.GetOrComputeCtx(ctx, key, func() ([]byte, error) {
+		doc, hit, err := s.planStore.GetOrCompute(ctx, key, func() ([]byte, error) {
 			res, rerr := s.optimizeDirect(ctx, w, name, seed, sink)
 			if rerr != nil {
 				return nil, rerr
