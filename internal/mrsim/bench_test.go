@@ -33,14 +33,30 @@ func BenchmarkExecuteGroupSum(b *testing.B) {
 	b.ReportMetric(float64(50000*b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkSlotPoolSchedule measures the event scheduler.
+// BenchmarkSlotPoolSchedule measures per-task placement on a 150-slot pool:
+// equal tasks, which keep the slots' free times in few runs, and tasks that
+// all differ in length, the shape of the simulator's Engine.runJob, which
+// keeps one run per slot.
 func BenchmarkSlotPoolSchedule(b *testing.B) {
-	pool := NewSlotPool(150)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Schedule(0, 1)
-	}
+	b.Run("equal", func(b *testing.B) {
+		pool := NewSlotPool(150)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pool.Schedule(0, 1)
+		}
+	})
+	b.Run("distinct", func(b *testing.B) {
+		pool, durs := NewSlotPool(150), distinctDurations(4096)
+		for _, d := range durs {
+			pool.Schedule(0, d)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pool.Schedule(0, durs[i%len(durs)])
+		}
+	})
 }
 
 // BenchmarkScheduleUniform measures the batched scheduler the What-if
@@ -69,7 +85,7 @@ func BenchmarkScheduleUniform(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			pool, snap := NewSlotPool(150), bc.pool.Snapshot()
-			pool.ScheduleUniform(bc.ready, 3.5, bc.count) // grow the scratch
+			pool.ScheduleUniform(bc.ready, 3.5, bc.count) // warm the pool's buffer
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

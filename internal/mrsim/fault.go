@@ -311,9 +311,11 @@ type FaultyPoolSnapshot struct {
 	h faultSlotHeap
 }
 
-// Snapshot captures the pool's exact heap layout; like SlotPool.Snapshot
-// it preserves tie-break behavior so a restored replay is bit-identical.
-// All slots must be released (no task mid-flight).
+// Snapshot captures the pool's exact heap layout. Unlike SlotPool, whose
+// slots are interchangeable, a FaultyPool's slots differ in speed, so which
+// slot breaks a tie decides the schedule; the layout preserves that, and a
+// restored replay is bit-identical. All slots must be released (no task
+// mid-flight).
 func (p *FaultyPool) Snapshot() FaultyPoolSnapshot {
 	s := FaultyPoolSnapshot{h: make(faultSlotHeap, len(p.h))}
 	copy(s.h, p.h)

@@ -9,16 +9,26 @@ import "slices"
 // (Section 7.2: packing loses when the cluster can run the jobs
 // concurrently).
 //
-// The pool owns ScheduleUniform's scratch buffers, so pricing a job on a
-// warmed pool allocates nothing. A SlotPool is not safe for concurrent use.
+// Slots are interchangeable, so the pool keeps only the multiset of their
+// free times: ascending runs of distinct times, each with the number of
+// slots free at it. A What-if pool of a hundred-odd slots holds one or two
+// runs, so pricing a job costs O(runs), not O(slots); the simulator's pool,
+// whose tasks all differ in length, holds one run per slot. A SlotPool is
+// not safe for concurrent use.
 type SlotPool struct {
-	free timeHeap
-	// Scratch of ScheduleUniform's water-level path, grown on demand:
-	// first the sorted distinct slot starts and their multiplicities, then
-	// the per-slot task counts. It is not pool state: Snapshot and Restore
-	// ignore it, and every use overwrites every entry it reads.
-	starts []float64
-	counts []int
+	// The runs live in buf[lo:hi]. Taking the first run advances lo; an
+	// insertion shifts the runs after it one place back, first moving the
+	// runs to the front of buf when they reach its end, so buf grows only
+	// when the runs fill it.
+	buf    []slotRun
+	lo, hi int
+	slots  int
+}
+
+// slotRun is n slots, all free at time t.
+type slotRun struct {
+	t float64
+	n int
 }
 
 // NewSlotPool returns a pool of n slots, all free at time zero.
@@ -26,132 +36,174 @@ func NewSlotPool(n int) *SlotPool {
 	if n < 1 {
 		n = 1
 	}
-	// All-zero free times are already a heap.
-	return &SlotPool{free: make(timeHeap, n)}
+	p := &SlotPool{buf: make([]slotRun, 4), hi: 1, slots: n}
+	p.buf[0] = slotRun{0, n}
+	return p
 }
 
 // Schedule places a task that becomes ready at `ready` and runs for `dur`
 // seconds on the earliest-free slot, returning its start and end times.
 func (p *SlotPool) Schedule(ready, dur float64) (start, end float64) {
-	slotFree := p.free[0]
 	start = ready
-	if slotFree > start {
+	if slotFree := p.buf[p.lo].t; slotFree > start {
 		start = slotFree
 	}
 	end = start + dur
-	p.free[0] = end
-	p.free.down(0)
+	p.take(1)
+	p.insert(end, 1)
 	return start, end
 }
 
 // EarliestFree reports the earliest time any slot is available.
-func (p *SlotPool) EarliestFree() float64 { return p.free[0] }
+func (p *SlotPool) EarliestFree() float64 { return p.buf[p.lo].t }
+
+// take removes c ≤ the first run's slots from the first run.
+func (p *SlotPool) take(c int) {
+	if p.buf[p.lo].n -= c; p.buf[p.lo].n == 0 {
+		p.lo++
+	}
+}
+
+// insert adds c slots free at t, merging them into a run already at t.
+func (p *SlotPool) insert(t float64, c int) {
+	i, j := p.lo, p.hi
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if p.buf[m].t < t {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i < p.hi && p.buf[i].t == t {
+		p.buf[i].n += c
+		return
+	}
+	i -= p.lo
+	p.room(1)
+	i += p.lo
+	copy(p.buf[i+1:], p.buf[i:p.hi])
+	p.hi++
+	p.buf[i] = slotRun{t, c}
+}
+
+// room makes buf hold extra entries after the runs, moving the runs to the
+// front of buf, or into a buffer twice their size when buf cannot fit them
+// with the extra entries.
+func (p *SlotPool) room(extra int) {
+	if p.hi+extra <= len(p.buf) {
+		return
+	}
+	k, buf := p.hi-p.lo, p.buf
+	if k+extra > len(buf) {
+		buf = make([]slotRun, 2*(k+extra))
+	}
+	p.lo, p.hi = 0, copy(buf, p.buf[p.lo:p.hi])
+	p.buf = buf
+}
 
 // PoolSnapshot is a saved SlotPool state (see Snapshot/Restore).
 type PoolSnapshot struct {
-	free []float64
+	runs  []slotRun
+	slots int
 }
 
-// Snapshot captures the pool's exact internal state. The copy preserves the
-// heap's slice layout, not just the multiset of free times: ScheduleUniform
-// breaks ties in slice order, so replaying the same schedule from a restored
-// snapshot is bit-for-bit identical to never having diverged — the property
-// the incremental What-if estimator depends on.
+// Snapshot captures the pool's state, its runs of free times. Every
+// operation on the pool is a function of that multiset alone, so replaying
+// the same schedule from a restored snapshot is bit-for-bit identical to
+// never having diverged — the property the incremental What-if estimator
+// depends on.
 func (p *SlotPool) Snapshot() PoolSnapshot {
-	s := PoolSnapshot{free: make([]float64, len(p.free))}
-	copy(s.free, p.free)
-	return s
+	return PoolSnapshot{runs: slices.Clone(p.buf[p.lo:p.hi]), slots: p.slots}
 }
 
-// Restore rewinds the pool to a snapshot taken from a pool of the same
-// size. It reuses the pool's backing storage, so restoring on a hot path
+// Restore rewinds the pool to a snapshot. It reuses the pool's backing
+// storage when that holds the snapshot's runs, so restoring on a hot path
 // allocates nothing.
 func (p *SlotPool) Restore(s PoolSnapshot) {
-	if len(p.free) != len(s.free) {
-		p.free = make(timeHeap, len(s.free))
+	if len(p.buf) < len(s.runs) {
+		p.buf = make([]slotRun, 2*len(s.runs))
 	}
-	copy(p.free, s.free)
+	p.lo, p.hi = 0, copy(p.buf, s.runs)
+	p.slots = s.slots
 }
 
 // ScheduleUniform places count equal-duration tasks, all ready at `ready`,
-// on the pool and returns the time the last task ends — the end that
-// calling Schedule count times would return. Up to 2 × slots tasks it does
-// call Schedule per task. Beyond that it finds the water level analytically,
-// gives each slot the tasks that end by it, and trims the surplus in slice
-// order rather than from the slots whose last task ends latest, so the
-// slots' free times afterwards can differ from the greedy ones even though
-// the end does not. That path costs one O(slots log slots) sort of the slot
-// starts plus at most 60 × (distinct starts) for the water-level search, not
-// O(count log slots): the What-if engine prices jobs of thousands of uniform
-// tasks through it.
+// on the pool and returns the time the last task ends. The end and the
+// slots' free times afterwards are those of calling Schedule count times.
+//
+// Up to 2 × slots tasks it does what those calls do, bit for bit, a run at
+// a time: the first run's slots each take a task, and their ends join the
+// pool as one run. Beyond that it finds the water level analytically by
+// bisection over the runs, gives each slot the tasks that end by it — a
+// slot starting at s with c tasks ends at s + c·dur, which can differ from
+// c repeated additions in the last bits — and trims the surplus from the
+// slots whose last task ends latest (of two runs ending together, the
+// later-free one first), which is what greedy placement leaves. Each
+// bisection step costs O(runs), not O(count log slots): the What-if engine
+// prices jobs of thousands of uniform tasks through it.
 func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 	if count <= 0 {
 		return ready
 	}
-	n := len(p.free)
 	if dur <= 0 {
 		// Zero-length tasks occupy no slot time: they all run on the
 		// earliest-free slot the moment it is available.
-		if p.free[0] > ready {
-			return p.free[0]
+		if f := p.buf[p.lo].t; f > ready {
+			return f
 		}
 		return ready
 	}
-	if count <= 2*n {
+	if count <= 2*p.slots {
 		end := ready
-		for i := 0; i < count; i++ {
-			if _, e := p.Schedule(ready, dur); e > end {
+		for count > 0 {
+			first := p.buf[p.lo]
+			start := ready
+			if first.t > start {
+				start = first.t
+			}
+			c := min(first.n, count)
+			e := start + dur
+			p.take(c)
+			p.insert(e, c)
+			if e > end {
 				end = e
 			}
+			count -= c
 		}
 		return end
 	}
-	if cap(p.starts) < n {
-		p.starts = make([]float64, n)
-		p.counts = make([]int, n)
-	}
-	startOf := func(i int) float64 {
-		s := p.free[i]
-		if s < ready {
-			s = ready
+	// The k entries after the runs hold, per run, the end of its slots'
+	// last task and their task count.
+	k := p.hi - p.lo
+	p.room(k)
+	runs, work := p.buf[p.lo:p.hi], p.buf[p.hi:p.hi+k]
+	startOf := func(r slotRun) float64 {
+		if r.t < ready {
+			return ready
 		}
-		return s
+		return r.t
 	}
-	// Effective start per slot, sorted and run-length encoded: starts[k]
-	// is the k-th distinct start and counts[k] its number of slots.
-	starts, counts := p.starts[:n], p.counts[:n]
-	for i := range starts {
-		starts[i] = startOf(i)
-	}
-	slices.Sort(starts)
-	d := 0
-	for _, s := range starts {
-		if d > 0 && s == starts[d-1] {
-			counts[d-1]++
-			continue
-		}
-		starts[d], counts[d] = s, 1
-		d++
-	}
-	distinct, mult := starts[:d], counts[:d]
-	lo, hi := distinct[0], 0.0
-	if s := distinct[d-1]; s > hi {
+	lo, hi := startOf(runs[0]), 0.0
+	if s := startOf(runs[k-1]); s > hi {
 		hi = s
 	}
 	// Binary search the water level L: the smallest time by which `count`
 	// tasks can have completed under greedy assignment. Each slot's term is
-	// int((L-s)/dur), so the grouped sum is the per-slot sum exactly.
+	// int((L-s)/dur), so the sum over runs is the per-slot sum exactly; it
+	// stops once it reaches count, all the search asks.
 	fits := func(L float64) int {
 		total := 0
-		for k, s := range distinct {
-			if s >= L {
+		for _, r := range runs {
+			s := startOf(r)
+			if s >= L || total >= count {
 				break
 			}
-			total += mult[k] * int((L-s)/dur)
+			total += r.n * int((L-s)/dur)
 		}
 		return total
 	}
-	hiL := hi + float64(count)*dur/float64(n) + 2*dur
+	hiL := hi + float64(count)*dur/float64(p.slots) + 2*dur
 	for fits(hiL) < count {
 		hiL += float64(count) * dur
 	}
@@ -164,62 +216,69 @@ func (p *SlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 			loL = mid
 		}
 	}
-	// Assign per-slot task counts at the found level, trimming surplus.
-	total := 0
-	for i := range counts {
-		counts[i] = 0
-		if s := startOf(i); hiL > s {
-			counts[i] = int((hiL - s) / dur)
-			total += counts[i]
+	// Give each run's slots the tasks that end by the level.
+	surplus := -count
+	for x, r := range runs {
+		work[x] = slotRun{}
+		if s := startOf(r); hiL > s {
+			c := int((hiL - s) / dur)
+			work[x] = slotRun{s + float64(c)*dur, c}
+			surplus += r.n * c
 		}
 	}
-	for i := 0; total > count; i = (i + 1) % n {
-		if counts[i] > 0 {
-			counts[i]--
-			total--
+	// Trim the surplus a run at a time, latest end first; when fewer
+	// slots than the run holds are left to trim, they split off it. A
+	// trimmed slot ends one task earlier, or keeps its free time when it is
+	// left with none.
+	var split slotRun
+	for surplus > 0 {
+		x := -1
+		for y, w := range work {
+			if w.n > 0 && (x < 0 || w.t >= work[x].t) {
+				x = y
+			}
 		}
+		r, w := &runs[x], &work[x]
+		e := r.t
+		if w.n > 1 {
+			e = startOf(*r) + float64(w.n-1)*dur
+		}
+		if surplus < r.n {
+			split = slotRun{e, surplus}
+			r.n -= surplus
+			break
+		}
+		surplus -= r.n
+		*w = slotRun{e, w.n - 1}
 	}
 	end := ready
-	for i, c := range counts {
-		if c == 0 {
+	for x, w := range work {
+		if w.n == 0 {
 			continue
 		}
-		e := startOf(i) + float64(c)*dur
-		p.free[i] = e
-		if e > end {
-			end = e
+		runs[x].t = w.t
+		if w.t > end {
+			end = w.t
 		}
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		p.free.down(i)
+	// The new free times need not keep the runs' order, though they mostly
+	// do: insertion-sort and merge the k runs.
+	for i := 1; i < k; i++ {
+		for j := i; j > 0 && runs[j].t < runs[j-1].t; j-- {
+			runs[j], runs[j-1] = runs[j-1], runs[j]
+		}
+	}
+	merged := runs[:1]
+	for _, r := range runs[1:] {
+		if last := &merged[len(merged)-1]; last.t == r.t {
+			last.n += r.n
+		} else {
+			merged = append(merged, r)
+		}
+	}
+	p.hi = p.lo + len(merged)
+	if split.n > 0 {
+		p.insert(split.t, split.n)
 	}
 	return end
-}
-
-// timeHeap is a binary min-heap of slot free times. Its layout is the one
-// container/heap would produce: ScheduleUniform's trim and Snapshot both
-// depend on it.
-type timeHeap []float64
-
-// down sifts h[i] toward the leaves with container/heap's comparisons —
-// the right child only when strictly smaller than the left, and a stop as
-// soon as the smaller child is not below the sifted value — but moves the
-// value through a hole instead of swapping at every level.
-func (h timeHeap) down(i int) {
-	x := h[i]
-	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			break
-		}
-		if j2 := j + 1; j2 < len(h) && h[j2] < h[j] {
-			j = j2
-		}
-		if !(h[j] < x) {
-			break
-		}
-		h[i] = h[j]
-		i = j
-	}
-	h[i] = x
 }

@@ -4,13 +4,16 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // refSlotPool is SlotPool as it was before the typed heap and the grouped
-// water-level search: container/heap placements and a bisection that
-// rescans every slot. It is the reference SlotPool must match bit for bit,
-// returned times and heap layout alike.
+// water-level search — container/heap placements and a bisection that
+// rescans every slot — except for the water-level path's surplus trim,
+// which takes tasks from the slots whose last task ends latest rather than
+// in slice order. It is the reference SlotPool must match bit for bit in
+// its returned times and its multiset of free times.
 type refSlotPool struct {
 	free   refTimeHeap
 	starts []float64
@@ -110,11 +113,25 @@ func (p *refSlotPool) ScheduleUniform(ready, dur float64, count int) float64 {
 			total += counts[i]
 		}
 	}
-	for i := 0; total > count; i = (i + 1) % n {
-		if counts[i] > 0 {
-			counts[i]--
-			total--
+	// Trim one slot at a time: the one whose last task ends latest, and of
+	// two ending together the one that was free later.
+	for total > count {
+		best := -1
+		for i, c := range counts {
+			if c == 0 {
+				continue
+			}
+			if best < 0 {
+				best = i
+				continue
+			}
+			e, eb := starts[i]+float64(c)*dur, starts[best]+float64(counts[best])*dur
+			if e > eb || e == eb && p.free[i] > p.free[best] {
+				best = i
+			}
 		}
+		counts[best]--
+		total--
 	}
 	end := ready
 	for i := range starts {
@@ -145,22 +162,39 @@ func (h *refTimeHeap) Pop() interface{} {
 	return x
 }
 
+// runsValid reports whether the pool's runs are ascending, distinct and
+// non-empty, and hold all its slots.
+func (p *SlotPool) runsValid() bool {
+	slots := 0
+	for i, r := range p.buf[p.lo:p.hi] {
+		if r.n <= 0 || i > 0 && !(p.buf[p.lo+i-1].t < r.t) {
+			return false
+		}
+		slots += r.n
+	}
+	return slots == p.slots
+}
+
 // TestSlotPoolMatchesReference drives SlotPool and the reference pool
 // through the same seeded sequences of Schedule and ScheduleUniform calls
-// and requires, after every call, bitwise-equal returned times and an
-// identical free-time slice. Half the trials draw times and durations on a
-// 0.5 grid so that free times repeat and the heap's tie-breaking decides
-// the layout; counts cover 0, the per-task path (≤ 2 × slots) and the
-// water-level path, and durations include 0.
+// and requires, after every call, bitwise-equal returned times and
+// bitwise-equal sorted free times, held in valid runs. A third of the trials draw times and
+// durations on a 0.5 grid, so that free times repeat, runs hold many slots
+// and ends tie at the water level; a third on a 0.1 grid, where s + c·dur
+// rounds, so that ends tie while the ends one task earlier differ and the
+// trim's tie-break shows. Counts cover 0, the per-task path (≤ 2 × slots)
+// and the water-level path, and durations include 0.
 func TestSlotPoolMatchesReference(t *testing.T) {
 	sizes := []int{1, 2, 3, 7, 12, 100, 150}
 	rng := rand.New(rand.NewSource(28))
 	for trial := 0; trial < 3000; trial++ {
 		n := sizes[trial%len(sizes)]
-		grid := trial%2 == 0
 		draw := func(max float64) float64 {
-			if grid {
+			switch trial % 3 {
+			case 0:
 				return float64(rng.Intn(int(2*max)+1)) / 2
+			case 1:
+				return float64(rng.Intn(int(10*max)+1)) / 10
 			}
 			return rng.Float64() * max
 		}
@@ -204,10 +238,19 @@ func TestSlotPoolMatchesReference(t *testing.T) {
 					t.Fatalf("trial %d op %d: %s(%v, %v) returned %.17g, reference %.17g", trial, op, call, ready, dur, g[k], w[k])
 				}
 			}
-			for i := range got.free {
-				if math.Float64bits(got.free[i]) != math.Float64bits(want.free[i]) {
-					t.Fatalf("trial %d op %d: after %s slot %d is free at %.17g, reference %.17g\ngot  %v\nwant %v",
-						trial, op, call, i, got.free[i], want.free[i], got.free, want.free)
+			if !got.runsValid() {
+				t.Fatalf("trial %d op %d: after %s runs %v are not ascending, distinct and non-empty over %d slots",
+					trial, op, call, got.buf[got.lo:got.hi], n)
+			}
+			gotFree, wantFree := freeTimes(got), slices.Clone(want.free)
+			slices.Sort(wantFree)
+			if len(gotFree) != len(wantFree) {
+				t.Fatalf("trial %d op %d: after %s %d slots, reference %d", trial, op, call, len(gotFree), len(wantFree))
+			}
+			for i := range wantFree {
+				if math.Float64bits(gotFree[i]) != math.Float64bits(wantFree[i]) {
+					t.Fatalf("trial %d op %d: after %s free time %d is %.17g, reference %.17g\ngot  %v\nwant %v",
+						trial, op, call, i, gotFree[i], wantFree[i], gotFree, wantFree)
 				}
 			}
 		}
