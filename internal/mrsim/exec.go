@@ -283,11 +283,16 @@ type splitRec struct {
 
 // mapSplit is the input of one map task.
 type mapSplit struct {
-	recs       []splitRec
-	bytes      int64           // real encoded bytes
-	compressed map[string]bool // per-input on-disk compression
-	perInput   map[string]int64
-	srcBounds  keyval.PartitionBounds // bounds of source partition (aligned)
+	recs      []splitRec
+	bytes     int64                  // real encoded bytes
+	reads     []splitRead            // per input, in job input order
+	srcBounds keyval.PartitionBounds // bounds of source partition (aligned)
+}
+
+// splitRead is what a map task reads of one input.
+type splitRead struct {
+	bytes      int64 // real encoded bytes
+	compressed bool  // on-disk compression
 }
 
 // tagRuntime caches per-tag execution state for one job.
@@ -306,38 +311,20 @@ func (e *Engine) runJob(ctx context.Context, w *wf.Workflow, job *wf.Job, jobRea
 	// Resolve per-tag runtime info and the job-wide reduce task count.
 	tags := make(map[int]*tagRuntime)
 	var tagOrder []int
-	numReduce := 0
-	hasReduce := false
+	numReduce := job.NumReduceTasks()
 	for i := range job.ReduceGroups {
 		g := &job.ReduceGroups[i]
 		ts := &TagStats{MapByInput: make(map[string]*PipeStats)}
 		jr.Tags[g.Tag] = ts
-		rt := &tagRuntime{
-			group:  g,
-			stats:  ts,
-			sample: newReservoir(keySampleSize, sampleSeed(job.ID, g.Tag)),
+		tags[g.Tag] = &tagRuntime{
+			group:    g,
+			numParts: g.Partitions(numReduce),
+			stats:    ts,
+			sample:   newReservoir(keySampleSize, sampleSeed(job.ID, g.Tag)),
 		}
-		tags[g.Tag] = rt
 		tagOrder = append(tagOrder, g.Tag)
-		if !g.MapOnly() {
-			hasReduce = true
-			n := g.Part.NumPartitions(cfg.NumReduceTasks)
-			rt.numParts = n
-			if n > numReduce {
-				numReduce = n
-			}
-		}
 	}
 	sort.Ints(tagOrder)
-	if hasReduce {
-		// Hash-partitioned tags span the full reduce task count.
-		for _, tag := range tagOrder {
-			rt := tags[tag]
-			if !rt.group.MapOnly() && rt.group.Part.Type == keyval.HashPartition {
-				rt.numParts = numReduce
-			}
-		}
-	}
 
 	splits, err := e.buildSplits(w, job, jr)
 	if err != nil {
@@ -473,22 +460,25 @@ func (e *Engine) runJob(ctx context.Context, w *wf.Workflow, job *wf.Job, jobRea
 			}
 		}
 
-		// Map task duration.
+		// Map task duration. Reads add up in job input order, so a task
+		// over several aligned inputs prices the same on every run.
 		c := e.Cluster
-		dur := c.TaskSetupSec
-		for input, b := range sp.perInput {
-			dur += c.ReadTime(c.Scale(float64(b)), sp.compressed[input])
+		var readSec float64
+		for _, in := range sp.reads {
+			readSec += c.DiskTime(c.Scale(float64(in.bytes)), in.compressed)
 		}
-		dur += c.Scale(taskCPU)
-		if outRecords > 0 {
-			dur += c.SortCPU(c.Scale(float64(outRecords)))
-			dur += c.SpillIOTime(c.Scale(float64(outBytes)), cfg.SortBufferMB, cfg.IOSortFactor, cfg.CompressMapOutput)
-		}
+		var writeBytes int64
 		for _, tag := range tagOrder {
-			if pairs := out.mapOnly[tag]; len(pairs) > 0 {
-				dur += c.WriteTime(c.Scale(float64(keyval.PairsSize(pairs))), cfg.CompressOutput)
-			}
+			writeBytes += keyval.PairsSize(out.mapOnly[tag])
 		}
+		dur := c.MapTaskCost(MapTaskVolume{
+			Tasks:      1,
+			ReadSec:    readSec,
+			CPUSec:     c.Scale(taskCPU),
+			OutRecords: c.Scale(float64(outRecords)),
+			OutBytes:   c.Scale(float64(outBytes)),
+			WriteBytes: c.Scale(float64(writeBytes)),
+		}, cfg).Total()
 		end, err := sched.place(jr, false, ti, jobReady, dur)
 		if err != nil {
 			return nil, 0, err
@@ -523,7 +513,7 @@ func (e *Engine) runJob(ctx context.Context, w *wf.Workflow, job *wf.Job, jobRea
 	}
 
 	end := mapsDone
-	if hasReduce {
+	if numReduce > 0 {
 		jr.NumReduceTasks = numReduce
 		outParts := make(map[int][]*Partition) // tag -> partitions
 		for _, tag := range tagOrder {
@@ -571,17 +561,12 @@ func (e *Engine) runJob(ctx context.Context, w *wf.Workflow, job *wf.Job, jobRea
 				outBytes += keyval.PairsSize(outputs)
 				outParts[tag][r] = NewPartition(outputs)
 			}
-			wire := c.Scale(float64(shuffleBytes))
-			var decompCPU float64
-			if cfg.CompressMapOutput {
-				decompCPU = wire / MB * c.CompressCPUSecPerMB
-				wire *= c.CompressRatio
-			}
-			dur := c.TaskSetupSec +
-				c.NetTime(wire) + decompCPU +
-				c.MergeIOTime(c.Scale(float64(shuffleBytes)), fetchRuns, cfg.IOSortFactor) +
-				c.Scale(taskCPU) +
-				c.WriteTime(c.Scale(float64(outBytes)), cfg.CompressOutput)
+			dur := c.ReduceTaskCost(ReduceTaskVolume{
+				InBytes:  c.Scale(float64(shuffleBytes)),
+				Runs:     fetchRuns,
+				CPUSec:   c.Scale(taskCPU),
+				OutBytes: c.Scale(float64(outBytes)),
+			}, cfg).Total()
 			tend, terr := sched.place(jr, true, r, mapsDone, dur)
 			if terr != nil {
 				return nil, 0, terr
@@ -593,7 +578,7 @@ func (e *Engine) runJob(ctx context.Context, w *wf.Workflow, job *wf.Job, jobRea
 			if dur > jr.MaxReduceTaskSec {
 				jr.MaxReduceTaskSec = dur
 			}
-			jr.ShuffleBytesVirtual += wire
+			jr.ShuffleBytesVirtual += c.wireBytes(c.Scale(float64(shuffleBytes)), cfg.CompressMapOutput)
 		}
 		// Materialize reduce outputs.
 		for _, tag := range tagOrder {
@@ -658,10 +643,9 @@ func (e *Engine) buildSplits(w *wf.Workflow, job *wf.Job, jr *JobReport) ([]mapS
 						recs = append(recs, splitRec{input: in, pair: q})
 					}
 					splits = append(splits, mapSplit{
-						recs:       recs,
-						bytes:      bytes,
-						compressed: map[string]bool{in: stored.Layout.Compressed},
-						perInput:   map[string]int64{in: bytes},
+						recs:  recs,
+						bytes: bytes,
+						reads: []splitRead{{bytes: bytes, compressed: stored.Layout.Compressed}},
 					})
 					start = i + 1
 					bytes = 0
@@ -716,60 +700,47 @@ func (e *Engine) buildAlignedSplits(w *wf.Workflow, job *wf.Job, inputs []string
 	splits := make([]mapSplit, numParts)
 	for pi := 0; pi < numParts; pi++ {
 		sp := mapSplit{
-			compressed: make(map[string]bool),
-			perInput:   make(map[string]int64),
+			reads:     make([]splitRead, len(srcs)),
+			srcBounds: srcs[0].stored.Parts[pi].Bounds,
 		}
-		if len(srcs) == 1 {
-			s := srcs[0]
+		n := 0
+		for si, s := range srcs {
 			part := s.stored.Parts[pi]
-			for _, p := range part.Pairs {
-				sp.recs = append(sp.recs, splitRec{input: s.id, pair: p})
-			}
-			sp.bytes = part.Bytes
-			sp.perInput[s.id] = part.Bytes
-			sp.compressed[s.id] = s.stored.Layout.Compressed
-			sp.srcBounds = part.Bounds
-		} else {
-			// K-way merge of the aligned partitions.
-			cursors := make([]int, len(srcs))
+			sp.bytes += part.Bytes
+			sp.reads[si] = splitRead{bytes: part.Bytes, compressed: s.stored.Layout.Compressed}
+			n += len(part.Pairs)
+		}
+		// K-way merge of the aligned partitions; a single input drains in
+		// order.
+		sp.recs = make([]splitRec, 0, n)
+		cursors := make([]int, len(srcs))
+		for {
+			best := -1
 			for si, s := range srcs {
 				part := s.stored.Parts[pi]
-				sp.bytes += part.Bytes
-				sp.perInput[s.id] += part.Bytes
-				sp.compressed[s.id] = s.stored.Layout.Compressed
-				_ = si
-			}
-			if pi < len(srcs[0].stored.Parts) {
-				sp.srcBounds = srcs[0].stored.Parts[pi].Bounds
-			}
-			for {
-				best := -1
-				for si, s := range srcs {
-					part := s.stored.Parts[pi]
-					if cursors[si] >= len(part.Pairs) {
-						continue
-					}
-					if best == -1 {
-						best = si
-						continue
-					}
-					if !canMerge {
-						continue // keep input order: drain sources in order
-					}
-					a := part.Pairs[cursors[si]].Key
-					bPart := srcs[best].stored.Parts[pi]
-					b := bPart.Pairs[cursors[best]].Key
-					if keyval.Compare(keyval.Project(a, s.keyIdx), keyval.Project(b, srcs[best].keyIdx)) < 0 {
-						best = si
-					}
+				if cursors[si] >= len(part.Pairs) {
+					continue
 				}
 				if best == -1 {
-					break
+					best = si
+					continue
 				}
-				s := srcs[best]
-				sp.recs = append(sp.recs, splitRec{input: s.id, pair: s.stored.Parts[pi].Pairs[cursors[best]]})
-				cursors[best]++
+				if !canMerge {
+					continue // keep input order: drain sources in order
+				}
+				a := part.Pairs[cursors[si]].Key
+				bPart := srcs[best].stored.Parts[pi]
+				b := bPart.Pairs[cursors[best]].Key
+				if keyval.Compare(keyval.Project(a, s.keyIdx), keyval.Project(b, srcs[best].keyIdx)) < 0 {
+					best = si
+				}
 			}
+			if best == -1 {
+				break
+			}
+			s := srcs[best]
+			sp.recs = append(sp.recs, splitRec{input: s.id, pair: s.stored.Parts[pi].Pairs[cursors[best]]})
+			cursors[best]++
 		}
 		splits[pi] = sp
 	}

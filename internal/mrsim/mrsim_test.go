@@ -1,6 +1,8 @@
 package mrsim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -565,6 +567,59 @@ func TestAlignedMapToInput(t *testing.T) {
 	checkSums(t, dfs, "out", groundTruthSums(pairs))
 }
 
+// TestAlignedMultiInputTimingsDeterministic holds an aligned map task over
+// two inputs to one duration on every run: its read terms add up in job
+// input order. Summed in the order of a Go map, the float total differs
+// from run to run at some virtual scales (1001 and 1005 here).
+func TestAlignedMultiInputTimingsDeterministic(t *testing.T) {
+	base := NewDFS()
+	ingest(t, base, "a", genPairs(3000, 100, 11), 3)
+	ingest(t, base, "b", genPairs(1700, 100, 12), 3)
+	job := &wf.Job{
+		ID: "J", Config: wf.DefaultConfig(), AlignMapToInput: true,
+		MapBranches: []wf.MapBranch{
+			{Tag: 0, Input: "a", Stages: []wf.Stage{wf.MapStage("Ma", passMap, 1e-6)}},
+			{Tag: 1, Input: "b", Stages: []wf.Stage{wf.MapStage("Mb", passMap, 1e-6)}},
+		},
+		ReduceGroups: []wf.ReduceGroup{{Tag: 0, Output: "outA"}, {Tag: 1, Output: "outB"}},
+	}
+	w := &wf.Workflow{
+		Name: "aligned2",
+		Jobs: []*wf.Job{job},
+		Datasets: []*wf.Dataset{
+			{ID: "a", Base: true, KeyFields: []string{"k"}},
+			{ID: "b", Base: true, KeyFields: []string{"k"}},
+			{ID: "outA"}, {ID: "outB"},
+		},
+	}
+	for scale := 1000; scale <= 1007; scale++ {
+		patterns := map[string]bool{}
+		for run := 0; run < 40; run++ {
+			c := testCluster()
+			c.VirtualScale = float64(scale)
+			eng := NewEngine(c, base.Clone())
+			eng.RecordTaskEvents = true
+			rep, err := eng.RunWorkflow(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ends []uint64
+			for _, ev := range rep.TaskEvents {
+				if !ev.Reduce {
+					ends = append(ends, math.Float64bits(ev.End))
+				}
+			}
+			if len(ends) != 3 {
+				t.Fatalf("scale %d: %d map tasks, want 3 (one per aligned partition)", scale, len(ends))
+			}
+			patterns[fmt.Sprint(ends)] = true
+		}
+		if len(patterns) != 1 {
+			t.Errorf("scale %d: map task end times took %d bit patterns over 40 runs, want 1", scale, len(patterns))
+		}
+	}
+}
+
 func TestAlignedMismatchedPartitionsFails(t *testing.T) {
 	dfs := NewDFS()
 	ingest(t, dfs, "a", genPairs(100, 10, 11), 2)
@@ -709,65 +764,65 @@ func TestConcurrentJobsOverlap(t *testing.T) {
 // --- cost primitives ---------------------------------------------------------
 
 func TestSpillRunsAndMergePasses(t *testing.T) {
-	if SpillRuns(0, 100) != 0 {
+	if spillRuns(0, 100) != 0 {
 		t.Error("no output should spill zero runs")
 	}
-	if SpillRuns(50*MB, 100) != 1 {
+	if spillRuns(50*MB, 100) != 1 {
 		t.Error("output within buffer should spill one run")
 	}
-	if SpillRuns(250*MB, 100) != 3 {
+	if spillRuns(250*MB, 100) != 3 {
 		t.Error("250MB/100MB buffer should spill 3 runs")
 	}
-	if ExtraMergePasses(1, 10) != 0 {
+	if extraMergePasses(1, 10) != 0 {
 		t.Error("single run needs no merge")
 	}
-	if ExtraMergePasses(10, 10) != 0 {
+	if extraMergePasses(10, 10) != 0 {
 		t.Error("runs == factor merges in the final pass")
 	}
-	if ExtraMergePasses(100, 10) != 1 {
+	if extraMergePasses(100, 10) != 1 {
 		t.Error("100 runs at factor 10 need one extra pass")
 	}
-	if ExtraMergePasses(5, 1) != 0 {
+	if extraMergePasses(5, 1) != 0 {
 		t.Error("invalid factor should be safe")
 	}
 }
 
 func TestCostTimes(t *testing.T) {
 	c := DefaultCluster()
-	plain := c.ReadTime(90*MB, false)
+	plain := c.DiskTime(90*MB, false)
 	if plain != 1.0 {
 		t.Errorf("reading 90MB at 90MB/s = %v, want 1.0", plain)
 	}
-	comp := c.ReadTime(90*MB, true)
+	comp := c.DiskTime(90*MB, true)
 	wantDisk := 90.0 * c.CompressRatio / 90.0
 	wantCPU := 90.0 * c.CompressCPUSecPerMB
 	if diff := comp - (wantDisk + wantCPU); diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("compressed read = %v, want %v", comp, wantDisk+wantCPU)
 	}
-	if c.NetTime(45*MB) != 1.0 {
-		t.Errorf("NetTime wrong")
+	if c.netTime(45*MB) != 1.0 {
+		t.Errorf("netTime wrong")
 	}
-	if c.SortCPU(1) != 0 {
+	if c.sortCPU(1) != 0 {
 		t.Error("sorting one record should be free")
 	}
-	if c.SortCPU(1e6) <= 0 {
+	if c.sortCPU(1e6) <= 0 {
 		t.Error("sort CPU should be positive")
 	}
-	if c.WriteTime(0, false) != 0 || c.ReadTime(0, true) != 0 || c.NetTime(-1) != 0 {
+	if c.DiskTime(0, false) != 0 || c.DiskTime(0, true) != 0 || c.netTime(-1) != 0 {
 		t.Error("zero/negative bytes should cost nothing")
 	}
-	if c.SpillIOTime(0, 100, 10, false) != 0 {
+	if c.spillIOTime(0, 100, 10, false) != 0 {
 		t.Error("no spill for no output")
 	}
-	one := c.SpillIOTime(50*MB, 100, 10, false)
-	three := c.SpillIOTime(250*MB, 100, 10, false)
+	one := c.spillIOTime(50*MB, 100, 10, false)
+	three := c.spillIOTime(250*MB, 100, 10, false)
 	if three <= one {
 		t.Error("more spills should cost more")
 	}
-	if c.MergeIOTime(100*MB, 5, 10) != 0 {
+	if c.mergeIOTime(100*MB, 5, 10) != 0 {
 		t.Error("5 runs at factor 10 need no extra pass")
 	}
-	if c.MergeIOTime(100*MB, 100, 10) <= 0 {
+	if c.mergeIOTime(100*MB, 100, 10) <= 0 {
 		t.Error("100 runs at factor 10 need extra passes")
 	}
 }

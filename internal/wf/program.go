@@ -215,6 +215,20 @@ type ReduceGroup struct {
 // grouped pipeline at all or runs it map-side after vertical packing.
 func (g ReduceGroup) MapOnly() bool { return len(g.Stages) == 0 || g.RunsMapSide }
 
+// Partitions returns how many of a job's numReduce reduce tasks the group's
+// map output is partitioned over: a range group keeps one partition per
+// split-point interval, a hash group spans them all, and a map-only group
+// shuffles nothing (0).
+func (g *ReduceGroup) Partitions(numReduce int) int {
+	switch {
+	case g.MapOnly():
+		return 0
+	case g.Part.Type == keyval.RangePartition:
+		return g.Part.NumPartitions(numReduce)
+	}
+	return numReduce
+}
+
 // Clone copies the group for an independent edit: stages, combiner,
 // constraints, name lists and the partition spec's field lists are copied,
 // while the spec's split points are shared — they are never written in

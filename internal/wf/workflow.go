@@ -40,14 +40,21 @@ type Job struct {
 	Origin []string
 }
 
-// MapOnly reports whether every group of the job is map-only.
-func (j *Job) MapOnly() bool {
-	for _, g := range j.ReduceGroups {
-		if !g.MapOnly() {
-			return false
+// MapOnly reports whether every group of the job is map-only: the job runs
+// no reduce tasks.
+func (j *Job) MapOnly() bool { return j.NumReduceTasks() == 0 }
+
+// NumReduceTasks returns how many reduce tasks the job runs: the most
+// partitions any shuffling group needs under the job's configuration (a
+// range group is pinned to its split points), or 0 for a map-only job.
+func (j *Job) NumReduceTasks() int {
+	n := 0
+	for i := range j.ReduceGroups {
+		if g := &j.ReduceGroups[i]; !g.MapOnly() {
+			n = max(n, g.Part.NumPartitions(j.Config.NumReduceTasks))
 		}
 	}
-	return true
+	return n
 }
 
 // HasCombiner reports whether any shuffling group of the job defines a

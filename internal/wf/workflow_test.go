@@ -257,6 +257,56 @@ func TestJobAccessors(t *testing.T) {
 	}
 }
 
+// TestReduceFanOut pins the job's reduce task count and each group's
+// partition count, the one fan-out rule both the simulator and the What-if
+// engine use.
+func TestReduceFanOut(t *testing.T) {
+	stages := []Stage{ReduceStage("R", identityReduce, nil, 0)}
+	hash := func() ReduceGroup {
+		return ReduceGroup{Stages: stages, Part: keyval.PartitionSpec{Type: keyval.HashPartition}}
+	}
+	ranged := func(k int) ReduceGroup {
+		splits := make([]keyval.Tuple, k)
+		for i := range splits {
+			splits[i] = keyval.T(int64(10 * (i + 1)))
+		}
+		return ReduceGroup{Stages: stages, Part: keyval.PartitionSpec{Type: keyval.RangePartition, SplitPoints: splits}}
+	}
+	mapSide := hash()
+	mapSide.RunsMapSide = true
+	cases := []struct {
+		name     string
+		groups   []ReduceGroup
+		reducers int   // Config.NumReduceTasks
+		want     int   // Job.NumReduceTasks
+		parts    []int // each group's Partitions(want)
+	}{
+		{"map-only", []ReduceGroup{{}}, 5, 0, []int{0}},
+		{"map-side group alone", []ReduceGroup{mapSide}, 5, 0, []int{0}},
+		{"map-side group ignored", []ReduceGroup{mapSide, hash()}, 4, 4, []int{0, 4}},
+		{"hash", []ReduceGroup{hash()}, 7, 7, []int{7}},
+		{"hash, no reducers configured", []ReduceGroup{hash()}, 0, 1, []int{1}},
+		{"range, no reducers configured", []ReduceGroup{ranged(3)}, 0, 4, []int{4}},
+		{"range, fewer reducers configured", []ReduceGroup{ranged(3)}, 2, 4, []int{4}},
+		{"range, more reducers configured", []ReduceGroup{ranged(3)}, 50, 4, []int{4}},
+		{"range, no split points", []ReduceGroup{ranged(0)}, 9, 1, []int{1}},
+		{"hash spans the wider range group", []ReduceGroup{hash(), ranged(5)}, 2, 6, []int{6, 6}},
+		{"range inside the wider hash", []ReduceGroup{hash(), ranged(2)}, 8, 8, []int{8, 3}},
+		{"map-only beside shuffling groups", []ReduceGroup{{}, ranged(1), hash()}, 1, 2, []int{0, 2, 2}},
+	}
+	for _, tc := range cases {
+		j := &Job{ID: "j", ReduceGroups: tc.groups, Config: Config{NumReduceTasks: tc.reducers}}
+		if got := j.NumReduceTasks(); got != tc.want {
+			t.Errorf("%s: NumReduceTasks = %d, want %d", tc.name, got, tc.want)
+		}
+		for i := range j.ReduceGroups {
+			if got := j.ReduceGroups[i].Partitions(tc.want); got != tc.parts[i] {
+				t.Errorf("%s: group %d Partitions(%d) = %d, want %d", tc.name, i, tc.want, got, tc.parts[i])
+			}
+		}
+	}
+}
+
 func TestSummaryAndDOT(t *testing.T) {
 	w := diamondWorkflow()
 	s := w.Summary()

@@ -24,8 +24,7 @@ import (
 // jobs consume. Cards are immutable once built.
 type jobCard struct {
 	mapTasks    int
-	reduceTasks int
-	hasReduce   bool
+	reduceTasks int // 0 for a map-only job
 	// avgMapDur / maxMapDur are mean and straggler (input-skew-adjusted)
 	// map task durations; avgRedDur / maxRedDur the reduce equivalents.
 	avgMapDur, maxMapDur float64
@@ -187,31 +186,11 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	}
 	card.mapTasks = numMapTasks
 
-	numReduce := 0
-	hasReduce := false
-	for _, tag := range tagOrder {
-		te := tags[tag]
-		if te.group.MapOnly() {
-			continue
-		}
-		hasReduce = true
-		n := te.group.Part.NumPartitions(cfg.NumReduceTasks)
-		te.numParts = n
-		if n > numReduce {
-			numReduce = n
-		}
+	numReduce := job.NumReduceTasks()
+	for _, te := range tags {
+		te.numParts = te.group.Partitions(numReduce)
 	}
-	if hasReduce {
-		for _, te := range tags {
-			if !te.group.MapOnly() && te.group.Part.Type == keyval.HashPartition {
-				te.numParts = numReduce
-			}
-		}
-	}
-	card.hasReduce = hasReduce
-	if hasReduce {
-		card.reduceTasks = numReduce
-	}
+	card.reduceTasks = numReduce
 
 	// --- combiner, skew, reduce flow ---
 	var mapWriteOnly float64 // map-only output bytes written by map tasks
@@ -251,10 +230,10 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	}
 
 	// --- map task duration ---
-	var readTime float64
+	var readSec float64
 	for _, id := range inIDs {
 		in := ins[id]
-		readTime += c.ReadTime(c.Scale(in.bytes), in.compressed)
+		readSec += c.DiskTime(c.Scale(in.bytes), in.compressed)
 	}
 	var shuffledBytes, shuffledRecords float64
 	for _, tag := range tagOrder {
@@ -264,14 +243,14 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 			shuffledRecords += te.mapOutRecords
 		}
 	}
-	perTaskOutBytes := c.Scale(shuffledBytes) / float64(numMapTasks)
-	perTaskOutRecords := c.Scale(shuffledRecords) / float64(numMapTasks)
-	mapDur := c.TaskSetupSec +
-		readTime/float64(numMapTasks) +
-		c.Scale(totalMapCPU+combineCPU)/float64(numMapTasks) +
-		c.SortCPU(perTaskOutRecords) +
-		c.SpillIOTime(perTaskOutBytes, cfg.SortBufferMB, cfg.IOSortFactor, cfg.CompressMapOutput) +
-		c.WriteTime(c.Scale(mapWriteOnly)/float64(numMapTasks), cfg.CompressOutput)
+	mapDur := c.MapTaskCost(mrsim.MapTaskVolume{
+		Tasks:      numMapTasks,
+		ReadSec:    readSec,
+		CPUSec:     c.Scale(totalMapCPU + combineCPU),
+		OutRecords: c.Scale(shuffledRecords),
+		OutBytes:   c.Scale(shuffledBytes),
+		WriteBytes: c.Scale(mapWriteOnly),
+	}, cfg).Total()
 	card.avgMapDur = mapDur
 	// Aligned map tasks inherit the input partitioning's load skew: the
 	// biggest partition becomes the straggler map task.
@@ -285,8 +264,8 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	}
 	card.maxMapDur = c.TaskSetupSec + (mapDur-c.TaskSetupSec)*mapSkew
 
-	if hasReduce {
-		card.avgRedDur, card.maxRedDur = e.reduceDurations(job, tags, tagOrder, numReduce, numMapTasks)
+	if numReduce > 0 {
+		card.avgRedDur, card.maxRedDur = e.reduceDurations(job, tags, tagOrder, numMapTasks)
 		wire := c.Scale(shuffledBytes)
 		if cfg.CompressMapOutput {
 			wire *= c.CompressRatio
@@ -367,44 +346,40 @@ func combinerReduction(rp *wf.PipelineProfile, te *tagEst, numMapTasks int) floa
 }
 
 // reduceDurations computes average and straggler (skew-adjusted) reduce
-// task durations.
-func (e *Estimator) reduceDurations(job *wf.Job, tags map[int]*tagEst, tagOrder []int, numReduce, numMapTasks int) (avg, max float64) {
+// task durations: task setup plus, for each shuffling tag in tag order, the
+// Work() of mrsim.ReduceTaskCost on the tag's average (largest) partition,
+// with one merge run per map task. Each tag is priced apart, its merge
+// passes counted on its own bytes, and setup is added after the tags' work.
+// That order is part of the estimate: pricing the tags as one task, or
+// adding setup first, moves estimates by a few ulps.
+func (e *Estimator) reduceDurations(job *wf.Job, tags map[int]*tagEst, tagOrder []int, numMapTasks int) (avg, max float64) {
 	c := e.Cluster
-	cfg := job.Config
-	var avgContent, maxContent float64
+	var avgWork, maxWork float64
 	for _, tag := range tagOrder {
 		te := tags[tag]
-		g := te.group
-		if g.MapOnly() {
+		if te.group.MapOnly() {
 			continue
 		}
-		rp := job.Profile.ReduceProfile(tag)
+		cpuPerRecord := job.Profile.ReduceProfile(tag).CPUPerRecord
 		inBytesAvg := c.Scale(te.mapOutBytes) / float64(te.numParts)
 		inRecsAvg := c.Scale(te.mapOutRecords) / float64(te.numParts)
 		outBytesAvg := c.Scale(te.outBytes) / float64(te.numParts)
 		scale := te.maxShare * float64(te.numParts) // >= 1
 		for i, f := range []float64{1, scale} {
-			inBytes := inBytesAvg * f
-			inRecs := inRecsAvg * f
-			outBytes := outBytesAvg * f
-			wire := inBytes
-			var decomp float64
-			if cfg.CompressMapOutput {
-				decomp = wire / mrsim.MB * c.CompressCPUSecPerMB
-				wire *= c.CompressRatio
-			}
-			d := c.NetTime(wire) + decomp +
-				c.MergeIOTime(inBytes, numMapTasks, cfg.IOSortFactor) +
-				inRecs*rp.CPUPerRecord +
-				c.WriteTime(outBytes, cfg.CompressOutput)
+			w := c.ReduceTaskCost(mrsim.ReduceTaskVolume{
+				InBytes:  inBytesAvg * f,
+				Runs:     numMapTasks,
+				CPUSec:   inRecsAvg * f * cpuPerRecord,
+				OutBytes: outBytesAvg * f,
+			}, job.Config).Work()
 			if i == 0 {
-				avgContent += d
+				avgWork += w
 			} else {
-				maxContent += d
+				maxWork += w
 			}
 		}
 	}
-	return c.TaskSetupSec + avgContent, c.TaskSetupSec + maxContent
+	return c.TaskSetupSec + avgWork, c.TaskSetupSec + maxWork
 }
 
 // skewShare estimates the largest partition share for a tag from the

@@ -151,19 +151,17 @@ func replayJob(fm *mrsim.FaultModel, card *jobCard, jobID string, jobReady float
 		}
 	}
 	end := mapsDone
-	if card.hasReduce {
-		for t := 0; t < card.reduceTasks; t++ {
-			dur := card.avgRedDur
-			if t == 0 {
-				dur = card.maxRedDur
-			}
-			fate := fm.ScheduleTask(redPool, fm.TaskKey(jobID, true, t), mapsDone, dur)
-			if fate.FailedOut {
-				*failed = true
-			}
-			if fate.End > end {
-				end = fate.End
-			}
+	for t := 0; t < card.reduceTasks; t++ {
+		dur := card.avgRedDur
+		if t == 0 {
+			dur = card.maxRedDur
+		}
+		fate := fm.ScheduleTask(redPool, fm.TaskKey(jobID, true, t), mapsDone, dur)
+		if fate.FailedOut {
+			*failed = true
+		}
+		if fate.End > end {
+			end = fate.End
 		}
 	}
 	return end

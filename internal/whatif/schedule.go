@@ -31,7 +31,7 @@ func scheduleJob(card *jobCard, jobReady float64, mapPool, redPool *mrsim.SlotPo
 		mapsDone = e
 	}
 	end := mapsDone
-	if card.hasReduce {
+	if card.reduceTasks > 0 {
 		end = redPool.ScheduleUniform(mapsDone, card.avgRedDur, card.reduceTasks-1)
 		if _, tend := redPool.Schedule(mapsDone, card.maxRedDur); tend > end {
 			end = tend

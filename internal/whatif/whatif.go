@@ -2,9 +2,11 @@
 // Engine (Section 5). Given (1) dataflow and cost statistics from profile
 // annotations, (2) a configuration per job, (3) size and layout information
 // for the input datasets, and (4) the cluster setup, it predicts per-job
-// and whole-workflow running times using the same cost formulas the mrsim
-// executor charges, applied to estimated aggregates instead of observed
-// per-task data.
+// and whole-workflow running times. It prices tasks through the functions
+// the mrsim executor charges them with (mrsim.Cluster.MapTaskCost and
+// ReduceTaskCost) and sizes reduce fan-out by the same rule
+// (wf.Job.NumReduceTasks, wf.ReduceGroup.Partitions), feeding them
+// estimated aggregates instead of observed per-task data.
 //
 // When profile or dataset annotations are missing, estimation falls back to
 // the simpler #jobs cost model, as the paper prescribes for the information
@@ -362,16 +364,14 @@ func (e *Estimator) walk(ctx context.Context, wk *walkState, jobs []walkJob) err
 			est.Jobs[j.job.ID] = je
 		}
 		*je = JobEstimate{
-			MapTasks:      card.mapTasks,
-			ReduceTasks:   card.reduceTasks,
-			AvgMapTaskSec: card.avgMapDur,
-			Start:         jobReady,
-			End:           end,
-		}
-		if card.hasReduce {
-			je.AvgReduceTaskSec = card.avgRedDur
-			je.MaxReduceTaskSec = card.maxRedDur
-			je.ShuffleBytesVirtual = card.shuffleWire
+			MapTasks:            card.mapTasks,
+			ReduceTasks:         card.reduceTasks,
+			AvgMapTaskSec:       card.avgMapDur,
+			AvgReduceTaskSec:    card.avgRedDur,
+			MaxReduceTaskSec:    card.maxRedDur,
+			ShuffleBytesVirtual: card.shuffleWire,
+			Start:               jobReady,
+			End:                 end,
 		}
 		for k := range card.outputs {
 			out := &card.outputs[k]
