@@ -57,10 +57,9 @@ type PlanStoreEvent = event.PlanStore
 // statistics (Stats).
 type ReuseReportEvent = event.ReuseReport
 
-// RobustnessEvent fires once per submission on a session with robustness-
-// aware planning configured (WithRobustness), carrying the chosen plan's
-// Monte-Carlo makespan distribution under the session's fault model
-// (Report).
+// RobustnessEvent fires once per planned submission on a session with a
+// fault model configured (WithRobustness), carrying the served plan's
+// Monte-Carlo makespan distribution under that model (Report).
 type RobustnessEvent = event.Robustness
 
 // StateChangedEvent fires on every lifecycle transition of a submitted

@@ -8,13 +8,12 @@ import (
 	"github.com/stubby-mr/stubby"
 )
 
-// ExampleSession_robustness attaches a fault model to the session so the
-// optimizer scores its chosen plan under perturbation: task failures with
+// ExampleSession_robustness attaches a fault model to the session so every
+// result reports how its plan fares under perturbation: task failures with
 // retries, lognormal stragglers, speculative re-execution, and a slow node
 // class. The report Monte-Carlo-replays the plan's schedule across
-// derived perturbation seeds and summarizes the makespan distribution;
-// with WithRobustness configured, near-tie candidates are broken toward
-// the lower p99.
+// derived perturbation seeds and summarizes the makespan distribution; the
+// plan itself is the one the session chooses without a fault model.
 func ExampleSession_robustness() {
 	wl, err := stubby.BuildWorkload("IR", stubby.WorkloadOptions{SizeFactor: 0.15, Seed: 2})
 	if err != nil {

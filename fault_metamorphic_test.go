@@ -16,8 +16,7 @@ import (
 // contract: an attached FaultModel with every rate zero and no node classes
 // must be indistinguishable from no model at all — bit-identical makespans
 // and task traces from the engine, and byte-identical plans from the
-// optimizer (the robustness tie-break never fires for a non-perturbing
-// model). Any drift between the fault-free scheduling arithmetic and the
+// optimizer. Any drift between the fault-free scheduling arithmetic and the
 // FaultyPool path shows up here before it can corrupt nominal results.
 
 // zeroFaultModel is the metamorphic identity: all rates zero, no classes.
@@ -76,10 +75,17 @@ func assertIdenticalRuns(t *testing.T, want, got *mrsim.RunReport) {
 
 // TestZeroPerturbationPaperWorkloads runs every paper workload's identity
 // plan through the engine with no fault model and with the zero-rate model,
-// then optimizes with and without zero-rate robustness scoring attached:
-// both pairs must be bit-identical. The plan goldens in testdata/plans stay
-// the authority for the nominal plans themselves (TestPlanSnapshots).
+// which must be bit-identical. It then optimizes without a fault model and
+// under WithRobustness with the zero-rate and the standard models: the plan
+// must be byte-identical each time, since robustness is a report on the plan
+// served and the plan store's key holds no fault model. The plan goldens in
+// testdata/plans stay the authority for the nominal plans themselves
+// (TestPlanSnapshots).
 func TestZeroPerturbationPaperWorkloads(t *testing.T) {
+	standard, err := stubby.FaultProfile("standard", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, abbr := range stubby.Workloads() {
 		abbr := abbr
 		t.Run(abbr, func(t *testing.T) {
@@ -88,14 +94,14 @@ func TestZeroPerturbationPaperWorkloads(t *testing.T) {
 			zero := runEngine(t, wl.Cluster, wl.DFS, wl.Workflow, zeroFaultModel(7))
 			assertIdenticalRuns(t, ref, zero)
 
-			optimize := func(rob bool) *stubby.Result {
+			optimize := func(fm *stubby.FaultModel) *stubby.Result {
 				opts := []stubby.SessionOption{
 					stubby.WithCluster(wl.Cluster),
 					stubby.WithSeed(1),
 					stubby.WithOptimizerOptions(stubby.Options{RRSEvals: differentialRRSEvals}),
 				}
-				if rob {
-					opts = append(opts, stubby.WithRobustness(zeroFaultModel(7), 8))
+				if fm != nil {
+					opts = append(opts, stubby.WithRobustness(fm, 8))
 				}
 				sess, err := stubby.NewSession(opts...)
 				if err != nil {
@@ -107,13 +113,15 @@ func TestZeroPerturbationPaperWorkloads(t *testing.T) {
 				}
 				return res
 			}
-			plain := optimize(false)
-			scored := optimize(true)
-			assertSamePlan(t, plain, scored)
+			plain := optimize(nil)
 			if plain.Robustness != nil {
 				t.Error("robustness report appeared without WithRobustness")
 			}
-			if rob := scored.Robustness; rob != nil {
+			zeroRes := optimize(zeroFaultModel(7))
+			assertSamePlan(t, plain, zeroRes)
+			if rob := zeroRes.Robustness; rob == nil {
+				t.Error("no robustness report under the zero-rate model")
+			} else {
 				// A non-perturbing model yields a degenerate distribution:
 				// every sample replays the same schedule. (Mean is a float
 				// sum over identical samples, so it may differ in the last
@@ -127,7 +135,34 @@ func TestZeroPerturbationPaperWorkloads(t *testing.T) {
 						rob.Mean, rob.Min)
 				}
 			}
+			standardRes := optimize(standard)
+			assertSamePlan(t, plain, standardRes)
+			if rob := standardRes.Robustness; rob == nil || rob.Min >= rob.Max {
+				t.Errorf("standard model: want a report with a spread, got %+v", rob)
+			}
 		})
+	}
+}
+
+// TestRobustnessReportForEveryPlanner: the session attaches the report to
+// the plan it serves whichever planner chose it, a rule-based one included.
+func TestRobustnessReportForEveryPlanner(t *testing.T) {
+	wl := profiledWorkload(t, "IR", differentialSize, 1)
+	model, err := stubby.FaultProfile("standard", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithPlanner("baseline"),
+		stubby.WithRobustness(model, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Optimize(context.Background(), wl.Workflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Robustness == nil {
+		t.Error("the baseline planner's plan carries no robustness report")
 	}
 }
 

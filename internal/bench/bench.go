@@ -81,7 +81,7 @@ type simKey struct {
 type Harness struct {
 	cfg       Config
 	workloads map[sample]*workloads.Workload
-	runs      map[[2]string]Run
+	runs      map[[2]string]cell
 	// sims memoizes Run's simulations: a run is a pure function of the key,
 	// and Vertical's cells, the cached repeats and every Monolithic cell
 	// re-choose a plan some other variant has already run.
@@ -101,7 +101,7 @@ func New(cfg Config) *Harness {
 	return &Harness{
 		cfg:       cfg.withDefaults(),
 		workloads: make(map[sample]*workloads.Workload),
-		runs:      make(map[[2]string]Run),
+		runs:      make(map[[2]string]cell),
 		sims:      make(map[simKey]*mrsim.RunReport),
 		estimates: whatif.NewCache(1 << 18),
 	}

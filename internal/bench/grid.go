@@ -43,6 +43,10 @@ type Variant struct {
 	// profiles under Session.Profile's seed instead of Config.ProfilerSeed.
 	Fraction    float64
 	SessionSeed bool
+	// Robustness, when non-nil, makes the cell the workload's Stubby cell
+	// with its plan's Monte-Carlo makespan distribution under the fault
+	// model added, as a session with stubby.WithRobustness serves it.
+	Robustness *whatif.RobustnessOptions
 }
 
 func planner(name string) Variant { return Variant{Name: name, Planner: name} }
@@ -77,10 +81,10 @@ var (
 	// Monolithic re-estimates the whole workflow on every configuration
 	// probe instead of only the cone the probe affects.
 	Monolithic = Variant{Name: "Monolithic", Options: optimizer.Options{DisableIncremental: true}}
-	// Robust scores the chosen plan's scheduling layer under the standard
+	// Robust scores Stubby's plan's scheduling layer under the standard
 	// fault profile; seed and sample count are fixed so cells repeat.
-	Robust = Variant{Name: "Robust", Options: optimizer.Options{Robustness: &whatif.RobustnessOptions{
-		Model: mrsim.StandardFaultProfile(42), Samples: 32}}}
+	Robust = Variant{Name: "Robust", Robustness: &whatif.RobustnessOptions{
+		Model: mrsim.StandardFaultProfile(42), Samples: 32}}
 	// The reuse figure's pair caps the configuration search so its cells
 	// measure the reuse pre-pass, not RRS.
 	NoReuse = Variant{Name: "NoReuse", Options: optimizer.Options{RRSEvals: 40}}
@@ -226,13 +230,22 @@ type PhaseYield struct {
 	Chosen         int    `json:"chosen"`
 }
 
+// cell is a memoized Run with the plan it ran.
+type cell struct {
+	Run
+	plan *wf.Workflow
+}
+
 // Run plans abbr under v, estimates and simulates the plan, and memoizes the
 // cell: however many figures list a (workload, variant), it is searched and
 // simulated once per harness.
 func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 	key := [2]string{abbr, v.Name}
-	if r, ok := h.runs[key]; ok {
-		return r, nil
+	if c, ok := h.runs[key]; ok {
+		return c.Run, nil
+	}
+	if v.Robustness != nil {
+		return h.replay(abbr, v)
 	}
 	s := h.sample(abbr)
 	if v.Fraction > 0 {
@@ -290,9 +303,6 @@ func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 		r.EstimateSec = res.EstimatedCost
 		r.WhatIfCalls, r.WhatIfComputed, r.FlowCards = res.WhatIfCalls, res.WhatIfComputed, res.FlowCards
 		r.Yield = yieldByPhase(res.Units)
-		if rob := res.Robustness; rob != nil {
-			r.MeanSec, r.P95Sec, r.P99Sec, r.FailedOut = rob.Mean, rob.P95, rob.P99, rob.FailedOut
-		}
 		if cat != nil {
 			st := cat.Stats()
 			r.ReusedSubplans, r.CatalogHits, r.CatalogMisses = res.ReusedSubplans, st.Hits, st.Misses
@@ -315,8 +325,33 @@ func (h *Harness) Run(abbr string, v Variant) (Run, error) {
 			return Run{}, fmt.Errorf("%s on %s: %w", v.Name, abbr, err)
 		}
 	}
-	h.runs[key] = r
+	h.runs[key] = cell{r, plan}
 	return r, nil
+}
+
+// replay runs a Robustness variant's cell: its workload's Stubby cell, with
+// the replay's columns added. It searches and simulates nothing; OptimizeMS
+// is the replay's own time.
+func (h *Harness) replay(abbr string, v Variant) (Run, error) {
+	if _, err := h.Run(abbr, Stubby); err != nil {
+		return Run{}, err
+	}
+	wl, err := h.workload(abbr)
+	if err != nil {
+		return Run{}, err
+	}
+	c := h.runs[[2]string{abbr, Stubby.Name}]
+	t0 := time.Now()
+	rob, err := whatif.New(wl.Cluster).Robustness(context.Background(), c.plan, *v.Robustness)
+	if err != nil {
+		return Run{}, fmt.Errorf("%s on %s: %w", v.Name, abbr, err)
+	}
+	c.Variant, c.OptimizeMS = v.Name, float64(time.Since(t0).Microseconds())/1000
+	if rob != nil {
+		c.MeanSec, c.P95Sec, c.P99Sec, c.FailedOut = rob.Mean, rob.P95, rob.P99, rob.FailedOut
+	}
+	h.runs[[2]string{abbr, v.Name}] = c
+	return c.Run, nil
 }
 
 // unitSubplans simulates each kept subplan of the search's first unit and

@@ -41,8 +41,9 @@ func sharedHarness(t *testing.T) *Harness {
 // the default Stubby search 11 times (8 workloads and 3 deep pipelines), its
 // subplan-keeping twin once (Figure 14) and Baseline 8, where the per-figure
 // drivers ran them 43 and 24 times and the optimizer bench the 11 three times
-// more. A plan is simulated once per sample too, however many variants and
-// subplans choose it.
+// more — and a Robust cell, a replay of its Stubby cell's plan, is not
+// searched at all. A plan is simulated once per sample too, however many
+// variants and subplans choose it.
 func TestRunMemoized(t *testing.T) {
 	h := sharedHarness(t)
 	for _, f := range Figures {
@@ -64,8 +65,12 @@ func TestRunMemoized(t *testing.T) {
 		}
 		perVariant[key[1]]++
 	}
-	if len(shared.searches) != len(shared.ledger.Cells) {
-		t.Errorf("%d searches for %d cells", len(shared.searches), len(shared.ledger.Cells))
+	cells := len(shared.ledger.Cells)
+	if got, want := len(shared.searches), cells-len(hotPathWorkloads); got != want {
+		t.Errorf("%d searches for %d cells, want %d: one per cell but the Robust ones", got, cells, want)
+	}
+	if got := perVariant[Robust.Name]; got != 0 {
+		t.Errorf("the Robust cells searched %d times, want 0", got)
 	}
 	if got := perVariant[Stubby.Name]; got != 11 {
 		t.Errorf("default Stubby search ran %d times, want 11", got)
@@ -76,15 +81,32 @@ func TestRunMemoized(t *testing.T) {
 	if got := perVariant[Baseline.Name]; got != 8 {
 		t.Errorf("Baseline planned and simulated %d times, want 8", got)
 	}
-	// Every Monolithic cell repeats its workload's Stubby plan, so at least
-	// those 11 cells cost no simulation; Figure 14's subplans may cost one
-	// each.
-	cells := len(shared.ledger.Cells)
+	// Every Monolithic cell repeats its workload's Stubby plan and every
+	// Robust cell is its Stubby cell, so at least those 22 cells cost no
+	// simulation; Figure 14's subplans may cost one each.
 	subplans := len(h.runs[[2]string{"IR", Subplans.Name}].Subplans)
-	if len(h.sims) > cells-len(hotPathWorkloads)+subplans {
+	if len(h.sims) > cells-2*len(hotPathWorkloads)+subplans {
 		t.Errorf("%d simulations for %d cells: repeated plans were run again", len(h.sims), cells)
 	}
 	t.Logf("%d cells, %d simulations", cells, len(h.sims))
+}
+
+// TestRobustCellIsStubbyCell: a Robust cell is its workload's Stubby cell —
+// plan, estimate, simulated seconds, counters and yields — with the replay's
+// columns added and its own name and time.
+func TestRobustCellIsStubbyCell(t *testing.T) {
+	h := sharedHarness(t)
+	for _, abbr := range hotPathWorkloads {
+		rob, stubby := h.runs[[2]string{abbr, Robust.Name}].Run, h.runs[[2]string{abbr, Stubby.Name}].Run
+		if rob.P99Sec <= 0 || rob.MeanSec <= 0 {
+			t.Errorf("%s: Robust cell has no report: %+v", abbr, rob)
+		}
+		rob.Variant, rob.OptimizeMS = stubby.Variant, stubby.OptimizeMS
+		rob.MeanSec, rob.P95Sec, rob.P99Sec, rob.FailedOut = 0, 0, 0, 0
+		if got, want := mustJSON(t, rob), mustJSON(t, stubby); !bytes.Equal(got, want) {
+			t.Errorf("%s: Robust cell differs from its Stubby cell beyond the report:\n%s\n%s", abbr, got, want)
+		}
+	}
 }
 
 // zeroTimes clears the one column that is not a pure function of the header.

@@ -105,15 +105,6 @@ type Options struct {
 	// functions of (plan, cluster), so plans and costs are identical with
 	// or without it; the differential test suite enforces this.
 	EstimateCache *whatif.Cache
-	// Robustness, when non-nil, closes the fault-aware simulator into plan
-	// selection: the final plan carries a Monte-Carlo whatif.Robustness
-	// report, and candidates within robustnessTieBand of a unit's best
-	// cost are re-ranked on p99 makespan under perturbation instead of
-	// mean estimated cost — near-ties on the clean-cluster estimate break
-	// toward the plan that degrades least under faults. A model that
-	// cannot perturb anything (all rates zero, no node classes) reports
-	// but never re-ranks, so it cannot change the chosen plan.
-	Robustness *whatif.RobustnessOptions
 	// DisableIncremental selects the reference path: every
 	// configuration-search probe re-estimates the whole plan instead of
 	// delta-estimating the jobs it affects. Only the differential test and
@@ -190,7 +181,7 @@ type Stubby struct {
 	// estimate cache when one is configured. They live as long as the
 	// optimizer, so per-estimator memoization (skew, fingerprints) persists
 	// across units and phases. ests[0] also serves the work outside tuning:
-	// the reuse pre-pass, robustness tie-breaks and the final estimate.
+	// the reuse pre-pass and the final estimate.
 	ests []*whatif.Estimator
 	opt  Options
 	// table holds the structural transformations this search enumerates.
@@ -276,9 +267,10 @@ type Result struct {
 	// incremental estimation drives down (a full estimate of an n-job plan
 	// costs n cards; a delta estimate costs only the affected cone).
 	FlowCards uint64
-	// Robustness, under Options.Robustness, is the final plan's Monte-
-	// Carlo makespan distribution under the configured fault model (nil
-	// when the plan lacks the annotations for cost-based estimation).
+	// Robustness is the plan's Monte-Carlo makespan distribution under a
+	// fault model. The search never sets it: a session configured with
+	// stubby.WithRobustness attaches it to the plan it serves (nil when the
+	// plan lacks the annotations for cost-based estimation).
 	Robustness *whatif.Robustness
 	// FromStore marks a result answered from a persistent plan store
 	// (stubby.WithPlanStore) instead of a fresh search. Such results carry
@@ -346,13 +338,6 @@ func (s *Stubby) OptimizeContext(ctx context.Context, w *wf.Workflow) (*Result, 
 				res.ReusedSubplans = reused
 			}
 		}
-	}
-	if s.opt.Robustness != nil && !est.Fallback {
-		rob, rerr := s.ests[0].Robustness(ctx, res.Plan, *s.opt.Robustness)
-		if rerr != nil {
-			return nil, rerr
-		}
-		res.Robustness = rob
 	}
 	res.Duration = time.Since(start)
 	counts1 := s.whatIfCounts()

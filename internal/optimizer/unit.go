@@ -100,69 +100,11 @@ func (s *Stubby) optimizeUnit(ctx context.Context, plan *wf.Workflow, unit []str
 	if bestIdx == -1 {
 		return nil, nil, fmt.Errorf("optimizer: no viable subplan for unit %v", unit)
 	}
-	if s.opt.Robustness != nil && s.opt.Robustness.Model.Perturbs() && !baselineFallback {
-		idx, plan, err := s.robustTieBreak(ctx, tuned, baselineFallback, bestIdx, bestCost)
-		if err != nil {
-			return nil, nil, err
-		}
-		if idx != bestIdx && s.opt.Progress != nil {
-			s.opt.Progress(event.BestCostImproved{Workflow: name, Unit: unitIdx,
-				Desc: report.Subplans[idx].Description, Cost: tuned[idx].cost})
-		}
-		bestIdx, bestPlan = idx, plan
-	}
 	report.ChosenIdx = bestIdx
 	for _, r := range subplans[bestIdx].rows {
 		yield[r].Chosen++
 	}
 	return bestPlan, report, nil
-}
-
-// robustnessTieBand is how close (relative) to the unit's best estimated
-// cost a candidate must be to count as a near-tie for p99 re-ranking.
-const robustnessTieBand = 1.03
-
-// robustTieBreak re-ranks near-tie candidates on p99 makespan under the
-// configured fault model: among subplans within robustnessTieBand of the
-// best estimated cost, the lowest p99 wins (enumeration order breaks p99
-// ties, and the incumbent keeps winning exact ties — so re-ranking is
-// deterministic and a non-perturbing model can never flip a choice). The
-// replay runs serially on the first worker's estimator, so parallelism
-// cannot change the outcome.
-func (s *Stubby) robustTieBreak(ctx context.Context, tuned []tunedSubplan, baselineFallback bool, bestIdx int, bestCost float64) (int, *wf.Workflow, error) {
-	band := bestCost * robustnessTieBand
-	var ties []int
-	for i, tn := range tuned {
-		if tn.err != nil || tn.plan == nil || tn.fallback != baselineFallback {
-			continue
-		}
-		if tn.cost <= band {
-			ties = append(ties, i)
-		}
-	}
-	if len(ties) < 2 {
-		return bestIdx, tuned[bestIdx].plan, nil
-	}
-	p99 := make(map[int]float64, len(ties))
-	for _, i := range ties {
-		rob, err := s.ests[0].Robustness(ctx, tuned[i].plan, *s.opt.Robustness)
-		if err != nil {
-			return 0, nil, err
-		}
-		if rob == nil {
-			// Not computable for this candidate (annotations fall back);
-			// keep the cost-based choice for the whole unit.
-			return bestIdx, tuned[bestIdx].plan, nil
-		}
-		p99[i] = rob.P99
-	}
-	winIdx := bestIdx
-	for _, i := range ties {
-		if p99[i] < p99[winIdx] {
-			winIdx = i
-		}
-	}
-	return winIdx, tuned[winIdx].plan, nil
 }
 
 // tuneSubplans runs the configuration search for every enumerated subplan:

@@ -69,12 +69,15 @@ func (s *Session) PlanStoreStats() (stats PlanStoreStats, ok bool) {
 }
 
 // planKey builds the store key of one optimization from the submitted
-// workflow's fingerprint: everything the search outcome depends on. The
-// fingerprint is canonical (insensitive to names and job-ID renaming), so
-// resubmitting a renamed copy of a known workflow still hits. Two requests
-// with equal keys produce byte-identical plans, which also makes the key
-// the in-flight identity a journaled server deduplicates submissions by
-// (the idempotency that makes client-side submit retries safe).
+// workflow's fingerprint: everything the search outcome depends on. It holds
+// no robustness setting and needs none: WithRobustness attaches a report to
+// the plan served, and no planner sees the fault model, so replicas that
+// differ only in it write the same plan under one key. The fingerprint is
+// canonical (insensitive to names and job-ID renaming), so resubmitting a
+// renamed copy of a known workflow still hits. Two requests with equal keys
+// produce byte-identical plans, which also makes the key the in-flight
+// identity a journaled server deduplicates submissions by (the idempotency
+// that makes client-side submit retries safe).
 func (s *Session) planKey(fp wf.Fingerprint, planner string, seed int64) planstore.Key {
 	return planstore.Key{
 		Plan:    fp,

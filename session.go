@@ -259,21 +259,20 @@ func WithEstimateCache(c *EstimateCache) SessionOption {
 	}
 }
 
-// WithRobustness makes the session's planning robustness-aware under the
-// given fault model: every Optimize (and Submit) result carries a
-// Monte-Carlo Robustness report for the chosen plan — mean/p95/p99
-// makespan across `samples` perturbation seeds (<= 0 uses
-// DefaultRobustnessSamples) — and candidate subplans whose estimated
-// costs are near-ties are re-ranked on p99 makespan under perturbation
-// instead of mean cost, preferring the plan that degrades least on a
-// faulty cluster. Evaluation replays only the scheduling layer over
-// once-computed flow cards, so the overhead per optimization is small.
+// WithRobustness makes every Optimize (and Submit) result carry a
+// Monte-Carlo Robustness report for the plan it serves, under the given
+// fault model: mean/p95/p99 makespan across `samples` perturbation seeds
+// (<= 0 uses DefaultRobustnessSamples). The report is observability, not a
+// selection rule: the planner never sees the model, so the chosen plan is
+// the one the session picks without it, and a plan-store hit (which did no
+// planning) carries no report. Evaluation replays only the scheduling
+// layer over once-computed flow cards, so the overhead per optimization is
+// small.
 //
-// Determinism contract: the report and any re-ranking are pure functions
-// of (plan, cluster, model, samples) — parallelism, caching, and repeat
-// runs cannot change them. A model that cannot perturb anything (all
-// rates zero, no node classes) reports a degenerate distribution and
-// never re-ranks, so attaching it changes no chosen plan.
+// Determinism contract: the report is a pure function of (plan, cluster,
+// model, samples) — parallelism, caching, and repeat runs cannot change
+// it. A model that cannot perturb anything (all rates zero, no node
+// classes) reports a degenerate distribution.
 func WithRobustness(model *FaultModel, samples int) SessionOption {
 	return func(s *Session) error {
 		if model == nil {
@@ -400,9 +399,6 @@ func (s *Session) optimizerOptions(sink func(Event)) optimizer.Options {
 	if o.EstimateCache == nil {
 		o.EstimateCache = s.estCache
 	}
-	if o.Robustness == nil {
-		o.Robustness = s.robustness
-	}
 	// The non-nil check matters: assigning a nil *ReuseCatalog into the
 	// interface field would make it non-nil and turn the pre-pass on.
 	if o.ReuseCatalog == nil && s.reuseCatalog != nil {
@@ -486,9 +482,23 @@ func (s *Session) report(workflow string, res *Result, sink func(Event)) {
 
 // optimizeDirect is the planner dispatch behind optimizeNamed (which
 // fronts it with the plan store when one is attached): run the named
-// planner with an explicit seed; cost-based planners report their search
-// progress into sink.
+// planner, then, under WithRobustness, attach the robustness report of the
+// plan it chose. The report is the one thing WithRobustness changes: no
+// planner sees the fault model.
 func (s *Session) optimizeDirect(ctx context.Context, w *Workflow, name string, seed int64, sink func(Event)) (*Result, error) {
+	res, err := s.runPlanner(ctx, w, name, seed, sink)
+	if err != nil || s.robustness == nil {
+		return res, err
+	}
+	if res.Robustness, err = whatif.New(s.cluster).Robustness(ctx, res.Plan, *s.robustness); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runPlanner runs the named planner with an explicit seed; cost-based
+// planners report their search progress into sink.
+func (s *Session) runPlanner(ctx context.Context, w *Workflow, name string, seed int64, sink func(Event)) (*Result, error) {
 	p, err := s.plannerSeeded(name, seed)
 	if err != nil {
 		return nil, err
