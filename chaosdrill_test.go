@@ -4,8 +4,9 @@ package stubby_test
 // restart recovery, cancellation semantics across restarts, event-stream
 // resume exactness at every cut point, client retry behavior, and the
 // full subprocess crash drill — stubbyd hard-killed and restarted
-// mid-batch behind a deterministic fault proxy, with every submission
-// converging to the fault-free plan.
+// mid-batch while a seeded fault-injecting transport inside the client
+// delays, rejects, resets and truncates its requests, with every
+// submission converging to the fault-free plan.
 
 import (
 	"bufio"
@@ -13,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os/exec"
@@ -20,11 +22,12 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/stubby-mr/stubby"
-	"github.com/stubby-mr/stubby/internal/faultproxy"
 	"github.com/stubby-mr/stubby/internal/planio"
 )
 
@@ -528,9 +531,9 @@ func TestEventStreamResumeExactness(t *testing.T) {
 }
 
 // TestClientEventResumeThroughFaults: a retry-policy client streaming
-// events through a proxy that truncates responses mid-body reassembles
-// the exact event sequence across reconnects — the end-to-end form of
-// the cursor-exactness property.
+// events through a transport that truncates responses mid-body
+// reassembles the exact event sequence across reconnects — the end-to-end
+// form of the cursor-exactness property.
 func TestClientEventResumeThroughFaults(t *testing.T) {
 	wl := tinyWorkload(t, "IR")
 	_, hs, direct := serviceFixture(t)
@@ -545,38 +548,35 @@ func TestClientEventResumeThroughFaults(t *testing.T) {
 	// The reference sequence, fetched fault-free.
 	want := collectEvents(t, direct, job.ID())
 
-	// Sweep proxy seeds: the cut points vary per seed, the reassembled
+	// Sweep fault seeds: the cut points vary per seed, the reassembled
 	// stream must not. At least one sweep must actually truncate and
 	// resume, or the test exercised nothing.
 	var truncations, resumes uint64
 	for seed := int64(1); seed <= 6; seed++ {
-		proxy, err := faultproxy.New(strings.TrimPrefix(hs.URL, "http://"), seed,
-			faultproxy.Profile{TruncateProb: 0.8, CutAfterMaxBytes: 900})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flaky, err := stubby.NewClient(proxy.URL(), stubby.WithRetryPolicy(stubby.RetryPolicy{
-			MaxAttempts: 10, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: seed,
-		}))
+		ft := newFaultTransport(strings.TrimPrefix(hs.URL, "http://"), seed,
+			faultProfile{TruncateProb: 0.8, CutAfterMaxBytes: 900})
+		flaky, err := stubby.NewClient(hs.URL, stubby.WithHTTPClient(&http.Client{Transport: ft}),
+			stubby.WithRetryPolicy(stubby.RetryPolicy{
+				MaxAttempts: 10, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: seed,
+			}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := collectEvents(t, flaky, job.ID())
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: resumed stream has %d events, want %d (proxy stats %+v)",
-				seed, len(got), len(want), proxy.Stats())
+			t.Fatalf("seed %d: resumed stream has %d events, want %d (faults: %v)",
+				seed, len(got), len(want), ft)
 		}
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d event %d: got %#v, want %#v", seed, i, got[i], want[i])
 			}
 		}
-		truncations += proxy.Stats().Truncations
+		truncations += ft.truncations.Load()
 		resumes += flaky.Metrics().Resumes
-		proxy.Close()
 	}
 	if truncations == 0 {
-		t.Fatal("proxy injected no truncations; test exercised nothing")
+		t.Fatal("transport injected no truncations; test exercised nothing")
 	}
 	if resumes == 0 {
 		t.Fatal("client reported no stream resumes despite truncation")
@@ -745,6 +745,126 @@ func TestClientDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// --- fault-injecting transport ----------------------------------------
+
+// faultProfile sets a faultTransport's fault probabilities (each in [0,1])
+// and shapes. A request is delayed by a drawn duration in [LatencyMin,
+// LatencyMax], or answered 503 (Retry-After: 1) without reaching the
+// server. A reset or truncation cuts the response at an offset drawn in
+// [1, CutAfterMaxBytes] of an emulated status line, header block and body:
+// a cut in the header block loses the response after the server acted; a
+// cut in the body ends it with a connection reset or a clean EOF.
+type faultProfile struct {
+	LatencyProb                            float64
+	LatencyMin, LatencyMax                 time.Duration
+	Reject503Prob, ResetProb, TruncateProb float64
+	CutAfterMaxBytes                       int
+}
+
+// faultTransport is a seeded fault-injecting http.RoundTripper. Every
+// decision is a splitmix64 draw over (seed, request index, salt), so a
+// fixed seed and request order replay the same faults. Requests go to the
+// host:port in target, which a crash drill swaps to its restarted server.
+type faultTransport struct {
+	seed    int64
+	profile faultProfile
+	target  atomic.Pointer[string]
+
+	requests, delayed, injected503, resets, truncations, errs atomic.Uint64
+}
+
+func newFaultTransport(target string, seed int64, p faultProfile) *faultTransport {
+	f := &faultTransport{seed: seed, profile: p}
+	f.target.Store(&target)
+	return f
+}
+
+func (f *faultTransport) String() string {
+	return fmt.Sprintf("requests=%d delayed=%d injected503=%d resets=%d truncations=%d errors=%d",
+		f.requests.Load(), f.delayed.Load(), f.injected503.Load(), f.resets.Load(), f.truncations.Load(), f.errs.Load())
+}
+
+// mix64 is splitmix64's finalizer, the repository's counter-based draw.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// draw yields a uniform float64 in [0,1) for (request n, salt).
+func (f *faultTransport) draw(n, salt uint64) float64 {
+	h := mix64(mix64(uint64(f.seed)) ^ mix64(n*0x9e37+salt))
+	return float64(h>>11) / float64(1<<53)
+}
+
+// Draw salts, one per independent decision.
+const saltLatency, saltLatencyAmount, salt503, saltReset, saltTruncate, saltCutOffset = 1, 2, 3, 4, 5, 6
+
+func (f *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	n, p := f.requests.Add(1)-1, f.profile
+	if p.LatencyProb > 0 && f.draw(n, saltLatency) < p.LatencyProb {
+		f.delayed.Add(1)
+		time.Sleep(p.LatencyMin + time.Duration(f.draw(n, saltLatencyAmount)*float64(p.LatencyMax-p.LatencyMin)))
+	}
+	if p.Reject503Prob > 0 && f.draw(n, salt503) < p.Reject503Prob {
+		f.injected503.Add(1)
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		const body = `{"error":{"kind":"unavailable","op":"proxy","message":"injected fault: service unavailable"}}`
+		return &http.Response{Status: "503 Service Unavailable", StatusCode: http.StatusServiceUnavailable,
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Request: req, ContentLength: int64(len(body)),
+			Header: http.Header{"Content-Type": {"application/json"}, "Retry-After": {"1"}},
+			Body:   io.NopCloser(strings.NewReader(body))}, nil
+	}
+	var end error // how a cut body ends; nil leaves the response whole
+	switch {
+	case p.ResetProb > 0 && f.draw(n, saltReset) < p.ResetProb:
+		f.resets.Add(1)
+		end = fmt.Errorf("read: %w", syscall.ECONNRESET)
+	case p.TruncateProb > 0 && f.draw(n, saltTruncate) < p.TruncateProb:
+		f.truncations.Add(1)
+		end = io.EOF
+	}
+	out := req.Clone(req.Context())
+	out.URL.Host, out.Host = *f.target.Load(), ""
+	resp, err := http.DefaultTransport.RoundTrip(out)
+	if err != nil {
+		f.errs.Add(1)
+		return nil, err
+	}
+	if end == nil {
+		return resp, nil
+	}
+	var head bytes.Buffer
+	fmt.Fprintf(&head, "HTTP/1.1 %s\r\n", resp.Status)
+	resp.Header.Write(&head)
+	left := 1 + int(f.draw(n, saltCutOffset)*float64(p.CutAfterMaxBytes)) - head.Len() - len("\r\n")
+	if left < 0 {
+		resp.Body.Close()
+		return nil, fmt.Errorf("fault transport: request %d lost its response in the header block", n)
+	}
+	resp.Body = &cutBody{ReadCloser: resp.Body, left: left, end: end}
+	return resp, nil
+}
+
+// cutBody passes left more bytes of a response body, then fails with end.
+type cutBody struct {
+	io.ReadCloser
+	left int
+	end  error
+}
+
+func (b *cutBody) Read(p []byte) (int, error) {
+	if b.left <= 0 {
+		return 0, b.end
+	}
+	n, err := b.ReadCloser.Read(p[:min(len(p), b.left)])
+	b.left -= n
+	return n, err
+}
+
 // --- subprocess crash drill -------------------------------------------
 
 var servingRE = regexp.MustCompile(`serving on (\S+)`)
@@ -800,13 +920,15 @@ type drillResult struct {
 	err      error
 }
 
-// TestCrashDrill is the acceptance drill: N concurrent submissions
-// through a deterministic fault proxy (injected 503s, connection resets,
-// truncated responses) against a stubbyd that is hard-killed (SIGKILL)
-// and restarted mid-batch over the same plan store and journal. Every
-// submission must converge to StateDone with a plan byte-identical
-// (fingerprint-identical) to the fault-free run's, and the restarted
-// server must not re-optimize more than the distinct workload count.
+// TestCrashDrill is the acceptance drill and the one real-socket
+// subprocess drill: N concurrent submissions through a seeded
+// fault-injecting transport in the client (latency, injected 503s,
+// connection resets, truncated responses) against a stubbyd that is
+// hard-killed (SIGKILL) and restarted mid-batch over the same plan store
+// and journal; while it is down, dials are refused. Every submission must
+// converge to StateDone with a plan byte-identical (fingerprint-identical)
+// to the fault-free run's, and the restarted server must not re-optimize
+// more than the distinct workload count.
 func TestCrashDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash drill skipped in -short")
@@ -840,20 +962,17 @@ func TestCrashDrill(t *testing.T) {
 	}
 	ref.kill()
 
-	// Chaos run: same workloads, flaky proxy, kill + restart mid-batch.
+	// Chaos run: same workloads, flaky transport, kill + restart mid-batch.
 	chaosDir := t.TempDir()
 	storeDir := filepath.Join(chaosDir, "store")
 	args := []string{"-addr", "127.0.0.1:0", "-workers", "1",
 		"-seed", "1", "-rrs-evals", "16", "-store", storeDir}
 	p1 := startStubbyd(t, bin, args...)
-	proxy, err := faultproxy.New(p1.addr, 1234, faultproxy.Profile{
+	ft := newFaultTransport(p1.addr, 1234, faultProfile{
 		LatencyProb: 0.2, LatencyMin: time.Millisecond, LatencyMax: 5 * time.Millisecond,
 		Reject503Prob: 0.15, ResetProb: 0.08, TruncateProb: 0.08, CutAfterMaxBytes: 2048,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	flaky := stubby.WithHTTPClient(&http.Client{Transport: ft})
 
 	const perWorkload = 2
 	results := make(chan drillResult, len(abbrs)*perWorkload)
@@ -864,7 +983,7 @@ func TestCrashDrill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, cerr := stubby.NewClient(proxy.URL(), stubby.WithRetryPolicy(stubby.RetryPolicy{
+			client, cerr := stubby.NewClient("http://"+p1.addr, flaky, stubby.WithRetryPolicy(stubby.RetryPolicy{
 				MaxAttempts: 12, BaseDelay: 25 * time.Millisecond,
 				MaxDelay: 400 * time.Millisecond, Seed: seed,
 			}))
@@ -883,18 +1002,19 @@ func TestCrashDrill(t *testing.T) {
 	}
 
 	// Hard-kill the server mid-batch and restart it over the same store
-	// and journal; the proxy retargets the new listener.
+	// and journal; the transport retargets the new listener.
 	time.Sleep(300 * time.Millisecond)
 	p1.kill()
 	p2 := startStubbyd(t, bin, args...)
 	defer p2.kill()
-	proxy.SetTarget(p2.addr)
+	ft.target.Store(&p2.addr)
 
 	wg.Wait()
 	close(results)
+	t.Logf("fault transport: %v", ft)
 	for r := range results {
 		if r.err != nil {
-			t.Fatalf("submission %s failed through chaos: %v (proxy %+v)", r.workload, r.err, proxy.Stats())
+			t.Fatalf("submission %s failed through chaos: %v (faults: %v)", r.workload, r.err, ft)
 		}
 		if r.fp != want[r.workload] {
 			t.Fatalf("workload %s: chaos plan %s != fault-free plan %s", r.workload, r.fp, want[r.workload])

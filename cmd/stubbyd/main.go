@@ -81,7 +81,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "default search seed (requests may override)")
 		planner  = flag.String("optimizer", "stubby", "default planner for requests that name none")
 		useCache = flag.Bool("cache", true, "share one estimate cache across all jobs")
-		rrsEvals = flag.Int("rrs-evals", 0, "configuration-search budget override (0 = default)")
+		rrsEvals = flag.Int("rrs-evals", 0, "configuration-search budget override (0 = default; part of the plan-store key)")
 		storeDir = flag.String("store", "", "persistent plan-store directory (empty = no store); replicas may share one directory")
 		reuseDir = flag.String("reuse-catalog", "", "sub-plan reuse catalog directory (empty = no reuse): optimizations replace catalog-matched sub-DAGs with scans of stored results")
 		reuseTTL = flag.Duration("catalog-ttl", 0, "evict reuse-catalog entries older than this at startup (0 = keep forever)")

@@ -13,3 +13,7 @@ var (
 func SetJobRetention(s *Server, n int) *Server { s.retain = n; return s }
 
 func SetRetryAfterPerJob(s *Server, d time.Duration) *Server { s.retryPerJob = d; return s }
+
+// SearchDigest is the plan-store key's digest of a session's search
+// options, for tests that build a server's key by hand.
+var SearchDigest = searchDigest

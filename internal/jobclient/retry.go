@@ -62,7 +62,7 @@ func (t *Transport) SetRetryPolicy(p RetryPolicy) {
 }
 
 // retryMix is splitmix64's finalizer — the repo's standard counter-based
-// deterministic draw (mrsim's fault model, faultproxy).
+// deterministic draw (mrsim's fault model).
 func retryMix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

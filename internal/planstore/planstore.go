@@ -70,6 +70,9 @@ type Key struct {
 	Planner string
 	// Seed is the search seed.
 	Seed int64
+	// Search digests the search options that change the plan (0 for the
+	// defaults).
+	Search uint64
 }
 
 // Address collapses the key into the 128-bit content address records are
@@ -82,6 +85,12 @@ func (k Key) Address() Address {
 		h.Write(buf[:])
 	}
 	h.Write([]byte(k.Planner))
+	// Mixed in only when set, so every default-option address is the one
+	// earlier builds wrote.
+	if k.Search != 0 {
+		binary.BigEndian.PutUint64(buf[:], k.Search)
+		h.Write(buf[:])
+	}
 	var sum [16]byte
 	h.Sum(sum[:0])
 	return addressOf(sum[:])

@@ -38,6 +38,7 @@ func TestAddressDistinguishesKeyFields(t *testing.T) {
 		{Plan: wf.Fingerprint{1, 2}, Cluster: 9, Planner: "stubby", Seed: 4},
 		{Plan: wf.Fingerprint{1, 2}, Cluster: 3, Planner: "ysmart", Seed: 4},
 		{Plan: wf.Fingerprint{1, 2}, Cluster: 3, Planner: "stubby", Seed: 9},
+		{Plan: wf.Fingerprint{1, 2}, Cluster: 3, Planner: "stubby", Seed: 4, Search: 9},
 	}
 	for i, v := range variants {
 		if v.Address() == base.Address() {

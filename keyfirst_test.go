@@ -114,11 +114,13 @@ func waitTransitions(t *testing.T, srv *stubby.Server, n uint64) {
 	})
 }
 
-// storeKeyOf is the plan-store key a server whose session runs under the
-// default planner and seed 1 derives for wl submitted with its own cluster.
+// storeKeyOf is the plan-store key a newStoreServer session (default
+// planner, seed 1, RRSEvals 12) derives for wl submitted with its own
+// cluster.
 func storeKeyOf(wl *stubby.Workload) planstore.Key {
 	return planstore.Key{Plan: wf.FingerprintWorkflow(wl.Workflow),
-		Cluster: whatif.ClusterFingerprint(wl.Cluster), Planner: "stubby", Seed: 1}
+		Cluster: whatif.ClusterFingerprint(wl.Cluster), Planner: "stubby", Seed: 1,
+		Search: stubby.SearchDigest(stubby.Options{RRSEvals: 12})}
 }
 
 func getBody(t *testing.T, url string) []byte {

@@ -3,6 +3,8 @@ package stubby
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/planstore"
@@ -13,10 +15,10 @@ import (
 // PlanStore is a durable, content-addressed store of optimized plans. It
 // persists every optimization a session performs as a versioned planio
 // result document, keyed by the canonical workflow fingerprint plus the
-// cluster, planner, and seed the search depended on, so a repeat
-// submission — from this process, a restarted one, or another replica
-// sharing the directory — returns the byte-identical plan without running
-// the optimizer. See internal/planstore for the on-disk format and
+// cluster, planner, seed and search options the search depended on, so a
+// repeat submission — from this process, a restarted one, or another
+// replica sharing the directory — returns the byte-identical plan without
+// running the optimizer. See internal/planstore for the on-disk format and
 // durability guarantees.
 type PlanStore = planstore.Store
 
@@ -69,7 +71,11 @@ func (s *Session) PlanStoreStats() (stats PlanStoreStats, ok bool) {
 }
 
 // planKey builds the store key of one optimization from the submitted
-// workflow's fingerprint: everything the search outcome depends on. It holds
+// workflow's fingerprint: everything the search outcome depends on. The
+// search options set with WithOptimizerOptions enter as one digest
+// (searchDigest), 0 for the defaults; of their other fields Seed is a key
+// field of its own, and KeepSubplans, Progress, Parallelism, EstimateCache
+// and DisableIncremental do not change the plan, by contract. The key holds
 // no robustness setting and needs none: WithRobustness attaches a report to
 // the plan served, and no planner sees the fault model, so replicas that
 // differ only in it write the same plan under one key. The fingerprint is
@@ -84,7 +90,26 @@ func (s *Session) planKey(fp wf.Fingerprint, planner string, seed int64) plansto
 		Cluster: whatif.ClusterFingerprint(s.cluster),
 		Planner: planner,
 		Seed:    seed,
+		Search:  s.search,
 	}
+}
+
+// searchDigest digests the fields of o that change the plan a search
+// returns: the budgets, the transformation table (groups, partition row,
+// custom rows by name, in order) and the ablation switches. It is 0 when
+// all of them are zero, so default-option sessions keep their keys.
+func searchDigest(o Options) uint64 {
+	if o.Groups == 0 && o.RRSEvals == 0 && o.MaxSubplans == 0 && !o.DisablePartition &&
+		!o.DisableConfigSearch && o.ConfigSearch == 0 && !o.HorizontalFirst && !o.GlobalUnit && len(o.Custom) == 0 {
+		return 0
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %d %d %t %t %d %t %t", o.Groups, o.RRSEvals, o.MaxSubplans, o.DisablePartition,
+		o.DisableConfigSearch, o.ConfigSearch, o.HorizontalFirst, o.GlobalUnit)
+	for _, c := range o.Custom {
+		fmt.Fprintf(h, " %q", c.Name())
+	}
+	return h.Sum64()
 }
 
 // encodeStoredResult renders an optimization result as the planio wire

@@ -318,3 +318,39 @@ func TestTwoReplicaSharedStore(t *testing.T) {
 		t.Error("statsz omitted estimate-cache counters")
 	}
 }
+
+// TestPlanStoreKeySeparatesSearchOptions: a session whose search options
+// change the plan (here the RRS budget) must not serve its plans to a
+// default session sharing the store. The default session's answer through
+// the shared store equals its answer without any store.
+func TestPlanStoreKeySeparatesSearchOptions(t *testing.T) {
+	ctx := context.Background()
+	wl := profiledWorkload(t, "IR", 0.1, 1)
+	store, err := stubby.NewPlanStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	optimize := func(opts ...stubby.SessionOption) *stubby.Result {
+		t.Helper()
+		sess, err := stubby.NewSession(append([]stubby.SessionOption{stubby.WithCluster(wl.Cluster), stubby.WithSeed(1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Optimize(ctx, wl.Workflow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	optimize(stubby.WithOptimizerOptions(stubby.Options{RRSEvals: 40}), stubby.WithPlanStore(store))
+	shared := optimize(stubby.WithPlanStore(store))
+	alone := optimize()
+	if shared.FromStore {
+		t.Fatal("default session was served the RRSEvals=40 session's plan")
+	}
+	if !bytes.Equal(exportBytes(t, shared.Plan), exportBytes(t, alone.Plan)) || shared.EstimatedCost != alone.EstimatedCost {
+		t.Fatalf("default session through the shared store: cost %.1f, want the storeless %.1f and its plan",
+			shared.EstimatedCost, alone.EstimatedCost)
+	}
+}

@@ -130,6 +130,7 @@ type Session struct {
 	parallelism  int
 	fraction     float64
 	baseOpts     Options
+	search       uint64 // baseOpts' plan-store key digest (searchDigest)
 	registry     *PlannerRegistry
 	estCache     *EstimateCache
 	planStore    *PlanStore
@@ -234,6 +235,8 @@ func WithProfileFraction(f float64) SessionOption {
 // WithOptimizerOptions sets the base optimizer Options (custom
 // transformations, search budgets, ablation knobs). Session-level options
 // (WithSeed, WithParallelism, WithObserver) are applied on top when set.
+// The fields that change the plan are part of the plan-store key, so
+// sessions with different searches never serve each other's plans.
 func WithOptimizerOptions(opt Options) SessionOption {
 	return func(s *Session) error {
 		s.baseOpts = opt
@@ -336,6 +339,7 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	if s.seed == 0 {
 		s.seed = s.baseOpts.Seed
 	}
+	s.search = searchDigest(s.baseOpts)
 	if s.plannerName != "" {
 		p, err := s.registry.New(s.plannerName, s.cluster, s.seed)
 		if err != nil {

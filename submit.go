@@ -406,6 +406,7 @@ func (s *Session) deriveFor(req OptimizeRequest) (*Session, error) {
 		events:       s.events,
 		fraction:     s.fraction,
 		baseOpts:     s.baseOpts,
+		search:       s.search,
 		registry:     s.registry,
 		estCache:     s.estCache,
 		planStore:    s.planStore,
