@@ -50,8 +50,10 @@ func NewReuseCatalog(dir string, opts ...ReuseCatalogOption) (*ReuseCatalog, err
 // cheaper. The rewritten plan is searched too, and kept only when it ends
 // strictly cheaper than the plan searched without the catalog, so reuse
 // can never worsen a plan. Result.ReusedSubplans counts the replacements
-// in the returned plan. The caller
-// retains ownership: Close the catalog after the session is done with it.
+// in the returned plan. A session whose catalog matches the workflow
+// bypasses its plan store, and a plan that scans catalog results is never
+// published to it. The caller retains ownership: Close the catalog after
+// the session is done with it.
 //
 // Reuse preserves results exactly: a sub-DAG is matched only when its
 // rooted fingerprint — job programs, configurations, profiles, and the

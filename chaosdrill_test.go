@@ -765,10 +765,15 @@ type faultProfile struct {
 // decision is a splitmix64 draw over (seed, request index, salt), so a
 // fixed seed and request order replay the same faults. Requests go to the
 // host:port in target, which a crash drill swaps to its restarted server.
+// onAccept, when set, runs once, on the goroutine of the first job
+// submission the server answers 202, before that response returns —
+// whatever the fault then does to it.
 type faultTransport struct {
-	seed    int64
-	profile faultProfile
-	target  atomic.Pointer[string]
+	seed       int64
+	profile    faultProfile
+	target     atomic.Pointer[string]
+	onAccept   func()
+	acceptOnce sync.Once
 
 	requests, delayed, injected503, resets, truncations, errs atomic.Uint64
 }
@@ -833,6 +838,10 @@ func (f *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		f.errs.Add(1)
 		return nil, err
+	}
+	if f.onAccept != nil && req.Method == http.MethodPost && req.URL.Path == "/v1/jobs" &&
+		resp.StatusCode == http.StatusAccepted {
+		f.acceptOnce.Do(f.onAccept)
 	}
 	if end == nil {
 		return resp, nil
@@ -924,8 +933,10 @@ type drillResult struct {
 // subprocess drill: N concurrent submissions through a seeded
 // fault-injecting transport in the client (latency, injected 503s,
 // connection resets, truncated responses) against a stubbyd that is
-// hard-killed (SIGKILL) and restarted mid-batch over the same plan store
-// and journal; while it is down, dials are refused. Every submission must
+// hard-killed (SIGKILL) the moment it acknowledges the first submission and
+// restarted over the same plan store and journal; while it is down, dials
+// are refused. The restarted server must recover the journaled job, and at
+// least one dial must have been refused. Every submission must
 // converge to StateDone with a plan byte-identical (fingerprint-identical)
 // to the fault-free run's, and the restarted server must not re-optimize
 // more than the distinct workload count.
@@ -939,7 +950,14 @@ func TestCrashDrill(t *testing.T) {
 		t.Fatalf("building stubbyd: %v\n%s", err, out)
 	}
 
+	// Profiled, so each search takes milliseconds to a few hundred, not
+	// microseconds: a job acknowledged by the server is still running when
+	// the kill lands.
 	abbrs := []string{"IR", "BR", "LA"}
+	wls := map[string]*stubby.Workload{}
+	for _, abbr := range abbrs {
+		wls[abbr] = profiledWorkload(t, abbr, 0.05, 1)
+	}
 	// Fault-free reference run: same flags, clean dirs, direct connection.
 	refDir := t.TempDir()
 	ref := startStubbyd(t, bin, "-addr", "127.0.0.1:0", "-workers", "2",
@@ -953,7 +971,7 @@ func TestCrashDrill(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	for _, abbr := range abbrs {
-		wl := tinyWorkload(t, abbr)
+		wl := wls[abbr]
 		res, rerr := refClient.Optimize(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow, Cluster: wl.Cluster})
 		if rerr != nil {
 			t.Fatalf("reference %s: %v", abbr, rerr)
@@ -972,6 +990,13 @@ func TestCrashDrill(t *testing.T) {
 		LatencyProb: 0.2, LatencyMin: time.Millisecond, LatencyMax: 5 * time.Millisecond,
 		Reject503Prob: 0.15, ResetProb: 0.08, TruncateProb: 0.08, CutAfterMaxBytes: 2048,
 	})
+	// Hard-kill the server the moment it acknowledges a submission — it
+	// journals before it acknowledges, so the job is on disk and its search
+	// still running — and, below, restart it over the same store and
+	// journal. Until the transport retargets the new listener, dials are
+	// refused.
+	killed := make(chan struct{})
+	ft.onAccept = func() { p1.kill(); close(killed) }
 	flaky := stubby.WithHTTPClient(&http.Client{Transport: ft})
 
 	const perWorkload = 2
@@ -991,7 +1016,7 @@ func TestCrashDrill(t *testing.T) {
 				results <- drillResult{workload: abbr, err: cerr}
 				return
 			}
-			wl := tinyWorkload(t, abbr)
+			wl := wls[abbr]
 			res, oerr := client.Optimize(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow, Cluster: wl.Cluster})
 			if oerr != nil {
 				results <- drillResult{workload: abbr, err: oerr}
@@ -1001,10 +1026,12 @@ func TestCrashDrill(t *testing.T) {
 		}()
 	}
 
-	// Hard-kill the server mid-batch and restart it over the same store
-	// and journal; the transport retargets the new listener.
-	time.Sleep(300 * time.Millisecond)
-	p1.kill()
+	select {
+	case <-killed:
+	case <-ctx.Done():
+		ft.acceptOnce.Do(ft.onAccept)
+		t.Fatalf("no submission was acknowledged (faults: %v)", ft)
+	}
 	p2 := startStubbyd(t, bin, args...)
 	defer p2.kill()
 	ft.target.Store(&p2.addr)
@@ -1048,5 +1075,14 @@ func TestCrashDrill(t *testing.T) {
 	// Its own traffic may be all store hits, which are never journaled.
 	if st.Journal.Submits == 0 && st.Journal.Recovered == 0 && st.Journal.Compacted == 0 {
 		t.Fatalf("journal saw no activity: %+v", st.Journal)
+	}
+	// The kill landed while a job was in flight, and the clients dialled
+	// the dead server before the transport retargeted.
+	t.Logf("restarted server's journal: %+v", *st.Journal)
+	if st.Journal.Recovered < 1 {
+		t.Fatalf("restarted server recovered no in-flight job: %+v", st.Journal)
+	}
+	if ft.errs.Load() < 1 {
+		t.Fatalf("no dial was refused while the server was down (faults: %v)", ft)
 	}
 }

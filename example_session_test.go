@@ -41,6 +41,7 @@ func ExampleNewSession() {
 	}
 	fmt.Printf("IR packs %d jobs into %d; optimized plan is faster: %v\n",
 		len(wl.Workflow.Jobs), len(res.Plan.Jobs), after.Makespan < before.Makespan)
+	// Output: IR packs 3 jobs into 2; optimized plan is faster: true
 }
 
 // progressLog implements a minimal progress reporter: embed NopObserver and

@@ -17,3 +17,6 @@ func SetRetryAfterPerJob(s *Server, d time.Duration) *Server { s.retryPerJob = d
 // SearchDigest is the plan-store key's digest of a session's search
 // options, for tests that build a server's key by hand.
 var SearchDigest = searchDigest
+
+// UnkeyedOptions names the Options fields the plan-store key leaves out.
+var UnkeyedOptions = unkeyedOptions

@@ -332,35 +332,46 @@ func (s *Store) PublishRun(w *wf.Workflow, dfs *mrsim.DFS) error {
 // payload is CRC-re-verified before decoding; a corrupt or undecodable
 // entry reports a miss (reuse then falls back to recomputation).
 func (s *Store) Lookup(fp wf.Fingerprint) (trans.StoredResult, bool) {
-	key := fp.String()
+	res, held, ok := s.resolve(fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fr, ok := s.entries[key]
-	if !ok {
-		s.misses++
-		return trans.StoredResult{}, false
-	}
-	if framelog.Checksum(fr.payload) != fr.crc {
+	switch {
+	case ok:
+		s.hits++
+	case held:
 		s.errs++
+		fallthrough
+	default:
 		s.misses++
-		return trans.StoredResult{}, false
 	}
+	return res, ok
+}
+
+// Peek is Lookup without counting: a session peeks to learn whether the
+// reuse pre-pass would match anything, and the search that may follow
+// makes the counted lookups.
+func (s *Store) Peek(fp wf.Fingerprint) (trans.StoredResult, bool) {
+	res, _, ok := s.resolve(fp)
+	return res, ok
+}
+
+// resolve decodes the result held for fp: held reports that an entry is
+// held, ok that it verified and decoded.
+func (s *Store) resolve(fp wf.Fingerprint) (res trans.StoredResult, held, ok bool) {
+	s.mu.Lock()
+	fr, held := s.entries[fp.String()]
+	s.mu.Unlock()
 	var e Entry
-	if err := json.Unmarshal(fr.payload, &e); err != nil {
-		s.errs++
-		s.misses++
-		return trans.StoredResult{}, false
+	if !held || framelog.Checksum(fr.payload) != fr.crc || json.Unmarshal(fr.payload, &e) != nil {
+		return res, held, false
 	}
 	var layout wf.Layout
 	if len(e.Layout) > 0 {
 		var err error
 		if layout, err = planio.DecodeLayout(e.Layout); err != nil {
-			s.errs++
-			s.misses++
-			return trans.StoredResult{}, false
+			return res, true, false
 		}
 	}
-	s.hits++
 	return trans.StoredResult{
 		Dataset:     e.Dataset,
 		Layout:      layout,
@@ -369,7 +380,7 @@ func (s *Store) Lookup(fp wf.Fingerprint) (trans.StoredResult, bool) {
 		Records:     e.Records,
 		Bytes:       e.Bytes,
 		Partitions:  e.Partitions,
-	}, true
+	}, true, true
 }
 
 // Entry returns the full catalog entry for a fingerprint (CRC-verified),

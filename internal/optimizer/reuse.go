@@ -39,26 +39,7 @@ func (s *Stubby) applyReuse(ctx context.Context, plan *wf.Workflow) (*wf.Workflo
 		// Collect applicable rewrites before estimating anything: a plan
 		// with no catalog match must cost zero What-if calls, so attaching
 		// a (cold or unrelated) catalog never perturbs estimate counters.
-		var rewrites []*wf.Workflow
-		for _, d := range plan.Datasets {
-			if d.Base || len(plan.Consumers(d.ID)) == 0 {
-				continue
-			}
-			fp, ok := h.Subplan(plan, d.ID)
-			if !ok {
-				continue
-			}
-			stored, ok := s.opt.ReuseCatalog.Lookup(fp)
-			if !ok {
-				continue
-			}
-			// ApplyReuse checks its own precondition (trans.CanReuse).
-			rewritten, err := trans.ApplyReuse(plan, d.ID, stored)
-			if err != nil {
-				continue
-			}
-			rewrites = append(rewrites, rewritten)
-		}
+		rewrites := ReuseRewrites(plan, h, s.opt.ReuseCatalog.Lookup)
 		if len(rewrites) == 0 {
 			return plan, reused, nil
 		}
@@ -86,4 +67,32 @@ func (s *Stubby) applyReuse(ctx context.Context, plan *wf.Workflow) (*wf.Workflo
 		plan = bestPlan
 		reused++
 	}
+}
+
+// ReuseRewrites is the reuse pre-pass's one match rule: for every
+// intermediate dataset of plan that has consumers, whose rooted sub-plan
+// fingerprint lookup resolves and whose stored result trans.ApplyReuse
+// accepts (it checks trans.CanReuse), plan with that sub-DAG replaced by a
+// scan of the stored result. It estimates nothing. When it returns none,
+// the pre-pass leaves plan as it is, so a search with the catalog returns
+// the plan a search without one does. h memoizes fingerprints across calls.
+func ReuseRewrites(plan *wf.Workflow, h *wf.Hasher, lookup func(wf.Fingerprint) (trans.StoredResult, bool)) []*wf.Workflow {
+	var rewrites []*wf.Workflow
+	for _, d := range plan.Datasets {
+		if d.Base || len(plan.Consumers(d.ID)) == 0 {
+			continue
+		}
+		fp, ok := h.Subplan(plan, d.ID)
+		if !ok {
+			continue
+		}
+		stored, ok := lookup(fp)
+		if !ok {
+			continue
+		}
+		if rewritten, err := trans.ApplyReuse(plan, d.ID, stored); err == nil {
+			rewrites = append(rewrites, rewritten)
+		}
+	}
+	return rewrites
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"github.com/stubby-mr/stubby/internal/optimizer"
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/wf"
@@ -73,9 +74,8 @@ func (s *Session) PlanStoreStats() (stats PlanStoreStats, ok bool) {
 // planKey builds the store key of one optimization from the submitted
 // workflow's fingerprint: everything the search outcome depends on. The
 // search options set with WithOptimizerOptions enter as one digest
-// (searchDigest), 0 for the defaults; of their other fields Seed is a key
-// field of its own, and KeepSubplans, Progress, Parallelism, EstimateCache
-// and DisableIncremental do not change the plan, by contract. The key holds
+// (searchDigest), 0 for the defaults; unkeyedOptions names their other
+// fields, each with the reason the key can leave it out. The key holds
 // no robustness setting and needs none: WithRobustness attaches a report to
 // the plan served, and no planner sees the fault model, so replicas that
 // differ only in it write the same plan under one key. The fingerprint is
@@ -92,6 +92,21 @@ func (s *Session) planKey(fp wf.Fingerprint, planner string, seed int64) plansto
 		Seed:    seed,
 		Search:  s.search,
 	}
+}
+
+// unkeyedOptions names the Options fields searchDigest leaves out, each
+// with the reason the plan a store serves does not depend on it. Every
+// other field must change the digest; a test holds each field to one of
+// the two.
+var unkeyedOptions = map[string]string{
+	"Seed":               "a key field of its own (planstore.Key.Seed)",
+	"KeepSubplans":       "keeps the search trace, not the plan",
+	"Progress":           "reports the search, never steers it",
+	"Parallelism":        "plans are identical at any parallelism",
+	"EstimateCache":      "caching is transparent to plans and costs",
+	"DisableIncremental": "the reference path finds the same plans",
+	"ReuseCatalog": "a session whose catalog matches the workflow bypasses the store (storeFor), " +
+		"and a plan that scans catalog results is never published",
 }
 
 // searchDigest digests the fields of o that change the plan a search
@@ -147,41 +162,58 @@ func decodeStoredResult(doc []byte, w *Workflow) (*Result, error) {
 		ReusedSubplans: wres.ReusedSubplans}, nil
 }
 
-// storeLookup is the non-computing store probe Submit uses before
-// enqueueing: a decodable hit comes back as a ready Result, anything else
-// (miss, store error, undecodable document) defers to the worker path.
-func (s *Session) storeLookup(key planstore.Key, w *Workflow) (*Result, bool) {
-	doc, ok, err := s.planStore.Get(key)
-	if err != nil || !ok {
-		return nil, false
+// storeFor returns the plan store an optimization of w may read and
+// write: none when the session has none or when its reuse catalog matches
+// a sub-plan of w (optimizer.ReuseRewrites, the pre-pass's own rule), as
+// that plan may scan catalog datasets other sessions sharing the store
+// lack. A key-first probe (w nil) cannot be checked; it reads the store,
+// which holds no plan that scans catalog results. A ReuseCatalog is peeked
+// at, uncounted: the search that follows counts its lookups as before.
+func (s *Session) storeFor(w *Workflow) *PlanStore {
+	src := s.baseOpts.ReuseCatalog
+	if s.planStore == nil || src == nil || w == nil {
+		return s.planStore
 	}
-	res, err := decodeStoredResult(doc, w)
-	if err != nil {
-		return nil, false
+	lookup := src.Lookup
+	if c, ok := src.(*ReuseCatalog); ok {
+		lookup = c.Peek
 	}
-	return res, true
+	if len(optimizer.ReuseRewrites(w, wf.NewHasher(), lookup)) > 0 {
+		return nil
+	}
+	return s.planStore
 }
 
+// errReusedPlan refuses to publish a store computation whose plan scans
+// catalog results. storeFor found no catalog match, so this happens only
+// when a match was published between that check and the search.
+var errReusedPlan = errors.New("stubby: plan reuses catalog results and is not stored")
+
 // optimizeNamed dispatches one optimization of w — key.Planner under
-// key.Seed — fronted by the plan store when one is attached (only then is
-// the rest of key, w's planKey, read): a stored plan is returned without
+// key.Seed — fronted by the plan store when storeFor gives one (only then
+// is the rest of key, w's planKey, read): a stored plan is returned without
 // searching, and a miss runs the search under a per-key single-flight —
 // in-process and, through the store's claim files, across every replica
 // sharing the store directory — so concurrent submissions of the same
-// workflow cost one optimization cluster-wide.
+// workflow cost one optimization cluster-wide. A computed plan that scans
+// catalog results is returned but never published (errReusedPlan).
 func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, key planstore.Key, sink func(Event)) (*Result, error) {
 	name, seed := key.Planner, key.Seed
-	if s.planStore == nil {
+	ps := s.storeFor(w)
+	if ps == nil {
 		return s.optimizeDirect(ctx, w, name, seed, sink)
 	}
 	for {
 		var computed *Result
-		doc, hit, err := s.planStore.GetOrCompute(ctx, key, func() ([]byte, error) {
+		doc, _, err := ps.GetOrCompute(ctx, key, func() ([]byte, error) {
 			res, rerr := s.optimizeDirect(ctx, w, name, seed, sink)
 			if rerr != nil {
 				return nil, rerr
 			}
 			computed = res
+			if res.ReusedSubplans > 0 {
+				return nil, errReusedPlan
+			}
 			return encodeStoredResult(res)
 		})
 		if computed != nil {
@@ -191,24 +223,22 @@ func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, key planstore.
 			return computed, nil
 		}
 		if err != nil {
-			// A waiter can inherit another submitter's cancellation through
-			// the shared flight. If our own context is still live, the work
-			// is still wanted — retry (and likely become the owner).
-			if ctx.Err() == nil &&
-				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			// A waiter can inherit another submitter's cancellation, or a
+			// plan not fit to store, through the shared flight. If our own
+			// context is still live, the work is still wanted — retry (and
+			// likely become the owner).
+			if ctx.Err() == nil && (errors.Is(err, context.Canceled) ||
+				errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errReusedPlan)) {
 				continue
 			}
 			return nil, err
 		}
-		if hit {
-			if res, derr := decodeStoredResult(doc, w); derr == nil {
-				return res, nil
-			}
-			// An undecodable stored document (e.g. a foreign stage name)
-			// must not fail the submission; optimize directly instead.
-			return s.optimizeDirect(ctx, w, name, seed, sink)
+		// A hit: a non-hit, non-error return always set computed.
+		if res, derr := decodeStoredResult(doc, w); derr == nil {
+			return res, nil
 		}
-		// Unreachable: a non-hit, non-error return always set computed.
+		// An undecodable stored document (e.g. a foreign stage name) must
+		// not fail the submission; optimize directly instead.
 		return s.optimizeDirect(ctx, w, name, seed, sink)
 	}
 }

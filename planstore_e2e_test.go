@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/stubby-mr/stubby"
+	"github.com/stubby-mr/stubby/internal/trans"
+	"github.com/stubby-mr/stubby/internal/wf"
 )
 
 // storeSession builds a session over wl's cluster with ps attached and a
@@ -352,5 +356,140 @@ func TestPlanStoreKeySeparatesSearchOptions(t *testing.T) {
 	if !bytes.Equal(exportBytes(t, shared.Plan), exportBytes(t, alone.Plan)) || shared.EstimatedCost != alone.EstimatedCost {
 		t.Fatalf("default session through the shared store: cost %.1f, want the storeless %.1f and its plan",
 			shared.EstimatedCost, alone.EstimatedCost)
+	}
+}
+
+// TestPlanStoreWithholdsCatalogPlans: a session with a reuse catalog that
+// matches the workflow plans a scan of the stored results, and that plan
+// must not reach a plan store it shares with a catalog-less session — whose
+// own search knows nothing of the catalog's datasets. The catalog-less
+// session must compute and return the plan it gets without any store, and
+// the catalog session must not be served that plan in place of its own.
+func TestPlanStoreWithholdsCatalogPlans(t *testing.T) {
+	ctx := context.Background()
+	wl := profiledWorkload(t, "IR", 0.1, 1)
+	newStore := func() *stubby.PlanStore {
+		t.Helper()
+		store, err := stubby.NewPlanStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		return store
+	}
+	cat, err := stubby.NewReuseCatalog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	session := func(opts ...stubby.SessionOption) *stubby.Session {
+		t.Helper()
+		sess, err := stubby.NewSession(append([]stubby.SessionOption{stubby.WithCluster(wl.Cluster), stubby.WithSeed(1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	optimize := func(sess *stubby.Session) *stubby.Result {
+		t.Helper()
+		res, err := sess.Optimize(ctx, wl.Workflow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	wantReuse := func(who string, res *stubby.Result) {
+		t.Helper()
+		if res.ReusedSubplans == 0 || res.FromStore {
+			t.Fatalf("%s: %d reused sub-plans, from store %v; want a fresh plan that reuses",
+				who, res.ReusedSubplans, res.FromStore)
+		}
+	}
+
+	store := newStore()
+	withCat := session(stubby.WithReuseCatalog(cat), stubby.WithPlanStore(store))
+	if _, err := withCat.Run(ctx, wl.DFS.Clone(), wl.Workflow); err != nil {
+		t.Fatal(err)
+	}
+	wantReuse("catalog session", optimize(withCat))
+	shared := optimize(session(stubby.WithPlanStore(store)))
+	alone := optimize(session())
+	if shared.FromStore || shared.ReusedSubplans != 0 {
+		t.Fatalf("catalog-less session was served the catalog session's plan (%d jobs, %d reused)",
+			len(shared.Plan.Jobs), shared.ReusedSubplans)
+	}
+	if !bytes.Equal(exportBytes(t, shared.Plan), exportBytes(t, alone.Plan)) || shared.EstimatedCost != alone.EstimatedCost {
+		t.Fatalf("catalog-less session through the shared store: cost %.1f, want the storeless %.1f and its plan",
+			shared.EstimatedCost, alone.EstimatedCost)
+	}
+	// The store now holds the catalog-less plan; the catalog session must
+	// still search with its catalog rather than be served that plan.
+	wantReuse("catalog session after the store filled", optimize(withCat))
+
+	// A match published after the session checked its catalog and before
+	// its search: the plan that reuses it is served, never stored.
+	late := &lateCatalog{ReuseCatalog: cat}
+	fresh := newStore()
+	wantReuse("late-match session", optimize(session(stubby.WithPlanStore(fresh), stubby.WithOptimizerOptions(
+		stubby.Options{ReuseCatalog: late, Progress: func(stubby.Event) { late.visible.Store(true) }}))))
+	if res := optimize(session(stubby.WithPlanStore(fresh))); res.FromStore || res.ReusedSubplans != 0 {
+		t.Fatalf("catalog-less session was served a late-match plan (%d jobs, %d reused)",
+			len(res.Plan.Jobs), res.ReusedSubplans)
+	}
+}
+
+// lateCatalog hides a catalog's entries until visible is set, which the
+// test does when the search reports its first event: they read as
+// published after the session's store check and before its pre-pass.
+type lateCatalog struct {
+	*stubby.ReuseCatalog
+	visible atomic.Bool
+}
+
+func (c *lateCatalog) Lookup(fp wf.Fingerprint) (trans.StoredResult, bool) {
+	if !c.visible.Load() {
+		return trans.StoredResult{}, false
+	}
+	return c.ReuseCatalog.Lookup(fp)
+}
+
+// TestOptionsKeyClassified holds every field of stubby.Options to one of two
+// classes: digested (a non-zero value changes the plan-store key's search
+// digest) or unkeyed (named, with its reason, in the list the key's doc
+// points to). A new option that is neither could key two different plans
+// alike, so an unclassified field fails.
+func TestOptionsKeyClassified(t *testing.T) {
+	unkeyed := stubby.UnkeyedOptions
+	typ := reflect.TypeOf(stubby.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if reason, ok := unkeyed[f.Name]; ok {
+			if reason == "" {
+				t.Errorf("Options.%s is unkeyed without a reason", f.Name)
+			}
+			continue
+		}
+		var o stubby.Options
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch k := f.Type.Kind(); {
+		case k == reflect.Bool:
+			v.SetBool(true)
+		case k >= reflect.Int && k <= reflect.Int64:
+			v.SetInt(1)
+		case f.Type == reflect.TypeOf([]stubby.Transformation(nil)):
+			v.Set(reflect.ValueOf([]stubby.Transformation{dropSinkCopy{}}))
+		default:
+			t.Errorf("Options.%s: no non-zero value to try; digest it or name it unkeyed with its reason", f.Name)
+			continue
+		}
+		if stubby.SearchDigest(o) == stubby.SearchDigest(stubby.Options{}) {
+			t.Errorf("Options.%s is unclassified: setting it leaves the plan-store key's digest unchanged, "+
+				"and it is not named unkeyed", f.Name)
+		}
+	}
+	for name := range unkeyed {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("unkeyed option %s is not a field of Options", name)
+		}
 	}
 }

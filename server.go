@@ -304,9 +304,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var doc []byte
-	if a.target.planStore != nil {
+	if ps := a.target.storeFor(req.Plan); ps != nil {
 		// The one store lookup of a hit. A failed or empty lookup is a miss.
-		doc, _, _ = a.target.planStore.Get(a.key)
+		doc, _, _ = ps.Get(a.key)
 	}
 	if doc == nil && req.Plan == nil {
 		if doc, err = s.forwardProbe(r.Context(), a); err != nil {

@@ -340,6 +340,12 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 		s.seed = s.baseOpts.Seed
 	}
 	s.search = searchDigest(s.baseOpts)
+	// The searches consult one catalog: WithOptimizerOptions', else
+	// WithReuseCatalog's. The nil check matters: a nil *ReuseCatalog in the
+	// interface field would be non-nil and turn the pre-pass on.
+	if s.baseOpts.ReuseCatalog == nil && s.reuseCatalog != nil {
+		s.baseOpts.ReuseCatalog = s.reuseCatalog
+	}
 	if s.plannerName != "" {
 		p, err := s.registry.New(s.plannerName, s.cluster, s.seed)
 		if err != nil {
@@ -402,11 +408,6 @@ func (s *Session) optimizerOptions(sink func(Event)) optimizer.Options {
 	}
 	if o.EstimateCache == nil {
 		o.EstimateCache = s.estCache
-	}
-	// The non-nil check matters: assigning a nil *ReuseCatalog into the
-	// interface field would make it non-nil and turn the pre-pass on.
-	if o.ReuseCatalog == nil && s.reuseCatalog != nil {
-		o.ReuseCatalog = s.reuseCatalog
 	}
 	return o
 }
