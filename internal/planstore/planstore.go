@@ -201,39 +201,48 @@ func (s *Store) Dir() string { return s.dir }
 
 // Get returns the document stored under key, consulting the in-memory LRU,
 // then the known disk index, then — still on a miss — rescanning the
-// directory for records other replicas published since the last look.
-func (s *Store) Get(key Key) ([]byte, bool, error) {
-	addr := key.Address()
+// directory for records other replicas published since the last look. Each
+// call counts one hit or one miss.
+func (s *Store) Get(key Key) ([]byte, bool, error) { return s.get(key, false) }
+
+// get is Get. A recheck — GetOrCompute probing again for a key whose miss
+// its first Get already counted — counts a hit but no second miss, so the
+// misses count lookups rather than probes; it still rescans the directory.
+func (s *Store) get(key Key, recheck bool) ([]byte, bool, error) {
+	doc, tier, err := s.lookup(key.Address())
+	switch {
+	case err != nil: // a failed lookup is neither a hit nor a miss
+	case tier != nil:
+		s.hits.Add(1)
+		tier.Add(1)
+	case !recheck:
+		s.misses.Add(1)
+	}
+	return doc, tier != nil, err
+}
+
+// lookup finds addr's document in the memory LRU, then the disk index, then
+// the index after a rescan. tier is the hit counter of where it was found
+// (memHits or diskHits), nil when it is absent.
+func (s *Store) lookup(addr Address) (doc []byte, tier *atomic.Uint64, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if el, ok := s.mem[addr]; ok {
 		s.lru.MoveToFront(el)
-		doc := el.Value.(*memEntry).doc
-		s.mu.Unlock()
-		s.hits.Add(1)
-		s.memHits.Add(1)
-		return doc, true, nil
+		return el.Value.(*memEntry).doc, &s.memHits, nil
 	}
 	if doc, ok := s.readAndCacheLocked(addr); ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		s.diskHits.Add(1)
-		return doc, true, nil
+		return doc, &s.diskHits, nil
 	}
 	// Nothing local: another replica may have published since we last
 	// looked. Rescan past the high-water marks before declaring a miss.
 	if err := s.refreshLocked(); err != nil {
-		s.mu.Unlock()
-		return nil, false, err
+		return nil, nil, err
 	}
 	if doc, ok := s.readAndCacheLocked(addr); ok {
-		s.mu.Unlock()
-		s.hits.Add(1)
-		s.diskHits.Add(1)
-		return doc, true, nil
+		return doc, &s.diskHits, nil
 	}
-	s.mu.Unlock()
-	s.misses.Add(1)
-	return nil, false, nil
+	return nil, nil, nil
 }
 
 // readAndCacheLocked reads addr's record payload from disk and promotes it
@@ -361,8 +370,9 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() ([]byt
 		s.flMu.Unlock()
 
 		// Re-check under flight ownership: a previous owner may have
-		// published between our miss and our registration.
-		if doc, ok, err := s.Get(key); err != nil || ok {
+		// published between our miss and our registration. The miss is
+		// counted once, above.
+		if doc, ok, err := s.get(key, true); err != nil || ok {
 			s.resolveFlight(addr, fl, doc, err)
 			return doc, ok, err
 		}
@@ -375,7 +385,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() ([]byt
 		// One more probe now that the claim is ours: the previous holder
 		// may have published and released between our last Get and the
 		// acquisition.
-		if doc, ok, gerr := s.Get(key); gerr != nil || ok {
+		if doc, ok, gerr := s.get(key, true); gerr != nil || ok {
 			cl.release()
 			s.resolveFlight(addr, fl, doc, gerr)
 			return doc, ok, gerr

@@ -3,7 +3,6 @@ package whatif
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
@@ -13,15 +12,24 @@ import (
 // This file is the flow layer of the estimator: everything about one job
 // that does not depend on when the cluster can run it — input pruning, tag
 // flow, the combiner model, skew, task counts, average and straggler task
-// durations, and output dataset estimates. The result is an immutable
-// jobCard; the scheduling layer (schedule.go) turns cards into start/end
-// times. Keeping this layer pure (a function of the job and its input
-// dataset estimates only) is what lets Prepared reuse cards across
-// configuration-search probes.
+// durations, and output dataset estimates. The result is a jobCard; the
+// scheduling layer (schedule.go) turns cards into start/end times. Keeping
+// this layer pure (a function of the job and its input dataset estimates
+// only) is what lets Prepared reuse cards across configuration-search
+// probes.
+//
+// The layer allocates no bookkeeping of its own: the per-input and per-tag
+// working sets are scratch slices the Estimator owns and rewrites on every
+// call, and a card's input snapshot and output estimates share one backing
+// slice of exact size. When a memoized card's inputs no longer match,
+// Estimator.card recomputes flow into that card's storage rather than a new
+// one, so a card is stable only until its job is walked again.
 
 // jobCard is the flow layer's answer for one job: the task counts and
 // durations scheduling needs, plus the output dataset estimates downstream
-// jobs consume. Cards are immutable once built.
+// jobs consume. A card is read only during its own job's walk step (walk
+// publishes value copies), which is what lets the memo recompute it in
+// place.
 type jobCard struct {
 	mapTasks    int
 	reduceTasks int // 0 for a map-only job
@@ -34,7 +42,8 @@ type jobCard struct {
 	// inputs snapshots the input dataset estimates the card was computed
 	// from, in job input order — Prepared's invalidation check.
 	inputs []cardDataset
-	// outputs are the job's output dataset estimates, in tag order.
+	// outputs are the job's output dataset estimates, in tag order. It
+	// shares inputs' backing array (inputs' capacity spans both).
 	outputs []cardDataset
 }
 
@@ -77,6 +86,17 @@ func layoutEqual(a, b wf.Layout) bool {
 	return true
 }
 
+// inEst carries one distinct job input's volumes, after partition pruning,
+// while estimating one job.
+type inEst struct {
+	id             string
+	records, bytes float64
+	compressed     bool
+	parts          int
+	layout         wf.Layout
+	maxShare       float64
+}
+
 // tagEst carries per-tag flow predictions while estimating one job.
 type tagEst struct {
 	group         *wf.ReduceGroup
@@ -88,32 +108,53 @@ type tagEst struct {
 	maxShare      float64 // largest reduce-partition share (skew)
 }
 
+// findIn returns the scratch entry of input id. A job has a handful of
+// inputs, so a linear scan beats a map.
+func findIn(ins []inEst, id string) *inEst {
+	for i := range ins {
+		if ins[i].id == id {
+			return &ins[i]
+		}
+	}
+	return nil
+}
+
+// findTag returns the scratch entry of the group with the given tag.
+func findTag(tags []tagEst, tag int) *tagEst {
+	for i := range tags {
+		if tags[i].group.Tag == tag {
+			return &tags[i]
+		}
+	}
+	return nil
+}
+
 // flowJob runs the flow layer for one job against the current dataset
-// estimates and returns its duration card. It performs no slot-pool
+// estimates and writes its duration card into card, reusing the card's
+// dataset storage when it is large enough. inIDs are the job's distinct
+// inputs in job input order (walkJob.ins). It performs no slot-pool
 // operations; the arithmetic and its order are shared with the historical
-// monolithic estimator, so card-based estimates are bit-identical to it.
-func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (*jobCard, error) {
+// monolithic estimator, so card-based estimates are bit-identical to it. On
+// error the card is left partly written and must be discarded.
+func (e *Estimator) flowJob(job *wf.Job, inIDs []string, datasets map[string]*DatasetEstimate, card *jobCard) error {
 	e.flowCards++
 	c := e.Cluster
 	cfg := job.Config
-	card := &jobCard{}
+	n := len(inIDs) + len(job.ReduceGroups)
+	buf := card.inputs[:cap(card.inputs)]
+	if len(buf) < n {
+		buf = make([]cardDataset, n)
+	}
+	*card = jobCard{inputs: buf[:len(inIDs)], outputs: buf[len(inIDs):n]}
 
 	// --- input volumes, with pruning-fraction estimation ---
-	type inEst struct {
-		records, bytes float64
-		compressed     bool
-		parts          int
-		layout         wf.Layout
-		maxShare       float64
-	}
-	inIDs := job.Inputs()
-	ins := make(map[string]*inEst, len(inIDs))
-	for _, in := range inIDs {
+	ins := e.flowIns[:0]
+	for i, in := range inIDs {
 		de, ok := datasets[in]
 		if !ok {
-			return nil, fmt.Errorf("no estimate for input %q", in)
+			return fmt.Errorf("no estimate for input %q", in)
 		}
-		card.inputs = append(card.inputs, cardDataset{id: in, est: *de})
+		card.inputs[i] = cardDataset{id: in, est: *de}
 		frac := 1.0
 		if !job.AlignMapToInput {
 			frac = e.pruneKeepFraction(job, in, de.Layout)
@@ -126,35 +167,40 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 		if share <= 0 {
 			share = 1 / float64(parts)
 		}
-		ins[in] = &inEst{
+		ins = append(ins, inEst{
+			id:         in,
 			records:    de.Records * frac,
 			bytes:      de.Bytes * frac,
 			compressed: de.Layout.Compressed,
 			parts:      parts,
 			layout:     de.Layout,
 			maxShare:   share,
-		}
+		})
 	}
+	e.flowIns = ins
 
-	// --- map-side flow per tag ---
-	tags := make(map[int]*tagEst)
-	var tagOrder []int
+	// --- map-side flow per tag, tags in ascending order ---
+	tags := e.flowTags[:0]
 	for i := range job.ReduceGroups {
-		g := &job.ReduceGroups[i]
-		tags[g.Tag] = &tagEst{group: g, maxShare: 1}
-		tagOrder = append(tagOrder, g.Tag)
+		te := tagEst{group: &job.ReduceGroups[i], maxShare: 1}
+		k := len(tags)
+		tags = append(tags, te)
+		for ; k > 0 && tags[k-1].group.Tag > te.group.Tag; k-- {
+			tags[k] = tags[k-1]
+		}
+		tags[k] = te
 	}
-	sort.Ints(tagOrder)
+	e.flowTags = tags
 
 	var totalMapCPU float64 // real seconds basis, scaled later
 	for bi := range job.MapBranches {
 		b := &job.MapBranches[bi]
 		mp := job.Profile.MapProfile(*b)
 		if mp == nil {
-			return nil, fmt.Errorf("missing map profile for tag %d input %s", b.Tag, b.Input)
+			return fmt.Errorf("missing map profile for tag %d input %s", b.Tag, b.Input)
 		}
-		in := ins[b.Input]
-		te := tags[b.Tag]
+		in := findIn(ins, b.Input)
+		te := findTag(tags, b.Tag)
 		outRecs := in.records * mp.Selectivity
 		te.mapOutRecords += outRecs
 		te.mapOutBytes += outRecs * mp.OutBytesPerRecord
@@ -164,8 +210,8 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	// --- task counts ---
 	numMapTasks := 0
 	if job.AlignMapToInput {
-		for _, in := range inIDs {
-			if p := ins[in].parts; p > numMapTasks {
+		for i := range ins {
+			if p := ins[i].parts; p > numMapTasks {
 				numMapTasks = p
 			}
 		}
@@ -175,8 +221,8 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 		// Iteration follows job input order — a deterministic order keeps
 		// flow a pure function of (job, inputs), which card reuse and the
 		// bitwise-equivalence bar both rely on.
-		for _, id := range inIDs {
-			in := ins[id]
+		for i := range ins {
+			in := &ins[i]
 			perPart := c.Scale(in.bytes) / float64(in.parts)
 			numMapTasks += in.parts * int(ceilDiv(perPart, float64(cfg.SplitSizeMB)*mrsim.MB))
 		}
@@ -187,17 +233,18 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	card.mapTasks = numMapTasks
 
 	numReduce := job.NumReduceTasks()
-	for _, te := range tags {
-		te.numParts = te.group.Partitions(numReduce)
+	for i := range tags {
+		tags[i].numParts = tags[i].group.Partitions(numReduce)
 	}
 	card.reduceTasks = numReduce
 
 	// --- combiner, skew, reduce flow ---
 	var mapWriteOnly float64 // map-only output bytes written by map tasks
 	var combineCPU float64
-	for _, tag := range tagOrder {
-		te := tags[tag]
+	for i := range tags {
+		te := &tags[i]
 		g := te.group
+		tag := g.Tag
 		if g.MapOnly() {
 			te.outRecords = te.mapOutRecords
 			te.outBytes = te.mapOutBytes
@@ -205,7 +252,7 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 				// Intra-packed pipeline: the grouped stages run map-side.
 				rp := job.Profile.ReduceProfile(tag)
 				if rp == nil {
-					return nil, fmt.Errorf("missing map-side group profile for tag %d", tag)
+					return fmt.Errorf("missing map-side group profile for tag %d", tag)
 				}
 				totalMapCPU += te.mapOutRecords * rp.CPUPerRecord
 				te.outRecords = te.mapOutRecords * rp.Selectivity
@@ -216,7 +263,7 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 		}
 		rp := job.Profile.ReduceProfile(tag)
 		if rp == nil {
-			return nil, fmt.Errorf("missing reduce profile for tag %d", tag)
+			return fmt.Errorf("missing reduce profile for tag %d", tag)
 		}
 		if cfg.UseCombiner && g.Combiner != nil && rp.CombineReduction > 0 && rp.CombineReduction < 1 {
 			combineCPU += te.mapOutRecords * g.Combiner.CPUPerRecord
@@ -231,14 +278,12 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 
 	// --- map task duration ---
 	var readSec float64
-	for _, id := range inIDs {
-		in := ins[id]
-		readSec += c.DiskTime(c.Scale(in.bytes), in.compressed)
+	for i := range ins {
+		readSec += c.DiskTime(c.Scale(ins[i].bytes), ins[i].compressed)
 	}
 	var shuffledBytes, shuffledRecords float64
-	for _, tag := range tagOrder {
-		te := tags[tag]
-		if !te.group.MapOnly() {
+	for i := range tags {
+		if te := &tags[i]; !te.group.MapOnly() {
 			shuffledBytes += te.mapOutBytes
 			shuffledRecords += te.mapOutRecords
 		}
@@ -256,8 +301,8 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	// biggest partition becomes the straggler map task.
 	mapSkew := 1.0
 	if job.AlignMapToInput {
-		for _, id := range inIDs {
-			if s := ins[id].maxShare * float64(numMapTasks); s > mapSkew {
+		for i := range ins {
+			if s := ins[i].maxShare * float64(numMapTasks); s > mapSkew {
 				mapSkew = s
 			}
 		}
@@ -265,7 +310,7 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	card.maxMapDur = c.TaskSetupSec + (mapDur-c.TaskSetupSec)*mapSkew
 
 	if numReduce > 0 {
-		card.avgRedDur, card.maxRedDur = e.reduceDurations(job, tags, tagOrder, numMapTasks)
+		card.avgRedDur, card.maxRedDur = e.reduceDurations(job, tags, numMapTasks)
 		wire := c.Scale(shuffledBytes)
 		if cfg.CompressMapOutput {
 			wire *= c.CompressRatio
@@ -274,8 +319,8 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 	}
 
 	// --- output dataset estimates ---
-	for _, tag := range tagOrder {
-		te := tags[tag]
+	for i := range tags {
+		te := &tags[i]
 		g := te.group
 		de := DatasetEstimate{Records: te.outRecords, Bytes: te.outBytes}
 		if g.MapOnly() {
@@ -283,8 +328,8 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 			de.MaxPartShare = 1 / float64(max(numMapTasks, 1))
 			var inLayout wf.Layout
 			for bi := range job.MapBranches {
-				if job.MapBranches[bi].Tag == tag {
-					in := ins[job.MapBranches[bi].Input]
+				if job.MapBranches[bi].Tag == g.Tag {
+					in := findIn(ins, job.MapBranches[bi].Input)
 					inLayout = in.layout
 					if job.AlignMapToInput && in.maxShare > de.MaxPartShare {
 						de.MaxPartShare = in.maxShare
@@ -298,9 +343,9 @@ func (e *Estimator) flowJob(job *wf.Job, datasets map[string]*DatasetEstimate) (
 			de.MaxPartShare = te.maxShare
 			de.Layout = wf.DeriveGroupOutputLayout(*g, cfg)
 		}
-		card.outputs = append(card.outputs, cardDataset{id: g.Output, est: de})
+		card.outputs[i] = cardDataset{id: g.Output, est: de}
 	}
-	return card, nil
+	return nil
 }
 
 // combinerReduction models combiner effectiveness at the configured task
@@ -346,21 +391,21 @@ func combinerReduction(rp *wf.PipelineProfile, te *tagEst, numMapTasks int) floa
 }
 
 // reduceDurations computes average and straggler (skew-adjusted) reduce
-// task durations: task setup plus, for each shuffling tag in tag order, the
-// Work() of mrsim.ReduceTaskCost on the tag's average (largest) partition,
-// with one merge run per map task. Each tag is priced apart, its merge
+// task durations: task setup plus, for each shuffling tag of tags (in
+// ascending tag order), the Work() of mrsim.ReduceTaskCost on the tag's
+// average (largest) partition, with one merge run per map task. Each tag is priced apart, its merge
 // passes counted on its own bytes, and setup is added after the tags' work.
 // That order is part of the estimate: pricing the tags as one task, or
 // adding setup first, moves estimates by a few ulps.
-func (e *Estimator) reduceDurations(job *wf.Job, tags map[int]*tagEst, tagOrder []int, numMapTasks int) (avg, max float64) {
+func (e *Estimator) reduceDurations(job *wf.Job, tags []tagEst, numMapTasks int) (avg, max float64) {
 	c := e.Cluster
 	var avgWork, maxWork float64
-	for _, tag := range tagOrder {
-		te := tags[tag]
+	for i := range tags {
+		te := &tags[i]
 		if te.group.MapOnly() {
 			continue
 		}
-		cpuPerRecord := job.Profile.ReduceProfile(tag).CPUPerRecord
+		cpuPerRecord := job.Profile.ReduceProfile(te.group.Tag).CPUPerRecord
 		inBytesAvg := c.Scale(te.mapOutBytes) / float64(te.numParts)
 		inRecsAvg := c.Scale(te.mapOutRecords) / float64(te.numParts)
 		outBytesAvg := c.Scale(te.outBytes) / float64(te.numParts)

@@ -25,14 +25,13 @@ func TestReduceDurationsIsSetupPlusTagWork(t *testing.T) {
 		cfg.CompressOutput = r.Intn(2) == 0
 		cfg.IOSortFactor = 2 + r.Intn(20)
 		job := &wf.Job{Config: cfg, Profile: &wf.JobProfile{ReduceSide: map[int]*wf.PipelineProfile{}}}
-		tags := map[int]*tagEst{}
-		var tagOrder []int
+		var tags []tagEst
 		for tag := 0; tag < 1+r.Intn(4); tag++ {
 			g := &wf.ReduceGroup{Tag: tag}
 			if r.Intn(4) > 0 {
 				g.Stages = []wf.Stage{wf.ReduceStage("R", sumReduce, nil, 0)}
 			}
-			te := &tagEst{
+			te := tagEst{
 				group:         g,
 				numParts:      1 + r.Intn(200),
 				mapOutRecords: 1e9 * r.Float64(),
@@ -40,15 +39,15 @@ func TestReduceDurationsIsSetupPlusTagWork(t *testing.T) {
 			}
 			te.mapOutBytes = te.mapOutRecords * 100 * r.Float64()
 			te.maxShare = (1 + 3*r.Float64()) / float64(te.numParts)
-			tags[tag] = te
-			tagOrder = append(tagOrder, tag)
+			tags = append(tags, te)
 			job.Profile.ReduceSide[tag] = &wf.PipelineProfile{CPUPerRecord: 1e-6 * r.Float64()}
 		}
 		numMapTasks := 1 + r.Intn(9000)
 
 		var avgWork, maxWork float64
-		for _, tag := range tagOrder {
-			te := tags[tag]
+		for k := range tags {
+			te := &tags[k]
+			tag := te.group.Tag
 			if te.group.MapOnly() {
 				continue
 			}
@@ -68,7 +67,7 @@ func TestReduceDurationsIsSetupPlusTagWork(t *testing.T) {
 				}
 			}
 		}
-		avg, max := e.reduceDurations(job, tags, tagOrder, numMapTasks)
+		avg, max := e.reduceDurations(job, tags, numMapTasks)
 		if avg != c.TaskSetupSec+avgWork || max != c.TaskSetupSec+maxWork {
 			t.Fatalf("seed %d: reduceDurations = (%v, %v), want setup + tag work (%v, %v)",
 				seed, avg, max, c.TaskSetupSec+avgWork, c.TaskSetupSec+maxWork)

@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -264,10 +265,11 @@ func TestPreparedCountsFlowCards(t *testing.T) {
 // job changes, every card comes from the memo, every estimate entry is
 // overwritten in place and the slot pools reuse their own scratch: the probe
 // allocates nothing. When the first job changes too, its output estimates
-// alternate, so the unchanged jobs downstream of it miss their one-card
-// buckets and recompute flow: every allocation left is flowJob's — its
-// per-card maps and lists and the output layouts' name lists. Split points
-// are shared with the partition spec, not copied.
+// alternate, so the unchanged jobs downstream of it find their one card
+// stale and recompute flow into it in place, in the estimator's scratch:
+// the four allocations left are the recomputed output layouts' field-name
+// lists (wf.DeriveGroupOutputLayout). Split points are shared with the
+// partition spec, not copied.
 func TestEstimateChangedAllocs(t *testing.T) {
 	wl := equivWorkloads(t)["BR"]
 	for _, tc := range []struct {
@@ -276,7 +278,7 @@ func TestEstimateChangedAllocs(t *testing.T) {
 		want      float64
 	}{
 		{"last job changes", false, 0},
-		{"first and last job change", true, 18},
+		{"first and last job change", true, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := wl.Workflow.Clone()
@@ -321,6 +323,91 @@ func TestEstimateChangedAllocs(t *testing.T) {
 				t.Fatalf("a recurring EstimateChanged probe allocates %.1f times, want %.0f", allocs, tc.want)
 			}
 		})
+	}
+}
+
+// TestEstimateAllocs pins the allocation count of a memo-less full estimate
+// of BR (221 when flowJob kept per-card maps): the estimate itself (its maps
+// and entries), the topological order and each job's input and output
+// lists, one card per job with its dataset storage, the walk's ready map and
+// slot pools, and the output layouts' name lists. flowJob's per-input and
+// per-tag working sets live in the estimator's scratch, so one that escapes
+// to the heap again fails here.
+func TestEstimateAllocs(t *testing.T) {
+	wl := equivWorkloads(t)["BR"]
+	e := New(wl.Cluster)
+	estimate := func() {
+		if _, err := e.Estimate(wl.Workflow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = 186
+	if allocs := testing.AllocsPerRun(20, estimate); allocs != want {
+		t.Fatalf("a memo-less Estimate of BR allocates %.1f times, want %d", allocs, want)
+	}
+}
+
+// TestPreparedRecomputeInPlace drives the memo's in-place recompute: the
+// first and last jobs are changeable, so both probe paths walk the whole
+// plan, and the first job alternates between two configurations, so every
+// unchanged job downstream of it finds its one card stale on each probe and
+// recomputes flow into that card's storage. Every EstimateChanged and Estimate must
+// stay bit-identical to a fresh estimator's Estimate of the same plan, and
+// an Estimate result held across later probes must not change.
+func TestPreparedRecomputeInPlace(t *testing.T) {
+	wl := equivWorkloads(t)["BR"]
+	plan := wl.Workflow.Clone()
+	order, err := plan.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := order[0]
+	est := New(wl.Cluster)
+	prep, err := est.Prepare(plan, []string{first.ID, order[len(order)-1].ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	points := make([]wf.Config, 2)
+	for i := range points {
+		points[i] = first.Config
+		randomizeConfig(rng, &points[i])
+	}
+	var held, heldWant *Estimate
+	for n := 0; n < 6; n++ {
+		first.Config = points[n%2]
+		want, err := New(wl.Cluster).Estimate(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := prep.EstimateChanged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, pj := range probe.Jobs {
+			if *pj != *want.Jobs[id] {
+				t.Fatalf("probe %d: job %s diverged:\n  mono %+v\n  probe %+v", n, id, *want.Jobs[id], *pj)
+			}
+		}
+		for id, pd := range probe.Datasets {
+			if !datasetEstimateEqual(*pd, *want.Datasets[id]) {
+				t.Fatalf("probe %d: dataset %s diverged", n, id)
+			}
+		}
+		got, err := prep.Estimate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualEstimates(t, want, got, fmt.Sprintf("estimate %d", n))
+		if held == nil {
+			held, heldWant = got, want
+		}
+		requireEqualEstimates(t, heldWant, held, fmt.Sprintf("held estimate after probe %d", n))
+	}
+	// Six probes over two points: the first visit of each computes every
+	// suffix card, and every later probe recomputes the downstream ones.
+	if c := est.Counts(); c.FlowCards <= uint64(2*len(order)) {
+		t.Fatalf("flow cards = %d: downstream cards were never recomputed", c.FlowCards)
 	}
 }
 

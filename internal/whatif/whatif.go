@@ -108,10 +108,14 @@ func (c *Counts) Add(o Counts) {
 
 // Estimator predicts workflow cost on a given cluster. It memoizes skew
 // computations across calls (configuration search evaluates thousands of
-// plans whose key samples are identical). It is not safe for concurrent use
-// (skew and fingerprint memoization are private state); concurrent searches
-// each hold their own Estimator around one shared Cache, which is
-// concurrent-safe and deduplicates in-flight work across them.
+// plans whose key samples are identical), and it owns the flow layer's
+// scratch: flowJob works in per-input and per-tag slices rewritten on every
+// call, so a flow card allocates only its own storage, and a Prepared's memo
+// recomputes a stale card in place rather than allocating a new one. It is
+// not safe for concurrent use (skew and fingerprint memoization and the
+// flow scratch are private state); concurrent searches each hold their own
+// Estimator around one shared Cache, which is concurrent-safe and
+// deduplicates in-flight work across them.
 type Estimator struct {
 	Cluster *mrsim.Cluster
 	// cache, when non-nil, memoizes whole-workflow estimates across every
@@ -128,7 +132,11 @@ type Estimator struct {
 	// an earlier scheme — pins nothing: a freed sample's address could be
 	// reused by a different sample, resurrecting stale skew entries
 	// nondeterministically with GC timing.)
-	digests   map[tuplesRef]uint64
+	digests map[tuplesRef]uint64
+	// flowIns and flowTags are flowJob's scratch: the job's distinct inputs
+	// in input order and its groups in tag order, overwritten per call.
+	flowIns   []inEst
+	flowTags  []tagEst
 	requests  uint64 // EstimateContext calls plus Prepared's delta estimates
 	computed  uint64 // runs of the monolithic walk (every EstimateContext call without a cache)
 	flowCards uint64
@@ -352,7 +360,7 @@ func (e *Estimator) walk(ctx context.Context, wk *walkState, jobs []walkJob) err
 				jobReady = t
 			}
 		}
-		card, err := e.card(j.job, est.Datasets, wk.memo)
+		card, err := e.card(j, est.Datasets, wk.memo)
 		if err != nil {
 			return &stubbyerr.Error{Kind: stubbyerr.KindInvalid, Op: "whatif",
 				Workflow: wk.workflow, Job: j.job.ID, Err: err}
@@ -393,23 +401,34 @@ func (e *Estimator) walk(ctx context.Context, wk *walkState, jobs []walkJob) err
 }
 
 // card returns the job's flow card for its current configuration and input
-// estimates, computing it unless the memo holds one.
-func (e *Estimator) card(job *wf.Job, datasets map[string]*DatasetEstimate, memo cardMemo) (*jobCard, error) {
+// estimates, computing it unless the memo holds one. A memoized card whose
+// inputs no longer match is recomputed into its own storage: nothing reads a
+// card after its walk step, so the stale answer has no other reader. If that
+// recompute fails, the half-written card leaves the memo.
+func (e *Estimator) card(j *walkJob, datasets map[string]*DatasetEstimate, memo cardMemo) (*jobCard, error) {
+	job := j.job
 	var bucket map[wf.Config]*jobCard
+	var card *jobCard
 	if memo != nil {
 		if bucket = memo[job.ID]; bucket == nil {
 			bucket = make(map[wf.Config]*jobCard)
 			memo[job.ID] = bucket
 		}
-		if card := bucket[job.Config]; card != nil && card.inputsMatch(datasets) {
+		if card = bucket[job.Config]; card != nil && card.inputsMatch(datasets) {
 			return card, nil
 		}
 	}
-	card, err := e.flowJob(job, datasets)
-	if err == nil && bucket != nil {
+	if card == nil {
+		card = &jobCard{}
+	}
+	if err := e.flowJob(job, j.ins, datasets, card); err != nil {
+		delete(bucket, job.Config)
+		return nil, err
+	}
+	if bucket != nil {
 		bucket[job.Config] = card
 	}
-	return card, err
+	return card, nil
 }
 
 func ceilDiv(a, b float64) float64 {
