@@ -108,6 +108,7 @@ func (s *Stubby) tuneConfigs(ctx context.Context, est *whatif.Estimator, plan *w
 	estimateScratch := func() (*whatif.Estimate, error) { return est.Estimate(scratch) }
 	if !s.opt.DisableIncremental {
 		if prep, err := est.Prepare(scratch, dimJobs(dims)); err == nil {
+			defer prep.Close()
 			estimateScratch = prep.Estimate
 			// unitCost reads only the unit jobs' start/end times — plus
 			// whole-plan makespan in one degenerate branch that requires

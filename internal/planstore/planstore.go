@@ -205,9 +205,15 @@ func (s *Store) Dir() string { return s.dir }
 // call counts one hit or one miss.
 func (s *Store) Get(key Key) ([]byte, bool, error) { return s.get(key, false) }
 
-// get is Get. A recheck — GetOrCompute probing again for a key whose miss
-// its first Get already counted — counts a hit but no second miss, so the
-// misses count lookups rather than probes; it still rescans the directory.
+// Peek is Get for a lookup that a GetOrCompute of the same key follows on a
+// miss — a server's or a session's check before it queues the request: a
+// hit counts, a miss does not, so the request's one miss is GetOrCompute's.
+func (s *Store) Peek(key Key) ([]byte, bool, error) { return s.get(key, true) }
+
+// get is Get. A recheck — Peek, or GetOrCompute probing again for a key
+// whose miss its first Get already counted — counts a hit but no miss, so
+// the misses count requests rather than probes; it still rescans the
+// directory.
 func (s *Store) get(key Key, recheck bool) ([]byte, bool, error) {
 	doc, tier, err := s.lookup(key.Address())
 	switch {

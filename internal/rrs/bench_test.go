@@ -12,6 +12,7 @@ func BenchmarkMinimize(b *testing.B) {
 		target[i] = float64(10 * i % 100)
 	}
 	obj := sphere(target)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Minimize(params, obj, nil, Options{MaxEvals: 400, Seed: int64(i)}); err != nil {

@@ -50,7 +50,9 @@ func (p Param) Clamp(v float64) float64 {
 // Point is a position in the search space, one value per Param.
 type Point []float64
 
-// Objective evaluates a point; lower is better.
+// Objective evaluates a point; lower is better. The point is a buffer the
+// search draws into and reuses: an objective must neither modify nor retain
+// it past the call.
 type Objective func(Point) float64
 
 // The search's shape. No caller tunes it, so it is fixed; radii are in
@@ -106,6 +108,12 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
+	// The search draws into buffers it owns: the incumbent region's center
+	// and the candidate being evaluated, swapped when the candidate wins.
+	// best.Best is the one copy, made on an improvement.
+	n := len(params)
+	buf := make(Point, 2*n)
+	center, cand := buf[:n:n], buf[n:]
 	evals := 0
 	best := Result{Value: math.Inf(1)}
 	eval := func(pt Point) float64 {
@@ -113,40 +121,36 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 		v := obj(pt)
 		if v < best.Value {
 			best.Value = v
-			best.Best = append(Point(nil), pt...)
+			best.Best = append(best.Best[:0], pt...)
 		}
 		return v
 	}
 	if initial != nil {
-		pt := make(Point, len(params))
 		for i, p := range params {
-			pt[i] = p.Clamp(initial[i])
+			cand[i] = p.Clamp(initial[i])
 		}
-		eval(pt)
+		eval(cand)
 	}
 
 	exploreN := int(math.Ceil(math.Log(1-confidence) / math.Log(1-percentile)))
 
-	uniform := func() Point {
-		pt := make(Point, len(params))
+	uniform := func(pt Point) {
 		for i, p := range params {
 			pt[i] = p.Clamp(p.Min + rng.Float64()*(p.Max-p.Min))
 		}
-		return pt
 	}
-	neighbor := func(center Point, radius float64) Point {
-		pt := make(Point, len(params))
+	neighbor := func(pt, center Point, radius float64) {
 		for i, p := range params {
 			span := (p.Max - p.Min) * radius
 			v := center[i] + (rng.Float64()*2-1)*span
 			pt[i] = p.Clamp(v)
 		}
-		return pt
 	}
 
 	if opt.ExploreOnly {
 		for evals < maxEvals {
-			eval(uniform())
+			uniform(cand)
+			eval(cand)
 		}
 		best.Evals = evals
 		return best, nil
@@ -154,24 +158,22 @@ func Minimize(params []Param, obj Objective, initial Point, opt Options) (Result
 
 	for evals < maxEvals {
 		// EXPLORE: uniform sampling to find a promising region.
-		regionCenter := uniform()
-		regionValue := eval(regionCenter)
+		uniform(center)
+		centerVal := eval(center)
 		for i := 1; i < exploreN && evals < maxEvals; i++ {
-			pt := uniform()
-			if v := eval(pt); v < regionValue {
-				regionValue = v
-				regionCenter = pt
+			uniform(cand)
+			if v := eval(cand); v < centerVal {
+				center, cand, centerVal = cand, center, v
 			}
 		}
 		// EXPLOIT: recursive shrink-and-recenter around the region.
 		radius := percentile // initial neighborhood size
-		center, centerVal := regionCenter, regionValue
 		for radius > minRadius && evals < maxEvals {
 			improved := false
 			for s := 0; s < exploitSamples && evals < maxEvals; s++ {
-				pt := neighbor(center, radius)
-				if v := eval(pt); v < centerVal {
-					center, centerVal = pt, v
+				neighbor(cand, center, radius)
+				if v := eval(cand); v < centerVal {
+					center, cand, centerVal = cand, center, v
 					improved = true // re-center, keep radius
 					break
 				}

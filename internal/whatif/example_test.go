@@ -59,12 +59,14 @@ func ExampleEstimator_Prepare() {
 	}
 
 	// Prepare for probes that reconfigure only J2: J1 is the prefix, paid
-	// once. Each probe then recomputes flow for J2 alone.
+	// once. Each probe then recomputes flow for J2 alone. Close hands the
+	// probes' card memo back to est for its next Prepare.
 	est := whatif.New(cluster)
 	prep, err := est.Prepare(w, []string{"J2"})
 	if err != nil {
 		panic(err)
 	}
+	defer prep.Close()
 	mono := whatif.New(cluster)
 	identical := true
 	for _, reducers := range []int{2, 8, 32} {

@@ -23,7 +23,11 @@ import (
 // call, and a card's input snapshot and output estimates share one backing
 // slice of exact size. When a memoized card's inputs no longer match,
 // Estimator.card recomputes flow into that card's storage rather than a new
-// one, so a card is stable only until its job is walked again.
+// one, so a card is stable only until its job is walked again. Memo storage
+// also outlives the memo: a closed Prepared (and a finished Robustness)
+// hands its cards and cleared table back to the Estimator, and the next
+// Prepared's new cards are those cards, rewritten — on a tuning worker's
+// estimator, the next subplan's search reuses the last one's storage.
 
 // jobCard is the flow layer's answer for one job: the task counts and
 // durations scheduling needs, plus the output dataset estimates downstream

@@ -26,6 +26,11 @@ import (
 // the configurations of the declared jobs in place between Estimate calls
 // (the structure — jobs, branches, groups, partition specs — must not
 // change). Like Estimator, it is not safe for concurrent use.
+//
+// Close hands the Prepared's card memo back to its Estimator, whose next
+// Prepare reuses that storage. Do not use a Prepared after Close; the
+// estimates it returned stay valid (an EstimateChanged buffer holds its last
+// answer).
 type Prepared struct {
 	est  *Estimator
 	plan *wf.Workflow
@@ -48,7 +53,8 @@ type Prepared struct {
 	window int
 
 	// memo and place are every probe's card source and scheduler (on
-	// mapPool/redPool).
+	// mapPool/redPool). The memo is the Estimator's until Close (nil for a
+	// fallback plan and after Close).
 	memo  cardMemo
 	place placer
 
@@ -71,7 +77,7 @@ func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, 
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{est: e, plan: w, prefix: est, memo: make(cardMemo)}
+	p := &Prepared{est: e, plan: w, prefix: est}
 	if est == nil {
 		// Fallback costing ignores configurations entirely; every Estimate
 		// reproduces the monolithic #jobs answer.
@@ -103,7 +109,18 @@ func (e *Estimator) Prepare(w *wf.Workflow, changedJobIDs []string) (*Prepared, 
 	p.mapSnap = p.mapPool.Snapshot()
 	p.redSnap = p.redPool.Snapshot()
 	p.suffix = jobs[split:]
+	p.memo = e.takeMemo()
 	return p, nil
+}
+
+// Close returns the memo's cards and table to the Estimator for the next
+// Prepare or Robustness on it. A second Close does nothing.
+func (p *Prepared) Close() {
+	if p.memo == nil {
+		return
+	}
+	p.est.releaseMemo(p.memo)
+	p.memo, p.cur = nil, nil
 }
 
 // Estimate predicts the execution of the prepared plan under its current

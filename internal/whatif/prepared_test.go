@@ -449,3 +449,121 @@ func TestFlowErrorParity(t *testing.T) {
 		})
 	}
 }
+
+// firstAndLast returns a plan's first and last jobs in topological order:
+// declared changeable together, they make both probe paths walk the whole
+// plan, and a change to the first makes every card downstream recompute.
+func firstAndLast(t *testing.T, plan *wf.Workflow) []*wf.Job {
+	t.Helper()
+	order, err := plan.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*wf.Job{order[0], order[len(order)-1]}
+}
+
+// TestPreparedRecycledMemo runs Prepareds of BR and LA in turn on one
+// estimator, closing each before the next, so every memo after the first
+// is built from the cards and table the previous one handed back. Every
+// EstimateChanged and Estimate must stay bit-identical to a fresh
+// estimator's Estimate of the same plan, and an Estimate taken before a
+// Close must not change while later Prepareds rewrite the recycled cards.
+func TestPreparedRecycledMemo(t *testing.T) {
+	wls := equivWorkloads(t)
+	// One estimator prices every plan on one cluster (BR's); the reference
+	// estimates are a fresh estimator's on the same cluster.
+	est := New(wls["BR"].Cluster)
+	rng := rand.New(rand.NewSource(9))
+	type heldEstimate struct{ got, want *Estimate }
+	var held []heldEstimate
+	for round, abbr := range []string{"BR", "LA", "BR", "LA", "BR"} {
+		plan := wls[abbr].Workflow.Clone()
+		changed := firstAndLast(t, plan)
+		prep, err := est.Prepare(plan, []string{changed[0].ID, changed[1].ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 4; n++ {
+			for _, j := range changed {
+				randomizeConfig(rng, &j.Config)
+			}
+			ctx := fmt.Sprintf("round %d (%s) probe %d", round, abbr, n)
+			want, err := New(est.Cluster).Estimate(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe, err := prep.EstimateChanged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEqualEstimates(t, want, probe, ctx+" EstimateChanged")
+			got, err := prep.Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEqualEstimates(t, want, got, ctx+" Estimate")
+			if n == 0 {
+				held = append(held, heldEstimate{got, want})
+			}
+		}
+		prep.Close()
+		prep.Close() // a second Close does nothing
+		for i, h := range held {
+			requireEqualEstimates(t, h.want, h.got, fmt.Sprintf("estimate held from round %d, after round %d", i, round))
+		}
+	}
+}
+
+// TestPreparedCycleAllocs pins a repeated Prepare → probes → Close cycle of
+// BR on one estimator. The cycle's memo reuses the cards and the table the
+// previous cycle's Close handed back, so it allocates no jobCard and no card
+// storage — the spare count is the same after every cycle — and the same
+// cycle without Close allocates 219 times. The 192 left are Prepare's own
+// (the prefix estimate and its maps, the topological order, each job's
+// input and output lists, the slot pools and their snapshots),
+// EstimateChanged's first walk seeding its reusable buffer, and the probes'
+// recomputed output layouts' name lists (as in TestEstimateChangedAllocs).
+func TestPreparedCycleAllocs(t *testing.T) {
+	wl := equivWorkloads(t)["BR"]
+	plan := wl.Workflow.Clone()
+	changed := firstAndLast(t, plan)
+	ids := []string{changed[0].ID, changed[1].ID}
+	rng := rand.New(rand.NewSource(13))
+	points := make([][]wf.Config, 3)
+	for i := range points {
+		for _, j := range changed {
+			c := j.Config
+			randomizeConfig(rng, &c)
+			points[i] = append(points[i], c)
+		}
+	}
+	e := New(wl.Cluster)
+	cycle := func() {
+		prep, err := e.Prepare(plan, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range points {
+			for k, j := range changed {
+				j.Config = pt[k]
+			}
+			if _, err := prep.EstimateChanged(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prep.Close()
+	}
+	cycle()
+	spares := len(e.spareCards)
+	if spares == 0 {
+		t.Fatal("Close handed no cards back")
+	}
+	allocs := testing.AllocsPerRun(20, cycle)
+	if len(e.spareCards) != spares {
+		t.Fatalf("spare cards %d after repeated cycles, %d after the first: a cycle allocated cards", len(e.spareCards), spares)
+	}
+	const want = 192
+	if allocs != want {
+		t.Fatalf("a recycled Prepare/probe/Close cycle of BR allocates %.1f times, want %d", allocs, want)
+	}
+}

@@ -90,14 +90,17 @@ func (e *Estimator) Robustness(ctx context.Context, w *wf.Workflow, opt Robustne
 
 	// One walk per fault seed. The memo makes the first walk the flow layer's
 	// only run: configurations never change and every walk publishes the same
-	// dataset estimates, so each later one finds every card.
+	// dataset estimates, so each later one finds every card. Its storage is
+	// the estimator's and goes back to it when the report is done.
+	memo := e.takeMemo()
+	defer e.releaseMemo(memo)
 	mapPool := mrsim.NewFaultyPool(opt.Model.SlotSpeeds(e.Cluster, false))
 	redPool := mrsim.NewFaultyPool(opt.Model.SlotSpeeds(e.Cluster, true))
 	mapSnap, redSnap := mapPool.Snapshot(), redPool.Snapshot()
 	rep := &Robustness{Samples: samples, Makespans: make([]float64, 0, samples)}
 	var fm *mrsim.FaultModel // the sample's reseeded model
 	var failed bool          // whether a task of the sample failed out
-	wk := walkState{workflow: w.Name, est: est, memo: make(cardMemo),
+	wk := walkState{workflow: w.Name, est: est, memo: memo,
 		ready: make(map[string]float64, len(w.Datasets)),
 		place: func(card *jobCard, jobID string, jobReady float64) float64 {
 			return replayJob(fm, card, jobID, jobReady, mapPool, redPool, &failed)

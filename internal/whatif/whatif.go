@@ -27,14 +27,20 @@
 // snapshots the pools; each probe then walks only the rest, taking cards from
 // a memo and recomputing flow only for jobs the probe actually affects.
 // Robustness (robust.go) walks the plan once per fault seed on perturbed
-// pools with one memo, so flow runs once. An estimator built with NewCached
+// pools with one memo, so flow runs once. A memo's storage outlives it: a
+// closed Prepared and a finished Robustness hand their cards and their
+// cleared table back to the Estimator, and the next memo on it — the next
+// subplan's search, on a tuning worker's estimator — reuses them instead of
+// allocating its own. An estimator built with NewCached
 // additionally answers whole-workflow estimates from a shared Cache
 // (cache.go) — one mutex over one LRU, keyed by canonical workflow
 // fingerprint; delta estimates and robustness replays never consult it.
 package whatif
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/mrsim"
@@ -110,8 +116,9 @@ func (c *Counts) Add(o Counts) {
 // computations across calls (configuration search evaluates thousands of
 // plans whose key samples are identical), and it owns the flow layer's
 // scratch: flowJob works in per-input and per-tag slices rewritten on every
-// call, so a flow card allocates only its own storage, and a Prepared's memo
-// recomputes a stale card in place rather than allocating a new one. It is
+// call, so a flow card allocates only its own storage; a Prepared's memo
+// recomputes a stale card in place rather than allocating a new one, and a
+// new memo card reuses one a closed memo handed back. It is
 // not safe for concurrent use (skew and fingerprint memoization and the
 // flow scratch are private state); concurrent searches each hold their own
 // Estimator around one shared Cache, which is concurrent-safe and
@@ -135,11 +142,15 @@ type Estimator struct {
 	digests map[tuplesRef]uint64
 	// flowIns and flowTags are flowJob's scratch: the job's distinct inputs
 	// in input order and its groups in tag order, overwritten per call.
-	flowIns   []inEst
-	flowTags  []tagEst
-	requests  uint64 // EstimateContext calls plus Prepared's delta estimates
-	computed  uint64 // runs of the monolithic walk (every EstimateContext call without a cache)
-	flowCards uint64
+	flowIns  []inEst
+	flowTags []tagEst
+	// spareCards and spareMemo are the storage of released card memos (see
+	// releaseMemo): cards a memo may rewrite, and one cleared table.
+	spareCards []*jobCard
+	spareMemo  cardMemo
+	requests   uint64 // EstimateContext calls plus Prepared's delta estimates
+	computed   uint64 // runs of the monolithic walk (every EstimateContext call without a cache)
+	flowCards  uint64
 }
 
 // tuplesRef identifies a non-empty tuple list by the address of its first
@@ -262,10 +273,12 @@ func fallbackEstimate(w *wf.Workflow) *Estimate {
 		Jobs: map[string]*JobEstimate{}, Datasets: map[string]*DatasetEstimate{}}
 }
 
-// walkJob is one job of a walk with its distinct input and output dataset
-// IDs resolved once: job.Inputs/Outputs allocate per call, and a Prepared
-// walks the same jobs hundreds of times per subplan.
+// walkJob is one job of a walk with its index in the workflow's topological
+// order and its distinct input and output dataset IDs resolved once:
+// job.Inputs/Outputs allocate per call, and a Prepared walks the same jobs
+// hundreds of times per subplan.
 type walkJob struct {
+	idx       int
 	job       *wf.Job
 	ins, outs []string
 }
@@ -304,7 +317,7 @@ func open(w *wf.Workflow) ([]walkJob, *Estimate, error) {
 	}
 	jobs := make([]walkJob, len(order))
 	for i, job := range order {
-		jobs[i] = walkJob{job: job, ins: job.Inputs(), outs: job.Outputs()}
+		jobs[i] = walkJob{idx: i, job: job, ins: job.Inputs(), outs: job.Outputs()}
 	}
 	return jobs, est, nil
 }
@@ -325,15 +338,52 @@ type walkState struct {
 	place placer
 }
 
-// cardMemo holds flow cards keyed per job by the exact configuration they
+// cardMemo holds flow cards keyed by job and the exact configuration they
 // were computed under; a card is reused when the job's configuration recurs
 // and its input dataset estimates match the card's (flow is a pure function
 // of job, configuration, and inputs). Unchanged jobs have a constant
-// configuration, so their bucket holds one card that survives while upstream
-// probes leave their inputs alone; changed jobs accumulate one card per
-// visited configuration, which the clustered probes of RRS's exploit phase
-// revisit heavily.
-type cardMemo map[string]map[wf.Config]*jobCard
+// configuration, so they hold one card that survives while upstream probes
+// leave their inputs alone; changed jobs accumulate one card per visited
+// configuration, which the clustered probes of RRS's exploit phase revisit
+// heavily. A memo serves one workflow, so a job is its topological index.
+type cardMemo map[memoKey]*jobCard
+
+// memoKey identifies one memoized card: the job's topological index and its
+// configuration.
+type memoKey struct {
+	job int
+	cfg wf.Config
+}
+
+// takeMemo returns an empty card memo for one Prepared or Robustness walk:
+// the table the last released memo left, or a new one.
+func (e *Estimator) takeMemo() cardMemo {
+	m := e.spareMemo
+	e.spareMemo = nil
+	if m == nil {
+		m = make(cardMemo)
+	}
+	return m
+}
+
+// releaseMemo hands a memo that no walk will read again back to the
+// estimator: its cards become spares that card rewrites before allocating,
+// and the table, cleared with its capacity kept, is the next takeMemo's.
+// Estimates published from the cards stay valid: walk published value
+// copies, and flowJob replaces a layout's slices but never writes into
+// their arrays. The spares are ordered by their dataset storage's capacity,
+// so which card a later flow rewrites — and so what it allocates — does not
+// depend on map iteration order.
+func (e *Estimator) releaseMemo(m cardMemo) {
+	for _, c := range m {
+		e.spareCards = append(e.spareCards, c)
+	}
+	slices.SortFunc(e.spareCards, func(a, b *jobCard) int {
+		return cmp.Compare(cap(a.inputs), cap(b.inputs))
+	})
+	clear(m)
+	e.spareMemo = m
+}
 
 // walk is the estimator's one loop, shared by every entry point so that no
 // float ever takes a different path. For each job, in the order given: the
@@ -403,30 +453,33 @@ func (e *Estimator) walk(ctx context.Context, wk *walkState, jobs []walkJob) err
 // card returns the job's flow card for its current configuration and input
 // estimates, computing it unless the memo holds one. A memoized card whose
 // inputs no longer match is recomputed into its own storage: nothing reads a
-// card after its walk step, so the stale answer has no other reader. If that
-// recompute fails, the half-written card leaves the memo.
+// card after its walk step, so the stale answer has no other reader. A new
+// memo card is a spare when the estimator has one. If flow fails, the
+// half-written card leaves the memo for the spares.
 func (e *Estimator) card(j *walkJob, datasets map[string]*DatasetEstimate, memo cardMemo) (*jobCard, error) {
-	job := j.job
-	var bucket map[wf.Config]*jobCard
+	key := memoKey{j.idx, j.job.Config}
 	var card *jobCard
 	if memo != nil {
-		if bucket = memo[job.ID]; bucket == nil {
-			bucket = make(map[wf.Config]*jobCard)
-			memo[job.ID] = bucket
-		}
-		if card = bucket[job.Config]; card != nil && card.inputsMatch(datasets) {
+		if card = memo[key]; card != nil && card.inputsMatch(datasets) {
 			return card, nil
+		}
+		if n := len(e.spareCards); card == nil && n > 0 {
+			card = e.spareCards[n-1]
+			e.spareCards = e.spareCards[:n-1]
 		}
 	}
 	if card == nil {
 		card = &jobCard{}
 	}
-	if err := e.flowJob(job, j.ins, datasets, card); err != nil {
-		delete(bucket, job.Config)
+	if err := e.flowJob(j.job, j.ins, datasets, card); err != nil {
+		if memo != nil {
+			delete(memo, key)
+			e.spareCards = append(e.spareCards, card)
+		}
 		return nil, err
 	}
-	if bucket != nil {
-		bucket[job.Config] = card
+	if memo != nil {
+		memo[key] = card
 	}
 	return card, nil
 }

@@ -305,8 +305,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var doc []byte
 	if ps := a.target.storeFor(req.Plan); ps != nil {
-		// The one store lookup of a hit. A failed or empty lookup is a miss.
-		doc, _, _ = ps.Get(a.key)
+		// The one store lookup of a hit. A failed or empty lookup is a miss,
+		// counted by the GetOrCompute that then runs the request.
+		doc, _, _ = ps.Peek(a.key)
 	}
 	if doc == nil && req.Plan == nil {
 		if doc, err = s.forwardProbe(r.Context(), a); err != nil {

@@ -284,9 +284,10 @@ func (s *Session) Submit(ctx context.Context, req OptimizeRequest) (*OptimizeHan
 	// A plan-store hit skips the queue entirely: the stored plan is
 	// decodable right now, so the job finishes on the submitting goroutine
 	// and never occupies a worker. Anything else (miss, store error,
-	// undecodable document, a store storeFor withholds) defers to a worker.
+	// undecodable document, a store storeFor withholds) defers to a worker,
+	// whose GetOrCompute counts the miss.
 	if ps := a.target.storeFor(req.Workflow); ps != nil {
-		if doc, ok, err := ps.Get(a.key); err == nil && ok {
+		if doc, ok, err := ps.Peek(a.key); err == nil && ok {
 			if res, err := decodeStoredResult(doc, req.Workflow); err == nil {
 				return s.finished(a, req, res), nil
 			}
