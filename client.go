@@ -252,7 +252,7 @@ func resultFromDoc(doc *planio.Result) *Result {
 		WhatIfCalls:    doc.WhatIfCalls,
 		WhatIfComputed: doc.WhatIfComputed,
 		FlowCards:      doc.FlowCards,
-		Robustness:     robustnessFromDoc(doc.Robustness),
+		Robustness:     doc.Robustness,
 		ReusedSubplans: doc.ReusedSubplans,
 	}
 }

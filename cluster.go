@@ -91,31 +91,21 @@ func (s *Server) ClusterStats() (ClusterStats, bool) {
 }
 
 // forwardProbe is what a server does with a key-first submission its own
-// store cannot answer. A coordinator with a live worker forwards the
-// document — defaults resolved, cluster explicit, so the worker derives the
-// same key — as the job's one dispatch, and returns the worker's result
-// document unparsed; a worker that lacks the plan too has its "plan
-// required" relayed. Every other server answers "plan required" itself, and
+// store cannot answer. A coordinator with a live worker forwards it as the
+// job's one dispatch and returns the worker's result document unparsed; a
+// worker that lacks the plan too has its "plan required" relayed. Every
+// other server answers "plan required" itself — as does one whose reuse
+// catalog may match the plan, which only the full document can show — and
 // the submitter sends the full document down the ordinary path.
 func (s *Server) forwardProbe(ctx context.Context, a admission) ([]byte, error) {
 	planRequired := func() error {
 		return stubbyerr.New(stubbyerr.KindNotFound, "probe", a.workflow, "",
 			"plan required: no stored result for plan fingerprint %v", a.key.Plan)
 	}
-	if s.coordinator == nil || s.coordinator.Stats().LiveWorkers == 0 {
+	if s.coordinator == nil || !a.target.answersProbes() || s.coordinator.Stats().LiveWorkers == 0 {
 		return nil, planRequired()
 	}
-	probe, err := planio.EncodeRequest(&planio.Request{
-		Planner:     a.key.Planner,
-		Seed:        a.key.Seed,
-		Cluster:     a.target.cluster,
-		Fingerprint: a.key.Plan,
-		Workflow:    a.workflow,
-	})
-	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "probe", a.workflow, err)
-	}
-	doc, err := s.coordinator.Dispatch(ctx, probe)
+	doc, err := a.dispatch(ctx, nil)
 	if errors.Is(err, ErrNoWorkers) {
 		return nil, planRequired()
 	}
@@ -127,34 +117,32 @@ func (s *Server) forwardProbe(ctx context.Context, a admission) ([]byte, error) 
 // it in place of local optimization when a coordinator is mounted.
 type dispatchFunc func(ctx context.Context, body []byte) ([]byte, error)
 
-// dispatchOptimize runs one submission remotely: it encodes the request —
-// always with an explicit cluster, so the worker's plan-store key matches
-// the one this coordinator's own store would use — dispatches it, and
-// decodes the worker's result document bound to the submitted workflow's
-// stage functions.
-func (s *Session) dispatchOptimize(ctx context.Context, req OptimizeRequest, name string, seed int64) (*Result, error) {
-	cl := req.Cluster
-	if cl == nil {
-		cl = s.cluster
-	}
-	body, err := planio.EncodeRequest(&planio.Request{
-		Planner: name,
-		Seed:    seed,
-		Cluster: cl,
-		Plan:    req.Workflow,
-	})
+// dispatch runs the admitted job on a cluster worker and returns the
+// worker's result document unparsed. It writes every request a coordinator
+// sends a worker: planner, seed and cluster resolved — the cluster always
+// explicit — so the worker derives the admission's own plan-store key. With
+// w nil the request is key-first, named by the plan's fingerprint.
+func (a admission) dispatch(ctx context.Context, w *Workflow) ([]byte, error) {
+	body, err := planio.EncodeRequest(&planio.Request{Planner: a.key.Planner, Seed: a.key.Seed,
+		Cluster: a.target.cluster, Plan: w, Fingerprint: a.key.Plan, Workflow: a.workflow})
 	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "dispatch", req.Workflow.Name, err)
+		return nil, stubbyerr.WithKind(stubbyerr.KindInvalid, "dispatch", a.workflow, err)
 	}
-	data, err := s.dispatch(ctx, body)
+	return a.target.dispatch(ctx, body)
+}
+
+// dispatchOptimize runs the admitted optimization of w on a worker and
+// decodes the worker's result document bound to w's stage functions.
+func (a admission) dispatchOptimize(ctx context.Context, w *Workflow) (*Result, error) {
+	data, err := a.dispatch(ctx, w)
 	if err != nil {
 		return nil, err
 	}
 	reg := planio.NewRegistry()
-	reg.RegisterWorkflow(req.Workflow)
+	reg.RegisterWorkflow(w)
 	wres, err := planio.DecodeResultBound(data, reg)
 	if err != nil {
-		return nil, stubbyerr.WithKind(stubbyerr.KindInternal, "dispatch", req.Workflow.Name,
+		return nil, stubbyerr.WithKind(stubbyerr.KindInternal, "dispatch", a.workflow,
 			errors.New("undecodable worker result: "+err.Error()))
 	}
 	return resultFromDoc(wres), nil

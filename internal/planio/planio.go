@@ -96,16 +96,6 @@ type groupDoc struct {
 	ValOut      *[]string        `json:"valOut,omitempty"`
 }
 
-type configDoc struct {
-	NumReduceTasks    int  `json:"numReduceTasks"`
-	SplitSizeMB       int  `json:"splitSizeMB"`
-	SortBufferMB      int  `json:"sortBufferMB"`
-	IOSortFactor      int  `json:"ioSortFactor"`
-	UseCombiner       bool `json:"useCombiner,omitempty"`
-	CompressMapOutput bool `json:"compressMapOutput,omitempty"`
-	CompressOutput    bool `json:"compressOutput,omitempty"`
-}
-
 type pipelineProfileDoc struct {
 	Selectivity        float64    `json:"selectivity"`
 	CPUPerRecord       float64    `json:"cpuPerRecord"`
@@ -128,7 +118,7 @@ type jobDoc struct {
 	ID               string         `json:"id"`
 	MapBranches      []branchDoc    `json:"mapBranches"`
 	ReduceGroups     []groupDoc     `json:"reduceGroups"`
-	Config           configDoc      `json:"config"`
+	Config           wf.Config      `json:"config"`
 	Profile          *jobProfileDoc `json:"profile,omitempty"`
 	AlignMapToInput  bool           `json:"alignMapToInput,omitempty"`
 	ReduceCountGroup string         `json:"reduceCountGroup,omitempty"`
@@ -259,7 +249,7 @@ func encodeDoc(w *wf.Workflow) (*document, error) {
 func encodeJob(j *wf.Job) (*jobDoc, error) {
 	jd := &jobDoc{
 		ID:               j.ID,
-		Config:           configDoc(j.Config),
+		Config:           j.Config,
 		Profile:          encodeProfile(j.Profile),
 		AlignMapToInput:  j.AlignMapToInput,
 		ReduceCountGroup: j.ReduceCountGroup,
@@ -501,7 +491,7 @@ func (d *decoder) workflow(doc *document) (*wf.Workflow, error) {
 func (d *decoder) job(jd *jobDoc) (*wf.Job, error) {
 	j := &wf.Job{
 		ID:               jd.ID,
-		Config:           wf.Config(jd.Config),
+		Config:           jd.Config,
 		AlignMapToInput:  jd.AlignMapToInput,
 		ReduceCountGroup: jd.ReduceCountGroup,
 		PinnedReducers:   jd.PinnedReducers,

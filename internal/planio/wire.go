@@ -7,6 +7,12 @@ package planio
 // exactly these documents, and every encoder here is deterministic so wire
 // bytes can be golden-tested.
 //
+// A record that mirrors a domain type is that type, tagged: a request's
+// cluster is an mrsim.Cluster, a job's configuration a wf.Config, a
+// robustness report a whatif.Robustness. There is no copy to forget when
+// a field is added, and renaming one of their JSON tags is a wire-version
+// bump.
+//
 // Requests and results are written compact — they travel the wire, sit in
 // the journal and are the plan store's records, and five sixths of an
 // indented document is indentation — while Encode, the plan file people
@@ -30,6 +36,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/stats"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
+	"github.com/stubby-mr/stubby/internal/whatif"
 )
 
 // Wire format identifiers. Like the plan documents, requests and results
@@ -80,77 +87,15 @@ type Result struct {
 	// optimized.
 	Fingerprint string
 	// Robustness carries the chosen plan's Monte-Carlo makespan distribution
-	// under the serving session's fault model. Nil when the server plans
-	// without a fault model (the common case).
-	Robustness *RobustnessDoc
+	// under the serving session's fault model, less the per-sample
+	// makespans. Nil when the server plans without a fault model (the common
+	// case).
+	Robustness *whatif.Robustness
 	// ReusedSubplans counts rooted sub-DAGs the serving session's reuse
 	// catalog replaced with scans of stored results (zero without a
 	// catalog; the field is omitted from the wire bytes then, keeping old
 	// documents byte-identical).
 	ReusedSubplans int
-}
-
-// RobustnessDoc is the wire form of a robustness report: summary statistics
-// of the plan's makespan distribution across perturbation seeds.
-type RobustnessDoc struct {
-	Samples   int     `json:"samples"`
-	Mean      float64 `json:"mean"`
-	P50       float64 `json:"p50"`
-	P95       float64 `json:"p95"`
-	P99       float64 `json:"p99"`
-	Min       float64 `json:"min"`
-	Max       float64 `json:"max"`
-	FailedOut int     `json:"failedOut,omitempty"`
-}
-
-// clusterDoc mirrors mrsim.Cluster field by field.
-type clusterDoc struct {
-	Nodes               int     `json:"nodes"`
-	MapSlotsPerNode     int     `json:"mapSlotsPerNode"`
-	ReduceSlotsPerNode  int     `json:"reduceSlotsPerNode"`
-	DiskMBps            float64 `json:"diskMBps"`
-	NetMBps             float64 `json:"netMBps"`
-	TaskSetupSec        float64 `json:"taskSetupSec"`
-	SortCPUPerRecord    float64 `json:"sortCPUPerRecord"`
-	CompressRatio       float64 `json:"compressRatio"`
-	CompressCPUSecPerMB float64 `json:"compressCPUSecPerMB"`
-	VirtualScale        float64 `json:"virtualScale"`
-}
-
-func encodeCluster(c *mrsim.Cluster) *clusterDoc {
-	if c == nil {
-		return nil
-	}
-	return &clusterDoc{
-		Nodes:               c.Nodes,
-		MapSlotsPerNode:     c.MapSlotsPerNode,
-		ReduceSlotsPerNode:  c.ReduceSlotsPerNode,
-		DiskMBps:            c.DiskMBps,
-		NetMBps:             c.NetMBps,
-		TaskSetupSec:        c.TaskSetupSec,
-		SortCPUPerRecord:    c.SortCPUPerRecord,
-		CompressRatio:       c.CompressRatio,
-		CompressCPUSecPerMB: c.CompressCPUSecPerMB,
-		VirtualScale:        c.VirtualScale,
-	}
-}
-
-func decodeCluster(d *clusterDoc) *mrsim.Cluster {
-	if d == nil {
-		return nil
-	}
-	return &mrsim.Cluster{
-		Nodes:               d.Nodes,
-		MapSlotsPerNode:     d.MapSlotsPerNode,
-		ReduceSlotsPerNode:  d.ReduceSlotsPerNode,
-		DiskMBps:            d.DiskMBps,
-		NetMBps:             d.NetMBps,
-		TaskSetupSec:        d.TaskSetupSec,
-		SortCPUPerRecord:    d.SortCPUPerRecord,
-		CompressRatio:       d.CompressRatio,
-		CompressCPUSecPerMB: d.CompressCPUSecPerMB,
-		VirtualScale:        d.VirtualScale,
-	}
 }
 
 // envelope is the header every request and result document opens with.
@@ -167,8 +112,8 @@ type requestDoc struct {
 	// records written before the estimation-mode knob was retired may
 	// carry it, and the decoder rejects unknown members. It is accepted,
 	// ignored, and never emitted.
-	DisableIncremental bool        `json:"disableIncremental,omitempty"`
-	Cluster            *clusterDoc `json:"cluster,omitempty"`
+	DisableIncremental bool           `json:"disableIncremental,omitempty"`
+	Cluster            *mrsim.Cluster `json:"cluster,omitempty"`
 	// Exactly one of Plan and PlanFingerprint (with Workflow) is present.
 	PlanFingerprint string    `json:"planFingerprint,omitempty"`
 	Workflow        string    `json:"workflow,omitempty"`
@@ -177,15 +122,15 @@ type requestDoc struct {
 
 type resultDoc struct {
 	envelope
-	EstimatedCost  float64        `json:"estimatedCost"`
-	DurationMS     float64        `json:"durationMS"`
-	WhatIfCalls    uint64         `json:"whatIfCalls"`
-	WhatIfComputed uint64         `json:"whatIfComputed"`
-	FlowCards      uint64         `json:"flowCards"`
-	Fingerprint    string         `json:"fingerprint,omitempty"`
-	Robustness     *RobustnessDoc `json:"robustness,omitempty"`
-	ReusedSubplans int            `json:"reusedSubplans,omitempty"`
-	Plan           *document      `json:"plan"`
+	EstimatedCost  float64            `json:"estimatedCost"`
+	DurationMS     float64            `json:"durationMS"`
+	WhatIfCalls    uint64             `json:"whatIfCalls"`
+	WhatIfComputed uint64             `json:"whatIfComputed"`
+	FlowCards      uint64             `json:"flowCards"`
+	Fingerprint    string             `json:"fingerprint,omitempty"`
+	Robustness     *whatif.Robustness `json:"robustness,omitempty"`
+	ReusedSubplans int                `json:"reusedSubplans,omitempty"`
+	Plan           *document          `json:"plan"`
 }
 
 // EncodeRequest serializes the request to deterministic compact JSON: the
@@ -198,7 +143,7 @@ func EncodeRequest(r *Request) ([]byte, error) {
 		envelope: envelope{RequestFormatName, RequestFormatVersion},
 		Planner:  r.Planner,
 		Seed:     r.Seed,
-		Cluster:  encodeCluster(r.Cluster),
+		Cluster:  r.Cluster,
 	}
 	if r.Plan != nil {
 		plan, err := encodeDoc(r.Plan)
@@ -241,7 +186,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 	req := &Request{
 		Planner:  doc.Planner,
 		Seed:     doc.Seed,
-		Cluster:  decodeCluster(doc.Cluster),
+		Cluster:  doc.Cluster,
 		Workflow: doc.Workflow,
 	}
 	var err error
@@ -407,25 +352,25 @@ const (
 // stream line). Unknown types are skipped by clients, so the stream can
 // grow new event kinds without breaking old readers.
 type EventDoc struct {
-	Type       string         `json:"type"`
-	Workflow   string         `json:"workflow,omitempty"`
-	JobID      string         `json:"jobId,omitempty"`
-	Phase      string         `json:"phase,omitempty"`
-	Unit       int            `json:"unit,omitempty"`
-	Jobs       []string       `json:"jobs,omitempty"`
-	Desc       string         `json:"desc,omitempty"`
-	Cost       float64        `json:"cost,omitempty"`
-	Job        string         `json:"job,omitempty"`
-	Start      float64        `json:"start,omitempty"`
-	End        float64        `json:"end,omitempty"`
-	State      string         `json:"state,omitempty"`
-	Error      *ErrorDoc      `json:"error,omitempty"`
-	Cache      *stats.Cache   `json:"cache,omitempty"`
-	Hit        bool           `json:"hit,omitempty"`
-	Store      *stats.Store   `json:"store,omitempty"`
-	Robustness *RobustnessDoc `json:"robustness,omitempty"`
-	Reused     int            `json:"reused,omitempty"`
-	Reuse      *stats.Reuse   `json:"reuse,omitempty"`
+	Type       string             `json:"type"`
+	Workflow   string             `json:"workflow,omitempty"`
+	JobID      string             `json:"jobId,omitempty"`
+	Phase      string             `json:"phase,omitempty"`
+	Unit       int                `json:"unit,omitempty"`
+	Jobs       []string           `json:"jobs,omitempty"`
+	Desc       string             `json:"desc,omitempty"`
+	Cost       float64            `json:"cost,omitempty"`
+	Job        string             `json:"job,omitempty"`
+	Start      float64            `json:"start,omitempty"`
+	End        float64            `json:"end,omitempty"`
+	State      string             `json:"state,omitempty"`
+	Error      *ErrorDoc          `json:"error,omitempty"`
+	Cache      *stats.Cache       `json:"cache,omitempty"`
+	Hit        bool               `json:"hit,omitempty"`
+	Store      *stats.Store       `json:"store,omitempty"`
+	Robustness *whatif.Robustness `json:"robustness,omitempty"`
+	Reused     int                `json:"reused,omitempty"`
+	Reuse      *stats.Reuse       `json:"reuse,omitempty"`
 }
 
 // StatusDoc is the wire form of a job's status: lifecycle state, the

@@ -8,29 +8,31 @@ import "fmt"
 // performance effect the evaluation exercises has a knob:
 // parallelism (reduce tasks, split size), the sort/spill pipeline
 // (sort buffer, merge factor), pre-aggregation (combiner), and I/O
-// compression trade-offs.
+// compression trade-offs. Its JSON names are wire schema: every job of a
+// plan document carries its Config as is, so renaming a tag is a format
+// version bump.
 type Config struct {
 	// NumReduceTasks sets reduce-side parallelism. Ignored for map-only
 	// jobs and overridden by range partitioning's split-point count.
-	NumReduceTasks int
+	NumReduceTasks int `json:"numReduceTasks"`
 	// SplitSizeMB controls map-side parallelism: each map task consumes
 	// roughly this many (virtual) megabytes of input. Ignored when the
 	// job's map tasks are aligned to input partitions by a vertical
 	// packing postcondition.
-	SplitSizeMB int
+	SplitSizeMB int `json:"splitSizeMB"`
 	// SortBufferMB is the in-memory buffer for sorting map output; output
 	// exceeding it spills to disk in multiple passes.
-	SortBufferMB int
+	SortBufferMB int `json:"sortBufferMB"`
 	// IOSortFactor caps how many spill runs merge in one pass.
-	IOSortFactor int
+	IOSortFactor int `json:"ioSortFactor"`
 	// UseCombiner enables the combine function where one is defined.
-	UseCombiner bool
+	UseCombiner bool `json:"useCombiner,omitempty"`
 	// CompressMapOutput compresses intermediate map output (less I/O and
 	// shuffle bytes, more CPU).
-	CompressMapOutput bool
+	CompressMapOutput bool `json:"compressMapOutput,omitempty"`
 	// CompressOutput compresses the job's output dataset, affecting both
 	// this job's write cost and downstream read costs.
-	CompressOutput bool
+	CompressOutput bool `json:"compressOutput,omitempty"`
 }
 
 // DefaultConfig mirrors stock Hadoop defaults: one reducer, 128 MB splits,

@@ -103,13 +103,8 @@ func (s *Server) recoverJournaled() {
 			_ = s.journal.j.AppendState(in.ID, service.Failed)
 			continue
 		}
-		oreq := OptimizeRequest{
-			Workflow: req.Plan,
-			Planner:  req.Planner,
-			Seed:     req.Seed,
-			Cluster:  req.Cluster,
-			resumeID: in.ID,
-		}
+		oreq := optimizeRequest(req)
+		oreq.resumeID = in.ID
 		if in.DeadlineUnixMS > 0 {
 			// An already-expired deadline still re-enqueues: the job fails
 			// promptly with a deadline error, which is the terminal record

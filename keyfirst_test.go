@@ -527,6 +527,65 @@ func TestClusterKeyFirstMiss(t *testing.T) {
 	}
 }
 
+// TestKeyFirstProbeKeepsCatalogReuse: a key-first probe carries no
+// workflow to check against the serving session's reuse catalog, so a
+// server whose catalog holds entries must not answer it from the plan
+// store. Here the store holds the bare plan for the workflow under the
+// very key the probe names, and the catalog matches a sub-plan of it: the
+// probe must be refused, and the full document searched with the catalog.
+func TestKeyFirstProbeKeepsCatalogReuse(t *testing.T) {
+	ctx := context.Background()
+	wl := profiledWorkload(t, "IR", 0.1, 1)
+	store, err := stubby.NewPlanStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	cat, err := stubby.NewReuseCatalog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	session := func(opts ...stubby.SessionOption) *stubby.Session {
+		t.Helper()
+		base := []stubby.SessionOption{stubby.WithCluster(wl.Cluster), stubby.WithSeed(1), stubby.WithPlanStore(store)}
+		sess, err := stubby.NewSession(append(base, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close(context.Background()) })
+		return sess
+	}
+	if res, err := session().Optimize(ctx, wl.Workflow); err != nil || res.ReusedSubplans != 0 {
+		t.Fatalf("bare optimization: %v, %+v", err, res)
+	}
+	withCat := session(stubby.WithReuseCatalog(cat))
+	if _, err := withCat.Run(ctx, wl.DFS.Clone(), wl.Workflow); err != nil {
+		t.Fatal(err)
+	}
+	if cat.Len() == 0 {
+		t.Fatal("the run published nothing to the catalog")
+	}
+	log := &wireLog{next: stubby.NewServer(withCat)}
+	hs := httptest.NewServer(log)
+	defer hs.Close()
+	client, err := stubby.NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Optimize(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReusedSubplans == 0 {
+		t.Fatalf("key-first submission was served the stored bare plan (%d jobs, 0 reused); want the catalog's reuse",
+			len(res.Plan.Jobs))
+	}
+	if reqs, _ := log.take(); len(reqs) < 2 || reqs[0] != "POST /v1/jobs" || reqs[1] != "POST /v1/jobs" {
+		t.Errorf("requests %q: want the refused probe, then the full document", reqs)
+	}
+}
+
 // TestJournalRestartSkipsBornFinished: a job answered from the store
 // leaves nothing in the journal, so a crash and reopen resurrects only what
 // was really in flight — and the next incarnation never reissues an ID the

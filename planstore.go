@@ -166,13 +166,17 @@ func decodeStoredResult(doc []byte, w *Workflow) (*Result, error) {
 // write: none when the session has none or when its reuse catalog matches
 // a sub-plan of w (optimizer.ReuseRewrites, the pre-pass's own rule), as
 // that plan may scan catalog datasets other sessions sharing the store
-// lack. A key-first probe (w nil) cannot be checked; it reads the store,
-// which holds no plan that scans catalog results. A ReuseCatalog is peeked
-// at, uncounted: the search that follows counts its lookups as before.
+// lack. A key-first probe (w nil) cannot be checked, so it gets the store
+// only when answersProbes: a catalog that may match would otherwise lose
+// its reuse to the stored bare plan. A ReuseCatalog is peeked at,
+// uncounted: the search that follows counts its lookups as before.
 func (s *Session) storeFor(w *Workflow) *PlanStore {
 	src := s.baseOpts.ReuseCatalog
-	if s.planStore == nil || src == nil || w == nil {
+	if s.planStore == nil || src == nil || w == nil && s.answersProbes() {
 		return s.planStore
+	}
+	if w == nil {
+		return nil
 	}
 	lookup := src.Lookup
 	if c, ok := src.(*ReuseCatalog); ok {
@@ -182,6 +186,15 @@ func (s *Session) storeFor(w *Workflow) *PlanStore {
 		return nil
 	}
 	return s.planStore
+}
+
+// answersProbes reports whether a key-first probe, which carries no
+// workflow to check against the reuse catalog, may be answered without
+// the full document: only when the session has no catalog, or one that is
+// a ReuseCatalog holding nothing, which matches no sub-plan.
+func (s *Session) answersProbes() bool {
+	c, ok := s.baseOpts.ReuseCatalog.(*ReuseCatalog)
+	return s.baseOpts.ReuseCatalog == nil || ok && c.Len() == 0
 }
 
 // errReusedPlan refuses to publish a store computation whose plan scans

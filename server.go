@@ -262,7 +262,9 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 // touching the queue or the journal: the job is born terminal around the
 // encoded result document, which GET …/result then writes as is. Otherwise a
 // full document is journaled and queued, and a key-first one is refused
-// with KindNotFound ("plan required"): the submitter sends the plan.
+// with KindNotFound ("plan required"): the submitter sends the plan. A
+// session whose reuse catalog may match refuses every key-first document so
+// (answersProbes): only the full document can be checked against it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeError(w, stubbyerr.New(stubbyerr.KindUnavailable, "submit", "", "",
@@ -279,12 +281,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, stubbyerr.WithKind(stubbyerr.KindInvalid, "submit", "", err))
 		return
 	}
-	oreq := OptimizeRequest{
-		Workflow: req.Plan,
-		Planner:  req.Planner,
-		Seed:     req.Seed,
-		Cluster:  req.Cluster,
-	}
+	oreq := optimizeRequest(req)
 	// A client that set a context deadline propagates the remaining budget
 	// over the wire; the job's execution context expires with it.
 	if ms := r.Header.Get(jobclient.DeadlineHeader); ms != "" {
@@ -358,6 +355,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.adopt(h)
 	writeJSON(w, http.StatusAccepted, planio.SubmitResponse{ID: h.ID(), State: h.State().String()})
+}
+
+// optimizeRequest is the job a decoded request document asks for, the
+// one mapping the submit handler and journal recovery share. A key-first
+// document maps to a request without a workflow.
+func optimizeRequest(req *planio.Request) OptimizeRequest {
+	return OptimizeRequest{Workflow: req.Plan, Planner: req.Planner, Seed: req.Seed, Cluster: req.Cluster}
 }
 
 // pruneLocked evicts the oldest finished handles beyond the retention
@@ -447,12 +451,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	data, err := planio.EncodeResult(&planio.Result{
 		Plan:           res.Plan,
 		EstimatedCost:  res.EstimatedCost,
-		DurationMS:     float64(res.Duration.Milliseconds()),
+		DurationMS:     float64(res.Duration) / float64(time.Millisecond),
 		WhatIfCalls:    res.WhatIfCalls,
 		WhatIfComputed: res.WhatIfComputed,
 		FlowCards:      res.FlowCards,
 		Fingerprint:    wf.FingerprintWorkflow(res.Plan).String(),
-		Robustness:     robustnessDoc(res.Robustness),
+		Robustness:     res.Robustness,
 		ReusedSubplans: res.ReusedSubplans,
 	})
 	if err != nil {
@@ -576,25 +580,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// robustnessDoc converts a robustness report to its wire form (nil-safe).
-func robustnessDoc(r *Robustness) *planio.RobustnessDoc {
-	if r == nil {
-		return nil
-	}
-	return &planio.RobustnessDoc{Samples: r.Samples, Mean: r.Mean, P50: r.P50,
-		P95: r.P95, P99: r.P99, Min: r.Min, Max: r.Max, FailedOut: r.FailedOut}
-}
-
-// robustnessFromDoc converts a wire robustness report back (nil-safe). The
-// per-sample makespans never travel the wire — only summary statistics do.
-func robustnessFromDoc(d *planio.RobustnessDoc) *Robustness {
-	if d == nil {
-		return nil
-	}
-	return &Robustness{Samples: d.Samples, Mean: d.Mean, P50: d.P50,
-		P95: d.P95, P99: d.P99, Min: d.Min, Max: d.Max, FailedOut: d.FailedOut}
-}
-
 // eventToDoc converts a typed event to its wire form.
 func eventToDoc(ev Event) *planio.EventDoc {
 	switch e := ev.(type) {
@@ -618,7 +603,7 @@ func eventToDoc(ev Event) *planio.EventDoc {
 			Hit: e.Hit, Store: &e.Stats}
 	case RobustnessEvent:
 		return &planio.EventDoc{Type: planio.EventRobustness, Workflow: e.Workflow,
-			Robustness: robustnessDoc(e.Report)}
+			Robustness: e.Report}
 	case ReuseReportEvent:
 		return &planio.EventDoc{Type: planio.EventReuseReport, Workflow: e.Workflow,
 			Reused: e.Reused, Reuse: &e.Stats}
@@ -648,8 +633,7 @@ func eventFromDoc(d *planio.EventDoc) (Event, bool) {
 		return PlanStoreEvent{Workflow: d.Workflow, Hit: d.Hit,
 			Stats: deref(d.Store)}, true
 	case planio.EventRobustness:
-		return RobustnessEvent{Workflow: d.Workflow,
-			Report: robustnessFromDoc(d.Robustness)}, true
+		return RobustnessEvent{Workflow: d.Workflow, Report: d.Robustness}, true
 	case planio.EventReuseReport:
 		return ReuseReportEvent{Workflow: d.Workflow, Reused: d.Reused,
 			Stats: deref(d.Reuse)}, true

@@ -14,14 +14,20 @@ import (
 	"github.com/stubby-mr/stubby/internal/planio"
 )
 
-// fillDistinct sets every scalar reachable from v — through structs and
-// pointers, which it allocates — to a non-zero value no other field got
-// (bools, having one, all get true). Values are handed out in field order.
+// fillDistinct sets every scalar reachable from v — through structs,
+// pointers and slices, which it allocates (a slice two long) — to a
+// non-zero value no other field got (bools, having one, all get true).
+// Values are handed out in field order.
 func fillDistinct(v reflect.Value, next *int) {
 	switch v.Kind() {
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
 		fillDistinct(v.Elem(), next)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(v.Index(i), next)
+		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			fillDistinct(v.Field(i), next)

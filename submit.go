@@ -342,7 +342,7 @@ func (s *Session) enqueue(ctx context.Context, a admission, req OptimizeRequest)
 			// no-live-workers condition falls back to the local optimizer;
 			// any other dispatch failure is the job's real outcome (the
 			// coordinator already re-dispatched transient failures).
-			res, err := target.dispatchOptimize(ctx, req, a.key.Planner, a.key.Seed)
+			res, err := a.dispatchOptimize(ctx, req.Workflow)
 			if err == nil {
 				target.report(wfName, res, sink)
 				return res, nil

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/stubby-mr/stubby"
 	"github.com/stubby-mr/stubby/internal/gen"
@@ -179,6 +180,40 @@ func TestWireGoldens(t *testing.T) {
 			checkGolden(t, filepath.Join("testdata", "wire", fmt.Sprintf("result-seed-%02d.golden", seed)), indentJSON(t, resData))
 		})
 	}
+	t.Run("robustness", func(t *testing.T) {
+		// result-robust.golden was written by the encoders of the wire twin
+		// the robustness report had before it became whatif.Robustness, and is
+		// never regenerated: a result document carrying a report with
+		// failed-out samples, then the NDJSON lines of two robustness events,
+		// the first with none (failedOut is omitted). The per-sample
+		// makespans never travel.
+		c := profiledGenCase(t, 1, gen.Options{MaxJobs: 2, Records: 60})
+		resData, err := planio.EncodeResult(&planio.Result{
+			Plan: c.Workflow, EstimatedCost: 321.125, DurationMS: 0.75,
+			WhatIfCalls: 5, WhatIfComputed: 2, FlowCards: 8,
+			Fingerprint: fpOf(t, c.Workflow),
+			Robustness: &stubby.Robustness{Samples: 32, Mean: 123.456789, P50: 120.5,
+				P95: 150.25, P99: 160.125, Min: 100.0625, Max: 170.75, FailedOut: 3,
+				Makespans: []float64{100.0625, 120.5, 170.75}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.Write(indentJSON(t, resData))
+		buf.WriteByte('\n')
+		enc := json.NewEncoder(&buf)
+		for _, failed := range []int{0, 2} {
+			ev := stubby.RobustnessEvent{Workflow: c.Workflow.Name, Report: &stubby.Robustness{
+				Samples: 4, Mean: 10.5, P50: 10.25, P95: 12.75, P99: 12.875, Min: 9.5, Max: 13,
+				FailedOut: failed, Makespans: []float64{9.5, 10.25, 12.75, 13},
+			}}
+			if err := enc.Encode(stubby.EventToDoc(ev)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkGolden(t, filepath.Join("testdata", "wire", "result-robust.golden"), buf.Bytes())
+	})
 }
 
 func indentJSON(t *testing.T, doc []byte) []byte {
@@ -292,6 +327,24 @@ func TestServiceE2ESmokeBR(t *testing.T) {
 	}
 	if status.State() != stubby.StateDone || status.Progress.Units == 0 {
 		t.Fatalf("remote status %+v", status)
+	}
+}
+
+// TestRemoteDurationKeepsFraction: a remote Result's Duration is the
+// server's search time to the nanosecond the fractional durationMS keeps,
+// not that time truncated to whole milliseconds (which reads 0 for a
+// search under 1 ms).
+func TestRemoteDurationKeepsFraction(t *testing.T) {
+	wl := differentialWorkloads(t)["IR"]
+	_, _, client := serviceFixture(t)
+	res, err := client.Optimize(context.Background(), stubby.OptimizeRequest{
+		Workflow: wl.Workflow, Planner: "baseline", Cluster: wl.Cluster,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Duration <= 0 || res.Duration%time.Millisecond == 0 {
+		t.Fatalf("remote Duration %v: want the server's search time with its fraction of a millisecond", res.Duration)
 	}
 }
 
